@@ -418,6 +418,24 @@ def _conv2d_fused(rng):
     return fn, [_normal(rng, 2, 3, 5, 5), _normal(rng, 4, 3, 3, 3), _normal(rng, 4)]
 
 
+@case("conv2d", "strip-seam")
+def _conv2d_strip_seam(rng):
+    # The autograd path cuts the output rows into strips of 512 KiB of
+    # patches; this shape (403k patch elements) is split at both
+    # precisions, so seams and the ragged last strip are gradchecked.
+    # A finite-difference sweep over all 4.4k inputs would take
+    # seconds, so x and w are built from thin differentiated factors
+    # times fixed random rows: every entry of grad_x and grad_w still
+    # reaches the comparison, through its own random weight.
+    row_x, row_w = _normal(rng, 1, 1, 1, 60), _normal(rng, 1, 1, 1, 30)
+    mul, conv2d = get_op("mul"), get_op("conv2d")
+
+    def fn(x_col, w_col, b):
+        return conv2d(mul(x_col, row_x), mul(w_col, row_w), b, padding=(1, 2))
+
+    return fn, [_normal(rng, 1, 2, 25, 1), _normal(rng, 2, 2, 12, 1), _normal(rng, 2)]
+
+
 @case("conv_transpose2d", "strided-bias")
 def _conv_transpose2d(rng):
     fn = lambda x, w, b: get_op("conv_transpose2d")(x, w, b, stride=2, padding=1)  # noqa: E731

@@ -570,6 +570,10 @@ class Engine:
                             self.optimizer.step()
                             batch = inputs.shape[0]
                             self.last_batch_loss = loss.item()
+                            # Release this step's autograd graph now:
+                            # the names would otherwise keep it (every
+                            # activation) alive through the next forward.
+                            del prediction, loss
                             self.last_batch_size = batch
                             epoch_loss += self.last_batch_loss * batch
                             samples += batch

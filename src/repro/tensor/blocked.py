@@ -1,42 +1,66 @@
-"""Cache-blocked conv2d forward: strip-mined im2col + GEMM.
+"""Cache-blocked conv2d kernels: strip-mined im2col + GEMM.
 
 The monolithic im2col path materializes the full ``(N*OH*OW, C*kh*kw)``
 patch matrix — ~52 MiB at the paper's 256x256/4-channel/5x5
-configuration — then streams it through one GEMM and one full-size
-transposed copy.  Every element therefore makes three trips through
-main memory, and the fused epilogue's extra mask pass is what made the
-"fused" variant *lose* to the plain one at large sizes.
+configuration, 472 MiB for the 16->6 layer of a 16x100x100 training
+batch — then streams it through one GEMM and one full-size transposed
+copy.  Every element makes three trips through main memory, and under
+autograd the matrix used to stay alive until the backward pass.
 
-This variant strip-mines the output rows instead: for each batch image
-and each strip of output rows it copies just that strip's patches into
-a small resident buffer (sized to stay inside the L2 cache), runs the
-GEMM, applies the bias/leaky-ReLU epilogue, and transposes the strip
-into its final ``(F, rows, OW)`` position — all while the strip is
-still cache-hot.  The arithmetic per output element is the identical
-dot product over the same ``C*kh*kw`` values, so results match the
-monolithic kernel to the last ulp in practice; the test suite pins
-equality at strict ``allclose`` tolerances rather than bitwise, since
-BLAS is free to schedule the smaller GEMMs differently.
+The kernels here strip-mine the output rows instead.  For each batch
+image and each strip of output rows, :func:`patch_strips` copies just
+that strip's patches into one small reused buffer (sized to stay
+inside the L2 cache) and the caller consumes it while it is cache-hot.
+The buffer is **K-major** — ``(C*kh*kw, rows*OW)``, one row per kernel
+tap — for two reasons: the patch copy then runs ``OW``-long contiguous
+inner loops instead of ``kw``-long ones, and ``weight @ cols`` lands
+directly in the ``(F, rows, OW)`` slab of the C-contiguous
+``(N, F, OH, OW)`` result, so there is no GEMM-output buffer and no
+transposed copy.
+
+Three consumers share the strips:
+
+* :func:`conv2d_forward_blocked` — the forward (``weight @ cols`` plus
+  the bias/leaky-ReLU epilogue on the cache-hot slab), used by the
+  no-grad fast paths above :func:`should_block` and by every stride-1
+  ``conv2d`` under autograd;
+* :func:`conv2d_weight_grad_blocked` — the weight gradient, which
+  *recomputes* each strip and accumulates ``g_strip @ cols_strip.T``,
+  so training retains no patch matrix;
+* the input gradient, which is :func:`conv2d_forward_blocked` again:
+  a correlation of the padded output gradient with the flipped,
+  channel-swapped weights (see :func:`~repro.tensor.ops_conv.conv2d`).
+
+The arithmetic per output element is the identical dot product over
+the same ``C*kh*kw`` values as the monolithic kernel; the test suite
+pins equality at strict ``allclose`` tolerances rather than bitwise,
+since BLAS is free to schedule the smaller GEMMs differently.
 
 :func:`should_block` is the shape heuristic shared by the ``conv2d``
 op's no-grad fast path and the :class:`~repro.core.inference.
-InferencePlan` peephole: blocking only pays once the monolithic patch
-matrix overflows the last-level cache, and small shapes keep the
-exact monolithic path (which the plan-equivalence tests pin
-bit-for-bit against the module forward).
+InferencePlan` peephole: small no-grad shapes keep the exact
+monolithic path (which the plan-equivalence tests pin bit-for-bit
+against the module forward).
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..exceptions import ShapeError
 from . import perf
-from .im2col import conv_output_size
-from .workspace import Workspace
+from .im2col import conv_output_size, pad_input
+from .workspace import Workspace, scratch
 
-__all__ = ["conv2d_forward_blocked", "should_block"]
+__all__ = [
+    "conv2d_forward_blocked",
+    "conv2d_weight_grad_blocked",
+    "patch_strips",
+    "should_block",
+]
 
 #: Patch-matrix size (bytes) above which the blocked kernel wins; below
 #: it the monolithic im2col fits in cache and stays bit-pinned by the
@@ -44,8 +68,13 @@ __all__ = ["conv2d_forward_blocked", "should_block"]
 #: are both comfortably above; 64²-sized test shapes are below.
 BLOCK_MIN_COLS_BYTES = 16 << 20
 
-#: Per-strip patch buffer budget — sized to sit inside a typical L2.
-_TARGET_STRIP_BYTES = 1 << 20
+#: Per-strip patch buffer budget.  It has to sit inside a typical L2,
+#: and the strip is also the wide operand of a GEMM whose other side
+#: has only F (4-16) rows: measured on the Table-I shapes, 64k-128k
+#: patch elements per strip is the flat optimum at both precisions,
+#: while 256k elements (1 MiB of float32) falls off OpenBLAS's
+#: skinny-matrix path and runs the same GEMMs ~3x slower.
+_TARGET_STRIP_BYTES = 1 << 19
 
 
 def should_block(
@@ -57,7 +86,7 @@ def should_block(
     kw: int,
     itemsize: int,
 ) -> bool:
-    """Whether the blocked kernel should handle this conv shape."""
+    """Whether the blocked kernel should handle this no-grad conv shape."""
     return n * oh * ow * c * kh * kw * itemsize >= BLOCK_MIN_COLS_BYTES
 
 
@@ -65,6 +94,52 @@ def _strip_rows(ow: int, c: int, kh: int, kw: int, itemsize: int, oh: int) -> in
     """Output rows per strip so the patch buffer meets the L2 budget."""
     row_bytes = ow * c * kh * kw * itemsize
     return max(1, min(oh, _TARGET_STRIP_BYTES // max(1, row_bytes)))
+
+
+def patch_strips(
+    x: np.ndarray,
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+    dtype: np.dtype,
+    workspace: Workspace | None,
+    slot_prefix: str,
+) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Yield ``(image, r0, r1, cols)`` for every strip of output rows.
+
+    ``cols`` is the K-major ``(C*kh*kw, (r1 - r0) * OW)`` patch matrix
+    of output rows ``r0:r1`` of one batch image, taps flattened in
+    ``(C, kh, kw)`` order like the monolithic im2col's columns.  Every
+    strip is a view into the same buffer (arena slot
+    ``{slot_prefix}.cols``), valid only until the next one is drawn.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    oh = conv_output_size(h, kh, sh, padding[0])
+    ow = conv_output_size(w, kw, sw, padding[1])
+    x = pad_input(x, padding, workspace, f"{slot_prefix}.padded")
+    # (N, C, OH, OW, kh, kw) zero-copy view of every receptive field.
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    if windows.shape[2:4] != (oh, ow):
+        raise ShapeError(
+            f"blocked conv window grid {windows.shape[2:4]} != ({oh}, {ow})"
+        )
+    taps = c * kh * kw
+    rows = _strip_rows(ow, c, kh, kw, np.dtype(dtype).itemsize, oh)
+    buffer = scratch(workspace, f"{slot_prefix}.cols", (taps * rows * ow,), dtype)
+    for image in range(n):
+        for r0 in range(0, oh, rows):
+            r1 = min(oh, r0 + rows)
+            # A contiguous prefix of the buffer, so the ragged last
+            # strip is as dense a GEMM operand as the full ones.
+            cols = buffer[: taps * (r1 - r0) * ow]
+            with perf.timed("im2col"):
+                np.copyto(
+                    cols.reshape(c, kh, kw, r1 - r0, ow),
+                    windows[image, :, r0:r1].transpose(0, 3, 4, 1, 2),
+                )
+            yield image, r0, r1, cols.reshape(taps, (r1 - r0) * ow)
 
 
 def conv2d_forward_blocked(
@@ -79,106 +154,103 @@ def conv2d_forward_blocked(
     out: np.ndarray | None = None,
     slot_prefix: str = "conv2d.blocked",
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Strip-mined conv2d forward (inference only — nothing is kept
-    for a backward pass).
+    """Strip-mined conv2d forward; nothing is kept for a backward pass.
 
     Parameters mirror :func:`~repro.tensor.ops_conv.conv2d_forward`;
-    ``out`` is an optional pre-bound ``(N, F, OH, OW)`` destination
-    (the :class:`InferencePlan` passes an arena buffer so warmed-up
-    steps stay allocation-free).  Returns ``(out4, (oh, ow))`` where
-    ``out4`` is C-contiguous — unlike the monolithic kernel, whose
-    result is a lazily transposed view of the GEMM output.
+    ``out`` is an optional pre-bound C-contiguous ``(N, F, OH, OW)``
+    destination (the :class:`InferencePlan` passes an arena buffer so
+    warmed-up steps stay allocation-free).  Returns ``(out4, (oh, ow))``
+    where ``out4`` is C-contiguous — unlike the monolithic kernel,
+    whose result is a lazily transposed view of the GEMM output.
+
+    The fused activation is ``max(z, slope * z)`` and therefore a
+    leaky ReLU only for ``0 <= slope <= 1`` (the no-grad contract of
+    :func:`~repro.tensor.fused.bias_leaky_relu_`); the autograd path
+    calls this kernel with ``activation=None`` and scales exactly.
     """
     n, c, h, w = x.shape
     f = weight.shape[0]
     kh, kw = weight.shape[2], weight.shape[3]
-    sh, sw = stride
-    ph, pw = padding
-    oh = conv_output_size(h, kh, sh, ph)
-    ow = conv_output_size(w, kw, sw, pw)
+    oh = conv_output_size(h, kh, stride[0], padding[0])
+    ow = conv_output_size(w, kw, stride[1], padding[1])
+    compute = np.result_type(x.dtype, weight.dtype)
     with perf.timed("conv2d.blocked"):
-        if ph or pw:
-            if workspace is not None:
-                padded = workspace.request(
-                    f"{slot_prefix}.padded.{ph}x{pw}",
-                    (n, c, h + 2 * ph, w + 2 * pw),
-                    x.dtype,
-                )
-                padded[:, :, ph : ph + h, pw : pw + w] = x
-                x = padded
-            else:
-                # Workspace-less fallback: correctness path only, never
-                # taken by a warmed-up InferencePlan.
-                x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))  # noqa: REP012
-        # (N, C, OH, OW, kh, kw) zero-copy view of every receptive field.
-        windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-        windows = windows[:, :, ::sh, ::sw, :, :]
-        if windows.shape[2] != oh or windows.shape[3] != ow:
-            raise ShapeError(
-                f"blocked conv window grid {windows.shape[2:4]} != ({oh}, {ow})"
-            )
-        compute = np.result_type(x.dtype, weight.dtype)
-        wmat_t = weight.reshape(f, c * kh * kw).T  # (C*kh*kw, F)
-        rows = _strip_rows(ow, c, kh, kw, compute.itemsize, oh)
+        wmat = weight.reshape(f, c * kh * kw)
         if out is None:
             # Never reached from a warmed-up InferencePlan: the plan
             # binds the step output to an arena slot.
             out = np.empty((n, f, oh, ow), dtype=compute)  # noqa: REP012
-        if workspace is not None:
-            cols_strip = workspace.request(
-                f"{slot_prefix}.cols", (rows * ow, c * kh * kw), compute
+        elif out.shape != (n, f, oh, ow) or not out.flags.c_contiguous:
+            raise ShapeError(
+                f"blocked conv needs a C-contiguous {(n, f, oh, ow)} destination, "
+                f"got shape {out.shape}"
             )
-            gemm_strip = workspace.request(
-                f"{slot_prefix}.gemm", (rows * ow, f), compute
+        out_rows = out.reshape(n, f, oh * ow)
+        scaled_strip = None
+        if activation is not None:
+            rows = _strip_rows(ow, c, kh, kw, compute.itemsize, oh)
+            scaled_strip = scratch(
+                workspace, f"{slot_prefix}.scaled", (f, rows, ow), compute
             )
-            scaled_strip = (
-                workspace.request(f"{slot_prefix}.scaled", (f, rows, ow), compute)
-                if activation is not None
-                else None
-            )
-        else:
-            # Workspace-less fallback scratch: correctness path only,
-            # never taken by a warmed-up InferencePlan.
-            cols_strip = np.empty((rows * ow, c * kh * kw), dtype=compute)  # noqa: REP012
-            gemm_strip = np.empty((rows * ow, f), dtype=compute)  # noqa: REP012
-            scaled_strip = None
-            if activation is not None:
-                # Same workspace-less correctness-only path as above.
-                scaled_strip = np.empty((f, rows, ow), dtype=compute)  # noqa: REP012
         bias_col = bias.reshape(f, 1, 1) if bias is not None else None
-        for b in range(n):
-            for r0 in range(0, oh, rows):
-                r1 = min(oh, r0 + rows)
-                m = (r1 - r0) * ow
-                # Patch copy for this strip only: (rows, OW, C, kh, kw)
-                # element order matches the monolithic im2col exactly.
-                np.copyto(
-                    cols_strip[:m].reshape(r1 - r0, ow, c, kh, kw),
-                    windows[b, :, r0:r1].transpose(1, 2, 0, 3, 4),
-                )
-                np.matmul(cols_strip[:m], wmat_t, out=gemm_strip[:m])
-                strip = gemm_strip[:m]
-                dest = out[b, :, r0:r1, :]
-                # Transpose the cache-hot strip into its final position.
-                dest[...] = strip.reshape(r1 - r0, ow, f).transpose(2, 0, 1)
-                if activation is None:
+        for image, r0, r1, cols in patch_strips(
+            x, (kh, kw), stride, padding, compute, workspace, slot_prefix
+        ):
+            # (F, K) @ (K, m) straight into the strip's (F, rows, OW)
+            # slab of the result: its rows are OH*OW apart, which BLAS
+            # takes as a leading dimension.
+            np.matmul(wmat, cols, out=out_rows[image, :, r0 * ow : r1 * ow])
+            dest = out[image, :, r0:r1, :]
+            if activation is None:
+                if bias_col is not None:
+                    np.add(dest, bias_col, out=dest)
+            else:
+                # In (F, rows, OW) layout the bias broadcasts along the
+                # outermost axis, so every ufunc runs contiguous
+                # OW-long inner loops on the cache-hot slab.  Same
+                # elementwise max(z, slope*z) arithmetic as
+                # bias_leaky_relu_, so results stay bit-identical to
+                # the monolithic fused path.
+                with perf.timed("fused.bias_leaky_relu"):
+                    scaled = scaled_strip[:, : r1 - r0, :]
                     if bias_col is not None:
                         np.add(dest, bias_col, out=dest)
-                else:
-                    # Epilogue *after* the transpose: in (F, rows, OW)
-                    # layout the bias broadcasts along the outermost
-                    # axis, so every ufunc runs contiguous OW-long
-                    # inner loops.  In the pre-transpose (rows*OW, F)
-                    # layout the same broadcast degenerates to
-                    # F-element inner loops — per-strip that overhead
-                    # was most of the fused-over-plain gap.  Same
-                    # elementwise max(z, slope*z) arithmetic as
-                    # bias_leaky_relu_, so results stay bit-identical
-                    # to the monolithic fused path.
-                    with perf.timed("fused.bias_leaky_relu"):
-                        scaled = scaled_strip[:, : r1 - r0, :]
-                        if bias_col is not None:
-                            np.add(dest, bias_col, out=dest)
-                        np.multiply(dest, negative_slope, out=scaled)
-                        np.maximum(dest, scaled, out=dest)
+                    np.multiply(dest, negative_slope, out=scaled)
+                    np.maximum(dest, scaled, out=dest)
     return out, (oh, ow)
+
+
+def conv2d_weight_grad_blocked(
+    x: np.ndarray,
+    grad: np.ndarray,
+    kernel: tuple[int, int],
+    padding: tuple[int, int],
+    workspace: Workspace | None,
+    slot_prefix: str,
+) -> np.ndarray:
+    """Weight gradient of a stride-1 conv2d without a retained patch matrix.
+
+    ``x`` is the ``(N, C, H, W)`` forward input and ``grad`` the
+    C-contiguous ``(N, F, OH, OW)`` gradient of the pre-activation
+    output.  Each patch strip is recomputed (into the arena slot the
+    forward used, when ``slot_prefix`` and dtypes match) and
+    contributes ``g_strip (F, m) @ cols_strip.T (m, C*kh*kw)``; the
+    strip-wise sum reassociates the monolithic ``gmat.T @ cols``
+    reduction, so the two agree to roundoff, not bitwise.  Returns a
+    freshly allocated ``(F, C, kh, kw)`` array.
+    """
+    n, f, oh, ow = grad.shape
+    c = x.shape[1]
+    kh, kw = kernel
+    if not grad.flags.c_contiguous:
+        raise ShapeError("blocked weight gradient needs a C-contiguous output gradient")
+    dtype = np.result_type(x.dtype, grad.dtype)
+    grad_rows = grad.reshape(n, f, oh * ow)
+    grad_w = np.zeros((f, c * kh * kw), dtype=dtype)
+    partial = scratch(workspace, f"{slot_prefix}.wgrad", grad_w.shape, dtype)
+    for image, r0, r1, cols in patch_strips(
+        x, kernel, (1, 1), padding, dtype, workspace, slot_prefix
+    ):
+        np.matmul(grad_rows[image, :, r0 * ow : r1 * ow], cols.T, out=partial)
+        grad_w += partial
+    return grad_w.reshape(f, c, kh, kw)

@@ -15,7 +15,12 @@ bit-identical either way; only the buffers' provenance changes.  With a
 workspace, ``col2im``'s result aliases arena storage (it is the
 scatter base, or a view into it), so it is only valid until the next
 request of the same slot — callers that let the result escape must
-copy it out, which is why the autograd backward paths stay naive.
+copy it out.
+
+These monolithic kernels are the *reference* pair: stride-1 training
+and large no-grad shapes run the strip kernels of
+:mod:`~repro.tensor.blocked`, which never materialize the full patch
+matrix and share only :func:`pad_input` with this module.
 """
 
 from __future__ import annotations
@@ -37,6 +42,35 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
             f"(input {size}, kernel {kernel}, stride {stride}, padding {padding})"
         )
     return out
+
+
+def pad_input(
+    x: np.ndarray,
+    padding: tuple[int, int],
+    workspace: Workspace | None,
+    slot: str,
+) -> np.ndarray:
+    """``x`` with symmetric zero ``padding`` on its two spatial axes.
+
+    With a workspace the padded copy lives in an arena buffer whose
+    slot name encodes the padding split: two callers whose padded
+    shapes coincide but whose interiors differ must not share a
+    buffer, because only the interior is ever rewritten (the borders
+    stay zero from creation).
+    """
+    ph, pw = padding
+    if not (ph or pw):
+        return x
+    n, c, h, w = x.shape
+    if workspace is None:
+        # Workspace-less naive fallback: correctness path only, never
+        # taken by a warmed-up InferencePlan.
+        return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))  # noqa: REP012
+    padded = workspace.request(
+        f"{slot}.{ph}x{pw}", (n, c, h + 2 * ph, w + 2 * pw), x.dtype
+    )
+    padded[:, :, ph : ph + h, pw : pw + w] = x
+    return padded
 
 
 def im2col(
@@ -77,23 +111,7 @@ def im2col(
     oh = conv_output_size(h, kh, sh, ph)
     ow = conv_output_size(w, kw, sw, pw)
     with perf.timed("im2col"):
-        if ph or pw:
-            if workspace is not None:
-                # The slot encodes the padding split: two callers whose
-                # padded shapes coincide but whose interiors differ must
-                # not share a buffer, because only the interior is ever
-                # rewritten (the borders stay zero from creation).
-                padded = workspace.request(
-                    f"im2col.padded.{ph}x{pw}",
-                    (n, c, h + 2 * ph, w + 2 * pw),
-                    x.dtype,
-                )
-                padded[:, :, ph : ph + h, pw : pw + w] = x
-                x = padded
-            else:
-                # Workspace-less naive fallback: correctness path only,
-                # never taken by a warmed-up InferencePlan.
-                x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))  # noqa: REP012
+        x = pad_input(x, padding, workspace, "im2col.padded")
         # (N, C, H', W') -> (N, C, OH*, OW*, kh, kw) view, strided to OH, OW
         windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
         windows = windows[:, :, ::sh, ::sw, :, :]

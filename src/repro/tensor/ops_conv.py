@@ -1,30 +1,42 @@
 """Differentiable 2-D convolution and transposed convolution.
 
-The forward convolution is im2col + one GEMM; the backward pass reuses
-the cached patch matrix for the weight gradient (another GEMM) and
-:func:`~repro.tensor.im2col.col2im` for the input gradient.  The
-transposed convolution is implemented as the exact adjoint of the
+``conv2d`` has one kernel path per shape class:
+
+* **stride 1 under autograd** (every training step) — the strip
+  kernels of :mod:`~repro.tensor.blocked`.  The forward never
+  materializes the ``(N*OH*OW, C*kh*kw)`` patch matrix and the
+  backward closure retains only what the graph holds anyway: the
+  parents' arrays (plus the output-sized activation derivative when
+  ``activation`` is fused).  The backward *recomputes* each patch
+  strip for the weight gradient and obtains the input gradient as a
+  correlation of the ``(k-1-p)``-padded output gradient with the
+  flipped, channel-swapped weights through the same forward kernel —
+  no column gradient, no ``col2im``.  Live memory per layer is
+  O(input + output) instead of O(N*OH*OW*C*kh*kw).
+* **no-grad** — the strip kernel above :func:`~repro.tensor.blocked.
+  should_block`, the monolithic kernel (bit-pinned by the
+  plan-equivalence tests) below it.
+* **reference** (:func:`conv2d_reference`) — monolithic im2col + one
+  GEMM, backward through the cached patch matrix and
+  :func:`~repro.tensor.im2col.col2im`.  Serves stride != 1 and
+  padding >= kernel under autograd, and is what the parity tests and
+  gradcheck compare the strip path against.
+
+The transposed convolution is implemented as the exact adjoint of the
 convolution, which is what the paper's "de-convolutional layer"
 alternative (Sec. III, option 4) requires.
 
-Fast paths
-----------
 ``conv2d`` accepts ``activation="leaky_relu"``, fusing the bias add and
-the activation into the GEMM epilogue (one pass over the 2-D GEMM
-output instead of two extra full-size temporaries).  When no parent
-needs a gradient the forward additionally draws its im2col scratch from
-the calling thread's :class:`~repro.tensor.workspace.Workspace`; under
-autograd the naive allocate-per-call path is kept because the backward
-closure captures the patch matrix, which must not be recycled by a
-later call.  Both fast paths are bit-identical to the naive path — the
-epilogue multiplies by ``negative_slope`` only where the
-pre-activation is negative, and scales gradients with the exact
-``where(z >= 0, 1, slope)`` array the standalone op would build.
+the activation into the op.  Fused and unfused are bit-identical on
+every path: the forward multiplies by the exact ``where(z >= 0, 1,
+slope)`` array the standalone op would build (the no-grad epilogue's
+``max(z, slope*z)`` equals it for ``0 <= slope <= 1``), and the
+backward scales gradients with that same array.
 
-:func:`conv2d_forward` is the raw-ndarray kernel behind the op; the
+:func:`conv2d_forward` is the raw-ndarray monolithic kernel; the
 compiled :class:`~repro.core.inference.InferencePlan` calls it directly
-with pre-bound GEMM output buffers so rollout steps are allocation-free
-after warmup.
+with pre-bound GEMM output buffers so small-shape rollout steps are
+allocation-free after warmup.
 """
 
 from __future__ import annotations
@@ -35,11 +47,19 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, ShapeError
 from . import autograd, gemm, perf
-from .blocked import conv2d_forward_blocked, should_block
+from .blocked import (
+    conv2d_forward_blocked,
+    conv2d_weight_grad_blocked,
+    should_block,
+)
 from .fused import bias_leaky_relu_, leaky_relu_scale
 from .im2col import col2im, conv_output_size, im2col
 from .tensor import Tensor, ensure_tensor, register_op
-from .workspace import Workspace, get_workspace
+from .workspace import Workspace, get_workspace, scratch
+
+#: Arena slot namespace of the autograd strip path (forward and
+#: backward share it: every buffer is dead when its kernel returns).
+_TRAIN_SLOTS = "conv2d.train"
 
 
 def _pair(value: int | tuple[int, int]) -> tuple[int, int]:
@@ -154,41 +174,139 @@ def conv2d(
     if tb is not None and tb.shape != (f,):
         raise ShapeError(f"conv2d bias must have shape ({f},), got {tb.shape}")
 
-    needs_grad = autograd.grad_enabled() and (
-        tx.requires_grad
-        or tw.requires_grad
-        or (tb is not None and tb.requires_grad)
-    )
-    # The backward closure captures ``cols``; arena scratch would be
-    # recycled by the next same-shape call, so only the no-grad path
-    # may borrow from the workspace for its *forward* scratch.  (The
-    # backward pass borrows its own, separately named slots at backward
-    # time — those are consumed within one closure invocation.)
-    workspace = None if needs_grad else get_workspace()
     parents = (tx, tw) if tb is None else (tx, tw, tb)
+    ph, pw = padding
 
-    if not needs_grad and workspace is not None:
-        sh, sw = stride
-        ph, pw = padding
-        oh = conv_output_size(h, kh, sh, ph)
-        ow = conv_output_size(w, kw, sw, pw)
-        compute = np.result_type(tx.dtype, tw.dtype)
-        if should_block(n, c, oh, ow, kh, kw, compute.itemsize):
-            # Large shapes: strip-mined kernel (nothing kept — there is
-            # no backward on this path).
-            with perf.timed("conv2d"):
-                out, _ = conv2d_forward_blocked(
-                    tx.data,
-                    tw.data,
-                    None if tb is None else tb.data,
-                    stride,
-                    padding,
-                    activation=activation,
-                    negative_slope=negative_slope,
-                    workspace=workspace,
+    if autograd.grad_enabled() and any(p.requires_grad for p in parents):
+        # The correlation-form input gradient pads the output gradient
+        # by k-1-p, which has to be non-negative.
+        if stride == (1, 1) and ph < kh and pw < kw:
+            return _conv2d_strips(
+                tx, tw, tb, padding, activation, negative_slope, parents
+            )
+        return conv2d_reference(
+            tx, tw, tb, stride, padding, activation, negative_slope, parents
+        )
+
+    workspace = get_workspace()
+    oh = conv_output_size(h, kh, stride[0], ph)
+    ow = conv_output_size(w, kw, stride[1], pw)
+    itemsize = np.result_type(tx.dtype, tw.dtype).itemsize
+    if workspace is not None and should_block(n, c, oh, ow, kh, kw, itemsize):
+        with perf.timed("conv2d"):
+            out, _ = conv2d_forward_blocked(
+                tx.data,
+                tw.data,
+                None if tb is None else tb.data,
+                stride,
+                padding,
+                activation=activation,
+                negative_slope=negative_slope,
+                workspace=workspace,
+            )
+        return Tensor(out)
+    return conv2d_reference(
+        tx, tw, tb, stride, padding, activation, negative_slope, parents
+    )
+
+
+def _conv2d_strips(
+    tx: Tensor,
+    tw: Tensor,
+    tb: Tensor | None,
+    padding: tuple[int, int],
+    activation: str | None,
+    negative_slope: float,
+    parents: tuple[Tensor, ...],
+) -> Tensor:
+    """Stride-1 ``conv2d`` under autograd on the strip kernels.
+
+    Scratch (padded input, patch strip, padded output gradient) comes
+    from the calling thread's arena under the ``conv2d.train.*`` slots
+    and is dead when each kernel returns; everything that escapes — the
+    output and the three gradients — is freshly allocated.
+    """
+    x, weight = tx.data, tw.data
+    kh, kw = weight.shape[2], weight.shape[3]
+    with perf.timed("conv2d"):
+        out, _ = conv2d_forward_blocked(
+            x,
+            weight,
+            None if tb is None else tb.data,
+            (1, 1),
+            padding,
+            workspace=get_workspace(),
+            slot_prefix=_TRAIN_SLOTS,
+        )
+        act_scale = None
+        if activation is not None:
+            # Exact for any slope and bit-identical to the standalone
+            # leaky_relu op (z * 1.0 is z); kept for backward.
+            act_scale = leaky_relu_scale(out, negative_slope)
+            out *= act_scale
+
+    def backward(grad: np.ndarray):
+        workspace = get_workspace()
+        with perf.timed("conv2d.backward"):
+            if act_scale is None:
+                grad = np.ascontiguousarray(grad)
+            else:
+                # Fused activation backward: the chain-rule multiply
+                # the standalone op would apply, into arena scratch.
+                buffer = scratch(
+                    workspace,
+                    f"{_TRAIN_SLOTS}.grad",
+                    grad.shape,
+                    np.result_type(grad.dtype, act_scale.dtype),
                 )
-            return Tensor.from_op(out, parents, _no_backward, "conv2d")
+                grad = np.multiply(grad, act_scale, out=buffer)
+            grad_w = None
+            if tw.requires_grad:
+                grad_w = conv2d_weight_grad_blocked(
+                    x, grad, (kh, kw), padding, workspace, _TRAIN_SLOTS
+                )
+            grad_x = None
+            if tx.requires_grad:
+                # d(out)/d(x) is a full correlation with the flipped
+                # kernel whose in/out channels swap roles; cropping its
+                # result by p is the same as padding grad by k-1-p.
+                flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                grad_x, _ = conv2d_forward_blocked(
+                    grad,
+                    flipped,
+                    None,
+                    (1, 1),
+                    (kh - 1 - padding[0], kw - 1 - padding[1]),
+                    workspace=workspace,
+                    slot_prefix=_TRAIN_SLOTS,
+                )
+            if tb is None:
+                return grad_x, grad_w
+            grad_b = grad.sum(axis=(0, 2, 3)) if tb.requires_grad else None
+            return grad_x, grad_w, grad_b
 
+    return Tensor.from_op(out, parents, backward, "conv2d")
+
+
+def conv2d_reference(
+    tx: Tensor,
+    tw: Tensor,
+    tb: Tensor | None,
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+    activation: str | None,
+    negative_slope: float,
+    parents: tuple[Tensor, ...],
+) -> Tensor:
+    """Monolithic ``conv2d``: full patch matrix, one GEMM, ``col2im``.
+
+    Takes validated operands (``conv2d`` is the public entry point).
+    Under autograd the backward closure captures the patch matrix, so
+    the forward scratch is never borrowed from an arena then.
+    """
+    n, c, h, w = tx.shape
+    f, _, kh, kw = tw.shape
+    needs_grad = autograd.grad_enabled() and any(p.requires_grad for p in parents)
     with perf.timed("conv2d"):
         out, cols, wmat, act_scale, (oh, ow) = conv2d_forward(
             tx.data,
@@ -198,64 +316,29 @@ def conv2d(
             padding,
             activation=activation,
             negative_slope=negative_slope,
-            workspace=workspace,
+            workspace=None if needs_grad else get_workspace(),
             keep_scale=needs_grad and activation is not None,
         )
 
     def backward(grad: np.ndarray):
-        # Backward-internal scratch (the patch-sized matrices) comes
-        # from the thread's arena when one is enabled: the buffers are
-        # consumed before this closure returns, and the escaping
-        # gradients below are always freshly allocated.  Slots are
-        # namespaced "conv2d.bwd.*" so an interleaved no-grad forward
-        # can never recycle them mid-closure.
-        ws = get_workspace()
-        uniform = grad.dtype == wmat.dtype == cols.dtype
         with perf.timed("conv2d.backward"):
             # grad: (N, F, OH, OW) -> (N*OH*OW, F)
-            if ws is not None and uniform:
-                gmat = ws.request("conv2d.bwd.gmat", (n * oh * ow, f), grad.dtype)
-                np.copyto(
-                    gmat.reshape(n, oh, ow, f), grad.transpose(0, 2, 3, 1)
-                )
-                if act_scale is not None:
-                    # Fused activation backward epilogue: same chain-rule
-                    # multiply as the naive path, applied in place on the
-                    # arena buffer.
-                    np.multiply(gmat, act_scale, out=gmat)
-            else:
-                gmat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
-                if act_scale is not None:
-                    gmat = gmat * act_scale
+            gmat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
+            if act_scale is not None:
+                gmat = gmat * act_scale
             grad_w = (
                 (gmat.T @ cols).reshape(f, c, kh, kw) if tw.requires_grad else None
             )
             grad_x = None
             if tx.requires_grad:
-                if ws is not None and uniform:
-                    gcols = ws.request(
-                        "conv2d.bwd.gcols", (n * oh * ow, c * kh * kw), gmat.dtype
-                    )
-                    gemm.threaded_matmul(gmat, wmat, out=gcols)
-                    # col2im's result aliases the arena scatter base, so
-                    # the escaping gradient is copied out of it.
-                    grad_x = col2im(
-                        gcols, (n, c, h, w), (kh, kw), stride, padding,
-                        workspace=ws,
-                    ).copy()
-                else:
-                    gcols = gemm.threaded_matmul(gmat, wmat)  # (N*OH*OW, C*kh*kw)
-                    grad_x = col2im(gcols, (n, c, h, w), (kh, kw), stride, padding)
+                gcols = gemm.threaded_matmul(gmat, wmat)  # (N*OH*OW, C*kh*kw)
+                grad_x = col2im(gcols, (n, c, h, w), (kh, kw), stride, padding)
             if tb is None:
                 return grad_x, grad_w
             grad_b = gmat.sum(axis=0) if tb.requires_grad else None
             return grad_x, grad_w, grad_b
 
     return Tensor.from_op(out, parents, backward, "conv2d")
-
-
-def _no_backward(grad: np.ndarray):  # pragma: no cover - detached by from_op
-    raise AssertionError("blocked conv2d fast path is no-grad only")
 
 
 @register_op("conv_transpose2d")

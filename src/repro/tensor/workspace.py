@@ -52,6 +52,7 @@ __all__ = [
     "Workspace",
     "WorkspaceStats",
     "get_workspace",
+    "scratch",
     "workspace_disabled",
 ]
 
@@ -161,6 +162,17 @@ def get_workspace() -> Workspace | None:
         workspace = Workspace(name=f"thread-{threading.get_ident()}")
         _tls.workspace = workspace
     return workspace
+
+
+def scratch(
+    workspace: Workspace | None, slot: str, shape: tuple[int, ...], dtype: Any
+) -> np.ndarray:
+    """``workspace.request(slot, shape, dtype)``, or an uninitialized
+    fresh array when there is no arena (``workspace_disabled``) — the
+    correctness-only fallback of kernels that take an optional arena."""
+    if workspace is None:
+        return np.empty(shape, dtype=dtype)
+    return workspace.request(slot, shape, dtype)
 
 
 @contextlib.contextmanager

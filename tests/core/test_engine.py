@@ -3,8 +3,9 @@ pre-refactor training loops.
 
 The golden values below were captured from the bespoke loops at the
 commit *before* the Engine refactor (same configs, same seeds); the
-equivalence tests pin the Engine to reproduce them bit-exactly so the
-refactor is provably behaviour-preserving.
+equivalence tests pin the Engine to reproduce them (to rel 1e-9 since
+the strip conv kernel — see ``golden``) so the refactor is provably
+behaviour-preserving.
 """
 
 import numpy as np
@@ -124,6 +125,16 @@ class TestEventSequence:
 # ----------------------------------------------------------------------
 # Seeded equivalence with the pre-refactor loops (golden values)
 # ----------------------------------------------------------------------
+def golden(losses):
+    """The goldens were captured bit-exactly before the Engine refactor,
+    on the monolithic conv kernel.  The strip kernel sums the same
+    products in another order (grad_w strip by strip, grad_x as a
+    correlation instead of a col2im scatter), so they are pinned to
+    rel 1e-9 instead (observed drift: the last digit).  Cross-backend
+    and resume tests compare the kernel with itself and stay exact."""
+    return pytest.approx(losses, rel=1e-9, abs=0.0)
+
+
 class TestGoldenEquivalence:
     def test_train_network(self):
         model = small_model(seed=7)
@@ -138,12 +149,12 @@ class TestGoldenEquivalence:
             lr_schedule_kwargs={"gamma": 0.5},
         )
         history = train_network(model, toy_dataset(), config)
-        assert history.epoch_losses == [
+        assert history.epoch_losses == golden([
             0.5702630691862834,
             0.3554285259365743,
             0.3073493849471212,
             0.28498376777179574,
-        ]
+        ])
 
     def test_parallel_trainer(self):
         trainer = ParallelTrainer(
@@ -155,12 +166,12 @@ class TestGoldenEquivalence:
             seed=5,
         )
         result = trainer.train(advection(), execution="serial")
-        assert result.final_losses == [
+        assert result.final_losses == golden([
             0.08217575238920581,
             0.0755660641980473,
             0.0848219813092068,
             0.0545402933822151,
-        ]
+        ])
 
     def test_train_recurrent(self):
         snaps = synthetic_advection_snapshots(grid_size=10, num_snapshots=8, seed=2)
@@ -172,11 +183,11 @@ class TestGoldenEquivalence:
             WindowDataset(snaps, window=2),
             TrainingConfig(epochs=3, batch_size=2, lr=0.01, loss="mse", seed=4),
         )
-        assert history.epoch_losses == [
+        assert history.epoch_losses == golden([
             0.10429143511237071,
             0.07905397227389,
             0.05992293198846969,
-        ]
+        ])
 
     def test_weight_averaging(self):
         result = train_weight_averaging(
@@ -188,11 +199,11 @@ class TestGoldenEquivalence:
             ),
             seed=9,
         )
-        assert result.history.epoch_losses == [
+        assert result.history.epoch_losses == golden([
             0.10739210964387613,
             0.08955989228766259,
             0.07723297443326674,
-        ]
+        ])
         assert result.bytes_reduced == 42432
 
     def test_parallel_recurrent(self):
@@ -208,10 +219,47 @@ class TestGoldenEquivalence:
             seed=13,
             execution="serial",
         )
-        assert [r.history.epoch_losses for r in result.rank_results] == [
-            [0.08950252515646073, 0.06414163276967585],
-            [0.0761336266969359, 0.05392340633950702],
-        ]
+        rank0, rank1 = (r.history.epoch_losses for r in result.rank_results)
+        assert rank0 == golden([0.08950252515646073, 0.06414163276967585])
+        assert rank1 == golden([0.0761336266969359, 0.05392340633950702])
+
+
+# ----------------------------------------------------------------------
+# Graph lifetime
+# ----------------------------------------------------------------------
+class TestGraphRelease:
+    def test_step_graph_is_dead_before_the_next_batch_starts(self):
+        """Step n's prediction (and with it the whole autograd graph:
+        every activation) must be unreachable when step n+1 begins —
+        otherwise two steps of activations are live at once."""
+        import weakref
+
+        from repro.nn import Module
+
+        class Remembering(Module):
+            def __init__(self, inner):
+                super().__init__()
+                self.inner = inner
+                self.predictions = []
+
+            def forward(self, x):
+                out = self.inner(x)
+                # Tensor has __slots__ without __weakref__; its array
+                # dies with it (and with the closures capturing it).
+                self.predictions.append(weakref.ref(out.data))
+                return out
+
+        model = Remembering(small_model())
+        alive_at_start = []
+
+        class Probe(Callback):
+            def on_batch_start(self, engine):
+                alive_at_start.append([ref() is not None for ref in model.predictions])
+
+        config = TrainingConfig(epochs=2, batch_size=5, lr=0.01, loss="mse", seed=0)
+        Engine(model, config, callbacks=(Probe(),)).fit(toy_dataset())
+        assert len(alive_at_start) == 4
+        assert not any(any(step) for step in alive_at_start), alive_at_start
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,235 @@
+"""The stride-1 autograd conv2d path: strip forward, recompute-in-backward.
+
+Parity is against :func:`repro.tensor.ops_conv.conv2d_reference` (the
+monolithic im2col + col2im pair), with the strip budget shrunk so every
+case is cut into several strips and a ragged last one.
+"""
+
+import types
+
+import numpy as np
+import pytest
+
+import repro.tensor as T
+from repro.analysis import check_op
+from repro.analysis import gradcheck as gradcheck_fn
+from repro.tensor import Tensor, blocked, ops_conv, precision, workspace_disabled
+
+#: (C, F) of the paper's four Table-I layers, 5x5 kernels.
+TABLE1 = [(4, 6), (6, 16), (16, 6), (6, 4)]
+H, W, K = 13, 11, 5
+
+
+def run_backward(op, x, w, b, seed_grad):
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = op(tx, tw, tb)
+    out.backward(seed_grad)
+    return out, (out.data, tx.grad, tw.grad, tb.grad)
+
+
+def reference(padding, activation):
+    def op(tx, tw, tb):
+        return ops_conv.conv2d_reference(
+            tx, tw, tb, (1, 1), (padding, padding), activation, 0.1, (tx, tw, tb)
+        )
+
+    return op
+
+
+def strips(padding, activation):
+    def op(tx, tw, tb):
+        return T.conv2d(
+            tx, tw, tb, padding=padding, activation=activation, negative_slope=0.1
+        )
+
+    return op
+
+
+def case_arrays(rng, n, c, f, padding, dtype):
+    oh, ow = H + 2 * padding - K + 1, W + 2 * padding - K + 1
+    arrays = (
+        rng.standard_normal((n, c, H, W)),
+        rng.standard_normal((f, c, K, K)),
+        rng.standard_normal(f),
+        rng.standard_normal((n, f, oh, ow)),
+    )
+    return [a.astype(dtype) for a in arrays]
+
+
+@pytest.fixture
+def tiny_strips(monkeypatch):
+    """One or two output rows per strip for every shape in this file."""
+    monkeypatch.setattr(blocked, "_TARGET_STRIP_BYTES", 1 << 14)
+
+
+class TestParityWithReference:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("activation", [None, "leaky_relu"])
+    @pytest.mark.parametrize("padding", [0, 2])
+    @pytest.mark.parametrize(("c", "f"), TABLE1)
+    @pytest.mark.parametrize(("mode", "rtol"), [("float64", 1e-10), ("float32", 1e-4)])
+    def test_output_and_all_gradients(
+        self, rng, monkeypatch, mode, rtol, c, f, padding, activation, n
+    ):
+        with precision(mode):
+            dtype = T.default_dtype()
+            x, w, b, g = case_arrays(rng, n, c, f, padding, dtype)
+            oh, ow = g.shape[2:]
+            # Two output rows per forward strip; oh is odd, so at least
+            # five strips per image with a ragged last one.
+            itemsize = np.dtype(dtype).itemsize
+            monkeypatch.setattr(
+                blocked, "_TARGET_STRIP_BYTES", 2 * ow * c * K * K * itemsize
+            )
+            assert blocked._strip_rows(ow, c, K, K, itemsize, oh) == 2
+            assert oh >= 9 and oh % 2 == 1
+            _, got = run_backward(strips(padding, activation), x, w, b, g)
+            _, want = run_backward(reference(padding, activation), x, w, b, g)
+        for name, a, r in zip(("out", "grad_x", "grad_w", "grad_b"), got, want):
+            assert a.dtype == dtype, f"{name} left {mode}"
+            assert a.shape == r.shape
+            np.testing.assert_allclose(
+                a, r, rtol=rtol, atol=rtol * np.abs(r).max(), err_msg=name
+            )
+
+    def test_partial_requires_grad(self, rng, tiny_strips):
+        """Frozen input (the first layer) or frozen weights: the missing
+        gradient is skipped, the others are unchanged."""
+        x, w, b, g = case_arrays(rng, 2, 4, 6, 0, np.float64)
+        _, (_, full_x, full_w, full_b) = run_backward(strips(0, None), x, w, b, g)
+        tw, tb = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        T.conv2d(Tensor(x), tw, tb).backward(g)
+        assert np.array_equal(tw.grad, full_w) and np.array_equal(tb.grad, full_b)
+        tx = Tensor(x, requires_grad=True)
+        T.conv2d(tx, Tensor(w), Tensor(b)).backward(g)
+        assert np.array_equal(tx.grad, full_x)
+
+    def test_non_contiguous_seed_gradient(self, rng, tiny_strips):
+        x, w, b, g = case_arrays(rng, 2, 6, 4, 2, np.float64)
+        _, want = run_backward(strips(2, "leaky_relu"), x, w, b, g)
+        strided = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        assert not strided.flags.c_contiguous
+        _, got = run_backward(strips(2, "leaky_relu"), x, w, b, strided)
+        for a, r in zip(got, want):
+            assert np.array_equal(a, r)
+
+    def test_arena_provenance_does_not_change_bits(self, rng, tiny_strips):
+        """Thread-backed ranks each own an arena and ``workspace_disabled``
+        has none: the arithmetic must not depend on where scratch lives."""
+        x, w, b, g = case_arrays(rng, 3, 6, 16, 2, np.float64)
+        _, warm = run_backward(strips(2, "leaky_relu"), x, w, b, g)
+        with workspace_disabled():
+            _, cold = run_backward(strips(2, "leaky_relu"), x, w, b, g)
+        for a, r in zip(warm, cold):
+            assert np.array_equal(a, r)
+
+
+def closure_arrays(fn, seen=None):
+    """Every ndarray reachable from a closure's cells (through tensors,
+    containers and nested closures)."""
+    seen = set() if seen is None else seen
+    found = []
+    stack = [cell.cell_contents for cell in (fn.__closure__ or ())]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            found.extend(closure_arrays(obj, seen))
+    return found
+
+
+def owner_nbytes(array):
+    while array.base is not None and isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.nbytes
+
+
+class TestRetention:
+    @pytest.mark.parametrize("activation", [None, "leaky_relu"])
+    def test_backward_closure_holds_nothing_patch_sized(self, rng, activation):
+        x, w, b, _ = case_arrays(rng, 3, 16, 6, 2, np.float64)
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = T.conv2d(tx, tw, tb, padding=2, activation=activation)
+        limit = max(x.nbytes, out.data.nbytes)
+        held = closure_arrays(out._backward)
+        assert held, "the walk found no arrays at all"
+        assert max(owner_nbytes(a) for a in held) <= limit
+        # ... which is far below the patch matrix the old path kept.
+        assert out.data.size // 6 * 16 * K * K * 8 > 10 * limit
+
+    def test_the_walk_sees_the_reference_patch_matrix(self, rng):
+        """Guards the guard: on the reference path the same walk does
+        find the retained ``(N*OH*OW, C*kh*kw)`` matrix."""
+        x, w, b, _ = case_arrays(rng, 3, 16, 6, 2, np.float64)
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = reference(2, None)(tx, tw, tb)
+        patch_elements = out.data.size // 6 * 16 * K * K
+        assert any(a.size == patch_elements for a in closure_arrays(out._backward))
+
+
+class TestReferencePathClasses:
+    @pytest.fixture
+    def no_strip_kernels(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("strip kernel reached from a reference-path shape")
+
+        monkeypatch.setattr(ops_conv, "conv2d_forward_blocked", refuse)
+        monkeypatch.setattr(ops_conv, "conv2d_weight_grad_blocked", refuse)
+
+    def test_stride_two_is_reference_and_gradchecks(self, rng, no_strip_kernels):
+        gradcheck_fn(
+            lambda x, w, b: T.conv2d(x, w, b, stride=2, padding=1),
+            [rng.standard_normal(s) for s in ((2, 3, 7, 6), (4, 3, 3, 3), (4,))],
+        )
+
+    def test_padding_not_below_kernel_is_reference_and_gradchecks(
+        self, rng, no_strip_kernels
+    ):
+        gradcheck_fn(
+            lambda x, w, b: T.conv2d(x, w, b, padding=(2, 1)),
+            [rng.standard_normal(s) for s in ((1, 2, 4, 5), (3, 2, 2, 3), (3,))],
+        )
+
+    def test_conv_transpose_is_reference_and_gradchecks(self, no_strip_kernels):
+        assert check_op("conv_transpose2d", np.random.default_rng(7)) >= 1
+
+    def test_stride_one_does_use_the_strip_kernels(self, rng, no_strip_kernels):
+        x, w, b, _ = case_arrays(rng, 1, 4, 6, 0, np.float64)
+        with pytest.raises(AssertionError, match="strip kernel reached"):
+            T.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
+
+
+class TestSeamGradcheckCase:
+    @pytest.mark.parametrize("mode", ["float64", "float32"])
+    def test_registry_case_crosses_a_seam_at_the_default_budget(self, mode):
+        """The ``strip-seam`` registry case must really be cut into
+        several strips with the shipped budget, at both precisions —
+        otherwise ``repro check`` would silently stop covering seams."""
+        from repro.analysis.gradcheck import OP_CASES
+
+        (seam,) = [case for case in OP_CASES["conv2d"] if case.label == "strip-seam"]
+        seen = []
+        original = blocked.patch_strips
+
+        def counting(*args, **kwargs):
+            count = 0
+            for strip in original(*args, **kwargs):
+                count += 1
+                yield strip
+            seen.append(count)
+
+        with pytest.MonkeyPatch.context() as patch, precision(mode):
+            patch.setattr(blocked, "patch_strips", counting)
+            fn, arrays = seam.build(np.random.default_rng(7))
+            out = fn(*[Tensor(a, requires_grad=True) for a in arrays])
+            out.sum().backward()
+        # forward, weight gradient, input gradient — each of one image
+        assert len(seen) == 3 and min(seen) >= 2, seen

@@ -195,26 +195,33 @@ class TestFusedConv:
                 activation="gelu",
             )
 
-    def test_training_forward_never_borrows_workspace(self, rng):
-        """With requires_grad inputs the *forward* must leave the thread
-        arena untouched: the backward closure holds the im2col matrix,
-        which an arena would recycle out from under it."""
+    def test_training_forward_output_never_aliases_workspace(self, rng):
+        """With requires_grad inputs the forward draws its strip scratch
+        from the arena, but the escaping output must be freshly
+        allocated — a later same-shape call would otherwise recycle it
+        out from under the graph."""
         from repro.tensor.workspace import get_workspace
 
         ws = get_workspace()
         assert ws is not None
-        before = ws.stats.requests
         tx = Tensor(rng.standard_normal((1, 2, 6, 6)), requires_grad=True)
         tw = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         out = T.conv2d(tx, tw, padding=1)
-        assert ws.stats.requests == before
+        kept = out.data.copy()
+        assert not any(
+            np.shares_memory(out.data, buf) for buf in ws._buffers.values()
+        )
+        T.conv2d(
+            Tensor(rng.standard_normal((1, 2, 6, 6)), requires_grad=True), tw, padding=1
+        )
+        assert np.array_equal(out.data, kept)
 
     def test_backward_borrows_only_namespaced_scratch(self, rng):
-        """The backward pass may draw scratch from the arena, but only
-        from its own "conv2d.bwd.*" / col2im slots — never the forward
-        slots a concurrent no-grad conv could be using — and everything
-        it hands back to autograd must be freshly allocated (no
-        aliasing of arena storage)."""
+        """The autograd path may draw scratch from the arena, but only
+        from its own "conv2d.train.*" slots — never the slots a no-grad
+        conv or an InferencePlan uses — and everything it hands back to
+        autograd must be freshly allocated (no aliasing of arena
+        storage)."""
         from repro.tensor.workspace import get_workspace
 
         ws = get_workspace()
@@ -224,9 +231,7 @@ class TestFusedConv:
         slots_before = {key[0] for key in ws._buffers}
         T.conv2d(tx, tw, padding=1).sum().backward()
         new_slots = {key[0] for key in ws._buffers} - slots_before
-        assert all(
-            slot.startswith(("conv2d.bwd.", "col2im.padded.")) for slot in new_slots
-        ), new_slots
+        assert all(slot.startswith("conv2d.train.") for slot in new_slots), new_slots
         # The escaping gradients are copies, not views of arena buffers.
         arena_bases = {id(buf) for buf in ws._buffers.values()}
         for grad in (tx.grad, tw.grad):
