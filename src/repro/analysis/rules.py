@@ -58,7 +58,7 @@ RULES: dict[str, str] = {
     "binding: every closure sees the final iteration's value)",
     "REP005": "hand-rolled training loop (backward + optimizer step inside "
     "a loop) outside core/engine.py — route it through the Engine",
-    "REP006": "direct multiprocessing / SharedMemory use outside "
+    "REP006": "direct multiprocessing / SharedMemory / mmap use outside "
     "src/repro/mpi/ — inter-rank communication must stay behind the "
     "Communicator API",
     "REP007": "Workspace arena constructed outside src/repro/tensor/ and "
@@ -674,8 +674,9 @@ def rule_rep005(ctx: FileContext) -> Iterator[Violation]:
 #: watchdog, the MPI sanitizer, and the REP003 message audit cannot see.
 _REP006_SANCTIONED_DIRS = ("mpi",)
 
-#: Top-level modules whose import signals process-level transport.
-_REP006_FORBIDDEN_ROOTS = ("multiprocessing",)
+#: Top-level modules whose import signals process-level transport
+#: (``mmap``: shared mappings are handed out by repro.mpi.shared_empty).
+_REP006_FORBIDDEN_ROOTS = ("multiprocessing", "mmap")
 
 
 def rule_rep006(ctx: FileContext) -> Iterator[Violation]:
@@ -701,10 +702,10 @@ def rule_rep006(ctx: FileContext) -> Iterator[Violation]:
             node.lineno,
             node.col_offset,
             f"direct import of {imported!r} outside src/repro/mpi/: "
-            "process-level transport (workers, queues, SharedMemory) is "
-            "the MPI runtime's job — use repro.mpi.run_parallel("
-            "backend='processes') so inter-rank communication stays "
-            "behind the Communicator API (deadlock watchdog, sanitizers, "
+            "process-level transport (workers, queues, SharedMemory, shared "
+            "mappings) is the MPI runtime's job — use repro.mpi.run_parallel("
+            "backend='processes') and repro.mpi.shared_empty so inter-rank "
+            "communication stays behind the Communicator API (watchdog, sanitizers, "
             "message audit), or suppress with '# noqa: REP006' plus a "
             "justification",
         )

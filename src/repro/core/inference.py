@@ -16,6 +16,12 @@ step — including the stretches between halo exchanges — runs without
 allocating.  Plan outputs are bit-identical to the module-by-module
 forward; the equivalence tests pin this per strategy and over seeded
 multi-step MPI rollouts on both execution backends.
+
+The data around the plan is as still as the plan's scratch: every rank
+reassembles its halo-extended input in one persistent buffer and writes
+each prediction into its window of a single shared trajectory
+(:func:`repro.mpi.shared_empty`), so ranks return two integers and the
+caller already holds the result.
 """
 
 from __future__ import annotations
@@ -58,6 +64,35 @@ class RolloutResult:
     @property
     def num_steps(self) -> int:
         return self.trajectory.shape[0] - 1
+
+
+def _parameter_dtype(model: Module) -> np.dtype:
+    for param in model.parameters():
+        return np.dtype(param.data.dtype)
+    return np.dtype(default_dtype())  # parameter-free models follow the policy
+
+
+def _store(prediction: np.ndarray, out: np.ndarray) -> None:
+    """Copy a network output into the array that receives it."""
+    if prediction.shape != out.shape:
+        raise ShapeError(
+            f"network output {prediction.shape} does not match the "
+            f"{out.shape} array it is written to"
+        )
+    np.copyto(out, prediction)
+
+
+def _predict_into(
+    model: Module, plan: "InferencePlan | None", net_input: np.ndarray, frame: np.ndarray
+) -> None:
+    """One forward of ``net_input`` ``(C, h, w)``, written to ``frame``."""
+    if plan is not None:
+        # Allocation-free after the first (warmup) step.
+        plan.run(net_input[None], out=frame[None])
+    else:
+        with no_grad():
+            prediction = model(Tensor(net_input[None])).numpy()
+        _store(prediction, frame[None])
 
 
 class _ConvStep:
@@ -211,13 +246,7 @@ class InferencePlan:
         # fed to a float32 model is cast once at the entry (into an
         # arena buffer), not silently promoted to float64 inside every
         # step's np.result_type.
-        self.compute_dtype = self._parameter_dtype(model)
-
-    @staticmethod
-    def _parameter_dtype(model: Module) -> np.dtype:
-        for param in model.parameters():
-            return np.dtype(param.data.dtype)
-        return np.dtype(default_dtype())  # parameter-free plans follow the policy
+        self.compute_dtype = _parameter_dtype(model)
 
     @classmethod
     def try_compile(
@@ -293,7 +322,7 @@ class InferencePlan:
                 h = step.apply(h, self.workspace, owned)
                 owned = True
             if out is not None:
-                np.copyto(out, h)
+                _store(h, out)
                 return out
             return h.copy()
 
@@ -376,64 +405,48 @@ class ParallelPredictor:
             )
         decomposition = self.decomposition
         halo = self.halo
-        size = decomposition.num_subdomains
+        # One global trajectory every rank writes its own window of —
+        # nothing is stacked, returned or reassembled.  The dtype is
+        # what stacking the initial frame with the predictions gave.
+        trajectory = mpi.shared_empty(
+            (num_steps + 1,) + initial.shape,
+            np.result_type(initial.dtype, *map(_parameter_dtype, self.models)),
+        )
 
-        def program(comm: mpi.Communicator):
-            local = decomposition.extract(initial, comm.rank)
+        def program(comm: mpi.Communicator) -> tuple[int, int]:
+            sub = decomposition.subdomain(comm.rank)
+            window = trajectory[:, :, sub.y_slice, sub.x_slice]
+            window[0] = initial[:, sub.y_slice, sub.x_slice]
             model = self.models[comm.rank]
             plan = self._plans[comm.rank]
-            exchanger = (
-                HaloExchanger(comm, decomposition, halo, self.fill)
-                if halo > 0
-                else None
-            )
-            messages = 0
-            volume = 0
-            trajectory = [local]
+            exchanger = None
+            padded = None  # the halo-extended input, reassembled in place every step
+            step_messages = step_bytes = 0
+            if halo > 0:
+                exchanger = HaloExchanger(comm, decomposition, halo, self.fill)
+                step_messages = exchanger.messages_per_exchange
+                # Each message carries a halo strip of the local block.
+                step_bytes = sum(
+                    _strip_volumes(window.shape[1:], halo, exchanger, trajectory.itemsize)
+                )
             metered = obs_metrics.enabled()
             for step in range(num_steps):
                 step_start = trace.clock() if metered else 0.0
                 with trace.span("rollout.step", cat="rollout", step=step):
+                    net_input = window[step]  # ZERO / TRANSPOSE: the block is the input
                     if exchanger is not None:
-                        net_input = exchanger.exchange(local)
-                        messages += exchanger.messages_per_exchange
-                        # Each message carries a halo strip of the local block.
-                        volume += sum(
-                            strip_bytes
-                            for strip_bytes in _strip_volumes(
-                                local.shape, halo, exchanger, local.dtype.itemsize
-                            )
-                        )
-                    elif self.strategy is PaddingStrategy.ZERO or self.strategy is PaddingStrategy.TRANSPOSE:
-                        net_input = local
-                    else:  # pragma: no cover - excluded in __init__
-                        raise ConfigurationError(f"strategy {self.strategy} cannot roll out")
+                        net_input = padded = exchanger.exchange(net_input, out=padded)
                     with trace.span("rollout.forward", cat="compute", step=step):
-                        if plan is not None:
-                            # Allocation-free after the first (warmup) step.
-                            local = plan.run(net_input[None])[0]
-                        else:
-                            with no_grad():
-                                prediction = model(Tensor(net_input[None]))
-                            local = prediction.numpy()[0]
-                    if local.shape[-2:] != trajectory[0].shape[-2:]:
-                        raise ShapeError(
-                            f"network output {local.shape[-2:]} does not match the "
-                            f"subdomain block {trajectory[0].shape[-2:]}"
-                        )
-                    trajectory.append(local)
+                        _predict_into(model, plan, net_input, window[step + 1])
                 if metered:
                     _ROLLOUT_STEP_SECONDS.observe(trace.clock() - step_start)
                 obs_metrics.heartbeat()
-            return np.stack(trajectory), messages, volume
+            return step_messages * num_steps, step_bytes * num_steps
 
-        rank_outputs = mpi.run_parallel(program, size, backend=execution)
-        pieces = [out[0] for out in rank_outputs]
-        messages = sum(out[1] for out in rank_outputs)
-        volume = sum(out[2] for out in rank_outputs)
-        # pieces[r] has shape (steps+1, C, h, w): assemble per step.
-        trajectory = self.decomposition.assemble(pieces)
-        return RolloutResult(trajectory, messages, volume)
+        sent = mpi.run_parallel(program, decomposition.num_subdomains, backend=execution)
+        return RolloutResult(
+            trajectory, sum(m for m, _ in sent), sum(b for _, b in sent)
+        )
 
 
 def _strip_volumes(
@@ -474,19 +487,20 @@ class SequentialPredictor:
         """
         if num_steps < 1:
             raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
-        state = np.asarray(initial)
+        initial = np.asarray(initial)
         halo = getattr(self.model, "input_halo", 0)
-        trajectory = [state]
-        with no_grad():
-            for _ in range(num_steps):
-                net_input = state
-                if halo:
-                    # The physical-boundary halo is plain zero padding.
-                    pad = ((0, 0), (halo, halo), (halo, halo))
-                    net_input = np.pad(state, pad)
-                if self._plan is not None:
-                    state = self._plan.run(net_input[None])[0]
-                else:
-                    state = self.model(Tensor(net_input[None])).numpy()[0]
-                trajectory.append(state)
-        return RolloutResult(np.stack(trajectory), messages_sent=0, bytes_sent=0)
+        trajectory = np.empty(
+            (num_steps + 1,) + initial.shape,
+            np.result_type(initial.dtype, _parameter_dtype(self.model)),
+        )
+        trajectory[0] = initial
+        # The physical-boundary halo is plain zero padding: only the
+        # interior of the padded input changes from step to step.
+        padded = np.pad(trajectory[0], ((0, 0), (halo, halo), (halo, halo))) if halo else None
+        for step in range(num_steps):
+            net_input = trajectory[step]
+            if padded is not None:
+                padded[:, halo:-halo, halo:-halo] = net_input
+                net_input = padded
+            _predict_into(self.model, self._plan, net_input, trajectory[step + 1])
+        return RolloutResult(trajectory, messages_sent=0, bytes_sent=0)

@@ -94,68 +94,84 @@ class HaloExchanger:
         )
 
     # ------------------------------------------------------------------
-    def _exchange_axis(self, local: np.ndarray, axis: int, phase: int) -> np.ndarray:
-        """Extend ``local`` by ``halo`` lines on both sides of ``axis``
-        (the spatial axis ``local.ndim - 2 + axis``)."""
+    def _exchange_axis(self, body: np.ndarray, axis: int, phase: int) -> None:
+        """Fill the two ``halo``-wide slabs at the ends of ``body`` along
+        spatial axis ``axis``; the lines between them are already valid."""
         o = self.halo
-        ax = local.ndim - 2 + axis
-        lo_peer = self.neighbours[(axis, -1)]
-        hi_peer = self.neighbours[(axis, +1)]
+        ax = body.ndim - 2 + axis
+        n = body.shape[ax]
 
-        def strip(side: int) -> np.ndarray:
-            index = [slice(None)] * local.ndim
-            index[ax] = slice(0, o) if side < 0 else slice(local.shape[ax] - o, None)
-            return np.ascontiguousarray(local[tuple(index)])
+        def lines(start: int, stop: int) -> np.ndarray:
+            index = [slice(None)] * body.ndim
+            index[ax] = slice(start, stop)
+            return body[tuple(index)]
 
+        # Per side: the halo slab to fill, the boundary strip the peer
+        # needs, the wall line edge replication repeats.
+        sides = {
+            -1: (lines(0, o), lines(o, 2 * o), lines(o, o + 1)),
+            +1: (lines(n - o, n), lines(n - 2 * o, n - o), lines(n - o - 1, n - o)),
+        }
         # Post all sends first (buffered), then receive: deadlock-free.
         # A periodic axis with a single rank wraps onto itself — that is
-        # a local copy of the opposite strip, not a message.
+        # a local copy of the opposite strip, not a message.  Strips are
+        # sent as snapshots: ``body`` is rewritten by the next exchange,
+        # possibly before a peer in a non-isolating world has read them.
         me = self.comm.rank
-        if lo_peer is not None and lo_peer != me:
-            self.comm.send(strip(-1), dest=lo_peer, tag=_halo_tag(phase, -1))
-        if hi_peer is not None and hi_peer != me:
-            self.comm.send(strip(+1), dest=hi_peer, tag=_halo_tag(phase, +1))
-
-        def received_or_fill(peer: int | None, direction: int) -> np.ndarray:
+        for direction, (_, strip, _) in sides.items():
+            peer = self.neighbours[(axis, direction)]
+            if peer is not None and peer != me:
+                self.comm.send(
+                    np.ascontiguousarray(strip), dest=peer, tag=_halo_tag(phase, direction)
+                )
+        for direction, (slab, _, wall) in sides.items():
+            peer = self.neighbours[(axis, direction)]
             if peer == me:
-                return strip(-direction)
-            if peer is not None:
+                slab[...] = sides[-direction][1]
+            elif peer is not None:
                 # The neighbour on our low side sent with tag(+1) (its
                 # high-side strip), and vice versa.
-                return np.asarray(
-                    self.comm.recv(source=peer, tag=_halo_tag(phase, -direction))
-                )
-            shape = list(local.shape)
-            shape[ax] = o
-            if self.fill == "zero":
-                return np.zeros(shape, dtype=local.dtype)
-            # Edge replication: repeat the wall line o times.
-            index = [slice(None)] * local.ndim
-            index[ax] = slice(0, 1) if direction < 0 else slice(-1, None)
-            return np.repeat(local[tuple(index)], o, axis=ax)
+                slab[...] = self.comm.recv(source=peer, tag=_halo_tag(phase, -direction))
+            elif self.fill == "zero":
+                slab[...] = 0
+            else:
+                slab[...] = wall  # edge replication: repeat the wall line
 
-        lo_block = received_or_fill(lo_peer, -1)
-        hi_block = received_or_fill(hi_peer, +1)
-        return np.concatenate([lo_block, local, hi_block], axis=ax)
-
-    def exchange(self, local: np.ndarray) -> np.ndarray:
+    def exchange(self, local: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Return the halo-extended field.
 
         ``local`` has shape ``(..., h, w)`` matching this rank's block;
-        the result has shape ``(..., h + 2*halo, w + 2*halo)``.
+        the result has shape ``(..., h + 2*halo, w + 2*halo)``.  It is
+        assembled in place in ``out`` when given (every element is
+        overwritten, so a loop can pass the same buffer each step), else
+        in a new array: the interior is copied once and received strips
+        land directly in the halo.
         """
         if local.shape[-2:] != self.subdomain.shape:
             raise DecompositionError(
                 f"local field shape {local.shape[-2:]} does not match "
                 f"subdomain {self.subdomain.shape}"
             )
+        o = self.halo
+        h, w = self.subdomain.shape
+        shape = local.shape[:-2] + (h + 2 * o, w + 2 * o)
+        if out is None:
+            out = np.empty(shape, dtype=local.dtype)
+        elif out.shape != shape or out.dtype != local.dtype:
+            raise DecompositionError(
+                f"out is {out.dtype}{out.shape}, the extended field is "
+                f"{local.dtype}{shape}"
+            )
         # cat "comm.compound": comm seconds live on the inner send/recv
         # spans; this span only structures the timeline.
-        with trace.span("halo.exchange", cat="comm.compound", halo=self.halo):
-            extended = self._exchange_axis(local, axis=0, phase=0)
-            result = self._exchange_axis(extended, axis=1, phase=1)
+        with trace.span("halo.exchange", cat="comm.compound", halo=o):
+            out[..., o : o + h, o : o + w] = local
+            # y first on the block's own columns, then x on the
+            # y-extended lines, which carries the corners along.
+            self._exchange_axis(out[..., o : o + w], axis=0, phase=0)
+            self._exchange_axis(out, axis=1, phase=1)
         _HALO_EXCHANGES.inc()
-        return result
+        return out
 
 
 def gather_blocks(

@@ -17,9 +17,11 @@ Two execution backends share the :class:`Communicator` API:
 ``run_parallel(..., backend="threads")`` (default) runs in-process
 ranks over an in-memory router — the faithful communication-structure
 execution — while ``backend="processes"`` runs one OS process per rank
-with a shared-memory fast path for NumPy payloads, so P ranks genuinely
-occupy P cores.  See DESIGN.md ("Execution backends") for what each
-mode measures.
+with a shared-memory fast path for large NumPy messages, so P ranks
+genuinely occupy P cores.  Bulk *results* do not travel at all: the
+caller allocates them with :func:`shared_empty` and the ranks write
+their windows in place, on either backend.  See DESIGN.md ("Execution
+backends") for what each mode measures.
 """
 
 from .api import (
@@ -43,6 +45,7 @@ from .cartesian import CartComm, dims_create
 from .launcher import BACKENDS, run_parallel
 from .process_backend import ProcessCommunicator
 from .router import MessageRouter
+from .shm import shared_empty
 from .world import SelfCommunicator, WorldCommunicator
 
 __all__ = [
@@ -69,4 +72,5 @@ __all__ = [
     "dims_create",
     "run_parallel",
     "BACKENDS",
+    "shared_empty",
 ]

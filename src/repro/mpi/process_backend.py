@@ -7,8 +7,10 @@ is one ``multiprocessing`` queue per destination rank (the mailbox) —
 matching receives buffer out-of-order arrivals locally, preserving
 MPI's non-overtaking guarantee per ``(source, dest, tag)`` because all
 traffic to a rank flows through its single FIFO queue.  Large NumPy
-payloads bypass pickling entirely via the shared-memory fast path in
-:mod:`repro.mpi.shm`.
+messages bypass pickling entirely via the shared-memory fast path in
+:mod:`repro.mpi.shm`; rank *results* are always pickled through the
+result queue, so bulk output belongs in a
+:func:`~repro.mpi.shm.shared_empty` array the ranks fill in place.
 
 Failure semantics mirror the thread backend: a rank that raises reports
 its (pickled) exception to the parent, which poisons every mailbox with
@@ -26,6 +28,7 @@ when fork-safety is a concern.
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import pickle
 import queue as queue_module
@@ -39,7 +42,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from .api import ANY_SOURCE, ANY_TAG, Communicator, Request, Status
 from .router import _isolate_payload
-from .shm import ShmArrayHeader, decode_payload, discard_header, encode_payload
+from .shm import ShmArrayHeader, decode_payload, discard_header, encode_payload, is_shared
 
 __all__ = ["ProcessCommunicator", "run_parallel_processes"]
 
@@ -237,13 +240,17 @@ def _encode_outcome(rank: int, kind: str, value: Any, bundle: Any = None) -> byt
     TraceBundle`) riding along with the outcome; if *it* turns out
     unpicklable it is dropped rather than taking the result with it.
     """
-    if bundle is not None:
+
+    def dumps(kind: str, value: Any) -> bytes:
         try:
-            pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL)
+            return pickle.dumps((rank, kind, value, bundle), protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            bundle = None
+            if bundle is None:
+                raise
+            return pickle.dumps((rank, kind, value, None), protocol=pickle.HIGHEST_PROTOCOL)
+
     try:
-        return pickle.dumps((rank, kind, value, bundle), protocol=pickle.HIGHEST_PROTOCOL)
+        return dumps(kind, value)
     except Exception as exc:
         detail = (
             f"rank {rank} produced an unpicklable "
@@ -254,7 +261,7 @@ def _encode_outcome(rank: int, kind: str, value: Any, bundle: Any = None) -> byt
             detail += "\n" + "".join(
                 traceback.format_exception(type(value), value, value.__traceback__)
             )
-        return pickle.dumps((rank, "err", CommunicatorError(detail), bundle))
+        return dumps("err", CommunicatorError(detail))
 
 
 def _worker_main(
@@ -332,6 +339,29 @@ def _default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
+class _SharedArrayFinder(pickle.Pickler):
+    """Pickles rank programs the way a non-``fork`` start method will,
+    to refuse the one thing that would start but misbehave."""
+
+    def reducer_override(self, obj: Any) -> Any:
+        if is_shared(obj):
+            raise CommunicatorError(
+                "a shared_empty() array reaches rank processes only by fork "
+                "inheritance: any other start method pickles it, so each rank "
+                "would write a private copy the caller never sees"
+            )
+        return NotImplemented
+
+
+def _reject_pickled_shared_arrays(fns: Sequence[Callable[[Communicator], Any]]) -> None:
+    try:
+        _SharedArrayFinder(io.BytesIO()).dump(fns)
+    except CommunicatorError:
+        raise
+    except Exception:  # noqa: BLE001 - Process.start() reports unpicklable programs
+        pass
+
+
 def run_parallel_processes(
     fns: Sequence[Callable[[Communicator], Any]],
     size: int,
@@ -357,6 +387,8 @@ def run_parallel_processes(
     instrumented loop.
     """
     method = start_method if start_method is not None else _default_start_method()
+    if method != "fork":
+        _reject_pickled_shared_arrays(fns)
     ctx = multiprocessing.get_context(method)
     mailboxes = [ctx.Queue() for _ in range(size)]
     result_queue = ctx.Queue()

@@ -30,10 +30,18 @@ suppressed (the 3.13 ``track=False`` behaviour, backported by briefly
 stubbing the register hook).  The cost is that a rank crashing between
 create and unlink leaks the segment until reboot — the launcher's
 teardown drain covers every non-crash path.
+
+Separately from the message transport, :func:`shared_empty` hands out
+*result* storage: an ndarray over an anonymous shared mapping that the
+parent allocates before the ranks start and every rank writes its
+window of.  It has no name, so there is nothing to unlink and nothing
+that can leak — the mapping dies with the last array viewing it.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import sys
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -47,11 +55,31 @@ __all__ = [
     "encode_payload",
     "decode_payload",
     "discard_header",
+    "shared_empty",
+    "is_shared",
 ]
 
 #: Below this many bytes the queue's pickle path is cheaper than a
-#: shared-memory round trip (segment creation is a syscall + mmap).
-SHM_THRESHOLD_BYTES = 1 << 14  # 16 KiB
+#: shared-memory round trip (create + ftruncate + mmap + attach + unlink
+#: are fixed syscall costs).  One-way ping-pong latency on the 2-core
+#: reference VM, same program with the threshold forced either way,
+#: median of 7 x 300 round trips:
+#:
+#:     payload      pickle      shm
+#:       2 KiB      188 us   306 us
+#:    16 640 B      200 us   312 us   (the 256² halo strip)
+#:      64 KiB      302 us   370 us
+#:      96 KiB      312 us   424 us
+#:     128 KiB      402 us   459 us
+#:     160 KiB      692 us   470 us
+#:     192 KiB      917 us   509 us
+#:     256 KiB     1041 us   600 us
+#:       1 MiB     4404 us  1256 us
+#:
+#: The pickle path steps up where glibc starts serving its buffers with
+#: mmap (``M_MMAP_THRESHOLD``, 128 KiB), which is what puts the
+#: crossover there.
+SHM_THRESHOLD_BYTES = 1 << 17  # 128 KiB
 
 
 @dataclass(frozen=True)
@@ -162,3 +190,34 @@ def discard_header(payload: Any) -> None:
         return  # already released
     segment.close()
     _unlink_untracked(segment)
+
+
+class _SharedMapping(mmap.mmap):
+    """Marks the mappings :func:`shared_empty` creates, so
+    :func:`is_shared` does not mistake a file-backed ``np.memmap`` for
+    one."""
+
+
+def shared_empty(shape: tuple[int, ...], dtype: Any) -> np.ndarray:
+    """Uninitialised ndarray that rank threads *and* forked rank
+    processes write through to the caller.
+
+    The storage is an anonymous shared mapping (``mmap.mmap(-1, n)``):
+    threads share it trivially and ``fork`` children inherit it, so a
+    rank program that closes over the array fills it in place on either
+    backend and returns nothing.  The array owns the mapping; it is
+    unmapped when the last view is collected.  A ``spawn`` child cannot
+    inherit it — the launcher rejects that combination (pickling would
+    hand each rank a private copy).
+    """
+    dtype = np.dtype(dtype)
+    mapping = _SharedMapping(-1, max(1, math.prod(shape) * dtype.itemsize))
+    return np.ndarray(shape, dtype=dtype, buffer=mapping)
+
+
+def is_shared(obj: Any) -> bool:
+    """Whether ``obj`` is an array viewing :func:`shared_empty` storage."""
+    base = obj
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, _SharedMapping)

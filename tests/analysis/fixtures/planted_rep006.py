@@ -1,5 +1,6 @@
 """Fixture with planted REP006 violations (never imported, only linted)."""
 
+import mmap
 import multiprocessing
 from multiprocessing.shared_memory import SharedMemory
 
@@ -11,3 +12,9 @@ def rogue_side_channel(payload):
     segment = SharedMemory(create=True, size=payload.nbytes)
     queue.put(segment.name)
     return queue
+
+
+def rogue_result_window(nbytes):
+    # A private shared mapping: ranks would write results past the
+    # runtime's one sanctioned allocator (repro.mpi.shared_empty).
+    return mmap.mmap(-1, nbytes)

@@ -359,18 +359,25 @@ class TestRep006:
         hits = lint_snippet("import multiprocessing as mp\n", rules={"REP006"})
         assert [v.rule for v in hits] == ["REP006"]
 
+    def test_mmap_flagged(self):
+        for source in ("import mmap\n", "from mmap import mmap\n"):
+            hits = lint_snippet(source, rules={"REP006"})
+            assert [v.rule for v in hits] == ["REP006"]
+            assert "shared_empty" in hits[0].message
+
     def test_mpi_runtime_sanctioned(self):
-        source = "from multiprocessing import shared_memory\n"
-        assert (
-            lint_snippet(
-                source, path="src/repro/mpi/process_backend.py", rules={"REP006"}
+        for source in ("from multiprocessing import shared_memory\n", "import mmap\n"):
+            assert (
+                lint_snippet(
+                    source, path="src/repro/mpi/process_backend.py", rules={"REP006"}
+                )
+                == []
             )
-            == []
-        )
 
     def test_lookalike_modules_not_flagged(self):
         for source in (
             "import multiprocessing_utils\n",
+            "import mmap_tools\n",
             "from concurrent.futures import ProcessPoolExecutor\n",
             "import threading\n",
         ):

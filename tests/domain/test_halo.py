@@ -113,6 +113,20 @@ class TestValidation:
 
         assert all(mpi.run_parallel(program, 4))
 
+    def test_wrong_out_buffer_raises_before_any_message(self, rng):
+        decomp = BlockDecomposition((8, 8), (2, 2))
+
+        def program(comm):
+            exchanger = HaloExchanger(comm, decomp, halo=1)
+            local = rng.standard_normal((1, 4, 4))
+            for bad in (np.empty((1, 4, 4)), np.empty((1, 6, 6), dtype=np.float32)):
+                with pytest.raises(DecompositionError, match="out is"):
+                    exchanger.exchange(local, out=bad)
+            comm.barrier()
+            return comm.iprobe()  # no rank sent a strip
+
+        assert not any(mpi.run_parallel(program, 4))
+
 
 class TestGatherScatter:
     def test_gather_assembles_at_root(self, rng):

@@ -71,3 +71,43 @@ def test_neighbour_symmetry(py, px):
                 other = decomp.neighbour(rank, axis, direction)
                 if other is not None:
                     assert decomp.neighbour(other, axis, -direction) == rank
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_in_place_exchange_matches_extract(data):
+    """On every rank the exchanged field is the halo cut of the global
+    field, whether it is assembled in a new array or in a caller's
+    buffer that still holds garbage from an earlier use."""
+    from repro import mpi
+    from repro.domain import HaloExchanger
+
+    pgrid = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    halo = data.draw(st.integers(1, 3))
+    # every block at least ``halo`` lines wide, some unevenly split
+    height = pgrid[0] * halo + data.draw(st.integers(0, 5))
+    width = pgrid[1] * halo + data.draw(st.integers(0, 5))
+    periodic = (data.draw(st.booleans()), data.draw(st.booleans()))
+    fill = data.draw(st.sampled_from(["zero", "edge"]))
+    lead = data.draw(st.sampled_from([(), (3,), (2, 2)]))
+    decomp = BlockDecomposition((height, width), pgrid, periodic=periodic)
+    field = np.random.default_rng(height * 31 + width).standard_normal(
+        lead + (height, width)
+    )
+
+    def program(comm):
+        exchanger = HaloExchanger(comm, decomp, halo, fill)
+        local = decomp.extract(field, comm.rank)
+        fresh = exchanger.exchange(local)
+        buffer = np.full(fresh.shape, np.nan)
+        for _ in range(2):  # the second pass overwrites the first's result
+            assert exchanger.exchange(local, out=buffer) is buffer
+            buffer += 1.0
+        exchanger.exchange(local, out=buffer)
+        return fresh, buffer
+
+    outputs = mpi.run_parallel(program, decomp.num_subdomains)
+    for rank, (fresh, reused) in enumerate(outputs):
+        expected = decomp.extract(field, rank, halo=halo, fill=fill)
+        assert np.array_equal(fresh, expected)
+        assert np.array_equal(reused, expected)
