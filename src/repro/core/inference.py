@@ -8,8 +8,8 @@ central instance, exactly as the paper prescribes.
 
 Rollout is the inference hot loop, so this module also hosts
 :class:`InferencePlan`: a per-model compilation of the fixed layer
-sequence into raw-ndarray steps whose scratch, GEMM outputs, and
-activation masks are all pre-bound to a private
+sequence into raw-ndarray steps whose scratch and step outputs are all
+pre-bound to a private
 :class:`~repro.tensor.workspace.Workspace`.  After the first (warmup)
 step every buffer request hits a warm slot, so each subsequent rollout
 step — including the stretches between halo exchanges — runs without
@@ -38,10 +38,9 @@ from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..tensor import Tensor, no_grad, perf
-from ..tensor.blocked import conv2d_forward_blocked, should_block
+from ..tensor.blocked import conv2d_forward_blocked
 from ..tensor.im2col import col2im, conv_output_size
 from ..tensor.precision import default_dtype
-from ..tensor.ops_conv import conv2d_forward
 from ..tensor.workspace import Workspace
 from .model import SubdomainCNN
 from .padding import PaddingStrategy
@@ -106,52 +105,30 @@ class _ConvStep:
     def apply(self, x: np.ndarray, ws: Workspace, owned: bool) -> np.ndarray:
         layer = self.layer
         weight = layer.weight.data  # re-read each run: training may update it
-        n, c = x.shape[0], x.shape[1]
-        k, s, p = layer.kernel_size, layer.stride, layer.padding
-        oh = conv_output_size(x.shape[2], k, s, p)
-        ow = conv_output_size(x.shape[3], k, s, p)
-        compute = np.result_type(x.dtype, weight.dtype)
-        bias = None if layer.bias is None else layer.bias.data
-        activation = None if self.slope is None else "leaky_relu"
-        slope = self.slope if self.slope is not None else 0.01
-        if should_block(n, c, oh, ow, k, k, compute.itemsize):
-            # Large shapes: the strip-mined kernel, writing into an
-            # arena-owned C-contiguous output (the peephole's shape
-            # selection — small shapes keep the bit-pinned path below).
-            out_buf = ws.request(
-                f"plan.conv{self.index}.out", (n, layer.out_channels, oh, ow), compute
-            )
-            out, _ = conv2d_forward_blocked(
-                x,
-                weight,
-                bias,
-                (s, s),
-                (p, p),
-                activation=activation,
-                negative_slope=slope,
-                workspace=ws,
-                out=out_buf,
-                slot_prefix=f"plan.conv{self.index}",
-            )
-            return out
-        gemm = ws.request(
-            f"plan.conv{self.index}.gemm",
-            (n * oh * ow, layer.out_channels),
-            compute,
+        k, p = layer.kernel_size, layer.padding
+        out = ws.request(
+            f"plan.conv{self.index}.out",
+            (
+                x.shape[0],
+                layer.out_channels,
+                conv_output_size(x.shape[2], k, 1, p),
+                conv_output_size(x.shape[3], k, 1, p),
+            ),
+            np.result_type(x.dtype, weight.dtype),
         )
-        out, _, _, _, _ = conv2d_forward(
+        # The strip kernel the op itself runs, writing into an
+        # arena-owned C-contiguous output.
+        return conv2d_forward_blocked(
             x,
             weight,
-            bias,
-            (s, s),
+            None if layer.bias is None else layer.bias.data,
             (p, p),
-            activation=activation,
-            negative_slope=slope,
+            activation=None if self.slope is None else "leaky_relu",
+            negative_slope=self.slope if self.slope is not None else 0.01,
             workspace=ws,
-            gemm_out=gemm,
+            out=out,
             slot_prefix=f"plan.conv{self.index}",
         )
-        return out
 
 
 class _LeakyStep:
@@ -213,7 +190,7 @@ class InferencePlan:
 
     Compilation flattens the module tree (``SubdomainCNN`` →
     ``Sequential`` → layers), fuses every ``Conv2d`` directly followed
-    by a ``LeakyReLU`` into one GEMM-epilogue step, and binds all
+    by a ``LeakyReLU`` into one strip-epilogue step, and binds all
     scratch to a plan-owned :class:`Workspace`.  After the first
     ``run`` call the arena is warm and subsequent runs create zero new
     buffers (asserted in the tests via the perf-counter registry).
@@ -224,8 +201,10 @@ class InferencePlan:
     it owns, a plan belongs to one thread at a time.
 
     Raises :class:`~repro.exceptions.ConfigurationError` when the model
-    contains a module the step vocabulary cannot express — use
-    :meth:`try_compile` to fall back to the module-by-module forward.
+    contains a module the step vocabulary cannot express (including a
+    ``Conv2d`` outside the strip kernel's stride-1, padding < kernel
+    class) — use :meth:`try_compile` to fall back to the
+    module-by-module forward.
     """
 
     SUPPORTED = (Conv2d, ConvTranspose2d, LeakyReLU)
@@ -276,6 +255,14 @@ class InferencePlan:
             if not isinstance(layer, cls.SUPPORTED):
                 raise ConfigurationError(
                     f"InferencePlan cannot compile {type(layer).__name__}"
+                )
+            if isinstance(layer, Conv2d) and (
+                layer.stride != 1 or layer.padding >= layer.kernel_size
+            ):
+                # conv2d's reference-path classes allocate per call.
+                raise ConfigurationError(
+                    "InferencePlan compiles only stride-1 convolutions with "
+                    f"padding < kernel, got {layer!r}"
                 )
         steps: list = []
         i = 0

@@ -58,10 +58,10 @@ from .ops_elementwise import (  # noqa: E402
 from .ops_reduce import tensor_max, tensor_mean, tensor_min, tensor_sum  # noqa: E402
 from .ops_shape import concatenate, flip, getitem, pad, reshape, stack, transpose  # noqa: E402
 from .ops_matmul import matmul  # noqa: E402
-from .ops_conv import conv2d, conv2d_forward, conv_transpose2d  # noqa: E402
+from .ops_conv import conv2d, conv_transpose2d  # noqa: E402
 from .im2col import col2im, conv_output_size, im2col  # noqa: E402
 from . import perf  # noqa: E402
-from .fused import add_, bias_leaky_relu_, leaky_relu_, mul_  # noqa: E402
+from .fused import add_, leaky_relu_, mul_  # noqa: E402
 from .workspace import (  # noqa: E402
     Workspace,
     WorkspaceStats,
@@ -127,7 +127,6 @@ __all__ = [
     "flip",
     "matmul",
     "conv2d",
-    "conv2d_forward",
     "conv_transpose2d",
     "im2col",
     "col2im",
@@ -141,5 +140,4 @@ __all__ = [
     "add_",
     "mul_",
     "leaky_relu_",
-    "bias_leaky_relu_",
 ]

@@ -15,12 +15,6 @@ All kernels are bit-identical to their out-of-place counterparts in
 variants multiply by ``negative_slope`` *only where the operand is
 negative* (``np.multiply(..., where=mask)``); the untouched non-negative
 lanes equal the naive path's ``x * 1.0`` exactly under IEEE-754.
-
-:func:`bias_leaky_relu_` is the shared GEMM epilogue: ``conv2d`` (on its
-no-grad fast path) and :class:`~repro.core.inference.InferencePlan` both
-call it on the 2-D ``(N*OH*OW, F)`` GEMM output before the final
-reshape, so the fused op and the compiled plan run literally the same
-arithmetic as the naive conv-then-activation pair.
 """
 
 from __future__ import annotations
@@ -32,11 +26,9 @@ import numpy as np
 from ..exceptions import AutogradError
 from . import autograd, perf
 from .tensor import Tensor
-from .workspace import Workspace
 
 __all__ = [
     "add_",
-    "bias_leaky_relu_",
     "leaky_relu_",
     "leaky_relu_scale",
     "mul_",
@@ -70,47 +62,12 @@ def leaky_relu_scale(z: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
     would otherwise be silently promoted to float64 by the float64
     array ``np.where`` produces from Python-float branches.
     """
-    # Training-only allocation: InferencePlan steps never set
-    # keep_scale, so this is unreachable from a warmed-up rollout.
-    scale = np.empty_like(z)  # noqa: REP012
+    # Never reached from an InferencePlan: its steps fuse the
+    # activation into the strip epilogue instead.
+    scale = np.empty_like(z)
     scale[...] = negative_slope
     np.copyto(scale, 1.0, where=z >= 0.0)
     return scale
-
-
-def bias_leaky_relu_(
-    out: np.ndarray,
-    bias: np.ndarray | None = None,
-    negative_slope: float = 0.01,
-    workspace: Workspace | None = None,
-    slot: str = "fused.mask",
-) -> np.ndarray:
-    """GEMM epilogue: ``out += bias`` then leaky-ReLU, all in place.
-
-    ``out`` is the 2-D ``(rows, F)`` GEMM result; ``bias`` broadcasts
-    along rows.  With a ``workspace`` the scaled-copy scratch comes
-    from the arena (keyed by ``slot``) instead of a fresh allocation.
-    Returns ``out`` for chaining.
-
-    The activation is computed as ``max(z, slope * z)``, which is
-    bit-identical to the masked-multiply form for ``0 <= slope <= 1``:
-    non-negative lanes win the max and keep ``z`` untouched (ties at
-    ``±0.0`` compare equal bitwise), negative lanes lose to the exact
-    same IEEE product.  Two dense vector ops beat NumPy's buffered
-    ``where=``-masked multiply several times over on large outputs —
-    the masked form is what originally made the fused conv *lose* to
-    the plain one at 256x256.
-    """
-    with perf.timed("fused.bias_leaky_relu"):
-        if bias is not None:
-            out += bias
-        if workspace is not None:
-            scaled = workspace.request(slot, out.shape, out.dtype)
-            np.multiply(out, negative_slope, out=scaled)
-        else:
-            scaled = out * negative_slope
-        np.maximum(out, scaled, out=out)
-    return out
 
 
 def leaky_relu_(x: Any, negative_slope: float = 0.01) -> Any:

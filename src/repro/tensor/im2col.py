@@ -7,20 +7,20 @@ scatter-adds with a short loop over the *kernel* footprint — at most
 ``kh*kw`` iterations (25 for the paper's 5×5 kernels) — instead of a
 Python loop over pixels.
 
-Both kernels accept an optional :class:`~repro.tensor.workspace.
-Workspace`: the padded-input scratch and the patch matrix (``im2col``)
-and the scatter-add base (``col2im``) are then served from reusable
-arena buffers instead of fresh allocations.  The arithmetic is
-bit-identical either way; only the buffers' provenance changes.  With a
-workspace, ``col2im``'s result aliases arena storage (it is the
-scatter base, or a view into it), so it is only valid until the next
-request of the same slot — callers that let the result escape must
-copy it out.
+``col2im`` accepts an optional :class:`~repro.tensor.workspace.
+Workspace` (the :class:`~repro.core.inference.InferencePlan`'s
+transposed-convolution step): the scatter-add base is then served from
+a reusable arena buffer instead of a fresh allocation.  The arithmetic
+is bit-identical either way; only the buffer's provenance changes.
+With a workspace the result aliases arena storage (it is the scatter
+base, or a view into it), so it is only valid until the next request
+of the same slot — callers that let the result escape must copy it
+out.
 
-These monolithic kernels are the *reference* pair: stride-1 training
-and large no-grad shapes run the strip kernels of
+These monolithic kernels are the *reference* pair, allocate-per-call:
+every stride-1 convolution runs the strip kernels of
 :mod:`~repro.tensor.blocked`, which never materialize the full patch
-matrix and share only :func:`pad_input` with this module.
+matrix and share only :func:`conv_output_size` with this module.
 """
 
 from __future__ import annotations
@@ -44,41 +44,11 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def pad_input(
-    x: np.ndarray,
-    padding: tuple[int, int],
-    workspace: Workspace | None,
-    slot: str,
-) -> np.ndarray:
-    """``x`` with symmetric zero ``padding`` on its two spatial axes.
-
-    With a workspace the padded copy lives in an arena buffer whose
-    slot name encodes the padding split: two callers whose padded
-    shapes coincide but whose interiors differ must not share a
-    buffer, because only the interior is ever rewritten (the borders
-    stay zero from creation).
-    """
-    ph, pw = padding
-    if not (ph or pw):
-        return x
-    n, c, h, w = x.shape
-    if workspace is None:
-        # Workspace-less naive fallback: correctness path only, never
-        # taken by a warmed-up InferencePlan.
-        return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))  # noqa: REP012
-    padded = workspace.request(
-        f"{slot}.{ph}x{pw}", (n, c, h + 2 * ph, w + 2 * pw), x.dtype
-    )
-    padded[:, :, ph : ph + h, pw : pw + w] = x
-    return padded
-
-
 def im2col(
     x: np.ndarray,
     kernel: tuple[int, int],
     stride: tuple[int, int] = (1, 1),
     padding: tuple[int, int] = (0, 0),
-    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Unfold sliding patches of ``x`` into a GEMM-ready matrix.
 
@@ -89,10 +59,6 @@ def im2col(
     kernel, stride, padding:
         Per-axis (height, width) convolution parameters; padding is
         symmetric zero padding.
-    workspace:
-        Optional arena serving the padded-input scratch and the patch
-        matrix.  The returned ``cols`` then aliases arena storage and
-        is valid only until the arena's next request of the same slot.
 
     Returns
     -------
@@ -111,21 +77,14 @@ def im2col(
     oh = conv_output_size(h, kh, sh, ph)
     ow = conv_output_size(w, kw, sw, pw)
     with perf.timed("im2col"):
-        x = pad_input(x, padding, workspace, "im2col.padded")
+        if ph or pw:
+            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         # (N, C, H', W') -> (N, C, OH*, OW*, kh, kw) view, strided to OH, OW
         windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
         windows = windows[:, :, ::sh, ::sw, :, :]
-        # -> (N, OH, OW, C, kh, kw) -> (N*OH*OW, C*kh*kw). The transpose
-        # forces one copy; with a workspace that copy lands in a warm
-        # arena buffer instead of a fresh (page-faulting) allocation.
-        patches = windows.transpose(0, 2, 3, 1, 4, 5)
-        if workspace is not None:
-            cols = workspace.request(
-                "im2col.cols", (n * oh * ow, c * kh * kw), x.dtype
-            )
-            np.copyto(cols.reshape(n, oh, ow, c, kh, kw), patches)
-        else:
-            cols = patches.reshape(n * oh * ow, c * kh * kw)
+        # -> (N, OH, OW, C, kh, kw) -> (N*OH*OW, C*kh*kw); the reshape
+        # of the transposed view is the one copy.
+        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
     return cols, (oh, ow)
 
 

@@ -1,10 +1,13 @@
 """Differentiable 2-D convolution and transposed convolution.
 
-``conv2d`` has one kernel path per shape class:
+``conv2d`` picks its kernel by one rule, the same with and without
+autograd:
 
-* **stride 1 under autograd** (every training step) — the strip
-  kernels of :mod:`~repro.tensor.blocked`.  The forward never
-  materializes the ``(N*OH*OW, C*kh*kw)`` patch matrix and the
+* **stride 1 and padding < kernel** (every layer of the paper's CNN,
+  at every size, training and inference) — the strip kernels of
+  :mod:`~repro.tensor.blocked`.  The forward never materializes the
+  ``(N*OH*OW, C*kh*kw)`` patch matrix.  Under ``no_grad`` the bias and
+  activation are fused into the strip epilogue; under autograd the
   backward closure retains only what the graph holds anyway: the
   parents' arrays (plus the output-sized activation derivative when
   ``activation`` is fused).  The backward *recomputes* each patch
@@ -13,14 +16,17 @@
   flipped, channel-swapped weights through the same forward kernel —
   no column gradient, no ``col2im``.  Live memory per layer is
   O(input + output) instead of O(N*OH*OW*C*kh*kw).
-* **no-grad** — the strip kernel above :func:`~repro.tensor.blocked.
-  should_block`, the monolithic kernel (bit-pinned by the
-  plan-equivalence tests) below it.
-* **reference** (:func:`conv2d_reference`) — monolithic im2col + one
-  GEMM, backward through the cached patch matrix and
-  :func:`~repro.tensor.im2col.col2im`.  Serves stride != 1 and
-  padding >= kernel under autograd, and is what the parity tests and
-  gradcheck compare the strip path against.
+* **everything else** (:func:`conv2d_reference`) — monolithic im2col +
+  one GEMM, backward through the cached patch matrix and
+  :func:`~repro.tensor.im2col.col2im`, allocate-per-call.  Serves
+  stride != 1 and padding >= kernel (the correlation-form input
+  gradient pads by ``k-1-p``, which has to be non-negative), and is
+  what the parity tests and gradcheck compare the strip path against.
+
+The strip path draws its scratch from the calling thread's arena when
+there is one and allocates it otherwise; the arithmetic does not
+depend on which, so results with and without a workspace are
+bit-identical.
 
 The transposed convolution is implemented as the exact adjoint of the
 convolution, which is what the paper's "de-convolutional layer"
@@ -29,14 +35,9 @@ alternative (Sec. III, option 4) requires.
 ``conv2d`` accepts ``activation="leaky_relu"``, fusing the bias add and
 the activation into the op.  Fused and unfused are bit-identical on
 every path: the forward multiplies by the exact ``where(z >= 0, 1,
-slope)`` array the standalone op would build (the no-grad epilogue's
-``max(z, slope*z)`` equals it for ``0 <= slope <= 1``), and the
-backward scales gradients with that same array.
-
-:func:`conv2d_forward` is the raw-ndarray monolithic kernel; the
-compiled :class:`~repro.core.inference.InferencePlan` calls it directly
-with pre-bound GEMM output buffers so small-shape rollout steps are
-allocation-free after warmup.
+slope)`` array the standalone op would build (the no-grad strip
+epilogue's ``max(z, slope*z)`` equals it for ``0 <= slope <= 1``), and
+the backward scales gradients with that same array.
 """
 
 from __future__ import annotations
@@ -46,16 +47,12 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import ConfigurationError, ShapeError
-from . import autograd, gemm, perf
-from .blocked import (
-    conv2d_forward_blocked,
-    conv2d_weight_grad_blocked,
-    should_block,
-)
-from .fused import bias_leaky_relu_, leaky_relu_scale
-from .im2col import col2im, conv_output_size, im2col
+from . import autograd, perf
+from .blocked import conv2d_forward_blocked, conv2d_weight_grad_blocked
+from .fused import leaky_relu_scale
+from .im2col import col2im, im2col
 from .tensor import Tensor, ensure_tensor, register_op
-from .workspace import Workspace, get_workspace, scratch
+from .workspace import get_workspace, scratch
 
 #: Arena slot namespace of the autograd strip path (forward and
 #: backward share it: every buffer is dead when its kernel returns).
@@ -66,70 +63,6 @@ def _pair(value: int | tuple[int, int]) -> tuple[int, int]:
     if isinstance(value, tuple):
         return (int(value[0]), int(value[1]))
     return (int(value), int(value))
-
-
-def conv2d_forward(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None,
-    stride: tuple[int, int],
-    padding: tuple[int, int],
-    activation: str | None = None,
-    negative_slope: float = 0.01,
-    workspace: Workspace | None = None,
-    gemm_out: np.ndarray | None = None,
-    slot_prefix: str = "conv2d",
-    keep_scale: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, tuple[int, int]]:
-    """Raw conv2d forward shared by the op and :class:`InferencePlan`.
-
-    Parameters
-    ----------
-    gemm_out:
-        Optional pre-bound ``(N*OH*OW, F)`` buffer for the GEMM result
-        (``np.matmul(..., out=...)``).  Only safe for callers that own
-        the buffer's lifetime; the op itself always allocates, because
-        its result escapes to user code.
-    keep_scale:
-        Materialize and return the leaky-ReLU derivative array (needed
-        by the autograd backward).  Mutually exclusive with the masked
-        in-place epilogue, but bit-identical to it.
-
-    Returns
-    -------
-    ``(out, cols, wmat, act_scale, (oh, ow))`` where ``out`` is the
-    ``(N, F, OH, OW)`` result, ``cols``/``wmat`` are the GEMM operands
-    (captured by the op's backward), and ``act_scale`` is the
-    activation derivative or ``None``.
-    """
-    n, c, h, w = x.shape
-    f = weight.shape[0]
-    kh, kw = weight.shape[2], weight.shape[3]
-    cols, (oh, ow) = im2col(x, (kh, kw), stride, padding, workspace=workspace)
-    wmat = weight.reshape(f, c * kh * kw)
-    out = gemm.threaded_matmul(cols, wmat.T, out=gemm_out)  # (N*OH*OW, F)
-    act_scale = None
-    if activation is None:
-        if bias is not None:
-            out += bias
-    elif keep_scale:
-        # Training path: same values as the masked epilogue (z * 1.0 is
-        # bit-identical to z), but the derivative array is kept for
-        # backward.
-        if bias is not None:
-            out += bias
-        act_scale = leaky_relu_scale(out, negative_slope)
-        out *= act_scale
-    else:
-        bias_leaky_relu_(
-            out,
-            bias,
-            negative_slope,
-            workspace=workspace,
-            slot=f"{slot_prefix}.mask",
-        )
-    out4 = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-    return out4, cols, wmat, act_scale, (oh, ow)
 
 
 @register_op("conv2d")
@@ -165,7 +98,7 @@ def conv2d(
         raise ConfigurationError(
             f"conv2d supports activation=None or 'leaky_relu', got {activation!r}"
         )
-    n, c, h, w = tx.shape
+    c = tx.shape[1]
     f, wc, kh, kw = tw.shape
     if wc != c:
         raise ShapeError(
@@ -177,37 +110,23 @@ def conv2d(
     parents = (tx, tw) if tb is None else (tx, tw, tb)
     ph, pw = padding
 
-    if autograd.grad_enabled() and any(p.requires_grad for p in parents):
-        # The correlation-form input gradient pads the output gradient
-        # by k-1-p, which has to be non-negative.
-        if stride == (1, 1) and ph < kh and pw < kw:
-            return _conv2d_strips(
-                tx, tw, tb, padding, activation, negative_slope, parents
-            )
+    if stride != (1, 1) or ph >= kh or pw >= kw:
         return conv2d_reference(
             tx, tw, tb, stride, padding, activation, negative_slope, parents
         )
-
-    workspace = get_workspace()
-    oh = conv_output_size(h, kh, stride[0], ph)
-    ow = conv_output_size(w, kw, stride[1], pw)
-    itemsize = np.result_type(tx.dtype, tw.dtype).itemsize
-    if workspace is not None and should_block(n, c, oh, ow, kh, kw, itemsize):
-        with perf.timed("conv2d"):
-            out, _ = conv2d_forward_blocked(
-                tx.data,
-                tw.data,
-                None if tb is None else tb.data,
-                stride,
-                padding,
-                activation=activation,
-                negative_slope=negative_slope,
-                workspace=workspace,
-            )
-        return Tensor(out)
-    return conv2d_reference(
-        tx, tw, tb, stride, padding, activation, negative_slope, parents
-    )
+    if autograd.grad_enabled() and any(p.requires_grad for p in parents):
+        return _conv2d_strips(tx, tw, tb, padding, activation, negative_slope, parents)
+    with perf.timed("conv2d"):
+        out = conv2d_forward_blocked(
+            tx.data,
+            tw.data,
+            None if tb is None else tb.data,
+            padding,
+            activation=activation,
+            negative_slope=negative_slope,
+            workspace=get_workspace(),
+        )
+    return Tensor(out)
 
 
 def _conv2d_strips(
@@ -229,11 +148,10 @@ def _conv2d_strips(
     x, weight = tx.data, tw.data
     kh, kw = weight.shape[2], weight.shape[3]
     with perf.timed("conv2d"):
-        out, _ = conv2d_forward_blocked(
+        out = conv2d_forward_blocked(
             x,
             weight,
             None if tb is None else tb.data,
-            (1, 1),
             padding,
             workspace=get_workspace(),
             slot_prefix=_TRAIN_SLOTS,
@@ -271,11 +189,10 @@ def _conv2d_strips(
                 # kernel whose in/out channels swap roles; cropping its
                 # result by p is the same as padding grad by k-1-p.
                 flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                grad_x, _ = conv2d_forward_blocked(
+                grad_x = conv2d_forward_blocked(
                     grad,
                     flipped,
                     None,
-                    (1, 1),
                     (kh - 1 - padding[0], kw - 1 - padding[1]),
                     workspace=workspace,
                     slot_prefix=_TRAIN_SLOTS,
@@ -301,24 +218,25 @@ def conv2d_reference(
     """Monolithic ``conv2d``: full patch matrix, one GEMM, ``col2im``.
 
     Takes validated operands (``conv2d`` is the public entry point).
-    Under autograd the backward closure captures the patch matrix, so
-    the forward scratch is never borrowed from an arena then.
+    Every array is freshly allocated: under autograd the backward
+    closure captures the patch matrix, and without it this is the
+    correctness path, not a fast one.
     """
     n, c, h, w = tx.shape
     f, _, kh, kw = tw.shape
-    needs_grad = autograd.grad_enabled() and any(p.requires_grad for p in parents)
     with perf.timed("conv2d"):
-        out, cols, wmat, act_scale, (oh, ow) = conv2d_forward(
-            tx.data,
-            tw.data,
-            None if tb is None else tb.data,
-            stride,
-            padding,
-            activation=activation,
-            negative_slope=negative_slope,
-            workspace=None if needs_grad else get_workspace(),
-            keep_scale=needs_grad and activation is not None,
-        )
+        cols, (oh, ow) = im2col(tx.data, (kh, kw), stride, padding)
+        wmat = tw.data.reshape(f, c * kh * kw)
+        out = cols @ wmat.T  # (N*OH*OW, F)
+        if tb is not None:
+            out += tb.data
+        act_scale = None
+        if activation is not None:
+            # Bit-identical to the standalone leaky_relu op (z * 1.0 is
+            # z); the derivative array is kept for backward.
+            act_scale = leaky_relu_scale(out, negative_slope)
+            out *= act_scale
+        out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
     def backward(grad: np.ndarray):
         with perf.timed("conv2d.backward"):
@@ -331,7 +249,7 @@ def conv2d_reference(
             )
             grad_x = None
             if tx.requires_grad:
-                gcols = gemm.threaded_matmul(gmat, wmat)  # (N*OH*OW, C*kh*kw)
+                gcols = gmat @ wmat  # (N*OH*OW, C*kh*kw)
                 grad_x = col2im(gcols, (n, c, h, w), (kh, kw), stride, padding)
             if tb is None:
                 return grad_x, grad_w

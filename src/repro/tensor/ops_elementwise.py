@@ -212,8 +212,9 @@ def relu(a: Any) -> Tensor:
 def leaky_relu(a: Any, negative_slope: float = 0.01) -> Tensor:
     """Leaky ReLU, Eq. (2) of the paper (``negative_slope`` is ε)."""
     ta = ensure_tensor(a)
-    positive = ta.data >= 0.0
-    scale = np.where(positive, 1.0, negative_slope)
+    # In the operand's dtype: a float64 scale would promote a float32
+    # product and round it differently from the fused kernels.
+    scale = np.where(ta.data >= 0.0, 1.0, negative_slope).astype(ta.dtype, copy=False)
 
     def backward(grad: np.ndarray):
         return (grad * scale,)

@@ -175,7 +175,19 @@ class TestRetention:
         assert any(a.size == patch_elements for a in closure_arrays(out._backward))
 
 
-class TestReferencePathClasses:
+#: Outside the strip rule (stride 1 and padding < kernel): conv2d
+#: keyword arguments with the (x, weight, bias) shapes to call it on.
+REFERENCE_CLASSES = {
+    "stride-2": (dict(stride=2, padding=1), ((2, 3, 7, 6), (4, 3, 3, 3), (4,))),
+    "padding>=kernel": (dict(padding=(2, 1)), ((1, 2, 4, 5), (3, 2, 2, 3), (3,))),
+}
+
+
+class TestKernelRule:
+    """One observable rule, the same with and without autograd: stride 1
+    and padding < kernel run the strip kernels, everything else is
+    ``conv2d_reference``."""
+
     @pytest.fixture
     def no_strip_kernels(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -184,27 +196,89 @@ class TestReferencePathClasses:
         monkeypatch.setattr(ops_conv, "conv2d_forward_blocked", refuse)
         monkeypatch.setattr(ops_conv, "conv2d_weight_grad_blocked", refuse)
 
-    def test_stride_two_is_reference_and_gradchecks(self, rng, no_strip_kernels):
+    @pytest.fixture
+    def no_reference_kernels(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reference kernel reached from a stride-1 shape")
+
+        monkeypatch.setattr(ops_conv, "im2col", refuse)
+        monkeypatch.setattr(ops_conv, "col2im", refuse)
+
+    @pytest.mark.parametrize("label", REFERENCE_CLASSES)
+    def test_reference_class_gradchecks(self, rng, no_strip_kernels, label):
+        kwargs, shapes = REFERENCE_CLASSES[label]
         gradcheck_fn(
-            lambda x, w, b: T.conv2d(x, w, b, stride=2, padding=1),
-            [rng.standard_normal(s) for s in ((2, 3, 7, 6), (4, 3, 3, 3), (4,))],
+            lambda x, w, b: T.conv2d(x, w, b, **kwargs),
+            [rng.standard_normal(s) for s in shapes],
         )
 
-    def test_padding_not_below_kernel_is_reference_and_gradchecks(
-        self, rng, no_strip_kernels
+    @pytest.mark.parametrize("label", REFERENCE_CLASSES)
+    def test_reference_class_is_reference_under_no_grad_too(
+        self, rng, no_strip_kernels, label
     ):
-        gradcheck_fn(
-            lambda x, w, b: T.conv2d(x, w, b, padding=(2, 1)),
-            [rng.standard_normal(s) for s in ((1, 2, 4, 5), (3, 2, 2, 3), (3,))],
-        )
+        kwargs, shapes = REFERENCE_CLASSES[label]
+        x, w, b = (rng.standard_normal(s) for s in shapes)
+        recorded = T.conv2d(*(Tensor(a, requires_grad=True) for a in (x, w, b)), **kwargs)
+        with T.no_grad():
+            plain = T.conv2d(Tensor(x), Tensor(w), Tensor(b), **kwargs)
+            with workspace_disabled():
+                cold = T.conv2d(Tensor(x), Tensor(w), Tensor(b), **kwargs)
+        assert np.array_equal(plain.data, recorded.data)
+        assert np.array_equal(cold.data, recorded.data)
 
     def test_conv_transpose_is_reference_and_gradchecks(self, no_strip_kernels):
         assert check_op("conv_transpose2d", np.random.default_rng(7)) >= 1
 
-    def test_stride_one_does_use_the_strip_kernels(self, rng, no_strip_kernels):
+    @pytest.mark.parametrize("requires_grad", [True, False])
+    def test_stride_one_does_use_the_strip_kernels(
+        self, rng, no_strip_kernels, requires_grad
+    ):
         x, w, b, _ = case_arrays(rng, 1, 4, 6, 0, np.float64)
         with pytest.raises(AssertionError, match="strip kernel reached"):
-            T.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
+            T.conv2d(Tensor(x, requires_grad=requires_grad), Tensor(w), Tensor(b))
+
+    @pytest.mark.parametrize("arena", [True, False])
+    @pytest.mark.parametrize("requires_grad", [True, False])
+    def test_stride_one_never_reaches_the_reference_kernels(
+        self, rng, no_reference_kernels, requires_grad, arena
+    ):
+        """Neither the image size nor a missing arena sends a stride-1
+        shape anywhere else."""
+        x, w, b, g = case_arrays(rng, 2, 16, 6, 2, np.float64)
+        tx = Tensor(x, requires_grad=requires_grad)
+        if arena:
+            out = T.conv2d(tx, Tensor(w), Tensor(b), padding=2)
+        else:
+            with workspace_disabled():
+                out = T.conv2d(tx, Tensor(w), Tensor(b), padding=2)
+        if requires_grad:
+            out.backward(g)
+            assert tx.grad.shape == x.shape
+
+
+class TestPaddedScratch:
+    def test_padded_slots_keyed_by_split(self, rng):
+        """Two calls with the same padded shape but different (ph, pw)
+        splits must not share a padded scratch buffer: the zero borders
+        live in different places and only the interior is rewritten, so
+        a shared buffer would leak one call's interior into the other's
+        border."""
+        ws = T.Workspace()
+        w = rng.standard_normal((2, 1, 3, 3))
+        x_a = rng.standard_normal((1, 1, 6, 8))  # padded to 8x8 via (1, 0)
+        x_b = rng.standard_normal((1, 1, 8, 6))  # padded to 8x8 via (0, 1)
+
+        def run(x, padding, workspace):
+            return blocked.conv2d_forward_blocked(
+                x, w, None, padding, workspace=workspace, slot_prefix="test"
+            )
+
+        ref_a, ref_b = run(x_a, (1, 0), None), run(x_b, (0, 1), None)
+        assert np.array_equal(run(x_a, (1, 0), ws), ref_a)
+        assert np.array_equal(run(x_b, (0, 1), ws), ref_b)
+        assert np.array_equal(run(x_a, (1, 0), ws), ref_a)
+        slots = {key[0] for key in ws._buffers}
+        assert {"test.padded.1x0", "test.padded.0x1"} <= slots
 
 
 class TestSeamGradcheckCase:

@@ -8,7 +8,6 @@ from repro.exceptions import AutogradError, ConfigurationError
 from repro.tensor import (
     Tensor,
     add_,
-    bias_leaky_relu_,
     leaky_relu_,
     mul_,
     no_grad,
@@ -79,30 +78,7 @@ class TestInPlaceEquivalence:
         assert np.signbit(got[0]) == np.signbit(expected[0])
 
 
-class TestBiasLeakyReluEpilogue:
-    def test_matches_composition(self, rng):
-        z = rng.standard_normal((12, 4))
-        bias = rng.standard_normal(4)
-        expected = T.leaky_relu(Tensor(z + bias), negative_slope=0.1).numpy()
-        got = bias_leaky_relu_(z.copy(), bias, negative_slope=0.1)
-        assert np.array_equal(got, expected)
-
-    def test_no_bias(self, rng):
-        z = rng.standard_normal((12, 4))
-        expected = T.leaky_relu(Tensor(z), negative_slope=0.1).numpy()
-        assert np.array_equal(bias_leaky_relu_(z.copy(), None, 0.1), expected)
-
-    def test_workspace_mask_path_identical(self, rng):
-        ws = Workspace()
-        z = rng.standard_normal((12, 4))
-        bias = rng.standard_normal(4)
-        naive = bias_leaky_relu_(z.copy(), bias, 0.1)
-        warm = bias_leaky_relu_(z.copy(), bias, 0.1, workspace=ws)
-        again = bias_leaky_relu_(z.copy(), bias, 0.1, workspace=ws)
-        assert np.array_equal(naive, warm)
-        assert np.array_equal(naive, again)
-        assert ws.stats.buffers_created == 1  # mask reused on second call
-
+class TestLeakyReluScale:
     def test_leaky_relu_scale(self, rng):
         z = np.array([-2.0, -0.0, 0.0, 3.0])
         assert np.array_equal(leaky_relu_scale(z, 0.1), [0.1, 1.0, 1.0, 1.0])
@@ -111,7 +87,8 @@ class TestBiasLeakyReluEpilogue:
 class TestFusedConv:
     """conv2d(activation="leaky_relu") vs conv-then-activation."""
 
-    def _naive(self, x, w, b, stride, padding, slope):
+    def _unfused(self, x, w, b, stride, padding, slope):
+        """Conv, then the standalone activation op, without an arena."""
         with workspace_disabled():
             out = T.conv2d(
                 Tensor(x),
@@ -123,12 +100,16 @@ class TestFusedConv:
             return T.leaky_relu(out, negative_slope=slope)
 
     @pytest.mark.parametrize("bias", [True, False])
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (1, 2)])
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (1, 2), (1, 3)])
     def test_forward_bit_identical(self, rng, bias, stride, padding):
+        """Both kernel classes: (1, 1) and (1, 2) run the strip kernel
+        (epilogue ``max(z, slope*z)``), stride 2 and padding >= kernel the
+        reference (``z * where(z >= 0, 1, slope)``); either way fused and
+        unfused, arena and no arena, agree to the bit."""
         x = rng.standard_normal((2, 3, 9, 9))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4) if bias else None
-        expected = self._naive(x, w, b, stride, padding, 0.1).numpy()
+        expected = self._unfused(x, w, b, stride, padding, 0.1).numpy()
         with no_grad():
             fused = T.conv2d(
                 Tensor(x),
@@ -142,6 +123,8 @@ class TestFusedConv:
         assert np.array_equal(fused, expected)
 
     def test_forward_identical_with_and_without_workspace(self, rng):
+        """The op takes the strip kernel whether or not an arena is
+        bound, so where the scratch lives cannot change a bit."""
         x = rng.standard_normal((1, 4, 16, 16))
         w = rng.standard_normal((4, 4, 5, 5))
         b = rng.standard_normal(4)

@@ -210,19 +210,21 @@ class TestKernelParity:
             assert back.dtype == np.float32
 
     @pytest.mark.parametrize("mode", ["float64", "float32"])
-    def test_blocked_kernel_matches_monolithic(self, rng, mode):
+    def test_strip_kernel_matches_reference(self, rng, mode):
+        from repro.tensor.ops_conv import conv2d_reference
+
         with precision(mode):
             dtype = default_dtype()
             x = rng.standard_normal((2, 3, 20, 24)).astype(dtype)
             w = rng.standard_normal((5, 3, 3, 3)).astype(dtype)
             b = rng.standard_normal(5).astype(dtype)
             with no_grad():
-                ref = T.conv2d(
-                    Tensor(x), Tensor(w), Tensor(b), padding=1,
-                    activation="leaky_relu", negative_slope=0.1,
+                operands = (Tensor(x), Tensor(w), Tensor(b))
+                ref = conv2d_reference(
+                    *operands, (1, 1), (1, 1), "leaky_relu", 0.1, operands
                 ).numpy()
-            out, _ = conv2d_forward_blocked(
-                x, w, b, (1, 1), (1, 1),
+            out = conv2d_forward_blocked(
+                x, w, b, (1, 1),
                 activation="leaky_relu", negative_slope=0.1,
                 workspace=Workspace(),
             )
@@ -296,10 +298,9 @@ class TestInferencePlanPrecision:
                 expected = model(x).numpy()
             got = plan.run(x.numpy())
         assert got.dtype == expected.dtype == np.float32
-        # Not bitwise like the float64 pins: BLAS may pick a different
-        # sgemm kernel for the plan's pre-bound output buffer, which is
-        # free to reassociate the accumulation by a ulp.
-        np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-6)
+        # Bitwise, like the float64 pins: the plan and the op run the
+        # same strip kernel, and the activation rounds in float32 both ways.
+        assert np.array_equal(got, expected)
 
 
 class TestProcessBackendPrecision:
