@@ -1,10 +1,10 @@
-"""Parallel inference with point-to-point halo exchange (Sec. III).
+"""Parallel inference with neighbour-to-neighbour halo exchange (Sec. III).
 
 Each rank predicts only its own subdomain.  Single-step prediction is
 embarrassingly parallel; for multi-step rollout the network input at
 step *t+1* needs the neighbour overlap of the *predicted* fields, which
-ranks obtain through the fully point-to-point halo exchange — no
-central instance, exactly as the paper prescribes.
+every rank takes from its neighbours alone — no central instance,
+exactly as the paper prescribes.
 
 Rollout is the inference hot loop, so this module also hosts
 :class:`InferencePlan`: a per-model compilation of the fixed layer
@@ -18,10 +18,15 @@ forward; the equivalence tests pin this per strategy and over seeded
 multi-step MPI rollouts on both execution backends.
 
 The data around the plan is as still as the plan's scratch: every rank
-reassembles its halo-extended input in one persistent buffer and writes
-each prediction into its window of a single shared trajectory
-(:func:`repro.mpi.shared_empty`), so ranks return two integers and the
-caller already holds the result.
+writes each prediction into its window of a single shared trajectory
+(:func:`repro.mpi.shared_empty`) and *reads* its halo from the same
+array — a one-sided get of the neighbours' windows into one persistent
+padded buffer, ordered by a :class:`repro.mpi.Handshake` (MPI-3
+shared-window style).  No strip is copied, pickled or queued, ranks
+return nothing, and the caller already holds the result.
+:class:`~repro.domain.halo.HaloExchanger` remains the two-sided,
+distributed-memory form of the same exchange and the reference the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import numpy as np
 
 from .. import mpi
 from ..domain.decomposition import BlockDecomposition
-from ..domain.halo import HaloExchanger
 from ..exceptions import ConfigurationError, ShapeError
 from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
 from ..obs import metrics as obs_metrics
@@ -47,6 +51,11 @@ from .padding import PaddingStrategy
 
 #: Rollout-loop latency instrument (no-op while metrics are off).
 _ROLLOUT_STEP_SECONDS = obs_metrics.histogram("rollout.step_seconds")
+#: The halo volumes a rollout moves, under the instruments the two-sided
+#: exchange reports them (same registry entries, same meaning).
+_HALO_EXCHANGES = obs_metrics.counter("halo.exchanges")
+_BYTES_SENT = obs_metrics.counter("mpi.bytes_sent")
+_BYTES_RECV = obs_metrics.counter("mpi.bytes_recv")
 
 
 @dataclass
@@ -55,9 +64,11 @@ class RolloutResult:
 
     #: shape ``(num_steps + 1, C, H, W)`` — element 0 is the initial state
     trajectory: np.ndarray
-    #: total point-to-point messages sent across all ranks and steps
+    #: halo strips exchanged across all ranks and steps, counted as the
+    #: two-phase point-to-point exchange sends them (one per axis
+    #: neighbour, corners riding the x strips)
     messages_sent: int
-    #: total payload volume in bytes
+    #: total volume of those strips in bytes
     bytes_sent: int
 
     @property
@@ -377,9 +388,10 @@ class ParallelPredictor:
     ) -> RolloutResult:
         """Autoregressive multi-step prediction from a global field.
 
-        ``initial`` has shape ``(C, H, W)``; each step exchanges halos
-        (when the strategy uses neighbour data), forwards the local
-        network, and feeds the prediction back as the next input.
+        ``initial`` has shape ``(C, H, W)``; each step reads the halo
+        from the neighbours' windows of the shared trajectory (when the
+        strategy uses neighbour data), forwards the local network, and
+        writes the prediction where the next step reads it.
         ``execution`` selects the MPI runtime backend (``"threads"`` or
         ``"processes"``); results are identical either way.
         """
@@ -391,7 +403,8 @@ class ParallelPredictor:
                 f"decomposition {self.decomposition.field_shape}"
             )
         decomposition = self.decomposition
-        halo = self.halo
+        halo, fill = self.halo, self.fill
+        ranks = range(decomposition.num_subdomains)
         # One global trajectory every rank writes its own window of —
         # nothing is stacked, returned or reassembled.  The dtype is
         # what stacking the initial frame with the predictions gave.
@@ -399,63 +412,86 @@ class ParallelPredictor:
             (num_steps + 1,) + initial.shape,
             np.result_type(initial.dtype, *map(_parameter_dtype, self.models)),
         )
+        trajectory[0] = initial
+        strips = [
+            _strip_volumes(decomposition, rank, halo, initial.shape[0], trajectory.itemsize)
+            if halo
+            else []
+            for rank in ranks
+        ]
+        handshake = None
+        if halo:
+            decomposition.check_halo(halo)
+            # A rank reads frame t of a neighbour's window once that
+            # neighbour has posted it; frames are append-only, so one
+            # post per edge per step is the whole protocol.
+            handshake = mpi.Handshake([decomposition.halo_peers(rank) for rank in ranks])
 
-        def program(comm: mpi.Communicator) -> tuple[int, int]:
-            sub = decomposition.subdomain(comm.rank)
+        def program(comm: mpi.Communicator) -> None:
+            rank = comm.rank
+            sub = decomposition.subdomain(rank)
             window = trajectory[:, :, sub.y_slice, sub.x_slice]
-            window[0] = initial[:, sub.y_slice, sub.x_slice]
-            model = self.models[comm.rank]
-            plan = self._plans[comm.rank]
-            exchanger = None
-            padded = None  # the halo-extended input, reassembled in place every step
-            step_messages = step_bytes = 0
-            if halo > 0:
-                exchanger = HaloExchanger(comm, decomposition, halo, self.fill)
-                step_messages = exchanger.messages_per_exchange
-                # Each message carries a halo strip of the local block.
-                step_bytes = sum(
-                    _strip_volumes(window.shape[1:], halo, exchanger, trajectory.itemsize)
-                )
+            model = self.models[rank]
+            plan = self._plans[rank]
+            padded = None  # the halo-extended input, refilled in place every step
+            step_bytes = sum(strips[rank])
             metered = obs_metrics.enabled()
             for step in range(num_steps):
                 step_start = trace.clock() if metered else 0.0
                 with trace.span("rollout.step", cat="rollout", step=step):
                     net_input = window[step]  # ZERO / TRANSPOSE: the block is the input
-                    if exchanger is not None:
-                        net_input = padded = exchanger.exchange(net_input, out=padded)
+                    if handshake is not None:
+                        # The wait nests in the comm span as router.wait
+                        # nests in mpi.recv: comm seconds include it.
+                        with (
+                            trace.span("halo.exchange", cat="comm.compound", halo=halo),
+                            trace.span("halo.get", cat="comm", bytes=step_bytes),
+                        ):
+                            if step:
+                                with trace.span("halo.wait", cat="comm.wait"):
+                                    handshake.wait(comm, step)
+                            net_input = padded = decomposition.extract(
+                                trajectory[step], rank, halo, fill, out=padded
+                            )
+                        if metered:
+                            _HALO_EXCHANGES.inc()
+                            _BYTES_SENT.inc(step_bytes)
+                            _BYTES_RECV.inc(step_bytes)
                     with trace.span("rollout.forward", cat="compute", step=step):
                         _predict_into(model, plan, net_input, window[step + 1])
+                    if handshake is not None and step + 1 < num_steps:
+                        handshake.post(rank)
                 if metered:
                     _ROLLOUT_STEP_SECONDS.observe(trace.clock() - step_start)
                 obs_metrics.heartbeat()
-            return step_messages * num_steps, step_bytes * num_steps
 
-        sent = mpi.run_parallel(program, decomposition.num_subdomains, backend=execution)
+        mpi.run_parallel(program, decomposition.num_subdomains, backend=execution)
         return RolloutResult(
-            trajectory, sum(m for m, _ in sent), sum(b for _, b in sent)
+            trajectory,
+            messages_sent=num_steps * sum(map(len, strips)),
+            bytes_sent=num_steps * sum(map(sum, strips)),
         )
 
 
 def _strip_volumes(
-    local_shape: tuple[int, ...],
-    halo: int,
-    exchanger: HaloExchanger,
-    itemsize: int = 8,
-):
-    """Byte volume of each halo strip this rank sends in one exchange.
-
-    ``itemsize`` follows the exchanged array's dtype — 4 under the
-    float32 compute mode, 8 under the float64 default.
+    decomposition: BlockDecomposition, rank: int, halo: int, channels: int, itemsize: int
+) -> list[int]:
+    """Byte volume of each strip ``rank`` sends in one two-phase halo
+    exchange — the unit ``messages_sent`` / ``bytes_sent`` count in,
+    whatever carries the data.  One strip per axis neighbour that is
+    another rank: a wall has none, and a periodic axis one rank wide
+    wraps onto the rank itself, which is a local copy.
     """
-    c, h, w = local_shape
-    for (axis, _direction), peer in exchanger.neighbours.items():
-        if peer is None:
-            continue
-        if axis == 0:
-            yield c * halo * w * itemsize
-        else:
-            # Phase 2 sends strips of the y-extended array.
-            yield c * (h + 2 * halo) * halo * itemsize
+    h, w = decomposition.subdomain(rank).shape
+    # Phase 1 swaps rows of the block, phase 2 columns of the y-extended
+    # block (which carries the corners along).
+    lines = (w, h + 2 * halo)
+    return [
+        channels * halo * lines[axis] * itemsize
+        for axis in (0, 1)
+        for direction in (-1, +1)
+        if decomposition.neighbour(rank, axis, direction) not in (None, rank)
+    ]
 
 
 class SequentialPredictor:

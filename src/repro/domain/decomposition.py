@@ -185,12 +185,68 @@ class BlockDecomposition:
         return tuple(sides)
 
     # ------------------------------------------------------------------
+    def halo_peers(self, rank: int) -> tuple[int, ...]:
+        """The other ranks whose blocks a halo-extended :meth:`extract`
+        of ``rank`` reads: axis and diagonal neighbours, wrapped along
+        periodic axes, ``rank`` itself excluded.  Holds for any halo no
+        wider than the smallest block (:meth:`check_halo`); the relation
+        is symmetric."""
+        peers = set()
+        for dy in (-1, 0, 1):
+            row = rank if dy == 0 else self.neighbour(rank, 0, dy)
+            if row is None:
+                continue
+            for dx in (-1, 0, 1):
+                peer = row if dx == 0 else self.neighbour(row, 1, dx)
+                if peer is not None:
+                    peers.add(peer)
+        peers.discard(rank)
+        return tuple(sorted(peers))
+
+    def check_halo(self, halo: int) -> None:
+        """Raise unless ``halo`` lines fit inside every block, i.e. a
+        halo reaches no further than the adjacent blocks."""
+        smallest = (
+            self.field_shape[0] // self.pgrid[0],
+            self.field_shape[1] // self.pgrid[1],
+        )
+        if halo > min(smallest):
+            raise DecompositionError(
+                f"halo {halo} exceeds the smallest block {smallest}; "
+                "use fewer ranks or a finer grid"
+            )
+
+    # ------------------------------------------------------------------
+    def _halo_segments(
+        self, axis: int, start: int, stop: int, halo: int
+    ) -> tuple[list[tuple[int, int, int]], int, int]:
+        """How lines ``[start - halo, stop + halo)`` of global axis
+        ``axis`` map into a halo-extended block: contiguous
+        ``(block offset, field offset, length)`` runs, plus the number of
+        lines beyond the low / high wall that no run covers (always zero
+        on a periodic axis, which wraps instead)."""
+        extent = self.field_shape[axis]
+        lo, hi = start - halo, stop + halo
+        if not self.periodic[axis]:
+            clamped_lo, clamped_hi = max(lo, 0), min(hi, extent)
+            run = (clamped_lo - lo, clamped_lo, clamped_hi - clamped_lo)
+            return [run], clamped_lo - lo, hi - clamped_hi
+        runs = []
+        line = lo
+        while line < hi:
+            source = line % extent
+            length = min(extent - source, hi - line)
+            runs.append((line - lo, source, length))
+            line += length
+        return runs, 0, 0
+
     def extract(
         self,
         field: np.ndarray,
         rank: int,
         halo: int = 0,
         fill: str = "zero",
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Cut rank's block out of a global ``(..., H, W)`` field.
 
@@ -199,6 +255,10 @@ class BlockDecomposition:
         ``fill`` (``"zero"`` or ``"edge"`` replication) at physical
         domain boundaries.  This is the paper's "padding the input with
         data from neighbouring subdomains".
+
+        The block is assembled by slice copies in ``out`` when given —
+        every element is overwritten, so a loop can pass the same buffer
+        each step — else in a new array.
         """
         if field.shape[-2:] != self.field_shape:
             raise DecompositionError(
@@ -207,48 +267,42 @@ class BlockDecomposition:
             )
         if halo < 0:
             raise DecompositionError(f"halo must be >= 0, got {halo}")
+        if fill not in ("zero", "edge"):
+            raise DecompositionError(f"unknown fill mode {fill!r} (use 'zero' or 'edge')")
         sub = self.subdomain(rank)
-        if halo == 0:
+        if halo == 0 and out is None:
             return np.ascontiguousarray(field[..., sub.y_slice, sub.x_slice])
-        height, width = self.field_shape
-        y0, y1 = sub.y_range
-        x0, x1 = sub.x_range
-        if any(self.periodic):
-            # Wrapped axes take their halo lines from the opposite side
-            # of the global field; non-periodic axes fall through to the
-            # clamp-and-pad below via an empty pad contribution here.
-            if self.periodic[0]:
-                ys = np.arange(y0 - halo, y1 + halo) % height
-                pad_y = (0, 0)
-            else:
-                cy0, cy1 = max(y0 - halo, 0), min(y1 + halo, height)
-                ys = np.arange(cy0, cy1)
-                pad_y = (halo - (y0 - cy0), halo - (cy1 - y1))
-            if self.periodic[1]:
-                xs = np.arange(x0 - halo, x1 + halo) % width
-                pad_x = (0, 0)
-            else:
-                cx0, cx1 = max(x0 - halo, 0), min(x1 + halo, width)
-                xs = np.arange(cx0, cx1)
-                pad_x = (halo - (x0 - cx0), halo - (cx1 - x1))
-            block = field[..., ys[:, None], xs[None, :]]
-            pad = (pad_y, pad_x)
-        else:
-            cy0, cy1 = max(y0 - halo, 0), min(y1 + halo, height)
-            cx0, cx1 = max(x0 - halo, 0), min(x1 + halo, width)
-            block = field[..., cy0:cy1, cx0:cx1]
-            pad = (
-                (halo - (y0 - cy0), halo - (cy1 - y1)),
-                (halo - (x0 - cx0), halo - (cx1 - x1)),
+        h, w = sub.shape
+        shape = field.shape[:-2] + (h + 2 * halo, w + 2 * halo)
+        if out is None:
+            out = np.empty(shape, dtype=field.dtype)
+        elif out.shape != shape or out.dtype != field.dtype:
+            raise DecompositionError(
+                f"out is {out.dtype}{out.shape}, the extended block is "
+                f"{field.dtype}{shape}"
             )
-        if all(lo == 0 and hi == 0 for lo, hi in pad):
-            return np.ascontiguousarray(block)
-        pad_width = ((0, 0),) * (field.ndim - 2) + pad
-        if fill == "zero":
-            return np.pad(block, pad_width)
-        if fill == "edge":
-            return np.pad(block, pad_width, mode="edge")
-        raise DecompositionError(f"unknown fill mode {fill!r} (use 'zero' or 'edge')")
+        y_runs, y_lo, y_hi = self._halo_segments(0, *sub.y_range, halo)
+        x_runs, x_lo, x_hi = self._halo_segments(1, *sub.x_range, halo)
+        for dst_y, src_y, rows in y_runs:
+            for dst_x, src_x, cols in x_runs:
+                out[..., dst_y : dst_y + rows, dst_x : dst_x + cols] = field[
+                    ..., src_y : src_y + rows, src_x : src_x + cols
+                ]
+        # Beyond a physical wall: y first on the columns just copied,
+        # then x over the y-extended lines (np.pad's axis order, and the
+        # halo exchange's), so an edge-filled corner repeats the corner.
+        bottom, right = shape[-2] - y_hi, shape[-1] - x_hi
+        columns = slice(x_lo, right)
+        edge = fill == "edge"
+        if y_lo:
+            out[..., :y_lo, columns] = out[..., y_lo : y_lo + 1, columns] if edge else 0
+        if y_hi:
+            out[..., bottom:, columns] = out[..., bottom - 1 : bottom, columns] if edge else 0
+        if x_lo:
+            out[..., :x_lo] = out[..., x_lo : x_lo + 1] if edge else 0
+        if x_hi:
+            out[..., right:] = out[..., right - 1 : right] if edge else 0
+        return out
 
     def assemble(self, pieces: list[np.ndarray]) -> np.ndarray:
         """Reassemble a global ``(..., H, W)`` field from per-rank blocks

@@ -7,6 +7,12 @@ instance, exactly as the paper prescribes.  The exchange proceeds axis
 by axis (y then x); the second phase sends strips of the already
 extended array, which transports corner data implicitly, the standard
 two-phase scheme from structured-grid codes.
+
+This is the distributed-memory form: every strip is a message.  Ranks
+that share the field they exchange over (``ParallelPredictor.rollout``
+and its shared trajectory) read the same halo one-sidedly with
+``BlockDecomposition.extract(..., out=)``; the property tests pin the
+two to identical bytes.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ execution — while ``backend="processes"`` runs one OS process per rank
 with a shared-memory fast path for large NumPy messages, so P ranks
 genuinely occupy P cores.  Bulk *results* do not travel at all: the
 caller allocates them with :func:`shared_empty` and the ranks write
-their windows in place, on either backend.  See DESIGN.md ("Execution
-backends") for what each mode measures.
+their windows in place, on either backend; ranks that also *read* each
+other's windows order those reads with a :class:`Handshake`.  See
+DESIGN.md ("Execution backends") for what each mode measures.
 """
 
 from .api import (
@@ -42,6 +43,7 @@ from .api import (
     wait_all,
 )
 from .cartesian import CartComm, dims_create
+from .handshake import Handshake
 from .launcher import BACKENDS, run_parallel
 from .process_backend import ProcessCommunicator
 from .router import MessageRouter
@@ -73,4 +75,5 @@ __all__ = [
     "run_parallel",
     "BACKENDS",
     "shared_empty",
+    "Handshake",
 ]

@@ -2,8 +2,8 @@
 
 The process backend moves every message through a ``multiprocessing``
 queue, which pickles its items.  For the payloads that dominate the
-runtime's traffic — halo slabs and weight vectors, i.e. plain NumPy
-arrays — pickling is pure overhead: the bytes are copied into the
+runtime's message traffic — weight vectors and large halo slabs, i.e.
+plain NumPy arrays — pickling is pure overhead: the bytes are copied into the
 pickle stream, through a pipe, and out again.  This module provides the
 fast path: the sender copies the array into a POSIX shared-memory
 segment and ships only a tiny :class:`ShmArrayHeader` (name, shape,
@@ -36,6 +36,8 @@ Separately from the message transport, :func:`shared_empty` hands out
 parent allocates before the ranks start and every rank writes its
 window of.  It has no name, so there is nothing to unlink and nothing
 that can leak — the mapping dies with the last array viewing it.
+Ranks that read each other's windows order those reads with
+:class:`repro.mpi.handshake.Handshake`.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ __all__ = [
 #:
 #:     payload      pickle      shm
 #:       2 KiB      188 us   306 us
-#:    16 640 B      200 us   312 us   (the 256² halo strip)
+#:    16 640 B      200 us   312 us   (a HaloExchanger strip at 256²;
+#:                                      rollouts read theirs in place)
 #:      64 KiB      302 us   370 us
 #:      96 KiB      312 us   424 us
 #:     128 KiB      402 us   459 us

@@ -225,12 +225,12 @@ class EnsembleCoarseOperator(CoarseOperator):
 
     Each coarse application pads every subdomain block with ``halo``
     lines of neighbour data cut straight from the *global* state
-    (``BlockDecomposition.extract(halo=...)``) — byte-identical to what
-    a point-to-point halo exchange would deliver, without nesting a
-    second MPI world inside a Parareal rank — runs each subdomain's
-    network, and reassembles the global field.  One application
-    therefore matches ``ParallelPredictor.predict_step`` exactly
-    (pinned by tests).
+    (``BlockDecomposition.extract(halo=..., out=...)`` into one
+    persistent buffer per subdomain — the call ``ParallelPredictor``
+    fills its network inputs with, without nesting a second MPI world
+    inside a Parareal rank), runs each subdomain's network, and
+    reassembles the global field.  One application therefore matches
+    ``ParallelPredictor.predict_step`` exactly (pinned by tests).
     """
 
     def __init__(
@@ -255,6 +255,10 @@ class EnsembleCoarseOperator(CoarseOperator):
             from ..core.inference import InferencePlan  # lazy: core imports solver
 
             self._plans = [InferencePlan.try_compile(m) for m in self.models]
+        # Halo-extended network inputs, refilled in place every
+        # application; keyed by dtype because a float32 ensemble hands
+        # float32 states back into a float64 iteration.
+        self._inputs: dict[tuple[int, np.dtype], np.ndarray] = {}
 
     def spawn(self) -> "EnsembleCoarseOperator":
         return EnsembleCoarseOperator(
@@ -270,13 +274,20 @@ class EnsembleCoarseOperator(CoarseOperator):
         with no_grad():
             return self.models[index](Tensor(batch)).numpy()
 
+    def _input(self, rank: int, state: np.ndarray) -> np.ndarray:
+        key = (rank, state.dtype)
+        block = self.decomposition.extract(
+            state, rank, self.halo, self.fill, out=self._inputs.get(key)
+        )
+        if self.halo:  # a halo-free cut may be a view of ``state``: not ours to keep
+            self._inputs[key] = block
+        return block
+
     def advance(self, state: np.ndarray, num_steps: int) -> np.ndarray:
         for _ in range(num_steps):
             pieces = []
             for rank in range(len(self.models)):
-                block = self.decomposition.extract(
-                    state, rank, halo=self.halo, fill=self.fill
-                )
+                block = self._input(rank, state)
                 pieces.append(self._forward(rank, block[np.newaxis])[0])
             state = self.decomposition.assemble(pieces)
         return state

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,20 @@ from repro.tensor import Tensor
 def rng() -> np.random.Generator:
     """A fresh, seeded generator per test."""
     return np.random.default_rng(1234)
+
+
+def shared_mappings() -> int:
+    """Anonymous shared mappings of this process — ``mpi.shared_empty``
+    storage (Linux names them after the deleted ``/dev/zero`` file that
+    backs them).  Needs ``/proc``."""
+    with open("/proc/self/maps") as maps:
+        return sum("/dev/zero (deleted)" in line for line in maps)
+
+
+def dev_shm_entries() -> set[str]:
+    """Everything named in ``/dev/shm``: ``psm_*`` shared-memory
+    segments and ``sem.*`` named semaphores alike."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
 def numeric_gradient(fn, arrays: list[np.ndarray], eps: float = 1e-6) -> list[np.ndarray]:

@@ -1,17 +1,18 @@
 """The rollout's data path: every rank writes its window of one shared
-trajectory and assembles its network input in one persistent buffer.
+trajectory and reads its halo-extended network input out of the same
+array into one persistent buffer.
 
 Pinned here: the result equals a stack-and-assemble reference loop bit
 for bit on every backend, the trajectory outlives everything that made
-it, steps allocate nothing that grows with the step count, and a rank
-that fails mid-rollout leaves nothing behind.
+it, steps reuse the one input buffer and a warm arena, the telemetry
+reports the volumes the closed forms do, and a rank that fails
+mid-rollout leaves nothing behind.
 """
 
 import gc
 import os
 import pickle
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,11 @@ from repro.core import (
     SubdomainCNN,
 )
 from repro.domain import BlockDecomposition
+from repro.exceptions import CommunicatorError
+from repro.obs import export, metrics, trace
 from repro.tensor import precision
+
+from ..conftest import dev_shm_entries, shared_mappings
 
 
 def make_models(config, count, seed=3):
@@ -50,9 +55,17 @@ def reference_rollout(models, decomposition, fill, initial, num_steps):
 class TestParity:
     @pytest.mark.parametrize("mode", ["float64", "float32"])
     @pytest.mark.parametrize(
-        "periodic, fill", [((False, False), "zero"), ((False, False), "edge"), ((True, True), "zero")]
+        "periodic, fill",
+        [
+            ((False, False), "zero"),
+            ((False, False), "edge"),
+            ((True, True), "zero"),
+            ((True, False), "edge"),
+        ],
     )
-    @pytest.mark.parametrize("pgrid", [(1, 2), (2, 1), (2, 2)])
+    # (3, 3): corner data comes from diagonal ranks, blocks are uneven,
+    # and nine ranks outnumber the cores of any CI box
+    @pytest.mark.parametrize("pgrid", [(1, 2), (2, 1), (2, 2), (3, 3)])
     def test_reference_threads_processes_bit_equal(self, rng, pgrid, periodic, fill, mode):
         config = CNNConfig(channels=(4, 6, 4), kernel_size=3)
         decomposition = BlockDecomposition((12, 16), pgrid, periodic=periodic)
@@ -90,6 +103,17 @@ class TestParity:
         assert result.messages_sent == 2 * 5
         assert result.bytes_sent == 2 * 5 * (4 * (8 + 2) * 1 * 8)
 
+    def test_self_wrap_strips_are_not_counted(self, rng):
+        """A periodic axis one rank wide wraps onto the rank itself: a
+        local copy, neither a message nor bytes on the wire."""
+        decomposition = BlockDecomposition((32, 32), (1, 2), periodic=(True, True))
+        predictor = ParallelPredictor(make_models(CNNConfig(), 2), decomposition)
+        assert predictor.halo == 2  # the Table-I network's 5 x 5 first layer
+        result = predictor.rollout(rng.standard_normal((4, 32, 32)), 1)
+        assert result.messages_sent == 4
+        # four column strips of the row-extended 32 x 16 block
+        assert result.bytes_sent == 4 * (4 * (32 + 2 * 2) * 2 * 8) == 9216
+
     def test_sequential_rollout_matches_stepwise_forward(self, rng):
         config = CNNConfig(channels=(4, 5, 4), kernel_size=3, strategy=PaddingStrategy.ZERO)
         model = SubdomainCNN(config, rng=np.random.default_rng(0))
@@ -121,53 +145,99 @@ class TestTrajectoryLifetime:
         assert np.array_equal(result.trajectory[1], snapshot[1] + 1.0)
 
 
+class _RecordingDecomposition(BlockDecomposition):
+    """Notes which buffer every halo-extended ``extract`` fills."""
+
+    def extract(self, field, rank, halo=0, fill="zero", out=None):
+        if halo:
+            self.filled.append((rank, out))  # list.append: safe from rank threads
+        return super().extract(field, rank, halo, fill, out)
+
+
 class TestAllocation:
-    def test_steps_do_not_grow_traced_memory(self, rng):
-        """Twice the steps, same peak: the trajectory lives in the shared
-        mapping (which tracemalloc does not see) and a step leaves only
-        strip-sized transients behind."""
+    def test_steps_reuse_one_input_buffer_and_a_warm_arena(self, rng):
+        """What the code controls, not what the allocator reports: each
+        rank refills the same padded array every step and, once the
+        plans are warm, a rollout creates no workspace buffer."""
         config = CNNConfig(channels=(4, 6, 4), kernel_size=3)
-        decomposition = BlockDecomposition((64, 64), (1, 2))
+        decomposition = _RecordingDecomposition((64, 64), (1, 2))
+        decomposition.filled = []
         predictor = ParallelPredictor(make_models(config, 2), decomposition)
         initial = rng.standard_normal((4, 64, 64))
         predictor.rollout(initial, 2)  # warm the plans' arenas
+        created = [plan.workspace.stats.buffers_created for plan in predictor._plans]
+        decomposition.filled.clear()
+        predictor.rollout(initial, 12)
+        assert [plan.workspace.stats.buffers_created for plan in predictor._plans] == created
+        for rank in range(2):
+            buffers = [out for r, out in decomposition.filled if r == rank]
+            assert len(buffers) == 12
+            assert buffers[0] is None  # the first cut allocates it ...
+            assert buffers[1] is not None  # ... every later one refills it
+            assert all(out is buffers[1] for out in buffers[1:])
 
-        def peak(num_steps):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                predictor.rollout(initial, num_steps)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
-        def quiet_peak(num_steps):
-            # Anything else alive in the process only ever adds to a peak.
-            return min(peak(num_steps) for _ in range(3))
+class TestTelemetry:
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    def test_counters_report_the_closed_form_volumes(self, rng, execution):
+        config = CNNConfig(channels=(4, 6, 4), kernel_size=3)
+        decomposition = BlockDecomposition((12, 16), (2, 2), periodic=(False, True))
+        predictor = ParallelPredictor(make_models(config, 4), decomposition)
+        metrics.reset()
+        with metrics.collecting():
+            result = predictor.rollout(rng.standard_normal((4, 12, 16)), 3, execution=execution)
+        sent, received = metrics.counter("mpi.bytes_sent"), metrics.counter("mpi.bytes_recv")
+        exchanges = metrics.counter("halo.exchanges")
+        try:
+            assert result.bytes_sent > 0
+            assert sent.total() == received.total() == result.bytes_sent
+            for rank in range(4):  # equal blocks: every rank moves a quarter
+                assert sent.value(rank) == received.value(rank) == result.bytes_sent / 4
+                assert exchanges.value(rank) == 3
+        finally:
+            metrics.reset()
 
-        frame_bytes = 4 * 64 * 32 * 8  # one rank's block of one frame
-        # Keeping per-rank frames to stack would add 12 of them; what does
-        # vary is a few KB of small cyclic garbage awaiting collection.
-        assert quiet_peak(12) - quiet_peak(6) < frame_bytes
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    def test_trace_shows_a_get_and_a_wait_and_no_messages(self, rng, execution):
+        config = CNNConfig(channels=(4, 6, 4), kernel_size=3)
+        decomposition = BlockDecomposition((12, 16), (1, 2))
+        predictor = ParallelPredictor(make_models(config, 2), decomposition)
+        trace.reset()
+        with trace.tracing():
+            result = predictor.rollout(rng.standard_normal((4, 12, 16)), 3, execution=execution)
+        spans = trace.spans()
+        trace.reset()
+        by_name = {}
+        for span in spans:
+            by_name.setdefault(span.name, []).append(span)
+        assert not {"mpi.send", "mpi.recv"} & set(by_name)
+        assert len(by_name["rollout.step"]) == len(by_name["halo.exchange"]) == 2 * 3
+        assert {span.cat for span in by_name["halo.exchange"]} == {"comm.compound"}
+        assert {span.cat for span in by_name["halo.get"]} == {"comm"}
+        # frame 0 is the caller's: nobody waits before the first step
+        assert len(by_name["halo.wait"]) == 2 * 2
+        assert {span.cat for span in by_name["halo.wait"]} == {"comm.wait"}
+        rows = export.summary(spans)
+        assert sum(rows[rank]["comm_bytes"] for rank in (0, 1)) == result.bytes_sent
+        for rank in (0, 1):
+            assert 0.0 < rows[rank]["comm_fraction"] < 1.0
+            assert rows[rank]["wait_seconds"] <= rows[rank]["comm_seconds"]
 
 
 class _FailsAtStep(SubdomainCNN):
-    """A network whose ``fail_at``-th forward raises."""
+    """A network whose ``fail_at``-th forward raises — or, with
+    ``exit_code`` set, takes its rank process down without a word."""
 
     fail_at = None
+    exit_code = None
 
     def forward(self, x):
         self.calls = getattr(self, "calls", 0) + 1
         if self.calls == self.fail_at:
+            if self.exit_code is not None:
+                os._exit(self.exit_code)
             raise FloatingPointError(f"diverged at step {self.calls}")
         return super().forward(x)
-
-
-def _shared_mappings():
-    """Anonymous shared mappings of this process (Linux names them
-    after the deleted ``/dev/zero`` file that backs them)."""
-    with open("/proc/self/maps") as maps:
-        return sum("/dev/zero (deleted)" in line for line in maps)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
@@ -183,20 +253,43 @@ class TestRankFailure:
         predictor = ParallelPredictor(models, decomposition, use_plan=False)
         initial = rng.standard_normal((4, 8, 8))
         gc.collect()
-        mappings = _shared_mappings()
+        mappings = shared_mappings()
         held = predictor.rollout(initial, 2, execution="processes")
-        assert _shared_mappings() == mappings + 1  # the result's trajectory
+        assert shared_mappings() == mappings + 1  # the result's trajectory
         del held
         gc.collect()
-        assert _shared_mappings() == mappings
+        assert shared_mappings() == mappings
 
-        segments = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+        entries = dev_shm_entries()
         start = time.monotonic()
         for _ in range(20):
             with pytest.raises(FloatingPointError, match="diverged at step 3"):
                 predictor.rollout(initial, 5, execution="processes")
         assert time.monotonic() - start < 60.0
+        # a rank that dies outright while its peer waits for frame 3
+        models[1].exit_code = 3
+        for _ in range(5):
+            with pytest.raises(CommunicatorError, match="rank 1 died with exit code 3"):
+                predictor.rollout(initial, 5, execution="processes")
+        assert time.monotonic() - start < 60.0
         gc.collect()
-        assert _shared_mappings() == mappings
-        if os.path.isdir("/dev/shm"):
-            assert set(os.listdir("/dev/shm")) <= segments
+        assert shared_mappings() == mappings
+        assert dev_shm_entries() <= entries  # no psm_*, no sem.*
+
+    def test_a_raising_rank_thread_is_the_error_reported(self, rng):
+        config = CNNConfig(channels=(4, 4), kernel_size=3)
+        decomposition = BlockDecomposition((8, 8), (1, 2))
+        models = [
+            SubdomainCNN(config, rng=np.random.default_rng(0)),
+            _FailsAtStep(config, rng=np.random.default_rng(1)),
+        ]
+        models[1].fail_at = 3
+        predictor = ParallelPredictor(models, decomposition, use_plan=False)
+        gc.collect()
+        mappings = shared_mappings()
+        start = time.monotonic()
+        with pytest.raises(FloatingPointError, match="diverged at step 3"):
+            predictor.rollout(rng.standard_normal((4, 8, 8)), 5, execution="threads")
+        assert time.monotonic() - start < 10.0
+        gc.collect()
+        assert shared_mappings() == mappings

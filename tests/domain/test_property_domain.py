@@ -1,10 +1,12 @@
 """Property-based decomposition invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.domain import BlockDecomposition, split_extent
+from repro.exceptions import DecompositionError
 
 
 @given(st.integers(1, 200), st.data())
@@ -73,12 +75,26 @@ def test_neighbour_symmetry(py, px):
                     assert decomp.neighbour(other, axis, -direction) == rank
 
 
+def padded_reference(field, decomp, rank, halo, fill):
+    """``extract`` the way it used to be built: ``np.pad`` the whole
+    field axis by axis (wrap on a periodic axis, ``fill`` at a wall),
+    then cut the block out of it."""
+    lead = [(0, 0)] * (field.ndim - 2)
+    modes = ["wrap" if wraps else {"zero": "constant", "edge": "edge"}[fill]
+             for wraps in decomp.periodic]
+    padded = np.pad(field, lead + [(halo, halo), (0, 0)], mode=modes[0])
+    padded = np.pad(padded, lead + [(0, 0), (halo, halo)], mode=modes[1])
+    (y0, y1), (x0, x1) = decomp.subdomain(rank).y_range, decomp.subdomain(rank).x_range
+    return padded[..., y0 : y1 + 2 * halo, x0 : x1 + 2 * halo]
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_in_place_exchange_matches_extract(data):
-    """On every rank the exchanged field is the halo cut of the global
-    field, whether it is assembled in a new array or in a caller's
-    buffer that still holds garbage from an earlier use."""
+def test_exchange_extract_and_extract_out_agree(data):
+    """On every rank the two-sided exchange, the one-sided ``extract``
+    and the pad-the-whole-field reference give the same halo cut of the
+    global field, whether it is assembled in a new array or in a
+    caller's buffer that still holds garbage from an earlier use."""
     from repro import mpi
     from repro.domain import HaloExchanger
 
@@ -91,6 +107,7 @@ def test_in_place_exchange_matches_extract(data):
     fill = data.draw(st.sampled_from(["zero", "edge"]))
     lead = data.draw(st.sampled_from([(), (3,), (2, 2)]))
     decomp = BlockDecomposition((height, width), pgrid, periodic=periodic)
+    decomp.check_halo(halo)
     field = np.random.default_rng(height * 31 + width).standard_normal(
         lead + (height, width)
     )
@@ -108,6 +125,39 @@ def test_in_place_exchange_matches_extract(data):
 
     outputs = mpi.run_parallel(program, decomp.num_subdomains)
     for rank, (fresh, reused) in enumerate(outputs):
-        expected = decomp.extract(field, rank, halo=halo, fill=fill)
+        expected = padded_reference(field, decomp, rank, halo, fill)
         assert np.array_equal(fresh, expected)
         assert np.array_equal(reused, expected)
+        assert np.array_equal(decomp.extract(field, rank, halo=halo, fill=fill), expected)
+        garbage = np.full(expected.shape, np.nan)
+        assert decomp.extract(field, rank, halo, fill, out=garbage) is garbage
+        assert np.array_equal(garbage, expected)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_halo_peers_are_the_other_blocks_a_halo_cut_reads(py, px, wrap_y, wrap_x):
+    """Mark every block with its rank: the marks in a halo cut, minus
+    the fill and the rank's own, are exactly ``halo_peers`` — and the
+    relation is symmetric, so post sets and wait sets coincide."""
+    decomp = BlockDecomposition((py * 2 + 1, px * 2), (py, px), periodic=(wrap_y, wrap_x))
+    owner = decomp.assemble(
+        [np.full(sub.shape, float(sub.rank)) for sub in decomp.subdomains()]
+    )
+    for rank in range(decomp.num_subdomains):
+        # +1 / -1 so the zero fill beyond a wall is not a rank
+        seen = set(np.unique(decomp.extract(owner + 1.0, rank, halo=2) - 1.0).astype(int))
+        assert set(decomp.halo_peers(rank)) == seen - {-1, rank}
+        for peer in decomp.halo_peers(rank):
+            assert rank in decomp.halo_peers(peer)
+
+
+def test_out_of_the_wrong_shape_or_dtype_is_rejected():
+    decomp = BlockDecomposition((8, 8), (2, 2))
+    field = np.zeros((3, 8, 8))
+    with pytest.raises(DecompositionError, match="out is"):
+        decomp.extract(field, 0, halo=1, out=np.empty((3, 6, 7)))
+    with pytest.raises(DecompositionError, match="out is"):
+        decomp.extract(field, 0, halo=1, out=np.empty((3, 6, 6), np.float32))
+    with pytest.raises(DecompositionError, match="smallest block"):
+        decomp.check_halo(5)
