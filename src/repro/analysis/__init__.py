@@ -9,8 +9,8 @@ loop-variable capture in closures) plus optional ``ruff`` / ``mypy``
 baseline passes, exposed as the ``repro lint`` CLI subcommand.
 :func:`analyze_paths` runs the interprocedural, rank-abstracted flow
 rules (REP009: collective divergence, REP010: blocking send/recv
-cycles, REP011: shared-memory lifetimes, REP012: allocation on the
-InferencePlan hot path) over a project call graph, exposed as
+cycles, REP012: allocation on the InferencePlan hot path) over a
+project call graph, exposed as
 ``repro analyze`` with ``# noqa`` suppressions and a committed
 ``analysis-baseline.json`` for intentional findings.
 

@@ -1,4 +1,4 @@
-"""Interprocedural, rank-abstracted flow analysis (REP009-REP012).
+"""Interprocedural, rank-abstracted flow analysis (REP009, REP010, REP012).
 
 Where :mod:`repro.analysis.rules` checks one file at a time, this module
 answers whole-program questions over the analyzed pool:
@@ -21,12 +21,6 @@ answers whole-program questions over the analyzed pool:
   the same function?" (self cycle).  Sends are buffered in this
   runtime, so send-before-recv orderings are always safe; only
   recv-before-matching-send cycles are flagged.
-
-- **REP011 — shared-memory lifetime errors.**  A straight-line abstract
-  interpretation of segment handles around :mod:`repro.mpi.shm`:
-  ``.buf`` access after ``close()``/``unlink()``, and ``create=True``
-  segments with no unlink on the exception path (a crash between
-  create and unlink leaks the segment until reboot).
 
 - **REP012 — allocation on the inference hot path.**  Statically pins
   the "allocation-free after warmup" contract that the perf-counter
@@ -91,8 +85,6 @@ FLOW_RULES: dict[str, str] = {
     "participant hangs",
     "REP010": "blocking send/recv ordering forms a mutual wait cycle "
     "(each side receives before posting the send the other side needs)",
-    "REP011": "shared-memory segment used after close()/unlink(), or "
-    "created without an unlink on the exception path",
     "REP012": "fresh allocation (np.zeros/empty/copy/astype/Tensor) "
     "reachable from InferencePlan.run/step outside the Workspace arena",
 }
@@ -534,156 +526,6 @@ def _find_mutual_cycle(
 
 
 # ======================================================================
-# REP011 — shared-memory segment lifetimes
-# ======================================================================
-#: Constructors whose result is a segment handle.
-_SHM_OPEN_LEAVES = {"SharedMemory", "_open_untracked"}
-#: Free functions that unlink a segment passed as first argument.
-_SHM_UNLINK_HELPERS = {"_unlink_untracked"}
-
-
-def _shm_assign(stmt: ast.stmt) -> tuple[str, bool] | None:
-    """``var = SharedMemory(...)`` -> (var, created); else ``None``."""
-    if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-        return None
-    target = stmt.targets[0]
-    if not isinstance(target, ast.Name) or not isinstance(stmt.value, ast.Call):
-        return None
-    if call_leaf(stmt.value) not in _SHM_OPEN_LEAVES:
-        return None
-    created = any(
-        kw.arg == "create"
-        and isinstance(kw.value, ast.Constant)
-        and kw.value.value is True
-        for kw in stmt.value.keywords
-    )
-    return target.id, created
-
-
-def _lifecycle_op(call: ast.Call) -> tuple[str, str] | None:
-    """``var.close()``/``var.unlink()``/``_unlink_untracked(var)``."""
-    if isinstance(call.func, ast.Attribute) and call.func.attr in {"close", "unlink"}:
-        if isinstance(call.func.value, ast.Name):
-            return call.func.value.id, call.func.attr
-    if call_leaf(call) in _SHM_UNLINK_HELPERS and call.args:
-        first = call.args[0]
-        if isinstance(first, ast.Name):
-            return first.id, "unlink"
-    return None
-
-
-def _buf_uses(stmt: ast.stmt) -> Iterator[tuple[str, int, int]]:
-    for node in ast.walk(stmt):
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "buf"
-            and isinstance(node.value, ast.Name)
-        ):
-            yield node.value.id, node.lineno, node.col_offset
-
-
-def _linearize(stmts: list[ast.stmt]) -> Iterator[ast.stmt]:
-    """Simple statements in straight-line order (branches/handlers
-    inlined where they appear).  Compound statements are recursed into
-    but never yielded themselves — scanning a whole ``try`` subtree at
-    the ``try`` node would observe a ``finally: close()`` before the
-    uses inside the body."""
-    for stmt in stmts:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if isinstance(stmt, (ast.If, ast.For, ast.AsyncFor, ast.While)):
-            yield from _linearize(stmt.body)
-            yield from _linearize(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            yield from _linearize(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            yield from _linearize(stmt.body)
-            for handler in stmt.handlers:
-                yield from _linearize(handler.body)
-            yield from _linearize(stmt.orelse)
-            yield from _linearize(stmt.finalbody)
-        else:
-            yield stmt
-
-
-def _protected_vars(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Vars unlinked inside an except handler or a finally block."""
-    protected: set[str] = set()
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Try):
-            continue
-        cleanup = [stmt for h in node.handlers for stmt in h.body]
-        cleanup += node.finalbody
-        for stmt in cleanup:
-            for call in _iter_calls(stmt):
-                op = _lifecycle_op(call)
-                if op is not None and op[1] == "unlink":
-                    protected.add(op[0])
-    return protected
-
-
-def rule_rep011(graph: CallGraph) -> Iterator[Violation]:
-    for key, info in graph.functions.items():
-        state: dict[str, str] = {}  # var -> "open" | "closed" | "unlinked"
-        created: dict[str, tuple[int, int]] = {}  # var -> open site
-        used: set[str] = set()
-        unlinked: set[str] = set()
-        for stmt in _linearize(info.node.body):
-            opened = _shm_assign(stmt)
-            if opened is not None:
-                var, is_create = opened
-                state[var] = "open"
-                if is_create:
-                    created[var] = (stmt.lineno, stmt.col_offset)
-                continue
-            for var, line, col in _buf_uses(stmt):
-                if var not in state:
-                    continue
-                used.add(var)
-                if state[var] != "open":
-                    yield Violation(
-                        "REP011",
-                        info.path,
-                        line,
-                        col,
-                        f"shared-memory segment '{var}' used after "
-                        f"{'unlink()' if state[var] == 'unlinked' else 'close()'}: "
-                        "the mapping (or the segment itself) is gone, so this "
-                        ".buf access reads unmapped memory — move the access "
-                        "before the lifecycle call, or re-attach by name",
-                    )
-            for call in _iter_calls(stmt):
-                op = _lifecycle_op(call)
-                if op is None or op[0] not in state:
-                    continue
-                var, what = op
-                state[var] = "unlinked" if what == "unlink" else (
-                    state[var] if state[var] == "unlinked" else "closed"
-                )
-                if what == "unlink":
-                    unlinked.add(var)
-        protected = _protected_vars(info.node)
-        for var, (line, col) in created.items():
-            if var in protected:
-                continue
-            if var in unlinked and var not in used:
-                # create-then-unlink with no .buf traffic: nothing between
-                # the two calls can realistically raise.
-                continue
-            yield Violation(
-                "REP011",
-                info.path,
-                line,
-                col,
-                f"segment '{var}' is created (create=True) but never "
-                "unlinked on the exception path: an error between create "
-                "and handoff leaks the POSIX segment until reboot — wrap "
-                "the writes in try/except BaseException that unlinks the "
-                "segment and re-raises (close() alone does not release it)",
-            )
-
-
-# ======================================================================
 # REP012 — allocation on the InferencePlan hot path
 # ======================================================================
 _REP012_ROOT_CLASS = "InferencePlan"
@@ -958,8 +800,6 @@ def analyze_contexts(
         raw.extend(rule_rep009(graph, call_cache))
     if rules is None or "REP010" in rules:
         raw.extend(rule_rep010(graph, contexts, consts_by_path))
-    if rules is None or "REP011" in rules:
-        raw.extend(rule_rep011(graph))
     if rules is None or "REP012" in rules:
         raw.extend(rule_rep012(graph))
 
@@ -995,7 +835,7 @@ def analyze_paths(
     paths:
         Files and/or directories; directories are walked recursively.
     rules:
-        Subset of flow-rule ids to run (default: REP009-REP012).
+        Subset of flow-rule ids to run (default: all of ``FLOW_RULES``).
     baseline_path:
         Committed baseline file whose entries demote matching findings
         from failures to informational notes.  ``None`` disables

@@ -58,7 +58,7 @@ RULES: dict[str, str] = {
     "binding: every closure sees the final iteration's value)",
     "REP005": "hand-rolled training loop (backward + optimizer step inside "
     "a loop) outside core/engine.py — route it through the Engine",
-    "REP006": "direct multiprocessing / SharedMemory / mmap use outside "
+    "REP006": "direct multiprocessing / mmap use outside "
     "src/repro/mpi/ — inter-rank communication must stay behind the "
     "Communicator API",
     "REP007": "Workspace arena constructed outside src/repro/tensor/ and "
@@ -666,7 +666,7 @@ def rule_rep005(ctx: FileContext) -> Iterator[Violation]:
 
 
 # ======================================================================
-# REP006 — multiprocessing / SharedMemory outside the MPI runtime
+# REP006 — multiprocessing / mmap outside the MPI runtime
 # ======================================================================
 #: The one sanctioned home of process-level transport code.  Everything
 #: else must go through the Communicator API (repro.mpi.run_parallel),
@@ -702,7 +702,7 @@ def rule_rep006(ctx: FileContext) -> Iterator[Violation]:
             node.lineno,
             node.col_offset,
             f"direct import of {imported!r} outside src/repro/mpi/: "
-            "process-level transport (workers, queues, SharedMemory, shared "
+            "process-level transport (workers, queues, named segments, shared "
             "mappings) is the MPI runtime's job — use repro.mpi.run_parallel("
             "backend='processes') and repro.mpi.shared_empty so inter-rank "
             "communication stays behind the Communicator API (watchdog, sanitizers, "

@@ -19,9 +19,9 @@ Subcommands cover the full workflow:
 - ``repro lint``      — repo-specific static analysis (REP00x rules
   plus optional ruff/mypy baseline passes),
 - ``repro analyze``   — interprocedural flow analysis over the project
-  call graph (REP009-REP012: collective divergence, send/recv deadlock
-  cycles, shared-memory lifetimes, hot-path allocations), with a
-  committed baseline for intentional findings,
+  call graph (REP009, REP010, REP012: collective divergence, send/recv
+  deadlock cycles, hot-path allocations), with a committed baseline for
+  intentional findings,
 - ``repro check``     — runtime verification: gradcheck every
   registered op, optionally smoke-test the sanitizers,
 - ``repro perf``      — op-level perf report: naive vs fused/workspace
@@ -417,16 +417,16 @@ def _add_lint(subparsers) -> None:
 def _add_analyze(subparsers) -> None:
     parser = subparsers.add_parser(
         "analyze",
-        help="interprocedural flow analysis (REP009-REP012): collective "
-        "divergence, send/recv deadlock cycles, shared-memory lifetimes, "
-        "hot-path allocations",
+        help="interprocedural flow analysis (REP009, REP010, REP012): "
+        "collective divergence, send/recv deadlock cycles, hot-path "
+        "allocations",
     )
     parser.add_argument(
         "paths", nargs="+", help="files or directories to analyze (e.g. src/repro)"
     )
     parser.add_argument(
         "--rules",
-        help="comma-separated flow-rule ids to run (default: REP009-REP012)",
+        help="comma-separated flow-rule ids to run (default: REP009,REP010,REP012)",
     )
     parser.add_argument(
         "--baseline",

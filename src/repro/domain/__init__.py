@@ -1,13 +1,11 @@
 """Domain decomposition and halo exchange."""
 
 from .decomposition import BlockDecomposition, Subdomain, split_extent
-from .halo import HaloExchanger, gather_blocks, scatter_blocks
+from .halo import HaloExchanger
 
 __all__ = [
     "BlockDecomposition",
     "Subdomain",
     "split_extent",
     "HaloExchanger",
-    "gather_blocks",
-    "scatter_blocks",
 ]

@@ -178,34 +178,3 @@ class HaloExchanger:
             self._exchange_axis(out, axis=1, phase=1)
         _HALO_EXCHANGES.inc()
         return out
-
-
-def gather_blocks(
-    comm: Communicator, decomposition: BlockDecomposition, local: np.ndarray, root: int = 0
-) -> np.ndarray | None:
-    """Gather per-rank blocks and assemble the global field at ``root``.
-
-    Returns the assembled ``(..., H, W)`` array at ``root``; ``None``
-    elsewhere.  Used for diagnostics/visualization, never on the
-    training path (which is communication-free).
-    """
-    pieces = comm.gather(local, root=root)
-    if pieces is None:
-        return None
-    return decomposition.assemble(pieces)
-
-
-def scatter_blocks(
-    comm: Communicator,
-    decomposition: BlockDecomposition,
-    field: np.ndarray | None,
-    root: int = 0,
-) -> np.ndarray:
-    """Scatter a global ``(..., H, W)`` field held at ``root`` into
-    per-rank blocks (inverse of :func:`gather_blocks`)."""
-    payloads = None
-    if comm.rank == root:
-        payloads = [
-            decomposition.extract(field, rank) for rank in range(comm.size)
-        ]
-    return comm.scatter(payloads, root=root)

@@ -16,12 +16,12 @@ Typical SPMD usage::
 Two execution backends share the :class:`Communicator` API:
 ``run_parallel(..., backend="threads")`` (default) runs in-process
 ranks over an in-memory router — the faithful communication-structure
-execution — while ``backend="processes"`` runs one OS process per rank
-with a shared-memory fast path for large NumPy messages, so P ranks
-genuinely occupy P cores.  Bulk *results* do not travel at all: the
-caller allocates them with :func:`shared_empty` and the ranks write
-their windows in place, on either backend; ranks that also *read* each
-other's windows order those reads with a :class:`Handshake`.  See
+execution — while ``backend="processes"`` runs one OS process per rank,
+so P ranks genuinely occupy P cores; its messages are pickled through
+per-rank mailboxes, whatever their size.  Bulk data does not travel at
+all: the caller allocates it with :func:`shared_empty` and the ranks
+write their windows in place, on either backend; ranks that also *read*
+each other's windows order those reads with a :class:`Handshake`.  See
 DESIGN.md ("Execution backends") for what each mode measures.
 """
 

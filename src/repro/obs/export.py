@@ -26,7 +26,11 @@ Parareal spans (``parareal.solve/coarse/fine/correct``, category
 ``parareal``) get their own accounting: per-rank ``parareal_seconds``
 plus a coarse/fine/correct split keyed off the span name, so a traced
 parareal run shows where the iteration's time went instead of lumping
-it into undifferentiated compute.
+it into undifferentiated compute.  Slice states are handed over through
+a shared window, not as messages: the stall shows as ``parareal.wait``
+(category ``comm.wait``, so in ``wait_seconds``), ``comm_messages`` /
+``comm_bytes`` (point-to-point only) read zero, and ``comm_seconds`` is
+the per-sweep convergence ``allreduce``.
 """
 
 from __future__ import annotations

@@ -17,11 +17,18 @@ which is where the speedup over serial fine stepping comes from
 (ideal wall-clock ratio ~ N / (K + 1) when G is much cheaper than F).
 
 Ranks map one-to-one onto time slices via ``repro.mpi.run_parallel``
-(threads or processes), handing the corrected slice-boundary states
-down the rank chain point-to-point.  The schedule is *pipelined*: each
-rank propagates its fine slice F(U_n^k) **before** blocking on the
-corrected start state U_n^{k+1} from rank n-1, so the expensive fine
-work overlaps the serial coarse sweep trickling through earlier ranks.
+(threads or processes).  Every iterate of every slice-boundary state has
+one slot in a window the parent allocates (``mpi.shared_empty``): rank n
+writes U_{n+1}^k there once, posts on a ``mpi.Handshake`` chain, and
+rank n+1 reads it in place — no state is sent, returned or stacked.  The
+schedule is *pipelined*: each rank propagates its fine slice F(U_n^k)
+**before** blocking on the corrected start state U_n^{k+1} from rank
+n-1, so the expensive fine work overlaps the serial coarse sweep
+trickling through earlier ranks.
+
+The blocked stretch of that hand-off is the span ``parareal.wait``
+(category ``comm.wait``; see :mod:`repro.obs.export` for how a parareal
+run's summary columns read).
 
 Precision: fine states stay float64 (the solver's native mode); a
 float32 coarse model returns float32 predictions, which NumPy promotes
@@ -56,16 +63,6 @@ __all__ = [
 #: while the metrics registry is off — see :mod:`repro.obs.metrics`).
 _SWEEPS = obs_metrics.counter("parareal.sweeps")
 _CORRECTION_DELTA = obs_metrics.gauge("parareal.correction_delta", forward_to_trace=False)
-
-
-def _handoff_tag(iteration: int) -> int:
-    """Message tag of the slice-boundary handoff in sweep ``iteration``.
-
-    Rank n sends its corrected slice-end state to rank n+1 under this
-    tag and rank n+1 receives with the same call, so the paired-message
-    audit (REP003) resolves both sites to one symbolic key.
-    """
-    return 64 + iteration
 
 
 def _relative_delta(new: np.ndarray, old: np.ndarray) -> float:
@@ -139,7 +136,9 @@ class PararealResult:
     """Outcome of a Parareal solve."""
 
     #: slice-boundary states ``(slices + 1, C, ny, nx)``: element 0 is
-    #: the initial state, element n the converged estimate of U_n
+    #: the initial state, element n the converged estimate of U_n.  A
+    #: view of the solve's iterate window (its last sweep's row), which
+    #: it keeps mapped: copy it to hold many results for long.
     states: np.ndarray
     #: correction sweeps actually run (0 = coarse initialization only)
     iterations: int
@@ -356,6 +355,13 @@ class PararealDriver:
         operator = self.coarse
         size = cfg.slices
         cap = cfg.iteration_cap
+        # window[k, n] is U_n^k.  Rank n writes window[k, n + 1] once and
+        # posts; rank n + 1 waits on that one edge and reads it in place.
+        # Every slot has one writer and is written once, so the chain of
+        # posts is the whole protocol.
+        window = mpi.shared_empty((cap + 1, size + 1) + expected, float)
+        window[:, 0] = start_state
+        chain = mpi.Handshake([[]] + [[rank - 1] for rank in range(1, size)])
 
         def program(comm):
             rank = comm.rank
@@ -372,30 +378,29 @@ class PararealDriver:
                 with trace.span("parareal.fine", cat="parareal", slice=rank):
                     return simulation.advance_array(state, cfg.fine_steps_per_slice)
 
+            def start_of(sweep):
+                """U_rank^sweep, read in place once rank - 1 has posted it."""
+                with trace.span("parareal.wait", cat="comm.wait", slice=rank, sweep=sweep):
+                    chain.wait(comm, sweep)
+                return window[sweep, rank]
+
             # Sweep 0: the serial coarse initialization trickles the first
             # slice-start estimates down the rank chain.
-            if rank == 0:
-                slice_start = start_state
-            else:
-                slice_start = comm.recv(rank - 1, tag=_handoff_tag(0))
+            slice_start = start_of(0)
             coarse_end = coarse_slice(slice_start)
-            if rank + 1 < size:
-                comm.send(coarse_end, rank + 1, tag=_handoff_tag(0))
-            slice_end = coarse_end
+            window[0, rank + 1] = coarse_end
+            chain.post(rank)
 
             iterations = 0
             converged = False
             deltas = []
             for sweep in range(1, cap + 1):
                 # Pipelined schedule: this rank's expensive fine slice
-                # runs *before* the blocking receive, so it overlaps the
+                # runs *before* the blocking wait, so it overlaps the
                 # serial correction sweep still working through the
                 # earlier ranks.
                 fine_end = fine_slice(slice_start)
-                if rank == 0:
-                    corrected_start = start_state
-                else:
-                    corrected_start = comm.recv(rank - 1, tag=_handoff_tag(sweep))
+                corrected_start = start_of(sweep)
                 delta = _relative_delta(corrected_start, slice_start)
                 # Coarse re-propagation sits *outside* the correct span
                 # so the summary's coarse/fine/correct attribution is
@@ -407,9 +412,10 @@ class PararealDriver:
                 ):
                     # The Parareal correction — REP015 confines this
                     # arithmetic to this module.
-                    slice_end = coarse_new + fine_end - coarse_end
-                if rank + 1 < size:
-                    comm.send(slice_end, rank + 1, tag=_handoff_tag(sweep))
+                    np.subtract(
+                        coarse_new + fine_end, coarse_end, out=window[sweep, rank + 1]
+                    )
+                chain.post(rank)
                 slice_start = corrected_start
                 coarse_end = coarse_new
                 iterations = sweep
@@ -424,26 +430,18 @@ class PararealDriver:
                 if max_delta <= cfg.tolerance:
                     converged = True
                     break
-            return (
-                slice_start,
-                slice_end,
-                iterations,
-                converged,
-                deltas,
-                counters["coarse"],
-                counters["fine"],
-            )
+            return iterations, converged, deltas, counters["coarse"], counters["fine"]
 
         with trace.span("parareal.solve", cat="parareal", slices=size):
             outputs = mpi.run_parallel(program, size, backend=execution)
 
-        states = np.stack([out[0] for out in outputs] + [outputs[-1][1]])
+        iterations, converged, deltas, _, _ = outputs[0]
         return PararealResult(
-            states=states,
-            iterations=outputs[0][2],
-            converged=outputs[0][3],
-            deltas=list(outputs[0][4]),
+            states=window[iterations],
+            iterations=iterations,
+            converged=converged,
+            deltas=deltas,
             dt=simulation.dt,
-            coarse_steps_applied=sum(out[5] for out in outputs),
-            fine_steps_applied=sum(out[6] for out in outputs),
+            coarse_steps_applied=sum(out[3] for out in outputs),
+            fine_steps_applied=sum(out[4] for out in outputs),
         )

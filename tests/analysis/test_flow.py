@@ -1,4 +1,4 @@
-"""Tests for the interprocedural flow analyzer (REP009-REP012).
+"""Tests for the interprocedural flow analyzer (REP009, REP010, REP012).
 
 Three layers: unit tests for the rank-guard classifier and the call
 graph, rule tests over inline snippets and the committed fixture
@@ -197,31 +197,6 @@ class TestRep009Snippets:
         assert found == []
 
 
-class TestRep011Snippets:
-    def test_use_after_close_in_try_finally_order(self):
-        # The finally close() must be observed AFTER the body uses.
-        found = _analyze_source(
-            "def f(name, np):\n"
-            "    segment = SharedMemory(name=name)\n"
-            "    try:\n"
-            "        v = segment.buf\n"
-            "    finally:\n"
-            "        segment.close()\n"
-            "    return v\n"
-        )
-        assert found == []
-
-    def test_create_without_exception_unlink(self):
-        found = _analyze_source(
-            "def f(data):\n"
-            "    segment = SharedMemory(create=True, size=64)\n"
-            "    segment.buf[:8] = data\n"
-            "    segment.close()\n"
-        )
-        assert [v.rule for v in found] == ["REP011"]
-        assert found[0].line == 2
-
-
 class TestRep012Snippets:
     def test_ndarray_method_spelling_does_not_grow_hot_path(self):
         # h.reshape(...) must not merge into a project function named
@@ -261,8 +236,6 @@ class TestFixtureCorpus:
             ("REP009", "planted_rep009.py", 23),
             ("REP010", "planted_rep010.py", 13),
             ("REP010", "planted_rep010.py", 22),
-            ("REP011", "planted_rep011.py", 15),
-            ("REP011", "planted_rep011.py", 20),
             ("REP012", "planted_rep012.py", 21),
         ]
 
@@ -390,11 +363,19 @@ class TestAnalyzeCli:
 
     def test_rules_subset_flag(self, capsys):
         code = main(
-            ["analyze", str(FLOW_FIXTURES), "--no-baseline", "--rules", "rep011"]
+            ["analyze", str(FLOW_FIXTURES), "--no-baseline", "--rules", "rep010"]
         )
         out = capsys.readouterr().out
         assert code == 1
-        assert "REP011" in out and "REP009" not in out
+        assert "REP010" in out and "REP009" not in out
+
+    def test_retired_rule_id_is_a_one_line_user_error(self, capsys):
+        """REP011 analysed named-segment lifetimes; the runtime has none."""
+        assert set(FLOW_RULES) == {"REP009", "REP010", "REP012"}
+        code = main(["analyze", str(FLOW_FIXTURES), "--rules", "rep011"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "REP011" in err
 
     def test_source_tree_is_analyzer_clean(self, capsys):
         """The CI gate: src/repro has no findings beyond the baseline."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import mpi
-from repro.domain import BlockDecomposition, HaloExchanger, gather_blocks, scatter_blocks
+from repro.domain import BlockDecomposition, HaloExchanger
 from repro.exceptions import DecompositionError
 
 
@@ -126,39 +126,3 @@ class TestValidation:
             return comm.iprobe()  # no rank sent a strip
 
         assert not any(mpi.run_parallel(program, 4))
-
-
-class TestGatherScatter:
-    def test_gather_assembles_at_root(self, rng):
-        field = rng.standard_normal((2, 10, 10))
-        decomp = BlockDecomposition.from_num_ranks((10, 10), 4)
-
-        def program(comm):
-            local = decomp.extract(field, comm.rank)
-            return gather_blocks(comm, decomp, local)
-
-        results = mpi.run_parallel(program, 4)
-        assert np.allclose(results[0], field)
-        assert all(r is None for r in results[1:])
-
-    def test_scatter_distributes_blocks(self, rng):
-        field = rng.standard_normal((2, 10, 10))
-        decomp = BlockDecomposition.from_num_ranks((10, 10), 4)
-
-        def program(comm):
-            local = scatter_blocks(comm, decomp, field if comm.rank == 0 else None)
-            expected = decomp.extract(field, comm.rank)
-            return np.allclose(local, expected)
-
-        assert all(mpi.run_parallel(program, 4))
-
-    def test_scatter_gather_roundtrip(self, rng):
-        field = rng.standard_normal((1, 12, 12))
-        decomp = BlockDecomposition.from_num_ranks((12, 12), 6)
-
-        def program(comm):
-            local = scatter_blocks(comm, decomp, field if comm.rank == 0 else None)
-            return gather_blocks(comm, decomp, local)
-
-        results = mpi.run_parallel(program, 6)
-        assert np.allclose(results[0], field)

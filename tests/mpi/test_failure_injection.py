@@ -6,6 +6,8 @@ behavioural guarantees are checked on both execution backends; tests
 that poke the in-process ``MessageRouter`` directly stay thread-side.
 """
 
+import multiprocessing
+import os
 import threading
 import time
 
@@ -15,6 +17,8 @@ import pytest
 from repro import mpi
 from repro.exceptions import CommunicatorError, DeadlockError
 from repro.mpi.router import MessageRouter
+
+from ..conftest import dev_shm_entries
 
 
 class TestAbortSemantics:
@@ -55,6 +59,46 @@ class TestAbortSemantics:
 
         with pytest.raises(KeyError):
             launch(program, 4)
+
+
+class TestSendNobodyReceives:
+    """ROADMAP item 10's "mid-send" cells: a message larger than the
+    64 KiB pipe is sent to a rank that fails without receiving it.  The
+    sender's mailbox write can then never complete; the launcher must
+    still name the root cause, reclaim every process and leave nothing
+    in ``/dev/shm``."""
+
+    @pytest.mark.parametrize(
+        "backend,death",
+        # os._exit in a rank *thread* would end the test process.
+        [("threads", "raise"), ("processes", "raise"), ("processes", "os._exit")],
+    )
+    @pytest.mark.parametrize("drained", [True, False], ids=["drained", "never-received"])
+    @pytest.mark.parametrize("nbytes", [100_000, 4 << 20])
+    def test_root_cause_error_and_nothing_left_behind(self, backend, death, drained, nbytes):
+        entries = dev_shm_entries()
+
+        def program(comm):
+            if comm.rank == 0:
+                comm.send(np.zeros(nbytes // 8), dest=1, tag=1)
+            if drained:
+                comm.barrier()  # rank 1 pulls the message into its local inbox
+            if comm.rank == 1:
+                if death == "os._exit":
+                    os._exit(3)
+                raise RuntimeError("receiver died before recv")
+
+        expected = (
+            pytest.raises(RuntimeError, match="receiver died")
+            if death == "raise"
+            else pytest.raises(CommunicatorError, match="exit code 3")
+        )
+        start = time.monotonic()
+        with expected:
+            mpi.run_parallel(program, 2, backend=backend)
+        assert time.monotonic() - start < 15.0
+        assert multiprocessing.active_children() == []
+        assert dev_shm_entries() == entries
 
 
 class TestTimeouts:
@@ -110,8 +154,8 @@ class TestStress:
         assert results[1] == sorted(range(count))
 
     def test_large_array_payloads(self, launch):
-        """200k float64 crosses the shared-memory threshold on the
-        process backend — exercises the header+buffer transport."""
+        """200k float64 is 25 pipe buffers' worth on the process
+        backend: the receiver must drain it while the sender writes."""
         payload = np.arange(200_000, dtype=np.float64)
 
         def program(comm):

@@ -6,7 +6,10 @@ sender-side mutation may ever reach the receiver, for every payload
 shape the fast path special-cases — and for the ones it doesn't.
 """
 
+import pickle
+
 import numpy as np
+import pytest
 
 from repro.mpi.router import _isolate_payload
 from repro.tensor import Tensor
@@ -92,3 +95,30 @@ class TestSenderMutationThroughTransport:
         data, requires_grad = launch(program, 2)[1]
         assert np.allclose(data, 0.0)
         assert requires_grad
+
+    @pytest.mark.parametrize("nbytes", [2 << 10, 128 << 10, 4 << 20], ids=["2KiB", "128KiB", "4MiB"])
+    @pytest.mark.parametrize("kind", ["contiguous", "strided", "float32", "object"])
+    def test_arrays_of_any_size_and_layout_round_trip(self, launch, kind, nbytes):
+        """One transport at every size: what arrives equals what was
+        sent, whatever the sender does to its array afterwards."""
+        count = nbytes // 8
+        if kind == "contiguous":
+            original = np.arange(count, dtype=np.float64)
+        elif kind == "strided":
+            original = np.arange(4 * count, dtype=np.float64).reshape(2, -1)[:, ::2]
+        elif kind == "float32":
+            original = np.arange(2 * count, dtype=np.float32)
+        else:
+            original = np.array([{"i": i} for i in range(count // 64)], dtype=object)
+        expected = pickle.loads(pickle.dumps(original))  # a private deep copy
+
+        def program(comm):
+            if comm.rank == 0:
+                comm.send(original, dest=1, tag=1)
+                original[...] = None if kind == "object" else -1
+                return None
+            return comm.recv(source=0, tag=1)
+
+        received = launch(program, 2)[1]
+        assert received.dtype == expected.dtype and received.shape == expected.shape
+        assert np.array_equal(received, expected)

@@ -10,6 +10,9 @@ correction's fixed point is the fine solution and the exactness
 property bounds the sweep count by the slice count.
 """
 
+import gc
+import time
+
 import numpy as np
 import pytest
 
@@ -31,8 +34,12 @@ from repro.solver.parareal import (
     ModelCoarseOperator,
     PararealConfig,
     PararealDriver,
+    _relative_delta,
     serial_fine,
 )
+from repro.tensor import precision
+
+from ..conftest import shared_mappings
 
 GRID = 24
 
@@ -70,6 +77,33 @@ class FineAsCoarse(CoarseOperator):
         return self.simulation.advance_array(
             state, num_steps * self.fine_steps_per_coarse
         )
+
+
+def reference_parareal(simulation, coarse, config, initial):
+    """The recurrence the ranks run, as two nested loops (sweeps x
+    slices) over the same operators: ``(states, iterations, converged,
+    deltas)``.  ``states[n]`` is U_n of the current sweep."""
+    slices = range(config.slices)
+    states = np.empty((config.slices + 1,) + initial.shape)
+    states[0] = initial
+    coarse_end = []
+    for n in slices:
+        coarse_end.append(coarse.advance(states[n], config.coarse_steps))
+        states[n + 1] = coarse_end[n]
+    deltas = []
+    for sweep in range(1, config.iteration_cap + 1):
+        previous, states = states, states.copy()
+        delta = 0.0
+        for n in slices:
+            fine_end = simulation.advance_array(previous[n], config.fine_steps_per_slice)
+            delta = max(delta, _relative_delta(states[n], previous[n]))
+            coarse_new = coarse.advance(states[n], config.coarse_steps)
+            states[n + 1] = coarse_new + fine_end - coarse_end[n]
+            coarse_end[n] = coarse_new
+        deltas.append(delta)
+        if delta <= config.tolerance:
+            return states, sweep, True, deltas
+    return states, config.iteration_cap, False, deltas
 
 
 class TestPararealConfig:
@@ -273,6 +307,100 @@ class TestConvergence:
         assert threaded.deltas == forked.deltas
 
 
+class TestSliceWindow:
+    """The slice-boundary iterates live in one parent-allocated window;
+    ranks hand them over with a post/wait chain and return scalars."""
+
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    @pytest.mark.parametrize("mode", ["float64", "float32"])
+    @pytest.mark.parametrize("ensemble", [False, True], ids=["model", "ensemble"])
+    @pytest.mark.parametrize(
+        "tolerance,max_iterations,iterations,converged",
+        [(10.0, None, 1, True), (1e-12, 2, 2, False)],
+        ids=["converged-early", "hit-the-cap"],
+    )
+    def test_equals_rank_free_reference(
+        self, tolerance, max_iterations, iterations, converged, ensemble, mode, execution
+    ):
+        simulation, initial, num_channels = scenario_setup("euler-gaussian")
+        config = PararealConfig(
+            slices=4,
+            tolerance=tolerance,
+            fine_steps_per_coarse=2,
+            max_iterations=max_iterations,
+        )
+        with precision(mode):
+            if ensemble:
+                models = [random_model(num_channels, seed=r) for r in range(2)]
+                operator = EnsembleCoarseOperator(
+                    models, BlockDecomposition((GRID, GRID), (1, 2))
+                )
+            else:
+                operator = ModelCoarseOperator(random_model(num_channels))
+            expected = reference_parareal(simulation, operator.spawn(), config, initial)
+            result = PararealDriver(simulation, operator, config).solve(initial, execution)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        assert result.states.dtype == np.float64
+        assert np.array_equal(result.states, expected[0])
+        assert (result.iterations, result.converged, result.deltas) == expected[1:]
+
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    def test_rank_failing_in_sweep_one_is_the_error_its_successor_wakes_to(
+        self, execution
+    ):
+        """Rank 1 raises before writing U_2^1 while rank 2 is blocked in
+        the chain wait for it."""
+        simulation, initial, _ = scenario_setup("allen-cahn")
+        config = PararealConfig(slices=3, tolerance=1e-12, fine_steps_per_coarse=2)
+
+        class FailsOnSecondCall(FineAsCoarse):
+            calls = 0
+
+            def spawn(self):  # per-rank call count, on threads too
+                return FailsOnSecondCall(self.simulation, self.fine_steps_per_coarse)
+
+            def advance(self, state, num_steps):
+                self.calls += 1
+                if self.calls == 2 and np.array_equal(state, slice_one_start):
+                    raise RuntimeError("slice 1 failed in sweep 1")
+                return super().advance(state, num_steps)
+
+        # G == F, so U_1^1 is the fine solution after one slice: only
+        # rank 1 ever sees it as the input of its second coarse call.
+        slice_one_start = simulation.advance_array(initial, config.fine_steps_per_slice)
+        operator = FailsOnSecondCall(simulation, config.fine_steps_per_coarse)
+        gc.collect()
+        mappings = shared_mappings()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="slice 1 failed in sweep 1"):
+            PararealDriver(simulation, operator, config).solve(initial, execution)
+        assert time.monotonic() - start < 15.0
+        gc.collect()  # the traceback's frames hold the window
+        assert shared_mappings() == mappings
+
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    def test_ranks_return_no_arrays(self, execution, monkeypatch):
+        returned = []
+        run_parallel = mpi.run_parallel
+
+        def recording(*args, **kwargs):
+            returned.extend(run_parallel(*args, **kwargs))
+            return returned
+
+        monkeypatch.setattr(mpi, "run_parallel", recording)
+        simulation, initial, num_channels = scenario_setup("allen-cahn")
+        operator = ModelCoarseOperator(random_model(num_channels))
+        config = PararealConfig(slices=3, tolerance=1e-9, fine_steps_per_coarse=2)
+        result = PararealDriver(simulation, operator, config).solve(initial, execution)
+        assert len(returned) == 3
+        for iterations, converged, deltas, coarse_steps, fine_steps in returned:
+            assert (iterations, converged, deltas) == (
+                result.iterations, result.converged, result.deltas,
+            )  # fmt: skip
+            assert type(coarse_steps) is int and type(fine_steps) is int
+            assert all(type(delta) is float for delta in deltas)
+
+
 class TestObservability:
     def test_spans_recorded(self):
         from repro.obs import trace
@@ -291,8 +419,27 @@ class TestObservability:
             "parareal.correct",
         } <= names
 
-    def test_handoff_tags_stay_in_user_range(self):
-        from repro.solver.parareal import _handoff_tag
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    def test_handoff_stall_is_a_wait_span_not_a_message(self, execution):
+        """The blocked stretch of the hand-off fills the summary's
+        ``wait_seconds`` column; no point-to-point message is left, only
+        the per-sweep convergence allreduce."""
+        from repro.obs import export, trace
 
-        assert 0 <= _handoff_tag(0) < mpi.MAX_USER_TAG
-        assert 0 <= _handoff_tag(10_000) < mpi.MAX_USER_TAG
+        simulation, initial, num_channels = scenario_setup("allen-cahn")
+        operator = ModelCoarseOperator(random_model(num_channels))
+        config = PararealConfig(slices=2, tolerance=1e-9, fine_steps_per_coarse=2)
+        trace.reset()
+        with trace.tracing():
+            result = PararealDriver(simulation, operator, config).solve(initial, execution)
+        spans = trace.spans()
+        waits = [span for span in spans if span.name == "parareal.wait"]
+        assert {span.cat for span in waits} == {export.WAIT_CAT}
+        assert sorted((span.args["slice"], span.args["sweep"]) for span in waits) == [
+            (rank, sweep) for rank in range(2) for sweep in range(result.iterations + 1)
+        ]
+        assert not [span for span in spans if span.name in ("mpi.send", "mpi.recv")]
+        row = export.summary(spans)[1]
+        assert row["wait_seconds"] > 0.0
+        assert (row["comm_messages"], row["comm_bytes"]) == (0, 0)
+        assert row["comm_seconds"] > 0.0  # the convergence allreduce
