@@ -15,14 +15,15 @@ from conftest import run_once
 
 from repro.core import (
     CNNConfig,
+    EnsembleStepper,
     PaddingStrategy,
     RecurrentSurrogate,
-    SequentialPredictor,
     SubdomainCNN,
     TrainingConfig,
     WindowDataset,
     build_rank_dataset,
     relative_l2,
+    rollout,
     train_network,
     train_recurrent,
 )
@@ -58,9 +59,7 @@ def run_comparison():
     train_recurrent(lstm, lstm_data, config)
 
     # Rollouts from the validation head.
-    cnn_rollout = SequentialPredictor(cnn).rollout(
-        validation.snapshots[WINDOW - 1], STEPS
-    )
+    cnn_rollout = rollout(EnsembleStepper([cnn]), validation.snapshots[WINDOW - 1], STEPS)
     lstm_rollout = lstm.rollout(validation.snapshots[:WINDOW], STEPS)
 
     rows = []

@@ -56,6 +56,7 @@ import numpy as np
 from conftest import available_cores, run_once
 
 from repro.core import (
+    EnsembleStepper,
     ParallelTrainer,
     TrainingConfig,
     load_parallel_models,
@@ -70,7 +71,7 @@ from repro.scenarios import (
     get_scenario,
     parareal_config,
 )
-from repro.solver.parareal import ModelCoarseOperator, PararealDriver, serial_fine
+from repro.solver.parareal import PararealDriver, serial_fine
 
 #: Rollout grid for every op (training runs at the same grid: the
 #: coarse map is resolution-specific, a surrogate trained at another
@@ -202,7 +203,7 @@ def _bench_serial_fine(benchmark, scenario: str):
 
 def _bench_parareal(benchmark, scenario: str, slices: int, precision: str):
     simulation, start, model, reference, serial_wall = _setup(scenario, precision)
-    operator = ModelCoarseOperator(model)
+    operator = EnsembleStepper([model])
     config = _config(scenario, slices)
     driver = PararealDriver(simulation, operator, config)
     result = run_once(benchmark, lambda: driver.solve(start, execution=EXECUTION))

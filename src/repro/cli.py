@@ -766,22 +766,14 @@ def _parareal_study(
     """Run Parareal from ``initial`` and report convergence + speedup
     against serial fine stepping of the same horizon.  Returns a shell
     exit code (non-zero when the iteration failed to converge)."""
+    from .core import EnsembleStepper
     from .obs import trace
     from .scenarios import build_grid, build_simulation
-    from .solver.parareal import (
-        EnsembleCoarseOperator,
-        ModelCoarseOperator,
-        PararealDriver,
-        serial_fine,
-    )
+    from .solver.parareal import PararealDriver, serial_fine
 
     grid = build_grid(scenario, decomposition.field_shape[0])
     simulation = build_simulation(scenario, grid)
-    if len(models) == 1:
-        coarse = ModelCoarseOperator(models[0])
-    else:
-        coarse = EnsembleCoarseOperator(models, decomposition)
-    driver = PararealDriver(simulation, coarse, config)
+    driver = PararealDriver(simulation, EnsembleStepper(models, decomposition), config)
     initial = np.asarray(initial, dtype=float)
 
     start = trace.clock()

@@ -25,10 +25,11 @@ from .engine import (
 )
 from .evaluation import ParallelEvaluation, evaluate_parallel
 from .inference import (
+    EnsembleStepper,
     InferencePlan,
     ParallelPredictor,
     RolloutResult,
-    SequentialPredictor,
+    rollout,
 )
 from .parallel_recurrent import (
     ParallelRecurrentResult,
@@ -101,7 +102,8 @@ __all__ = [
     "RankTrainingResult",
     "train_sequential_baseline",
     "ParallelPredictor",
-    "SequentialPredictor",
+    "EnsembleStepper",
+    "rollout",
     "InferencePlan",
     "RolloutResult",
     "train_weight_averaging",

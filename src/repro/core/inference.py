@@ -27,10 +27,21 @@ return nothing, and the caller already holds the result.
 :class:`~repro.domain.halo.HaloExchanger` remains the two-sided,
 distributed-memory form of the same exchange and the reference the
 tests compare against.
+
+One block's step is one object, :class:`BlockStepper` (``gather`` the
+input from a source frame, ``predict`` into a target frame).  The rank
+program of :meth:`ParallelPredictor.rollout` runs it between
+``Handshake.wait`` and ``post``; :class:`EnsembleStepper` runs every
+block in turn without ranks and is the model-side
+:class:`~repro.solver.simulation.Stepper` — ``advance(state, n, out=)``,
+the contract the finite-difference solver obeys too — so a CNN ensemble
+goes into :class:`~repro.solver.parareal.PararealDriver` or
+:func:`rollout` exactly where a simulation does.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +52,7 @@ from ..exceptions import ConfigurationError, ShapeError
 from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
 from ..obs import metrics as obs_metrics
 from ..obs import trace
+from ..solver.simulation import Stepper
 from ..tensor import Tensor, no_grad, perf
 from ..tensor.blocked import conv2d_forward_blocked
 from ..tensor.im2col import col2im, conv_output_size
@@ -90,19 +102,6 @@ def _store(prediction: np.ndarray, out: np.ndarray) -> None:
             f"{out.shape} array it is written to"
         )
     np.copyto(out, prediction)
-
-
-def _predict_into(
-    model: Module, plan: "InferencePlan | None", net_input: np.ndarray, frame: np.ndarray
-) -> None:
-    """One forward of ``net_input`` ``(C, h, w)``, written to ``frame``."""
-    if plan is not None:
-        # Allocation-free after the first (warmup) step.
-        plan.run(net_input[None], out=frame[None])
-    else:
-        with no_grad():
-            prediction = model(Tensor(net_input[None])).numpy()
-        _store(prediction, frame[None])
 
 
 class _ConvStep:
@@ -214,8 +213,8 @@ class InferencePlan:
     Raises :class:`~repro.exceptions.ConfigurationError` when the model
     contains a module the step vocabulary cannot express (including a
     ``Conv2d`` outside the strip kernel's stride-1, padding < kernel
-    class) — use :meth:`try_compile` to fall back to the
-    module-by-module forward.
+    class, and a ``SubdomainCNN`` subclass with its own ``forward``) —
+    :class:`BlockStepper` then keeps the module-by-module forward.
     """
 
     SUPPORTED = (Conv2d, ConvTranspose2d, LeakyReLU)
@@ -239,18 +238,22 @@ class InferencePlan:
         self.compute_dtype = _parameter_dtype(model)
 
     @classmethod
-    def try_compile(
-        cls, model: Module, workspace: Workspace | None = None
-    ) -> "InferencePlan | None":
+    def try_compile(cls, model: Module) -> "InferencePlan | None":
         """Compile if possible, else ``None`` (caller keeps naive path)."""
         try:
-            return cls(model, workspace=workspace)
+            return cls(model)
         except ConfigurationError:
             return None
 
     @staticmethod
     def _flatten(module: Module) -> list[Module]:
         if isinstance(module, SubdomainCNN):
+            if type(module).forward is not SubdomainCNN.forward:
+                # The plan runs ``.layers``: whatever an overriding
+                # forward adds around them would silently be skipped.
+                raise ConfigurationError(
+                    f"InferencePlan cannot compile {type(module).__name__}: overridden forward"
+                )
             module = module.layers
         if isinstance(module, Sequential):
             flat: list[Module] = []
@@ -328,6 +331,136 @@ class InferencePlan:
         return self.run(x, out=out)
 
 
+class BlockStepper:
+    """One subdomain network's step: ``gather`` its input, ``predict``.
+
+    The single place that compiles an :class:`InferencePlan`, keeps a
+    halo-extended input buffer or falls back to the module forward (for
+    a model the plan refuses).  Plan and buffer belong to one thread at
+    a time: each rank, and each thread calling an
+    :class:`EnsembleStepper`, holds its own instance.
+    """
+
+    def __init__(
+        self, model: Module, decomposition: BlockDecomposition, rank: int, fill: str = "zero"
+    ) -> None:
+        self.model = model
+        self.decomposition = decomposition
+        self.rank = rank
+        self.fill = fill
+        self.halo = int(getattr(model, "input_halo", 0))
+        sub = decomposition.subdomain(rank)
+        self._block = (slice(None), sub.y_slice, sub.x_slice)
+        # Plans hold references to parameter storage, so later in-place
+        # weight updates stay visible.
+        self.plan = InferencePlan.try_compile(model)
+        self._padded: np.ndarray | None = None
+
+    def gather(self, source: np.ndarray) -> np.ndarray:
+        """The network input cut from the global frame ``source``: the
+        block plus ``halo`` lines of neighbour data (``fill`` beyond a
+        wall), refilled in place in one persistent buffer."""
+        if not self.halo:
+            return source[self._block]  # ZERO / TRANSPOSE: the block is the input
+        if self._padded is not None and self._padded.dtype != source.dtype:
+            self._padded = None  # a float32 field after a float64 one
+        self._padded = self.decomposition.extract(
+            source, self.rank, self.halo, self.fill, out=self._padded
+        )
+        return self._padded
+
+    def predict(self, net_input: np.ndarray, target: np.ndarray) -> None:
+        """One forward, written to the block's window of the frame ``target``."""
+        frame = target[self._block]
+        if self.plan is not None:
+            # Allocation-free after the first (warmup) step.
+            self.plan.run(net_input[None], out=frame[None])
+        else:
+            with no_grad():
+                prediction = self.model(Tensor(net_input[None])).numpy()
+            _store(prediction, frame[None])
+
+
+def _block_steppers(
+    models: list[Module], decomposition: BlockDecomposition, fill: str
+) -> list[BlockStepper]:
+    if len(models) != decomposition.num_subdomains:
+        raise ConfigurationError(
+            f"{len(models)} models for {decomposition.num_subdomains} subdomains"
+        )
+    return [BlockStepper(m, decomposition, rank, fill) for rank, m in enumerate(models)]
+
+
+class EnsembleStepper:
+    """The subdomain networks as one :class:`Stepper`, without ranks.
+
+    A step cuts every block's input from one source frame and writes
+    every prediction into its window of the next: bit for bit a
+    :meth:`ParallelPredictor.rollout` step.  One full-domain network is
+    the one-block case — ``EnsembleStepper([model])`` builds the 1 x 1
+    decomposition from the first state, so its halo is zero padding.
+    Block steppers and the spare frame are created per calling thread,
+    so the rank threads of a Parareal solve can share one instance.
+    """
+
+    def __init__(
+        self,
+        models: list[Module],
+        decomposition: BlockDecomposition | None = None,
+        fill: str = "zero",
+    ) -> None:
+        self.models = models
+        self.decomposition = decomposition
+        self.fill = fill
+        self._scratch = threading.local()
+        if decomposition is not None:
+            self._units()  # a wrong model count fails here, not at the first step
+
+    def _units(self) -> list[BlockStepper]:
+        scratch = self._scratch
+        if not hasattr(scratch, "units"):  # this thread's first call
+            scratch.units = _block_steppers(self.models, self.decomposition, self.fill)
+            scratch.spare = None
+        return scratch.units
+
+    def advance(
+        self, state: np.ndarray, num_steps: int = 1, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        if self.decomposition is None:
+            self.decomposition = BlockDecomposition(state.shape[-2:], (1, 1))
+        units, scratch = self._units(), self._scratch
+        dtype = np.result_type(state.dtype, *map(_parameter_dtype, self.models))
+        if out is None:
+            out = np.empty(state.shape, dtype)
+        if num_steps == 0:
+            np.copyto(out, state)
+        if num_steps > 1 and (scratch.spare is None or scratch.spare.dtype != dtype):
+            scratch.spare = np.empty(state.shape, dtype)
+        source = state
+        for remaining in reversed(range(num_steps)):
+            # Blocks read their halos from ``source``, so a step cannot
+            # land in the frame it reads: alternate, ending in ``out``.
+            target = scratch.spare if remaining % 2 else out
+            for unit in units:
+                unit.predict(unit.gather(source), target)
+            source = target
+        return out
+
+
+def rollout(stepper: Stepper, initial: np.ndarray, num_steps: int) -> RolloutResult:
+    """Trajectory of any :class:`Stepper` — model ensemble or simulation
+    — one ``advance`` per frame, each written straight into the result."""
+    if num_steps < 1:
+        raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
+    initial = np.asarray(initial)
+    first = stepper.advance(initial, 1)  # the stepper decides the dtype
+    trajectory = np.empty((num_steps + 1,) + initial.shape, first.dtype)
+    trajectory[0], trajectory[1] = initial, first
+    for step in range(1, num_steps):
+        stepper.advance(trajectory[step], 1, out=trajectory[step + 1])
+    return RolloutResult(trajectory, messages_sent=0, bytes_sent=0)
+
+
 class ParallelPredictor:
     """Drives P trained subdomain networks as a coupled surrogate.
 
@@ -339,10 +472,6 @@ class ParallelPredictor:
         The block decomposition used during training.
     fill:
         Physical-boundary halo fill, matching training.
-    use_plan:
-        Compile each model to an :class:`InferencePlan` once, so rollout
-        steps reuse warm workspace buffers (bit-identical results).
-        Models the plan cannot express fall back to the module forward.
     """
 
     def __init__(
@@ -350,12 +479,9 @@ class ParallelPredictor:
         models: list[SubdomainCNN],
         decomposition: BlockDecomposition,
         fill: str = "zero",
-        use_plan: bool = True,
     ) -> None:
-        if len(models) != decomposition.num_subdomains:
-            raise ConfigurationError(
-                f"{len(models)} models for {decomposition.num_subdomains} subdomains"
-            )
+        # One unit per rank, plans compiled once here.
+        self._units = _block_steppers(models, decomposition, fill)
         strategies = {m.config.strategy for m in models}
         if len(strategies) > 1:
             raise ConfigurationError(
@@ -372,16 +498,6 @@ class ParallelPredictor:
         self.decomposition = decomposition
         self.fill = fill
         self.halo = models[0].input_halo
-        # Compiled once per model; plans hold references to parameter
-        # storage, so later in-place weight updates stay visible.
-        self._plans = [
-            InferencePlan.try_compile(m) if use_plan else None for m in models
-        ]
-
-    # ------------------------------------------------------------------
-    def predict_step(self, state: np.ndarray, execution: str = "threads") -> np.ndarray:
-        """One global step ``t -> t+1`` (embarrassingly parallel)."""
-        return self.rollout(state, num_steps=1, execution=execution).trajectory[1]
 
     def rollout(
         self, initial: np.ndarray, num_steps: int, execution: str = "threads"
@@ -402,8 +518,7 @@ class ParallelPredictor:
                 f"initial state shape {initial.shape} does not match the "
                 f"decomposition {self.decomposition.field_shape}"
             )
-        decomposition = self.decomposition
-        halo, fill = self.halo, self.fill
+        decomposition, halo = self.decomposition, self.halo
         ranks = range(decomposition.num_subdomains)
         # One global trajectory every rank writes its own window of —
         # nothing is stacked, returned or reassembled.  The dtype is
@@ -429,18 +544,15 @@ class ParallelPredictor:
 
         def program(comm: mpi.Communicator) -> None:
             rank = comm.rank
-            sub = decomposition.subdomain(rank)
-            window = trajectory[:, :, sub.y_slice, sub.x_slice]
-            model = self.models[rank]
-            plan = self._plans[rank]
-            padded = None  # the halo-extended input, refilled in place every step
+            unit = self._units[rank]
             step_bytes = sum(strips[rank])
             metered = obs_metrics.enabled()
             for step in range(num_steps):
                 step_start = trace.clock() if metered else 0.0
                 with trace.span("rollout.step", cat="rollout", step=step):
-                    net_input = window[step]  # ZERO / TRANSPOSE: the block is the input
-                    if handshake is not None:
+                    if handshake is None:
+                        net_input = unit.gather(trajectory[step])
+                    else:
                         # The wait nests in the comm span as router.wait
                         # nests in mpi.recv: comm seconds include it.
                         with (
@@ -450,15 +562,13 @@ class ParallelPredictor:
                             if step:
                                 with trace.span("halo.wait", cat="comm.wait"):
                                     handshake.wait(comm, step)
-                            net_input = padded = decomposition.extract(
-                                trajectory[step], rank, halo, fill, out=padded
-                            )
+                            net_input = unit.gather(trajectory[step])
                         if metered:
                             _HALO_EXCHANGES.inc()
                             _BYTES_SENT.inc(step_bytes)
                             _BYTES_RECV.inc(step_bytes)
                     with trace.span("rollout.forward", cat="compute", step=step):
-                        _predict_into(model, plan, net_input, window[step + 1])
+                        unit.predict(net_input, trajectory[step + 1])
                     if handshake is not None and step + 1 < num_steps:
                         handshake.post(rank)
                 if metered:
@@ -492,38 +602,3 @@ def _strip_volumes(
         for direction in (-1, +1)
         if decomposition.neighbour(rank, axis, direction) not in (None, rank)
     ]
-
-
-class SequentialPredictor:
-    """Reference single-network predictor on the undecomposed domain."""
-
-    def __init__(self, model: Module, use_plan: bool = True) -> None:
-        self.model = model
-        self._plan = InferencePlan.try_compile(model) if use_plan else None
-
-    def rollout(self, initial: np.ndarray, num_steps: int) -> RolloutResult:
-        """Autoregressive rollout with one network (no communication).
-
-        Only meaningful for networks whose output size equals their
-        input size (ZERO / TRANSPOSE strategies, or NEIGHBOR_* networks
-        trained at P=1 where halo=0 padding was applied externally).
-        """
-        if num_steps < 1:
-            raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
-        initial = np.asarray(initial)
-        halo = getattr(self.model, "input_halo", 0)
-        trajectory = np.empty(
-            (num_steps + 1,) + initial.shape,
-            np.result_type(initial.dtype, _parameter_dtype(self.model)),
-        )
-        trajectory[0] = initial
-        # The physical-boundary halo is plain zero padding: only the
-        # interior of the padded input changes from step to step.
-        padded = np.pad(trajectory[0], ((0, 0), (halo, halo), (halo, halo))) if halo else None
-        for step in range(num_steps):
-            net_input = trajectory[step]
-            if padded is not None:
-                padded[:, halo:-halo, halo:-halo] = net_input
-                net_input = padded
-            _predict_into(self.model, self._plan, net_input, trajectory[step + 1])
-        return RolloutResult(trajectory, messages_sent=0, bytes_sent=0)

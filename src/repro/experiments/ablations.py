@@ -23,7 +23,7 @@ from ..core import (
     relative_l2,
     train_weight_averaging,
 )
-from ..core.inference import SequentialPredictor
+from ..core.inference import EnsembleStepper
 from ..core.trainer import predict as predict_batch
 from ..exceptions import ConfigurationError
 from .common import (
@@ -390,7 +390,7 @@ def run_scheme_comparison(
     )
     model = wa_result.build_model()
     sample_in, sample_target = experiment.validation[0]
-    prediction = SequentialPredictor(model).rollout(sample_in, 1).trajectory[1]
+    prediction = EnsembleStepper([model]).advance(sample_in)
     wa_error = relative_l2(
         experiment.denormalize(prediction), experiment.denormalize(sample_target)
     )

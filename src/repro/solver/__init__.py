@@ -47,15 +47,18 @@ from .initial_conditions import (
     scalar_gaussian,
 )
 from .parareal import (
-    CoarseOperator,
-    EnsembleCoarseOperator,
-    ModelCoarseOperator,
     PararealConfig,
     PararealDriver,
     PararealResult,
     serial_fine,
 )
-from .simulation import FieldSimulation, Simulation, SimulationResult, SteppedSimulation
+from .simulation import (
+    FieldSimulation,
+    Simulation,
+    SimulationResult,
+    SteppedSimulation,
+    Stepper,
+)
 from .state import CHANNELS, NUM_CHANNELS, EulerState
 from .time_integrators import euler_step, get_integrator, heun_step, rk4_step
 
@@ -75,12 +78,10 @@ __all__ = [
     "FieldSimulation",
     "SimulationResult",
     "SteppedSimulation",
+    "Stepper",
     "PararealConfig",
     "PararealDriver",
     "PararealResult",
-    "CoarseOperator",
-    "ModelCoarseOperator",
-    "EnsembleCoarseOperator",
     "serial_fine",
     "gaussian_pulse",
     "paper_initial_condition",

@@ -30,16 +30,19 @@ The blocked stretch of that hand-off is the span ``parareal.wait``
 (category ``comm.wait``; see :mod:`repro.obs.export` for how a parareal
 run's summary columns read).
 
-Precision: fine states stay float64 (the solver's native mode); a
-float32 coarse model returns float32 predictions, which NumPy promotes
-back to float64 inside the correction — the coarse term only needs to
-be *close*, its rounding error is part of what the iteration corrects.
+F and G are each just a :class:`~repro.solver.simulation.Stepper`
+(``advance(state, num_steps, out=)``), so this module knows nothing of
+networks: a CNN ensemble (``repro.core.inference.EnsembleStepper``) or
+the fine simulation itself (``PararealDriver(sim, sim, cfg)`` converges
+in one sweep) goes in as ``coarse`` unwrapped.  Fine states stay float64
+(the solver's native mode); a float32 model's predictions are float32
+values in a float64 frame — the coarse term only needs to be *close*,
+its rounding error is part of what the iteration corrects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,15 +50,12 @@ from .. import mpi
 from ..exceptions import ConfigurationError
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from .simulation import SteppedSimulation
+from .simulation import SteppedSimulation, Stepper
 
 __all__ = [
     "PararealConfig",
     "PararealResult",
     "PararealDriver",
-    "CoarseOperator",
-    "ModelCoarseOperator",
-    "EnsembleCoarseOperator",
     "serial_fine",
 ]
 
@@ -158,140 +158,6 @@ class PararealResult:
         return self.states.shape[0] - 1
 
 
-class CoarseOperator:
-    """Base coarse propagator G: advances a global ``(C, ny, nx)`` state.
-
-    ``num_steps`` counts *coarse* applications; the driver maps each to
-    ``PararealConfig.fine_steps_per_coarse`` fine solver steps of
-    physical time.
-    """
-
-    def spawn(self) -> "CoarseOperator":
-        """A per-rank instance.
-
-        Inference plans and their workspaces belong to a single thread,
-        so the driver calls this once inside every rank instead of
-        sharing one operator across the world.
-        """
-        raise NotImplementedError
-
-    def advance(self, state: np.ndarray, num_steps: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ModelCoarseOperator(CoarseOperator):
-    """A single full-domain CNN as G.
-
-    Applies the :class:`~repro.core.inference.SequentialPredictor`
-    stepping rule — zero-pad the physical halo, run the allocation-free
-    :class:`~repro.core.inference.InferencePlan` — without the
-    predictor's snapshot bookkeeping.
-    """
-
-    def __init__(self, model, use_plan: bool = True) -> None:
-        self.model = model
-        self.use_plan = use_plan
-        self.halo = int(getattr(model, "input_halo", 0))
-        self._plan = None
-        if use_plan:
-            from ..core.inference import InferencePlan  # lazy: core imports solver
-
-            self._plan = InferencePlan.try_compile(model)
-
-    def spawn(self) -> "ModelCoarseOperator":
-        return ModelCoarseOperator(self.model, use_plan=self.use_plan)
-
-    def _forward(self, batch: np.ndarray) -> np.ndarray:
-        if self._plan is not None:
-            return self._plan.run(batch)
-        from ..tensor import Tensor, no_grad  # lazy: keep solver import-light
-
-        with no_grad():
-            return self.model(Tensor(batch)).numpy()
-
-    def advance(self, state: np.ndarray, num_steps: int) -> np.ndarray:
-        for _ in range(num_steps):
-            padded = state
-            if self.halo > 0:
-                pad = ((0, 0), (self.halo, self.halo), (self.halo, self.halo))
-                padded = np.pad(state, pad)
-            state = self._forward(padded[np.newaxis])[0]
-        return state
-
-
-class EnsembleCoarseOperator(CoarseOperator):
-    """The domain-decomposed CNN ensemble as G.
-
-    Each coarse application pads every subdomain block with ``halo``
-    lines of neighbour data cut straight from the *global* state
-    (``BlockDecomposition.extract(halo=..., out=...)`` into one
-    persistent buffer per subdomain — the call ``ParallelPredictor``
-    fills its network inputs with, without nesting a second MPI world
-    inside a Parareal rank), runs each subdomain's network, and
-    reassembles the global field.  One application therefore matches
-    ``ParallelPredictor.predict_step`` exactly (pinned by tests).
-    """
-
-    def __init__(
-        self,
-        models: Sequence,
-        decomposition,
-        fill: str = "zero",
-        use_plan: bool = True,
-    ) -> None:
-        if len(models) != decomposition.num_subdomains:
-            raise ConfigurationError(
-                f"{len(models)} models for {decomposition.num_subdomains} "
-                f"subdomains"
-            )
-        self.models = list(models)
-        self.decomposition = decomposition
-        self.fill = fill
-        self.use_plan = use_plan
-        self.halo = int(getattr(self.models[0], "input_halo", 0))
-        self._plans = [None] * len(self.models)
-        if use_plan:
-            from ..core.inference import InferencePlan  # lazy: core imports solver
-
-            self._plans = [InferencePlan.try_compile(m) for m in self.models]
-        # Halo-extended network inputs, refilled in place every
-        # application; keyed by dtype because a float32 ensemble hands
-        # float32 states back into a float64 iteration.
-        self._inputs: dict[tuple[int, np.dtype], np.ndarray] = {}
-
-    def spawn(self) -> "EnsembleCoarseOperator":
-        return EnsembleCoarseOperator(
-            self.models, self.decomposition, fill=self.fill, use_plan=self.use_plan
-        )
-
-    def _forward(self, index: int, batch: np.ndarray) -> np.ndarray:
-        plan = self._plans[index]
-        if plan is not None:
-            return plan.run(batch)
-        from ..tensor import Tensor, no_grad  # lazy: keep solver import-light
-
-        with no_grad():
-            return self.models[index](Tensor(batch)).numpy()
-
-    def _input(self, rank: int, state: np.ndarray) -> np.ndarray:
-        key = (rank, state.dtype)
-        block = self.decomposition.extract(
-            state, rank, self.halo, self.fill, out=self._inputs.get(key)
-        )
-        if self.halo:  # a halo-free cut may be a view of ``state``: not ours to keep
-            self._inputs[key] = block
-        return block
-
-    def advance(self, state: np.ndarray, num_steps: int) -> np.ndarray:
-        for _ in range(num_steps):
-            pieces = []
-            for rank in range(len(self.models)):
-                block = self._input(rank, state)
-                pieces.append(self._forward(rank, block[np.newaxis])[0])
-            state = self.decomposition.assemble(pieces)
-        return state
-
-
 def serial_fine(
     simulation: SteppedSimulation, initial: np.ndarray, config: PararealConfig
 ) -> np.ndarray:
@@ -301,13 +167,12 @@ def serial_fine(
     Parareal iteration converges to — the honest single-worker baseline
     for the speedup benchmarks.
     """
-    state = np.asarray(initial, dtype=float)
-    states = [state]
-    for _ in range(config.slices):
+    states = np.empty((config.slices + 1,) + np.shape(initial))
+    states[0] = initial
+    for n in range(config.slices):
         with trace.span("parareal.fine", cat="parareal", serial=True):
-            state = simulation.advance_array(state, config.fine_steps_per_slice)
-        states.append(state)
-    return np.stack(states)
+            simulation.advance(states[n], config.fine_steps_per_slice, out=states[n + 1])
+    return states
 
 
 class PararealDriver:
@@ -318,10 +183,11 @@ class PararealDriver:
     simulation:
         The fine propagator — any :class:`SteppedSimulation`
         (``Simulation`` for Euler, ``FieldSimulation`` for scalar
-        equations), stepped through its ``advance_array`` surface.
+        equations); it also fixes the state shape and ``dt``.
     coarse:
-        The coarse propagator G (usually a trained CNN wrapped in
-        :class:`ModelCoarseOperator` or :class:`EnsembleCoarseOperator`).
+        The coarse propagator G: any :class:`Stepper`, one step of which
+        spans ``fine_steps_per_coarse`` fine steps.  Rank threads share
+        it, so any scratch it keeps must be per calling thread.
     config:
         Slice count, tolerance, and the coarse/fine step mapping.
     """
@@ -329,7 +195,7 @@ class PararealDriver:
     def __init__(
         self,
         simulation: SteppedSimulation,
-        coarse: CoarseOperator,
+        coarse: Stepper,
         config: PararealConfig,
     ) -> None:
         self.simulation = simulation
@@ -351,8 +217,7 @@ class PararealDriver:
                 f"initial state shape {start_state.shape} does not match "
                 f"(channels,) + grid shape {expected}"
             )
-        simulation = self.simulation
-        operator = self.coarse
+        simulation, coarse = self.simulation, self.coarse
         size = cfg.slices
         cap = cfg.iteration_cap
         # window[k, n] is U_n^k.  Rank n writes window[k, n + 1] once and
@@ -365,18 +230,17 @@ class PararealDriver:
 
         def program(comm):
             rank = comm.rank
-            coarse = operator.spawn()
             counters = {"coarse": 0, "fine": 0}
 
-            def coarse_slice(state):
+            def coarse_slice(state, out=None):
                 counters["coarse"] += cfg.coarse_steps
                 with trace.span("parareal.coarse", cat="parareal", slice=rank):
-                    return coarse.advance(state, cfg.coarse_steps)
+                    return coarse.advance(state, cfg.coarse_steps, out=out)
 
             def fine_slice(state):
                 counters["fine"] += cfg.fine_steps_per_slice
                 with trace.span("parareal.fine", cat="parareal", slice=rank):
-                    return simulation.advance_array(state, cfg.fine_steps_per_slice)
+                    return simulation.advance(state, cfg.fine_steps_per_slice)
 
             def start_of(sweep):
                 """U_rank^sweep, read in place once rank - 1 has posted it."""
@@ -387,8 +251,7 @@ class PararealDriver:
             # Sweep 0: the serial coarse initialization trickles the first
             # slice-start estimates down the rank chain.
             slice_start = start_of(0)
-            coarse_end = coarse_slice(slice_start)
-            window[0, rank + 1] = coarse_end
+            coarse_end = coarse_slice(slice_start, out=window[0, rank + 1])
             chain.post(rank)
 
             iterations = 0

@@ -7,16 +7,18 @@ Euler equations and records the channel-stacked snapshots
 Both drivers — the paper-baseline :class:`Simulation` (EulerState in,
 EulerState out) and the channel-agnostic :class:`FieldSimulation`
 (plain ``(C, ny, nx)`` stacks) — share one time loop through
-:class:`SteppedSimulation`: a single ``advance``/``run`` implementation
-plus the array-in/array-out :meth:`SteppedSimulation.advance_array`
-surface that the Parareal fine propagator steps through.  The loop
-structure is bit-exact to the historical per-class loops, pinned by
-the sha256 golden tests.
+:class:`SteppedSimulation`: a single ``advance``/``run`` implementation.
+``advance`` is also the package-wide :class:`Stepper` contract (channel
+stack in, the stack ``n`` steps later out), which the CNN ensemble
+implements too, so the Parareal driver and ``rollout`` take either.
+The loop structure is bit-exact to the historical per-class loops,
+pinned by the sha256 golden tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -52,6 +54,21 @@ class SimulationResult:
         return self.snapshots.shape[0]
 
 
+class Stepper(Protocol):
+    """Anything that advances a field: solver, CNN, CNN ensemble."""
+
+    def advance(
+        self, state: np.ndarray, num_steps: int = 1, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The ``(C, ny, nx)`` stack ``num_steps`` steps after ``state``.
+
+        ``state`` is never written.  The result lands in ``out`` when
+        given — which must not overlap ``state`` — and ``out`` is then
+        what is returned; otherwise in a new array.
+        """
+        ...
+
+
 class SteppedSimulation:
     """The shared stepping surface of :class:`Simulation` and
     :class:`FieldSimulation`.
@@ -59,9 +76,8 @@ class SteppedSimulation:
     Subclasses provide the representation-specific hooks (one solver
     step, initial-state validation, array conversion, diagnostics);
     this base owns the single ``advance``/``run`` loop both drivers
-    used to duplicate, plus :meth:`advance_array` — the
-    representation-agnostic entry point used by the Parareal fine
-    propagator and anything else that thinks in channel stacks.
+    used to duplicate.  ``advance`` takes the driver's own state type or
+    a plain channel stack: every simulation is a :class:`Stepper`.
     """
 
     # set by the subclass dataclasses / their __post_init__
@@ -79,12 +95,12 @@ class SteppedSimulation:
         raise NotImplementedError
 
     def _state_array(self, state) -> np.ndarray:
-        """``(C, ny, nx)`` view/copy of ``state``."""
-        raise NotImplementedError
+        """``(C, ny, nx)`` view/copy of ``state`` (default: it is one)."""
+        return state
 
     def _state_from_array(self, fields: np.ndarray):
         """Inverse of :meth:`_state_array` (no boundary application)."""
-        raise NotImplementedError
+        return np.asarray(fields, dtype=float)
 
     def _is_finite(self, state) -> bool:
         raise NotImplementedError
@@ -97,22 +113,21 @@ class SteppedSimulation:
         raise NotImplementedError
 
     # -- the one stepping surface --------------------------------------
-    def advance(self, state, num_steps: int = 1):
-        """Advance ``state`` by ``num_steps`` time steps (not in place)."""
-        current = state
+    def advance(self, state, num_steps: int = 1, out: np.ndarray | None = None):
+        """Advance ``state`` by ``num_steps`` time steps (not in place).
+
+        An :class:`EulerState` comes back as one; a ``(C, ny, nx)`` stack
+        (Euler runs convert it through :class:`EulerState`) comes back as
+        a stack — written to ``out`` when given, per :class:`Stepper`.
+        """
+        stack = not isinstance(state, EulerState)
+        current = self._state_from_array(state) if stack else state
         for _ in range(num_steps):
             current = self._step_once(current)
-        return current
-
-    def advance_array(self, fields: np.ndarray, num_steps: int = 1) -> np.ndarray:
-        """Advance a ``(C, ny, nx)`` channel stack by ``num_steps``.
-
-        Euler runs convert through :class:`EulerState`; field runs pass
-        arrays straight through.  This is the fine-propagator surface
-        of :mod:`repro.solver.parareal`.
-        """
-        state = self._state_from_array(fields)
-        return self._state_array(self.advance(state, num_steps))
+        if out is not None:
+            np.copyto(out, self._state_array(current))
+            return out
+        return self._state_array(current) if stack else current
 
     def run(
         self,
@@ -276,12 +291,6 @@ class FieldSimulation(SteppedSimulation):
                 f"(channels,) + grid shape {expected}"
             )
         return self._bc(initial.copy())
-
-    def _state_array(self, fields: np.ndarray) -> np.ndarray:
-        return fields
-
-    def _state_from_array(self, fields: np.ndarray) -> np.ndarray:
-        return np.asarray(fields, dtype=float)
 
     def _is_finite(self, fields: np.ndarray) -> bool:
         return bool(np.isfinite(fields).all())

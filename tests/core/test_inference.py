@@ -8,10 +8,11 @@ import pytest
 
 from repro.core import (
     CNNConfig,
+    EnsembleStepper,
     PaddingStrategy,
     ParallelPredictor,
-    SequentialPredictor,
     SubdomainCNN,
+    rollout,
 )
 from repro.domain import BlockDecomposition
 from repro.exceptions import ConfigurationError, ShapeError
@@ -123,16 +124,6 @@ class TestRolloutMechanics:
         assert result.messages_sent == 8 * 3
         assert result.bytes_sent > 0
 
-    def test_predict_step_equals_one_step_rollout(self, rng):
-        config = CNNConfig(channels=(4, 4), kernel_size=3, strategy=PaddingStrategy.ZERO)
-        _, models = clone_models(config, 2)
-        field = rng.standard_normal((4, 8, 8))
-        decomp = BlockDecomposition.from_num_ranks((8, 8), 2)
-        predictor = ParallelPredictor(models, decomp)
-        assert np.allclose(
-            predictor.predict_step(field), predictor.rollout(field, 1).trajectory[1]
-        )
-
 
 class TestValidation:
     def test_inner_crop_rejected_for_rollout(self, rng):
@@ -180,7 +171,7 @@ class TestValidation:
             ParallelPredictor(models, decomp).rollout(rng.standard_normal((4, 8, 8)), 0)
 
 
-class TestSequentialPredictor:
+class TestSingleNetworkRollout:
     def test_matches_parallel_at_p1_neighbor_all(self, rng):
         config = CNNConfig(
             channels=(4, 4), kernel_size=3, strategy=PaddingStrategy.NEIGHBOR_ALL
@@ -189,12 +180,5 @@ class TestSequentialPredictor:
         field = rng.standard_normal((4, 8, 8))
         decomp = BlockDecomposition.from_num_ranks((8, 8), 1)
         parallel = ParallelPredictor(models, decomp).rollout(field, 2)
-        sequential = SequentialPredictor(reference).rollout(field, 2)
-        assert np.allclose(parallel.trajectory, sequential.trajectory, atol=1e-12)
-
-    def test_zero_strategy_rollout(self, rng):
-        config = CNNConfig(channels=(4, 4), kernel_size=3, strategy=PaddingStrategy.ZERO)
-        model = SubdomainCNN(config, rng=np.random.default_rng(0))
-        result = SequentialPredictor(model).rollout(rng.standard_normal((4, 8, 8)), 3)
-        assert result.trajectory.shape == (4, 4, 8, 8)
-        assert result.messages_sent == 0
+        sequential = rollout(EnsembleStepper([reference]), field, 2)
+        assert np.array_equal(parallel.trajectory, sequential.trajectory)

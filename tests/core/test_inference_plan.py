@@ -12,10 +12,12 @@ import pytest
 
 from repro.core import (
     CNNConfig,
+    EnsembleStepper,
     InferencePlan,
     PaddingStrategy,
     ParallelPredictor,
     SubdomainCNN,
+    rollout,
 )
 from repro.domain import BlockDecomposition
 from repro.exceptions import ConfigurationError, ShapeError
@@ -38,6 +40,19 @@ def make_model(strategy, seed=0, channels=(4, 6, 4)):
 def model_forward(model, x):
     with no_grad():
         return model(Tensor(x)).numpy()
+
+
+class Unplanned(SubdomainCNN):
+    """The same network behind its own ``forward``: the plan refuses it,
+    so a rollout takes the module-by-module path."""
+
+    def forward(self, x):
+        return super().forward(x)
+
+
+class Doubled(SubdomainCNN):
+    def forward(self, x):
+        return super().forward(x) * 2.0
 
 
 class TestPlanEquivalence:
@@ -198,11 +213,11 @@ class TestCompilation:
 class TestRolloutEquivalence:
     """Seeded multi-step MPI rollout: plans must change nothing."""
 
-    def clone_models(self, config, num, seed=7):
+    def clone_models(self, config, num, seed=7, cls=SubdomainCNN):
         reference = SubdomainCNN(config, rng=np.random.default_rng(seed))
         models = []
         for _ in range(num):
-            model = SubdomainCNN(config, rng=np.random.default_rng(99))
+            model = cls(config, rng=np.random.default_rng(99))
             model.load_state_dict(reference.state_dict())
             models.append(model)
         return models
@@ -219,8 +234,11 @@ class TestRolloutEquivalence:
         decomp = BlockDecomposition.from_num_ranks((16, 16), 4)
         field = rng.standard_normal((4, 16, 16))
 
-        naive = ParallelPredictor(models, decomp, use_plan=False)
-        planned = ParallelPredictor(models, decomp, use_plan=True)
+        # Models the plan refuses take the module-by-module forward.
+        naive = ParallelPredictor(self.clone_models(config, 4, cls=Unplanned), decomp)
+        planned = ParallelPredictor(models, decomp)
+        assert [unit.plan for unit in naive._units] == [None] * 4
+        assert None not in [unit.plan for unit in planned._units]
         expected = naive.rollout(field, num_steps=3, execution=execution)
         got = planned.rollout(field, num_steps=3, execution=execution)
 
@@ -228,13 +246,49 @@ class TestRolloutEquivalence:
         assert got.messages_sent == expected.messages_sent
         assert got.bytes_sent == expected.bytes_sent
 
-    def test_predict_step_matches_rollout(self, rng):
-        config = CNNConfig(channels=(4, 4), kernel_size=3, strategy=PaddingStrategy.ZERO)
-        models = self.clone_models(config, 2)
-        decomp = BlockDecomposition.from_num_ranks((12, 12), 2)
+
+class TestForwardOverride:
+    """A ``SubdomainCNN`` subclass with its own ``forward`` is not its
+    ``.layers``: the plan must refuse it and the rollout must run it."""
+
+    def models(self, num):
+        config = CNNConfig(channels=(4, 5, 4), kernel_size=3)
+        return [Doubled(config, rng=np.random.default_rng(r)) for r in range(num)]
+
+    def stepwise(self, models, decomp, field, num_steps):
+        halo = models[0].input_halo
+        frames = [field]
+        for _ in range(num_steps):
+            frames.append(
+                decomp.assemble(
+                    [
+                        model_forward(model, decomp.extract(frames[-1], rank, halo)[None])[0]
+                        for rank, model in enumerate(models)
+                    ]
+                )
+            )
+        return np.stack(frames)
+
+    def test_plan_refuses_and_names_the_class(self):
+        (model,) = self.models(1)
+        with pytest.raises(ConfigurationError, match="Doubled"):
+            InferencePlan(model)
+        assert InferencePlan.try_compile(model) is None
+
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    def test_parallel_rollout_runs_the_overriding_forward(self, rng, execution):
+        models = self.models(2)
+        decomp = BlockDecomposition((12, 12), (1, 2))
         field = rng.standard_normal((4, 12, 12))
-        predictor = ParallelPredictor(models, decomp)
-        step = predictor.predict_step(field)
-        assert np.array_equal(
-            step, predictor.rollout(field, num_steps=1).trajectory[1]
-        )
+        result = ParallelPredictor(models, decomp).rollout(field, 3, execution=execution)
+        assert np.array_equal(result.trajectory, self.stepwise(models, decomp, field, 3))
+
+    @pytest.mark.parametrize("num", [1, 2])
+    def test_ensemble_stepper_runs_the_overriding_forward(self, rng, num):
+        models = self.models(num)
+        decomp = BlockDecomposition((12, 12), (1, num))
+        field = rng.standard_normal((4, 12, 12))
+        stepper = EnsembleStepper(models, decomp if num > 1 else None)
+        expected = self.stepwise(models, decomp, field, 3)
+        assert np.array_equal(rollout(stepper, field, 3).trajectory, expected)
+        assert np.array_equal(stepper.advance(field, 3), expected[3])

@@ -19,11 +19,12 @@ import pytest
 
 from repro.core import (
     CNNConfig,
+    EnsembleStepper,
     InferencePlan,
     PaddingStrategy,
     ParallelPredictor,
-    SequentialPredictor,
     SubdomainCNN,
+    rollout,
 )
 from repro.domain import BlockDecomposition
 from repro.exceptions import CommunicatorError
@@ -78,11 +79,16 @@ class TestParity:
                 execution: predictor.rollout(initial, 3, execution=execution)
                 for execution in ("threads", "processes")
             }
+            # the same blocks stepped in turn, without ranks
+            stepper = EnsembleStepper(models, decomposition, fill=fill)
+            results["serial"] = rollout(stepper, initial, 3)
+            single_step = stepper.advance(initial, 1)
         # a float32 model fed a float64 field still yields float64 frames
         assert expected.dtype == np.float64
         for result in results.values():
             assert result.trajectory.dtype == np.float64
             assert np.array_equal(result.trajectory, expected)
+        assert np.array_equal(single_step, expected[1])
         assert results["threads"].messages_sent == results["processes"].messages_sent
         assert results["threads"].bytes_sent == results["processes"].bytes_sent
 
@@ -114,7 +120,7 @@ class TestParity:
         # four column strips of the row-extended 32 x 16 block
         assert result.bytes_sent == 4 * (4 * (32 + 2 * 2) * 2 * 8) == 9216
 
-    def test_sequential_rollout_matches_stepwise_forward(self, rng):
+    def test_one_network_rollout_matches_stepwise_forward(self, rng):
         config = CNNConfig(channels=(4, 5, 4), kernel_size=3, strategy=PaddingStrategy.ZERO)
         model = SubdomainCNN(config, rng=np.random.default_rng(0))
         plan = InferencePlan(model)
@@ -122,9 +128,8 @@ class TestParity:
         frames = [initial]
         for _ in range(3):
             frames.append(plan.run(frames[-1][None])[0])
-        result = SequentialPredictor(model).rollout(initial, 3)
+        result = rollout(EnsembleStepper([model]), initial, 3)
         assert np.array_equal(result.trajectory, np.stack(frames))
-        assert result.trajectory.flags.writeable
 
 
 class TestTrajectoryLifetime:
@@ -163,18 +168,45 @@ class TestAllocation:
         decomposition = _RecordingDecomposition((64, 64), (1, 2))
         decomposition.filled = []
         predictor = ParallelPredictor(make_models(config, 2), decomposition)
+        plans = [unit.plan for unit in predictor._units]
         initial = rng.standard_normal((4, 64, 64))
         predictor.rollout(initial, 2)  # warm the plans' arenas
-        created = [plan.workspace.stats.buffers_created for plan in predictor._plans]
+        created = [plan.workspace.stats.buffers_created for plan in plans]
+        first_call = list(decomposition.filled)
         decomposition.filled.clear()
         predictor.rollout(initial, 12)
-        assert [plan.workspace.stats.buffers_created for plan in predictor._plans] == created
+        assert [plan.workspace.stats.buffers_created for plan in plans] == created
         for rank in range(2):
+            # the very first cut allocates the padded input ...
+            (first, second) = [out for r, out in first_call if r == rank]
+            assert first is None and second is not None
+            # ... every later one refills it, in later rollouts too
             buffers = [out for r, out in decomposition.filled if r == rank]
             assert len(buffers) == 12
-            assert buffers[0] is None  # the first cut allocates it ...
-            assert buffers[1] is not None  # ... every later one refills it
-            assert all(out is buffers[1] for out in buffers[1:])
+            assert all(out is second for out in buffers)
+
+    def test_the_serial_stepper_stops_allocating(self, rng):
+        """After two warm-up calls ``advance(x, 3, out=buf)`` creates no
+        workspace buffer, refills the same padded inputs and alternates
+        through the same spare frame."""
+        config = CNNConfig(channels=(4, 6, 4), kernel_size=3)
+        decomposition = _RecordingDecomposition((64, 64), (1, 2))
+        decomposition.filled = []
+        stepper = EnsembleStepper(make_models(config, 2), decomposition)
+        initial = rng.standard_normal((4, 64, 64))
+        buffer = np.empty_like(initial)
+        for _ in range(2):
+            stepper.advance(initial, 3, out=buffer)
+        plans = [unit.plan for unit in stepper._units()]
+        created = [plan.workspace.stats.buffers_created for plan in plans]
+        padded = {rank: out for rank, out in decomposition.filled[-2:]}
+        spare = stepper._scratch.spare
+        decomposition.filled.clear()
+        assert stepper.advance(initial, 3, out=buffer) is buffer
+        assert [plan.workspace.stats.buffers_created for plan in plans] == created
+        assert stepper._scratch.spare is spare
+        assert len(decomposition.filled) == 2 * 3
+        assert all(out is padded[rank] for rank, out in decomposition.filled)
 
 
 class TestTelemetry:
@@ -250,7 +282,7 @@ class TestRankFailure:
             _FailsAtStep(config, rng=np.random.default_rng(1)),
         ]
         models[1].fail_at = 3
-        predictor = ParallelPredictor(models, decomposition, use_plan=False)
+        predictor = ParallelPredictor(models, decomposition)
         initial = rng.standard_normal((4, 8, 8))
         gc.collect()
         mappings = shared_mappings()
@@ -284,7 +316,7 @@ class TestRankFailure:
             _FailsAtStep(config, rng=np.random.default_rng(1)),
         ]
         models[1].fail_at = 3
-        predictor = ParallelPredictor(models, decomposition, use_plan=False)
+        predictor = ParallelPredictor(models, decomposition)
         gc.collect()
         mappings = shared_mappings()
         start = time.monotonic()

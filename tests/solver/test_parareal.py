@@ -1,4 +1,4 @@
-"""Parallel-in-time Parareal driver: convergence, operators, stepping API.
+"""Parallel-in-time Parareal driver: convergence, the slice window, telemetry.
 
 The load-bearing pin is :class:`TestConvergence`: on both benchmark
 scenarios (``euler-gaussian``: Euler states through ``Simulation``;
@@ -11,13 +11,14 @@ property bounds the sweep count by the slice count.
 """
 
 import gc
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro import mpi, solver
-from repro.core import build_paper_cnn
+from repro import mpi
+from repro.core import EnsembleStepper, build_paper_cnn
 from repro.domain.decomposition import BlockDecomposition
 from repro.exceptions import ConfigurationError
 from repro.scenarios import (
@@ -29,9 +30,6 @@ from repro.scenarios import (
     parareal_config,
 )
 from repro.solver.parareal import (
-    CoarseOperator,
-    EnsembleCoarseOperator,
-    ModelCoarseOperator,
     PararealConfig,
     PararealDriver,
     _relative_delta,
@@ -63,19 +61,22 @@ def random_model(num_channels, seed=0):
     )
 
 
-class FineAsCoarse(CoarseOperator):
-    """G == F: the Parareal iteration must then converge in one sweep."""
+def model_stepper(num_channels):
+    """A single full-domain random CNN as G."""
+    return EnsembleStepper([random_model(num_channels)])
+
+
+class FineAsCoarse:
+    """G == F when one coarse step spans several fine steps (with one
+    fine step per coarse step the simulation itself is G)."""
 
     def __init__(self, simulation, fine_steps_per_coarse):
         self.simulation = simulation
         self.fine_steps_per_coarse = fine_steps_per_coarse
 
-    def spawn(self):
-        return self
-
-    def advance(self, state, num_steps):
-        return self.simulation.advance_array(
-            state, num_steps * self.fine_steps_per_coarse
+    def advance(self, state, num_steps=1, out=None):
+        return self.simulation.advance(
+            state, num_steps * self.fine_steps_per_coarse, out=out
         )
 
 
@@ -95,7 +96,7 @@ def reference_parareal(simulation, coarse, config, initial):
         previous, states = states, states.copy()
         delta = 0.0
         for n in slices:
-            fine_end = simulation.advance_array(previous[n], config.fine_steps_per_slice)
+            fine_end = simulation.advance(previous[n], config.fine_steps_per_slice)
             delta = max(delta, _relative_delta(states[n], previous[n]))
             coarse_new = coarse.advance(states[n], config.coarse_steps)
             states[n + 1] = coarse_new + fine_end - coarse_end[n]
@@ -150,81 +151,6 @@ class TestPararealConfig:
         assert config.tolerance == 0.5
 
 
-class TestAdvanceArray:
-    """The unified stepping surface shared by both simulation drivers."""
-
-    def test_euler_advance_array_matches_state_advance(self):
-        simulation, initial, _ = scenario_setup("euler-gaussian")
-        state = solver.EulerState.from_array(initial)
-        expected = simulation.advance(state, 3).to_array()
-        got = simulation.advance_array(initial, 3)
-        assert np.array_equal(got, expected)
-
-    def test_field_advance_array_matches_advance(self):
-        simulation, initial, _ = scenario_setup("allen-cahn")
-        expected = simulation.advance(initial.copy(), 4)
-        got = simulation.advance_array(initial, 4)
-        assert np.array_equal(got, expected)
-
-    def test_advance_composes(self):
-        simulation, initial, _ = scenario_setup("allen-cahn")
-        two_then_one = simulation.advance_array(
-            simulation.advance_array(initial, 2), 1
-        )
-        assert np.array_equal(simulation.advance_array(initial, 3), two_then_one)
-
-    def test_run_still_matches_advance_array(self):
-        # run() records what advance_array computes: one loop, two views.
-        simulation, initial, _ = scenario_setup("allen-cahn")
-        result = simulation.run(initial, num_snapshots=3, steps_per_snapshot=2)
-        prepared = result.snapshots[0]
-        assert np.array_equal(
-            result.snapshots[1], simulation.advance_array(prepared, 2)
-        )
-
-
-class TestCoarseOperators:
-    def test_model_operator_plan_matches_module_forward(self):
-        simulation, initial, num_channels = scenario_setup("euler-gaussian")
-        model = random_model(num_channels)
-        with_plan = ModelCoarseOperator(model, use_plan=True)
-        without_plan = ModelCoarseOperator(model, use_plan=False)
-        np.testing.assert_allclose(
-            with_plan.advance(initial, 2),
-            without_plan.advance(initial, 2),
-            rtol=1e-12,
-            atol=1e-12,
-        )
-
-    def test_ensemble_matches_parallel_predictor_step(self):
-        from repro.core import ParallelPredictor
-
-        _, initial, num_channels = scenario_setup("euler-gaussian")
-        models = [random_model(num_channels, seed=r) for r in range(4)]
-        decomposition = BlockDecomposition((GRID, GRID), (2, 2))
-        operator = EnsembleCoarseOperator(models, decomposition)
-        predictor = ParallelPredictor(models, decomposition)
-        np.testing.assert_allclose(
-            operator.advance(initial, 1),
-            predictor.predict_step(initial),
-            rtol=1e-12,
-            atol=1e-12,
-        )
-
-    def test_ensemble_rejects_model_count_mismatch(self):
-        _, _, num_channels = scenario_setup("euler-gaussian")
-        models = [random_model(num_channels, seed=r) for r in range(3)]
-        with pytest.raises(ConfigurationError, match="3 models for 4"):
-            EnsembleCoarseOperator(models, BlockDecomposition((GRID, GRID), (2, 2)))
-
-    def test_spawn_returns_fresh_instance(self):
-        _, _, num_channels = scenario_setup("euler-gaussian")
-        operator = ModelCoarseOperator(random_model(num_channels))
-        spawned = operator.spawn()
-        assert spawned is not operator
-        assert spawned.model is operator.model
-
-
 class TestConvergence:
     """The acceptance pin: Parareal == serial fine, both scenarios x
     both backends, with an untrained CNN as coarse propagator."""
@@ -237,7 +163,7 @@ class TestConvergence:
     )
     def test_matches_serial_fine(self, scenario, execution, slices):
         simulation, initial, num_channels = scenario_setup(scenario)
-        operator = ModelCoarseOperator(random_model(num_channels))
+        operator = model_stepper(num_channels)
         config = parareal_config(
             scenario, slices=slices, tolerance=1e-9, fine_steps_per_coarse=2
         )
@@ -251,10 +177,18 @@ class TestConvergence:
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(result.states - reference)) <= 1e-12 * scale
 
-    def test_exact_coarse_operator_converges_in_one_sweep(self):
+    @pytest.mark.parametrize("fine_steps_per_coarse", [1, 2])
+    def test_exact_coarse_operator_converges_in_one_sweep(self, fine_steps_per_coarse):
         simulation, initial, _ = scenario_setup("allen-cahn")
-        config = PararealConfig(slices=6, tolerance=1e-6, fine_steps_per_coarse=2)
-        operator = FineAsCoarse(simulation, config.fine_steps_per_coarse)
+        config = PararealConfig(
+            slices=6, tolerance=1e-6, fine_steps_per_coarse=fine_steps_per_coarse
+        )
+        # G = F: the simulation goes in as ``coarse`` as it is.
+        operator = (
+            simulation
+            if fine_steps_per_coarse == 1
+            else FineAsCoarse(simulation, fine_steps_per_coarse)
+        )
         result = PararealDriver(simulation, operator, config).solve(initial)
         assert result.converged
         assert result.iterations == 1
@@ -262,9 +196,7 @@ class TestConvergence:
     def test_ensemble_coarse_operator_converges(self):
         simulation, initial, num_channels = scenario_setup("euler-gaussian")
         models = [random_model(num_channels, seed=r) for r in range(4)]
-        operator = EnsembleCoarseOperator(
-            models, BlockDecomposition((GRID, GRID), (2, 2))
-        )
+        operator = EnsembleStepper(models, BlockDecomposition((GRID, GRID), (2, 2)))
         config = PararealConfig(slices=4, tolerance=1e-9, fine_steps_per_coarse=2)
         result = PararealDriver(simulation, operator, config).solve(initial)
         reference = serial_fine(simulation, initial, config)
@@ -274,7 +206,7 @@ class TestConvergence:
 
     def test_work_accounting(self):
         simulation, initial, num_channels = scenario_setup("allen-cahn")
-        operator = ModelCoarseOperator(random_model(num_channels))
+        operator = model_stepper(num_channels)
         config = PararealConfig(
             slices=4, tolerance=1e-9, coarse_steps=2, fine_steps_per_coarse=3
         )
@@ -290,14 +222,14 @@ class TestConvergence:
 
     def test_initial_shape_validated(self):
         simulation, _, num_channels = scenario_setup("allen-cahn")
-        operator = ModelCoarseOperator(random_model(num_channels))
+        operator = model_stepper(num_channels)
         driver = PararealDriver(simulation, operator, PararealConfig(slices=2))
         with pytest.raises(ConfigurationError, match="does not match"):
             driver.solve(np.zeros((num_channels, GRID, GRID + 1)))
 
     def test_backends_agree_bitwise(self):
         simulation, initial, num_channels = scenario_setup("allen-cahn")
-        operator = ModelCoarseOperator(random_model(num_channels))
+        operator = model_stepper(num_channels)
         config = PararealConfig(slices=4, tolerance=1e-9, fine_steps_per_coarse=2)
         driver = PararealDriver(simulation, operator, config)
         threaded = driver.solve(initial, execution="threads")
@@ -332,12 +264,10 @@ class TestSliceWindow:
         with precision(mode):
             if ensemble:
                 models = [random_model(num_channels, seed=r) for r in range(2)]
-                operator = EnsembleCoarseOperator(
-                    models, BlockDecomposition((GRID, GRID), (1, 2))
-                )
+                operator = EnsembleStepper(models, BlockDecomposition((GRID, GRID), (1, 2)))
             else:
-                operator = ModelCoarseOperator(random_model(num_channels))
-            expected = reference_parareal(simulation, operator.spawn(), config, initial)
+                operator = model_stepper(num_channels)
+            expected = reference_parareal(simulation, operator, config, initial)
             result = PararealDriver(simulation, operator, config).solve(initial, execution)
         assert (result.iterations, result.converged) == (iterations, converged)
         assert result.states.dtype == np.float64
@@ -354,20 +284,17 @@ class TestSliceWindow:
         config = PararealConfig(slices=3, tolerance=1e-12, fine_steps_per_coarse=2)
 
         class FailsOnSecondCall(FineAsCoarse):
-            calls = 0
+            calls = threading.local()  # rank threads share the operator
 
-            def spawn(self):  # per-rank call count, on threads too
-                return FailsOnSecondCall(self.simulation, self.fine_steps_per_coarse)
-
-            def advance(self, state, num_steps):
-                self.calls += 1
-                if self.calls == 2 and np.array_equal(state, slice_one_start):
+            def advance(self, state, num_steps=1, out=None):
+                self.calls.count = getattr(self.calls, "count", 0) + 1
+                if self.calls.count == 2 and np.array_equal(state, slice_one_start):
                     raise RuntimeError("slice 1 failed in sweep 1")
-                return super().advance(state, num_steps)
+                return super().advance(state, num_steps, out=out)
 
         # G == F, so U_1^1 is the fine solution after one slice: only
         # rank 1 ever sees it as the input of its second coarse call.
-        slice_one_start = simulation.advance_array(initial, config.fine_steps_per_slice)
+        slice_one_start = simulation.advance(initial, config.fine_steps_per_slice)
         operator = FailsOnSecondCall(simulation, config.fine_steps_per_coarse)
         gc.collect()
         mappings = shared_mappings()
@@ -389,7 +316,7 @@ class TestSliceWindow:
 
         monkeypatch.setattr(mpi, "run_parallel", recording)
         simulation, initial, num_channels = scenario_setup("allen-cahn")
-        operator = ModelCoarseOperator(random_model(num_channels))
+        operator = model_stepper(num_channels)
         config = PararealConfig(slices=3, tolerance=1e-9, fine_steps_per_coarse=2)
         result = PararealDriver(simulation, operator, config).solve(initial, execution)
         assert len(returned) == 3
@@ -406,7 +333,7 @@ class TestObservability:
         from repro.obs import trace
 
         simulation, initial, num_channels = scenario_setup("allen-cahn")
-        operator = ModelCoarseOperator(random_model(num_channels))
+        operator = model_stepper(num_channels)
         config = PararealConfig(slices=2, tolerance=1e-9, fine_steps_per_coarse=2)
         trace.reset()
         with trace.tracing():
@@ -427,7 +354,7 @@ class TestObservability:
         from repro.obs import export, trace
 
         simulation, initial, num_channels = scenario_setup("allen-cahn")
-        operator = ModelCoarseOperator(random_model(num_channels))
+        operator = model_stepper(num_channels)
         config = PararealConfig(slices=2, tolerance=1e-9, fine_steps_per_coarse=2)
         trace.reset()
         with trace.tracing():
