@@ -420,20 +420,23 @@ def _conv2d_fused(rng):
 
 @case("conv2d", "strip-seam")
 def _conv2d_strip_seam(rng):
-    # The autograd path cuts the output rows into strips of 512 KiB of
-    # patches; this shape (403k patch elements) is split at both
-    # precisions, so seams and the ragged last strip are gradchecked.
-    # A finite-difference sweep over all 4.4k inputs would take
+    # The strip kernels cut the output rows so that a strip's input
+    # rows — C*kw*OW elements each, kh - 1 more of them than it has
+    # output rows — fit 512 KiB.  These rows are wide enough (29k and
+    # 32k elements) that forward, weight gradient and input gradient
+    # are each split into two-row strips or smaller at both precisions,
+    # so seams and the ragged last strip are gradchecked.
+    # A finite-difference sweep over all 10k inputs would take
     # seconds, so x and w are built from thin differentiated factors
     # times fixed random rows: every entry of grad_x and grad_w still
     # reaches the comparison, through its own random weight.
-    row_x, row_w = _normal(rng, 1, 1, 1, 60), _normal(rng, 1, 1, 1, 30)
+    row_x, row_w = _normal(rng, 1, 1, 1, 400), _normal(rng, 1, 1, 1, 40)
     mul, conv2d = get_op("mul"), get_op("conv2d")
 
     def fn(x_col, w_col, b):
         return conv2d(mul(x_col, row_x), mul(w_col, row_w), b, padding=(1, 2))
 
-    return fn, [_normal(rng, 1, 2, 25, 1), _normal(rng, 2, 2, 12, 1), _normal(rng, 2)]
+    return fn, [_normal(rng, 1, 2, 13, 1), _normal(rng, 2, 2, 3, 1), _normal(rng, 2)]
 
 
 @case("conv_transpose2d", "strided-bias")

@@ -54,9 +54,11 @@ def _writable(x: Any, name: str) -> np.ndarray:
 def leaky_relu_scale(z: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
     """The leaky-ReLU derivative mask ``where(z >= 0, 1, slope)``.
 
-    Shared by the out-of-place op's backward and the fused conv2d
-    backward so both scale gradients with the exact same array.  The
-    mask is built in ``z``'s own dtype: the float64 values are
+    Built once by the fused ``conv2d`` forward (strip and reference
+    paths) and reused by its backward, so both directions scale with
+    the exact same array.  The out-of-place ``leaky_relu`` op builds
+    its own ``np.where`` of the same values rather than calling this.
+    The mask is built in ``z``'s own dtype: the float64 values are
     unchanged (1.0 and any Python-float slope are exact in float32 and
     float64 alike for the slopes we use), and a float32 backward pass
     would otherwise be silently promoted to float64 by the float64

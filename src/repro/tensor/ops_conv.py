@@ -6,16 +6,19 @@ autograd:
 * **stride 1 and padding < kernel** (every layer of the paper's CNN,
   at every size, training and inference) — the strip kernels of
   :mod:`~repro.tensor.blocked`.  The forward never materializes the
-  ``(N*OH*OW, C*kh*kw)`` patch matrix.  Under ``no_grad`` the bias and
-  activation are fused into the strip epilogue; under autograd the
-  backward closure retains only what the graph holds anyway: the
-  parents' arrays (plus the output-sized activation derivative when
-  ``activation`` is fused).  The backward *recomputes* each patch
-  strip for the weight gradient and obtains the input gradient as a
-  correlation of the ``(k-1-p)``-padded output gradient with the
-  flipped, channel-swapped weights through the same forward kernel —
-  no column gradient, no ``col2im``.  Live memory per layer is
-  O(input + output) instead of O(N*OH*OW*C*kh*kw).
+  ``(N*OH*OW, C*kh*kw)`` patch matrix: per strip of output rows it
+  copies the ``kw`` horizontal shifts of the input rows underneath and
+  reads the ``kh`` row shifts through strides, one GEMM per output
+  row.  Under ``no_grad`` the bias and activation are fused into the
+  strip epilogue; under autograd the backward closure retains only
+  what the graph holds anyway: the parents' arrays (plus the
+  output-sized activation derivative when ``activation`` is fused).
+  The backward *redraws* each strip for the weight gradient and
+  obtains the input gradient as a correlation of the
+  ``(k-1-p)``-padded output gradient with the flipped, channel-swapped
+  weights through the same forward kernel — no column gradient, no
+  ``col2im``.  Live memory per layer is O(input + output) instead of
+  O(N*OH*OW*C*kh*kw).
 * **everything else** (:func:`conv2d_reference`) — monolithic im2col +
   one GEMM, backward through the cached patch matrix and
   :func:`~repro.tensor.im2col.col2im`, allocate-per-call.  Serves
@@ -140,7 +143,7 @@ def _conv2d_strips(
 ) -> Tensor:
     """Stride-1 ``conv2d`` under autograd on the strip kernels.
 
-    Scratch (padded input, patch strip, padded output gradient) comes
+    Scratch (padded input, row-patch strip, padded output gradient) comes
     from the calling thread's arena under the ``conv2d.train.*`` slots
     and is dead when each kernel returns; everything that escapes — the
     output and the three gradients — is freshly allocated.

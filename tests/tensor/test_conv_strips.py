@@ -58,8 +58,32 @@ def case_arrays(rng, n, c, f, padding, dtype):
 
 @pytest.fixture
 def tiny_strips(monkeypatch):
-    """One or two output rows per strip for every shape in this file."""
-    monkeypatch.setattr(blocked, "_TARGET_STRIP_BYTES", 1 << 14)
+    """One output row (its K input rows) per strip for every shape in
+    this file: the budget's floor."""
+    monkeypatch.setattr(blocked, "_TARGET_STRIP_BYTES", 1 << 12)
+
+
+def fix_strip_rows(monkeypatch, rows):
+    """``rows`` output rows per strip whatever the shape: seams, and a
+    ragged last strip where ``oh % rows != 0``."""
+    monkeypatch.setattr(blocked, "_strip_rows", lambda *shape: min(shape[-1], rows))
+
+
+@pytest.fixture
+def strips_drawn(monkeypatch):
+    """Strips yielded by each ``patch_strips`` call made by the kernels."""
+    drawn = []
+    original = blocked.patch_strips
+
+    def counting(*args, **kwargs):
+        count = 0
+        for strip in original(*args, **kwargs):
+            count += 1
+            yield strip
+        drawn.append(count)
+
+    monkeypatch.setattr(blocked, "patch_strips", counting)
+    return drawn
 
 
 class TestParityWithReference:
@@ -75,11 +99,12 @@ class TestParityWithReference:
             dtype = T.default_dtype()
             x, w, b, g = case_arrays(rng, n, c, f, padding, dtype)
             oh, ow = g.shape[2:]
-            # Two output rows per forward strip; oh is odd, so at least
-            # five strips per image with a ragged last one.
+            # Two output rows (2 + K - 1 input rows) per forward strip;
+            # oh is odd, so at least five strips per image with a ragged
+            # last one.
             itemsize = np.dtype(dtype).itemsize
             monkeypatch.setattr(
-                blocked, "_TARGET_STRIP_BYTES", 2 * ow * c * K * K * itemsize
+                blocked, "_TARGET_STRIP_BYTES", (2 + K - 1) * ow * c * K * itemsize
             )
             assert blocked._strip_rows(ow, c, K, K, itemsize, oh) == 2
             assert oh >= 9 and oh % 2 == 1
@@ -283,27 +308,182 @@ class TestPaddedScratch:
 
 class TestSeamGradcheckCase:
     @pytest.mark.parametrize("mode", ["float64", "float32"])
-    def test_registry_case_crosses_a_seam_at_the_default_budget(self, mode):
+    def test_registry_case_crosses_a_seam_at_the_default_budget(self, strips_drawn, mode):
         """The ``strip-seam`` registry case must really be cut into
         several strips with the shipped budget, at both precisions —
         otherwise ``repro check`` would silently stop covering seams."""
         from repro.analysis.gradcheck import OP_CASES
 
         (seam,) = [case for case in OP_CASES["conv2d"] if case.label == "strip-seam"]
-        seen = []
-        original = blocked.patch_strips
-
-        def counting(*args, **kwargs):
-            count = 0
-            for strip in original(*args, **kwargs):
-                count += 1
-                yield strip
-            seen.append(count)
-
-        with pytest.MonkeyPatch.context() as patch, precision(mode):
-            patch.setattr(blocked, "patch_strips", counting)
+        with precision(mode):
             fn, arrays = seam.build(np.random.default_rng(7))
             out = fn(*[Tensor(a, requires_grad=True) for a in arrays])
             out.sum().backward()
         # forward, weight gradient, input gradient — each of one image
-        assert len(seen) == 3 and min(seen) >= 2, seen
+        assert len(strips_drawn) == 3 and min(strips_drawn) >= 2, strips_drawn
+
+
+#: What the row layout makes special: (x shape, weight shape, padding).
+#: The strip buffer holds whole input rows of ``kw`` shifts, so the
+#: corner cases are few columns, few rows, non-square kernels and
+#: padding on one axis only.
+ROW_LAYOUT_CASES = {
+    "ow=1<kw": ((2, 3, 9, 5), (4, 3, 5, 5), (0, 0)),
+    "ow=3<kw": ((2, 3, 9, 7), (4, 3, 5, 5), (0, 0)),
+    "one-output-row": ((2, 3, 5, 12), (4, 3, 5, 5), (0, 0)),
+    "one-output-element": ((1, 2, 5, 5), (3, 2, 5, 5), (0, 0)),
+    "kernel-3x5": ((2, 3, 9, 10), (4, 3, 3, 5), (1, 2)),
+    "kernel-5x3": ((2, 3, 10, 9), (4, 3, 5, 3), (2, 1)),
+    "pad-rows-only": ((2, 3, 8, 11), (4, 3, 5, 5), (2, 0)),
+    "pad-cols-only": ((2, 3, 11, 8), (4, 3, 5, 5), (0, 2)),
+    "n=3-ragged": ((3, 4, 15, 12), (6, 4, 5, 5), (0, 0)),
+    # per-rank blocks of a (3, 3) pgrid on 32^2 (11 = ceil(32/3)) and of
+    # a (2, 4) one, with the Table-I halo of 8
+    "block-11x11": ((1, 4, 27, 27), (6, 4, 5, 5), (0, 0)),
+    "block-16x8": ((1, 4, 32, 24), (6, 4, 5, 5), (0, 0)),
+}
+
+
+class TestRowLayoutCases:
+    @pytest.fixture
+    def three_row_strips(self, monkeypatch):
+        fix_strip_rows(monkeypatch, 3)
+
+    @staticmethod
+    def arrays(rng, label, dtype):
+        x_shape, w_shape, padding = ROW_LAYOUT_CASES[label]
+        x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+        b = rng.standard_normal(w_shape[0])
+        return [a.astype(dtype) for a in (x, w, b)], padding
+
+    @pytest.mark.parametrize("label", ROW_LAYOUT_CASES)
+    @pytest.mark.parametrize(("mode", "rtol"), [("float64", 1e-10), ("float32", 1e-4)])
+    def test_matches_reference(self, rng, three_row_strips, mode, rtol, label):
+        with precision(mode):
+            (x, w, b), padding = self.arrays(rng, label, T.default_dtype())
+
+            def strip_op(tx, tw, tb):
+                return T.conv2d(tx, tw, tb, padding=padding, activation="leaky_relu")
+
+            def reference_op(tx, tw, tb):
+                return ops_conv.conv2d_reference(
+                    tx, tw, tb, (1, 1), padding, "leaky_relu", 0.01, (tx, tw, tb)
+                )
+
+            g = rng.standard_normal(strip_op(Tensor(x), Tensor(w), Tensor(b)).shape)
+            g = g.astype(x.dtype)
+            _, got = run_backward(strip_op, x, w, b, g)
+            _, want = run_backward(reference_op, x, w, b, g)
+        for name, a, r in zip(("out", "grad_x", "grad_w", "grad_b"), got, want):
+            assert a.dtype == r.dtype and a.shape == r.shape, name
+            np.testing.assert_allclose(
+                a, r, rtol=rtol, atol=rtol * np.abs(r).max(), err_msg=name
+            )
+
+    @pytest.mark.parametrize("label", ROW_LAYOUT_CASES)
+    def test_gradchecks(self, rng, three_row_strips, label):
+        (x, w, b), padding = self.arrays(rng, label, np.float64)
+        gradcheck_fn(lambda tx, tw, tb: T.conv2d(tx, tw, tb, padding=padding), [x, w, b])
+
+    @pytest.mark.parametrize(
+        "label",
+        # Conv2d modules take one kernel size and one padding
+        [k for k, (_, w, p) in ROW_LAYOUT_CASES.items() if w[2] == w[3] and p[0] == p[1]],
+    )
+    def test_plan_op_and_no_arena_agree_bitwise(self, rng, label):
+        from repro.core.inference import InferencePlan
+        from repro.nn import Conv2d, LeakyReLU, Sequential
+
+        (x, w, b), padding = self.arrays(rng, label, np.float64)
+        layer = Conv2d(w.shape[1], w.shape[0], w.shape[2], padding=padding[0])
+        layer.weight.data[...] = w
+        layer.bias.data[...] = b
+        model = Sequential(layer, LeakyReLU(0.01))
+        with T.no_grad():
+            op = model(Tensor(x)).data
+            with workspace_disabled():
+                cold = model(Tensor(x)).data
+        plan = InferencePlan(model)
+        assert np.array_equal(plan.run(x), op)
+        assert np.array_equal(cold, op)
+
+
+class TestGemmOperands:
+    """``np.matmul`` hands an operand to BLAS only when its inner stride
+    is one element and its row stride is a multiple of the itemsize
+    and at least one row long (either way round: a transposed matrix
+    counts); anything else silently runs NumPy's scalar loop, ~50x
+    slower.  The stacked views must stay inside that class."""
+
+    @staticmethod
+    def blas_eligible(matrix_shape, matrix_strides, itemsize):
+        (rows, cols), (row_stride, col_stride) = matrix_shape, matrix_strides
+
+        def dense_rows(n_cols, outer, inner):
+            return inner == itemsize and outer % itemsize == 0 and outer >= n_cols * itemsize
+
+        return dense_rows(cols, row_stride, col_stride) or dense_rows(
+            rows, col_stride, row_stride
+        )
+
+    @pytest.fixture
+    def matmul_calls(self, monkeypatch):
+        calls = []
+        real = np.matmul
+
+        def spy(a, b, out=None):
+            calls.append((a, b, out))
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(blocked.np, "matmul", spy)
+        yield calls
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_every_operand_is_blas_eligible(
+        self, rng, monkeypatch, matmul_calls, dtype, padding
+    ):
+        fix_strip_rows(monkeypatch, 4)
+        x, w, b, g = case_arrays(rng, 2, 6, 16, padding, dtype)
+        with precision("float32" if dtype == np.float32 else "float64"):
+            run_backward(strips(padding, None), x, w, b, g)
+        # forward and input gradient: 2 images x 3 strips (oh = 9 or
+        # 13, the latter with a ragged last strip); weight gradient too
+        assert len(matmul_calls) >= 18
+        itemsize = np.dtype(dtype).itemsize
+        for a, b_, out in matmul_calls:
+            assert out is not None, "a matmul result was freshly allocated"
+            for operand in (a, b_, out):
+                assert operand.dtype == dtype
+                assert self.blas_eligible(
+                    operand.shape[-2:], operand.strides[-2:], itemsize
+                ), (operand.shape, operand.strides)
+            # The batch axis is walked by NumPy, one GEMM per index; it
+            # only has to be a whole number of elements.
+            for operand in (b_, out):
+                if operand.ndim == 3:
+                    assert operand.strides[0] % itemsize == 0
+
+    def test_the_predicate_rejects_a_strided_inner_axis(self):
+        full = np.zeros((4, 10))
+        for eligible in (full, full.T, full[:, :5]):
+            assert self.blas_eligible(eligible.shape, eligible.strides, 8)
+        for strided in (full[:, ::2], full[:, ::2].T):
+            assert not self.blas_eligible(strided.shape, strided.strides, 8)
+
+
+class TestStripCount:
+    def test_strips_per_training_step_at_the_shipped_budget(self, rng, strips_drawn):
+        """``train_seq96``'s step — the Table-I network on a 16x4x100x100
+        batch — drew 7,296 strips of full patches (one output row each
+        on the 16-channel layer); row patches fit about four times the
+        output rows in the same 512 KiB."""
+        from repro.core.model import SubdomainCNN
+        from repro.scenarios import cnn_config
+
+        model = SubdomainCNN(cnn_config("euler-gaussian"))
+        images = 2  # strips are drawn per image: 16 images draw 8x as many
+        out = model(Tensor(rng.standard_normal((images, 4, 100, 100))))
+        out.sum().backward()
+        assert out.shape == (images, 4, 96, 96)
+        assert sum(strips_drawn) * 16 // images == 1824

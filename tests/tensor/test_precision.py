@@ -229,7 +229,16 @@ class TestKernelParity:
                 workspace=Workspace(),
             )
             assert out.dtype == dtype
-            np.testing.assert_allclose(out, ref, rtol=1e-6 if mode == "float32" else 1e-12)
+            # The strip kernel sums the taps in (dy, c, dx) order, the
+            # reference in (c, dy, dx): the same 27 products, rounded in
+            # a different order.  At float32 a relative bound alone
+            # fails where the taps cancel (|out| ~ 1e-2 from terms of
+            # order 1 differs by 2e-6 absolute), so the float32 bound
+            # is this file's absolute one.
+            if mode == "float32":
+                np.testing.assert_allclose(out, ref, rtol=1e-6, atol=F32_ATOL)
+            else:
+                np.testing.assert_allclose(out, ref, rtol=1e-12)
 
     def test_matmul_float32(self, rng):
         a, b = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
