@@ -8,14 +8,14 @@ exactly as the paper prescribes.
 
 Rollout is the inference hot loop, so this module also hosts
 :class:`InferencePlan`: a per-model compilation of the fixed layer
-sequence into raw-ndarray steps whose scratch and step outputs are all
-pre-bound to a private
-:class:`~repro.tensor.workspace.Workspace`.  After the first (warmup)
-step every buffer request hits a warm slot, so each subsequent rollout
-step — including the stretches between halo exchanges — runs without
-allocating.  Plan outputs are bit-identical to the module-by-module
-forward; the equivalence tests pin this per strategy and over seeded
-multi-step MPI rollouts on both execution backends.
+sequence into raw-ndarray steps over a private
+:class:`~repro.tensor.workspace.Workspace`.  The first (warmup) run
+binds each conv step's operand views
+(:class:`~repro.tensor.blocked.StripForward`); every later rollout step
+only executes them: no buffer request, no view, no allocation.  Plan
+outputs are bit-identical to the module-by-module forward; the
+equivalence tests pin this per strategy and over seeded multi-step MPI
+rollouts on both execution backends.
 
 The data around the plan is as still as the plan's scratch: every rank
 writes each prediction into its window of a single shared trajectory
@@ -52,9 +52,10 @@ from ..exceptions import ConfigurationError, ShapeError
 from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
 from ..obs import metrics as obs_metrics
 from ..obs import trace
+from ..obs.log import get_logger
 from ..solver.simulation import Stepper
 from ..tensor import Tensor, no_grad, perf
-from ..tensor.blocked import conv2d_forward_blocked
+from ..tensor.blocked import StripForward
 from ..tensor.im2col import col2im, conv_output_size
 from ..tensor.precision import default_dtype
 from ..tensor.workspace import Workspace
@@ -105,62 +106,56 @@ def _store(prediction: np.ndarray, out: np.ndarray) -> None:
 
 
 class _ConvStep:
-    """One (possibly activation-fused) convolution of a compiled plan."""
+    """One (possibly activation-fused) convolution of a compiled plan,
+    bound to the first input it sees.  It rebinds when the input's shape,
+    strides or dtype change, or — when the strips read the input itself
+    (no padding), so the views hold it — its buffer."""
 
     def __init__(self, index: int, layer: Conv2d, slope: float | None) -> None:
         self.index = index
         self.layer = layer
         self.slope = slope  # fused leaky-ReLU negative slope, or None
+        self._key: tuple = ()
+        self._forward: StripForward | None = None
 
-    def apply(self, x: np.ndarray, ws: Workspace, owned: bool) -> np.ndarray:
-        layer = self.layer
-        weight = layer.weight.data  # re-read each run: training may update it
-        k, p = layer.kernel_size, layer.padding
-        out = ws.request(
-            f"plan.conv{self.index}.out",
-            (
-                x.shape[0],
-                layer.out_channels,
-                conv_output_size(x.shape[2], k, 1, p),
-                conv_output_size(x.shape[3], k, 1, p),
-            ),
-            np.result_type(x.dtype, weight.dtype),
-        )
-        # The strip kernel the op itself runs, writing into an
-        # arena-owned C-contiguous output.
-        return conv2d_forward_blocked(
-            x,
-            weight,
-            None if layer.bias is None else layer.bias.data,
-            (p, p),
-            activation=None if self.slope is None else "leaky_relu",
-            negative_slope=self.slope if self.slope is not None else 0.01,
-            workspace=ws,
-            out=out,
-            slot_prefix=f"plan.conv{self.index}",
-        )
+    def apply(self, x: np.ndarray, ws: Workspace, dtype: np.dtype, timed: bool) -> np.ndarray:
+        layer, p = self.layer, self.layer.padding
+        key = (x.shape, x.strides, x.dtype, 0 if p else x.__array_interface__["data"][0])
+        if self._forward is None or key != self._key:
+            n, _, h, w = x.shape
+            k, slot = layer.kernel_size, f"plan.conv{self.index}"
+            oh, ow = conv_output_size(h, k, 1, p), conv_output_size(w, k, 1, p)
+            out = ws.request(f"{slot}.out", (n, layer.out_channels, oh, ow), dtype)
+            forward = StripForward(x, out, (k, k), (p, p), self.slope, ws, slot)
+            forward.strips = list(forward.strips)
+            self._forward, self._key = forward, key
+        # The strip kernel the op itself runs; the parameters are re-read
+        # each run, so training's updates (in place or not) are seen.
+        bias = None if layer.bias is None else layer.bias.data
+        return self._forward.execute(x, layer.weight.data, bias, timed)
 
 
 class _LeakyStep:
-    """A standalone leaky ReLU, applied in place on plan-owned storage."""
+    """A standalone leaky ReLU into plan-owned buffers bound to the input
+    shape; the input — possibly the caller's array — is never written."""
 
     def __init__(self, index: int, slope: float) -> None:
         self.index = index
         self.slope = slope
+        self._buffers: list[np.ndarray] = []
 
-    def apply(self, x: np.ndarray, ws: Workspace, owned: bool) -> np.ndarray:
-        if not owned:
-            # Never mutate the caller's input array in place.
-            copy = ws.request(f"plan.leaky{self.index}.copy", x.shape, x.dtype)
-            np.copyto(copy, x)
-            x = copy
+    def apply(self, x: np.ndarray, ws: Workspace, dtype: np.dtype, timed: bool) -> np.ndarray:
+        if not self._buffers or self._buffers[0].shape != x.shape:
+            names = (f"plan.leaky{self.index}.out", f"plan.leaky{self.index}.scaled")
+            self._buffers = [ws.request(name, x.shape, dtype) for name in names]
+        out, scaled = self._buffers
+        np.copyto(out, x)  # also casts a foreign-dtype input
         # max(z, slope*z) — bit-identical to the masked multiply for
         # 0 <= slope <= 1 and several times faster (dense vector ops
         # instead of NumPy's buffered where= path).
-        scaled = ws.request(f"plan.leaky{self.index}.scaled", x.shape, x.dtype)
-        np.multiply(x, self.slope, out=scaled)
-        np.maximum(x, scaled, out=x)
-        return x
+        np.multiply(out, self.slope, out=scaled)
+        np.maximum(out, scaled, out=out)
+        return out
 
 
 class _ConvTransposeStep:
@@ -170,7 +165,7 @@ class _ConvTransposeStep:
         self.index = index
         self.layer = layer
 
-    def apply(self, x: np.ndarray, ws: Workspace, owned: bool) -> np.ndarray:
+    def apply(self, x: np.ndarray, ws: Workspace, dtype: np.dtype, timed: bool) -> np.ndarray:
         layer = self.layer
         weight = layer.weight.data
         c, f = weight.shape[0], weight.shape[1]
@@ -181,13 +176,9 @@ class _ConvTransposeStep:
         wmat = weight.reshape(c, f * k * k)
         # Same element order as the op's transpose-then-reshape copy,
         # landed in a warm buffer instead of a fresh allocation.
-        xmat = ws.request(f"plan.tconv{self.index}.xmat", (n * h * w, c), x.dtype)
+        xmat = ws.request(f"plan.tconv{self.index}.xmat", (n * h * w, c), dtype)
         np.copyto(xmat.reshape(n, h, w, c), x.transpose(0, 2, 3, 1))
-        cols = ws.request(
-            f"plan.tconv{self.index}.cols",
-            (n * h * w, f * k * k),
-            np.result_type(x.dtype, weight.dtype),
-        )
+        cols = ws.request(f"plan.tconv{self.index}.cols", (n * h * w, f * k * k), dtype)
         np.matmul(xmat, wmat, out=cols)
         out = col2im(cols, (n, f, oh, ow), (k, k), (s, s), (p, p), workspace=ws)
         if layer.bias is not None:
@@ -200,15 +191,14 @@ class InferencePlan:
 
     Compilation flattens the module tree (``SubdomainCNN`` →
     ``Sequential`` → layers), fuses every ``Conv2d`` directly followed
-    by a ``LeakyReLU`` into one strip-epilogue step, and binds all
-    scratch to a plan-owned :class:`Workspace`.  After the first
-    ``run`` call the arena is warm and subsequent runs create zero new
-    buffers (asserted in the tests via the perf-counter registry).
+    by a ``LeakyReLU`` into one strip-epilogue step, and gives all
+    steps a plan-owned :class:`Workspace`.  Each step binds its buffers
+    and views on the first ``run``; a warm run only does arithmetic.
 
-    The plan holds *references* to the model's parameter storage, so it
-    stays valid across in-place weight updates; structural edits
-    (adding/removing layers) require recompiling.  Like the workspace
-    it owns, a plan belongs to one thread at a time.
+    The plan reads the model's parameters on every run, so it sees
+    training updates; structural edits (adding/removing layers) require
+    recompiling.  Like the workspace it owns, a plan belongs to one
+    thread at a time.
 
     Raises :class:`~repro.exceptions.ConfigurationError` when the model
     contains a module the step vocabulary cannot express (including a
@@ -231,19 +221,9 @@ class InferencePlan:
             if workspace is not None
             else Workspace(name=f"plan-{type(model).__name__}")
         )
-        # The plan computes in its parameters' dtype: a float64 field
-        # fed to a float32 model is cast once at the entry (into an
-        # arena buffer), not silently promoted to float64 inside every
-        # step's np.result_type.
+        # The plan computes in its parameters' dtype: a float64 field fed
+        # to a float32 model is cast by the first step's copy.
         self.compute_dtype = _parameter_dtype(model)
-
-    @classmethod
-    def try_compile(cls, model: Module) -> "InferencePlan | None":
-        """Compile if possible, else ``None`` (caller keeps naive path)."""
-        try:
-            return cls(model)
-        except ConfigurationError:
-            return None
 
     @staticmethod
     def _flatten(module: Module) -> list[Module]:
@@ -306,26 +286,17 @@ class InferencePlan:
         data = np.asarray(x)
         if data.ndim != 4:
             raise ShapeError(f"InferencePlan.run expects (N, C, H, W), got {data.shape}")
-        with perf.timed("plan.run"):
-            h = data
-            owned = False
-            if h.dtype != self.compute_dtype:
-                # One casting copy at the boundary (float64 fields into
-                # a float32 plan); the arena buffer is plan-owned so
-                # later steps may mutate it in place.
-                cast = self.workspace.request(
-                    "plan.input.cast", h.shape, self.compute_dtype
-                )
-                np.copyto(cast, h)
-                h = cast
-                owned = True
-            for step in self.steps:
-                h = step.apply(h, self.workspace, owned)
-                owned = True
-            if out is not None:
-                _store(h, out)
-                return out
-            return h.copy()
+        timing = perf.perf_enabled()  # the run's one flag check
+        start = trace.clock() if timing else 0.0
+        h = data
+        for step in self.steps:
+            h = step.apply(h, self.workspace, self.compute_dtype, timing)
+        if timing:
+            perf.record_call("plan.run", trace.clock() - start)
+        if out is not None:
+            _store(h, out)
+            return out
+        return h.copy()
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return self.run(x, out=out)
@@ -336,7 +307,8 @@ class BlockStepper:
 
     The single place that compiles an :class:`InferencePlan`, keeps a
     halo-extended input buffer or falls back to the module forward (for
-    a model the plan refuses).  Plan and buffer belong to one thread at
+    a model the plan refuses, with one ``repro.obs.log`` warning naming
+    the reason).  Plan and buffer belong to one thread at
     a time: each rank, and each thread calling an
     :class:`EnsembleStepper`, holds its own instance.
     """
@@ -351,9 +323,15 @@ class BlockStepper:
         self.halo = int(getattr(model, "input_halo", 0))
         sub = decomposition.subdomain(rank)
         self._block = (slice(None), sub.y_slice, sub.x_slice)
-        # Plans hold references to parameter storage, so later in-place
-        # weight updates stay visible.
-        self.plan = InferencePlan.try_compile(model)
+        # Plans read the parameters on every run, so later weight
+        # updates stay visible.
+        self.plan: InferencePlan | None = None
+        try:
+            self.plan = InferencePlan(model)
+        except ConfigurationError as refusal:
+            get_logger("inference").warning(
+                "block %d runs the module forward, not a compiled plan: %s", rank, refusal
+            )
         self._padded: np.ndarray | None = None
 
     def gather(self, source: np.ndarray) -> np.ndarray:

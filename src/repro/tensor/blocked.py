@@ -6,11 +6,11 @@ matrix — ~52 MiB at the paper's 256x256/4-channel/5x5 configuration,
 strip of it copies every input element ``kh*kw`` times.  The kernels
 here copy ``kw`` times and let strides supply the ``kh`` row shifts.
 
-For each batch image and each strip of output rows,
-:func:`patch_strips` copies the ``kw`` horizontal shifts of the
-``rows + kh - 1`` input rows under the strip into one small reused
-buffer (sized to stay inside the L2 cache, filled in ``OW``-long
-contiguous runs) and yields a strided view of it that is already a
+For each batch image and each strip of output rows, :func:`patch_strips`
+yields the views of one strip: the ``kw`` horizontal shifts of the
+``rows + kh - 1`` input rows under it, the small reused buffer they are
+copied into (sized to stay inside the L2 cache, filled in ``OW``-long
+contiguous runs), and a strided view of that buffer which is already a
 stack of GEMM operands, consumed while cache-hot:
 
 * :func:`conv2d_forward_blocked` — the forward, used by every stride-1
@@ -28,18 +28,25 @@ stack of GEMM operands, consumed while cache-hot:
   a correlation of the padded output gradient with the flipped,
   channel-swapped weights (see :func:`~repro.tensor.ops_conv.conv2d`).
 
+The forward binds a :class:`StripForward` — every operand view — and
+executes a fixed loop of NumPy calls over it; the op runs each strip as
+it is bound, an ``InferencePlan`` keeps the views and re-runs them.
+Strips fill 1 MiB in forward-only calls (the plan, the no-grad op) and
+512 KiB in training, whose weight gradient is slower at 1 MiB.
+
 Per output element this is the dot product over the same ``C*kh*kw``
 values as the reference im2col kernel, summed in ``(dy, c, dx)``
 instead of ``(c, dy, dx)`` order; the test suite pins equality with it
 at ``allclose`` tolerances, not bitwise.  What *is* bit-pinned is the
-kernel against itself: the strip size depends only on the shape, so the
-op, the compiled plan and a call without an arena all issue the same
-GEMMs.
+kernel against itself: every output row is one independent GEMM
+whatever the strip holds, so the op, the compiled plan, a training
+forward and a call without an arena all agree bitwise.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import time
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -49,63 +56,63 @@ from . import perf
 from .im2col import conv_output_size
 from .workspace import Workspace, scratch
 
-__all__ = ["conv2d_forward_blocked", "conv2d_weight_grad_blocked", "patch_strips"]
+__all__ = ["StripForward", "conv2d_forward_blocked", "conv2d_weight_grad_blocked"]
 
-#: Per-strip buffer budget: ``rows + kh - 1`` input rows of ``C*kw*OW``
-#: elements, written once and read ``kh`` times, so it has to sit in L2.
-#: That is the only bound: a GEMM operand is one output row whatever
-#: the strip holds.  Swept on the bench workloads, 256 KiB is slower
-#: everywhere; 1 MiB is ~10% faster on forward-only 256x128 blocks, as
-#: much slower on the weight gradient at 100x100, and 5 MB more resident.
-_TARGET_STRIP_BYTES = 1 << 19
+#: ``(shifts, strip, operand, slab, slab.T, scaled)`` of one bound strip
+_Strip = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
 
-
-def _strip_rows(ow: int, c: int, kh: int, kw: int, itemsize: int, oh: int) -> int:
-    """Output rows per strip so its ``rows + kh - 1`` input rows meet the budget."""
-    row_bytes = ow * c * kw * itemsize
-    return max(1, min(oh, _TARGET_STRIP_BYTES // max(1, row_bytes) - (kh - 1)))
+#: Strip buffer budgets, forward-only and training: ``rows + kh - 1``
+#: input rows of ``C*kw*OW`` elements, written once and read ``kh``
+#: times, so they have to sit in L2 (see the module docstring).
+_FORWARD_STRIP_BYTES = 1 << 20
+_TRAIN_STRIP_BYTES = 1 << 19
 
 
-def _pad_input(
-    x: np.ndarray, padding: tuple[int, int], workspace: Workspace | None, slot: str
-) -> np.ndarray:
-    """``x`` with symmetric zero ``padding`` on its two spatial axes.
+def _strip_rows(budget: int, ow: int, c: int, kh: int, kw: int, size: int, oh: int) -> int:
+    """Output rows per strip so its ``rows + kh - 1`` input rows meet ``budget``."""
+    row_bytes = ow * c * kw * size
+    return max(1, min(oh, budget // max(1, row_bytes) - (kh - 1)))
 
-    With a workspace the padded copy lives in an arena buffer whose
-    slot name encodes the padding split: two callers whose padded
-    shapes coincide but whose interiors differ must not share a
-    buffer, because only the interior is ever rewritten (the borders
-    stay zero from creation).
-    """
+
+def _padded_source(
+    x: np.ndarray,
+    padding: tuple[int, int],
+    dtype: np.dtype,
+    workspace: Workspace | None,
+    slot: str,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The array strips are cut from, and its interior ``x`` is copied
+    into (``None``: the strips read ``x``).  The arena slot name encodes
+    the padding split: only interiors are written, so two splits of one
+    padded shape must not share a buffer's zero borders."""
     ph, pw = padding
     if not (ph or pw):
-        return x
+        return x, None
     n, c, h, w = x.shape
+    shape = (n, c, h + 2 * ph, w + 2 * pw)
     if workspace is None:
-        # No arena (``workspace_disabled``): never taken by a warmed-up
-        # InferencePlan.
-        return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))  # noqa: REP012
-    padded = workspace.request(f"{slot}.{ph}x{pw}", (n, c, h + 2 * ph, w + 2 * pw), x.dtype)
-    padded[:, :, ph : ph + h, pw : pw + w] = x
-    return padded
+        # No arena (``workspace_disabled``): never taken by an InferencePlan.
+        padded = np.zeros(shape, dtype)
+    else:
+        padded = workspace.request(f"{slot}.{ph}x{pw}", shape, dtype)
+    return padded, padded[:, :, ph : ph + h, pw : pw + w]
 
 
 def patch_strips(
-    x: np.ndarray,
+    source: np.ndarray,
     kernel: tuple[int, int],
-    padding: tuple[int, int],
+    rows: int,
     dtype: np.dtype,
     workspace: Workspace | None,
     slot_prefix: str,
     tap_major: bool = False,
-) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """Yield ``(image, r0, r1, operand)`` for every strip of output rows.
-
-    Each strip copies the ``kw`` horizontal shifts of the ``r1 - r0 +
-    kh - 1`` input rows under output rows ``r0:r1`` of one batch image
-    of the stride-1 convolution into one buffer (arena slot
-    ``{slot_prefix}.rows``) and yields a read-only GEMM operand view of
-    it, valid only until the next strip is drawn:
+) -> Iterator[tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(image, r0, r1, shifts, strip, operand)`` per strip of
+    ``rows`` output rows of the valid convolution of the padded
+    ``source``.  The consumer copies ``shifts`` (the ``kw`` horizontal
+    shifts of the input rows under output rows ``r0:r1`` of ``image``)
+    into ``strip``, a view of one buffer (slot ``{slot_prefix}.rows``),
+    and reads the read-only GEMM operand view of that buffer:
 
     * row-major (the default), ``R[y, (c, dx), x] = xpad[c, r0 + y, x +
       dx]``: the ``kh`` buffer rows from ``y = j`` on are one contiguous
@@ -116,16 +123,13 @@ def patch_strips(
       rows later shifts all ``m = rows*OW`` positions at once, and the
       operand is ``(kh, m, C*kw)``.
     """
-    n, c, h, w = x.shape
+    n, c, hp, wp = source.shape
     kh, kw = kernel
-    oh = conv_output_size(h, kh, 1, padding[0])
-    ow = conv_output_size(w, kw, 1, padding[1])
-    x = _pad_input(x, padding, workspace, f"{slot_prefix}.padded")
-    sn, sc, sy, sx = x.strides
+    oh, ow = hp - kh + 1, wp - kw + 1
+    sn, sc, sy, sx = source.strides
     # (N, H, C, kw, OW) zero-copy view of every input row's kw shifts.
-    shifts = as_strided(x, (n, x.shape[2], c, kw, ow), (sn, sy, sc, sx, sx), writeable=False)
+    shifts = as_strided(source, (n, hp, c, kw, ow), (sn, sy, sc, sx, sx), writeable=False)
     step = np.dtype(dtype).itemsize
-    rows = _strip_rows(ow, c, kh, kw, step, oh)
     rin, taps = rows + kh - 1, c * kw
     buffer = scratch(workspace, f"{slot_prefix}.rows", (rin * taps * ow,), dtype)
     if tap_major:
@@ -138,12 +142,99 @@ def patch_strips(
     for image in range(n):
         for r0 in range(0, oh, rows):
             r1 = min(oh, r0 + rows)
-            with perf.timed("im2col"):
-                np.copyto(strip[: r1 - r0 + kh - 1], shifts[image, r0 : r1 + kh - 1])
-            # The ragged last strip is a prefix of the same view.
-            yield image, r0, r1, (
+            # The ragged last strip is a prefix of the same views.
+            yield image, r0, r1, shifts[image, r0 : r1 + kh - 1], strip[: r1 - r0 + kh - 1], (
                 operand[:, : (r1 - r0) * ow] if tap_major else operand[: r1 - r0]
             )
+
+
+class StripForward:
+    """One stride-1 conv forward, bound: the padded input's interior, the
+    weight-repack buffer and, per strip, the :data:`_Strip` views.  The
+    views hold their base arrays (an unpadded input too), so a kept
+    binding stays valid; ``strips`` is a generator, which a caller that
+    re-executes turns into a list.  ``out``'s dtype is the compute dtype.
+    """
+
+    def __init__(
+        self,
+        x: np.ndarray,
+        out: np.ndarray,
+        kernel: tuple[int, int],
+        padding: tuple[int, int],
+        slope: float | None,
+        workspace: Workspace | None,
+        slot: str,
+        training: bool = False,
+    ) -> None:
+        (_, f, oh, ow), (kh, kw), dtype = out.shape, kernel, out.dtype
+        c = x.shape[1]
+        source, self.interior = _padded_source(x, padding, dtype, workspace, f"{slot}.padded")
+        budget = _TRAIN_STRIP_BYTES if training else _FORWARD_STRIP_BYTES
+        rows = _strip_rows(budget, ow, c, kh, kw, dtype.itemsize, oh)
+        # Taps in (dy, c, dx) order, as kh consecutive strip rows hold them.
+        self.taps = scratch(workspace, f"{slot}.wmat", (f, kh, c, kw), dtype)
+        self.wmat = self.taps.reshape(f, kh * c * kw)
+        self.slope, self.out = slope, out
+        scaled = None
+        if slope is not None:
+            scaled = scratch(workspace, f"{slot}.scaled", (f, rows, ow), dtype)
+
+        def strips() -> Iterator[_Strip]:
+            for image, r0, r1, shifts, strip, stack in patch_strips(
+                source, kernel, rows, dtype, workspace, slot
+            ):
+                slab = out[image, :, r0:r1, :]
+                sub = None if scaled is None else scaled[:, : r1 - r0, :]
+                yield shifts, strip, stack, slab, slab.transpose(1, 0, 2), sub
+
+        self.strips: Iterable[_Strip] = strips()
+
+    def execute(
+        self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, timing: bool
+    ) -> np.ndarray:
+        """Run the bound views on ``x`` and the parameters (read afresh)
+        and return ``out``.  ``timing`` (the perf flag, read once by the
+        caller) records ``im2col`` and ``fused.bias_leaky_relu`` per call.
+
+        The activation ``max(z, slope * z)`` is, for ``0 <= slope <= 1``,
+        bit-identical to the op's ``z * where(z >= 0, 1, slope)``: ``z >=
+        0`` wins the max untouched, ``z < 0`` loses to the same product.
+        """
+        # Perf off: ``float()`` is 0.0, a no-op clock in the same calls.
+        clock: Callable[[], float] = time.perf_counter if timing else float
+        start = clock()
+        if self.interior is not None:
+            np.copyto(self.interior, x)
+        np.copyto(self.taps, weight.transpose(0, 2, 1, 3))
+        wmat, slope = self.wmat, self.slope
+        bias_col = None if bias is None else bias.reshape(-1, 1, 1)
+        copy_s = epilogue_s = 0.0
+        for shifts, strip, stack, slab, slab_t, scaled in self.strips:
+            tick = clock()
+            np.copyto(strip, shifts)
+            copy_s += clock() - tick
+            # One (F, K) @ (K, OW) GEMM per output row, looped by NumPy
+            # in C, each landing in its row of the strip's (F, rows, OW)
+            # slab of the result: rows of one GEMM's output are OH*OW
+            # apart, which BLAS takes as a leading dimension.
+            np.matmul(wmat, stack, out=slab_t)
+            if bias_col is not None:
+                np.add(slab, bias_col, out=slab)
+            if scaled is not None:
+                # Contiguous OW-long inner loops on the cache-hot slab;
+                # two dense vector ops beat NumPy's buffered where=-masked
+                # multiply several times over.
+                tick = clock()
+                np.multiply(slab, slope, out=scaled)
+                np.maximum(slab, scaled, out=slab)
+                epilogue_s += clock() - tick
+        if timing:
+            perf.record_call("im2col", copy_s)
+            if slope is not None:
+                perf.record_call("fused.bias_leaky_relu", epilogue_s)
+            perf.record_call("conv2d.blocked", clock() - start)
+        return self.out
 
 
 def conv2d_forward_blocked(
@@ -156,69 +247,33 @@ def conv2d_forward_blocked(
     workspace: Workspace | None = None,
     out: np.ndarray | None = None,
     slot_prefix: str = "conv2d.blocked",
+    training: bool = False,
 ) -> np.ndarray:
     """Strip-mined stride-1 conv2d forward; nothing is kept for a backward pass.
 
     ``x`` is ``(N, C, H, W)``, ``weight`` ``(F, C, kh, kw)``, ``bias``
     ``(F,)`` or ``None``; ``padding`` is symmetric zero padding.  ``out``
-    is an optional pre-bound C-contiguous ``(N, F, OH, OW)`` destination
-    (the :class:`InferencePlan` passes an arena buffer so warmed-up
-    steps stay allocation-free).  Returns the C-contiguous result.
-
-    The fused activation is ``max(z, slope * z)`` and therefore a
-    leaky ReLU only for ``0 <= slope <= 1``, where it is bit-identical
-    to the standalone op's ``z * where(z >= 0, 1, slope)``: non-negative
-    lanes win the max and keep ``z`` untouched (ties at ``±0.0`` compare
-    equal bitwise), negative lanes lose to the exact same IEEE product.
-    The autograd path calls this kernel with ``activation=None`` and
-    scales exactly.
+    is an optional C-contiguous ``(N, F, OH, OW)`` destination in the
+    compute dtype ``result_type(x, weight)`` — any other is refused, not
+    cast into.  ``training`` selects the training strip budget.  Returns
+    the C-contiguous result.  The autograd path calls this kernel with
+    ``activation=None`` and scales exactly.
     """
-    n, c, h, w = x.shape
-    f = weight.shape[0]
-    kh, kw = weight.shape[2], weight.shape[3]
+    n, _, h, w = x.shape
+    f, _, kh, kw = weight.shape
     oh = conv_output_size(h, kh, 1, padding[0])
-    ow = conv_output_size(w, kw, 1, padding[1])
-    compute = np.result_type(x.dtype, weight.dtype)
-    with perf.timed("conv2d.blocked"):
-        # Taps repacked (dy, c, dx), the order kh consecutive strip
-        # rows lay them out in; re-read each call (training updates it).
-        wmat = scratch(workspace, f"{slot_prefix}.wmat", (f, kh, c, kw), compute)
-        np.copyto(wmat, weight.transpose(0, 2, 1, 3))
-        wmat = wmat.reshape(f, kh * c * kw)
-        if out is None:
-            # Never reached from a warmed-up InferencePlan: the plan
-            # binds the step output to an arena slot.
-            out = np.empty((n, f, oh, ow), dtype=compute)  # noqa: REP012
-        elif out.shape != (n, f, oh, ow) or not out.flags.c_contiguous:
-            raise ShapeError(
-                f"blocked conv needs a C-contiguous {(n, f, oh, ow)} destination, "
-                f"got shape {out.shape}"
-            )
-        scaled_strip = None
-        if activation is not None:
-            rows = _strip_rows(ow, c, kh, kw, compute.itemsize, oh)
-            scaled_strip = scratch(workspace, f"{slot_prefix}.scaled", (f, rows, ow), compute)
-        bias_col = bias.reshape(f, 1, 1) if bias is not None else None
-        for image, r0, r1, stack in patch_strips(
-            x, (kh, kw), padding, compute, workspace, slot_prefix
-        ):
-            # One (F, K) @ (K, OW) GEMM per output row, looped by NumPy
-            # in C, each landing in its row of the strip's (F, rows,
-            # OW) slab of the result: rows of one GEMM's output are
-            # OH*OW apart, which BLAS takes as a leading dimension.
-            dest = out[image, :, r0:r1, :]
-            np.matmul(wmat, stack, out=dest.transpose(1, 0, 2))
-            if bias_col is not None:
-                np.add(dest, bias_col, out=dest)
-            if activation is not None:
-                # Contiguous OW-long inner loops on the cache-hot slab;
-                # two dense vector ops beat NumPy's buffered
-                # where=-masked multiply several times over.
-                with perf.timed("fused.bias_leaky_relu"):
-                    scaled = scaled_strip[:, : r1 - r0, :]
-                    np.multiply(dest, negative_slope, out=scaled)
-                    np.maximum(dest, scaled, out=dest)
-    return out
+    shape = (n, f, oh, conv_output_size(w, kw, 1, padding[1]))
+    dtype = np.result_type(x.dtype, weight.dtype)
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    elif out.shape != shape or not out.flags.c_contiguous or out.dtype != dtype:
+        raise ShapeError(
+            f"blocked conv needs a C-contiguous {shape} {dtype} destination, "
+            f"got {out.dtype} {out.shape}"
+        )
+    slope = None if activation is None else negative_slope
+    forward = StripForward(x, out, (kh, kw), padding, slope, workspace, slot_prefix, training)
+    return forward.execute(x, weight, bias, perf.perf_enabled())
 
 
 def conv2d_weight_grad_blocked(
@@ -248,12 +303,18 @@ def conv2d_weight_grad_blocked(
     if not grad.flags.c_contiguous:
         raise ShapeError("blocked weight gradient needs a C-contiguous output gradient")
     dtype = np.result_type(x.dtype, grad.dtype)
+    source, interior = _padded_source(x, padding, dtype, workspace, f"{slot_prefix}.padded")
+    if interior is not None:
+        np.copyto(interior, x)
+    rows = _strip_rows(_TRAIN_STRIP_BYTES, ow, c, kh, kw, dtype.itemsize, oh)
     grad_rows = grad.reshape(n, f, oh * ow)
     grad_w = np.zeros((kh, f, c * kw), dtype=dtype)
     partial = scratch(workspace, f"{slot_prefix}.wgrad", grad_w.shape, dtype)
-    for image, r0, r1, shifted in patch_strips(
-        x, kernel, padding, dtype, workspace, slot_prefix, tap_major=True
+    for image, r0, r1, shifts, strip, shifted in patch_strips(
+        source, kernel, rows, dtype, workspace, slot_prefix, tap_major=True
     ):
+        with perf.timed("im2col"):
+            np.copyto(strip, shifts)
         np.matmul(grad_rows[image, :, r0 * ow : r1 * ow], shifted, out=partial)
         grad_w += partial
     return np.ascontiguousarray(grad_w.reshape(kh, f, c, kw).transpose(1, 2, 0, 3))

@@ -29,7 +29,9 @@ autograd:
 The strip path draws its scratch from the calling thread's arena when
 there is one and allocates it otherwise; the arithmetic does not
 depend on which, so results with and without a workspace are
-bit-identical.
+bit-identical.  Nor does it depend on the strip budget: autograd calls
+pass ``training=True`` and cut 512 KiB strips, the no-grad op 1 MiB
+ones.
 
 The transposed convolution is implemented as the exact adjoint of the
 convolution, which is what the paper's "de-convolutional layer"
@@ -158,6 +160,7 @@ def _conv2d_strips(
             padding,
             workspace=get_workspace(),
             slot_prefix=_TRAIN_SLOTS,
+            training=True,
         )
         act_scale = None
         if activation is not None:
@@ -199,6 +202,7 @@ def _conv2d_strips(
                     (kh - 1 - padding[0], kw - 1 - padding[1]),
                     workspace=workspace,
                     slot_prefix=_TRAIN_SLOTS,
+                    training=True,
                 )
             if tb is None:
                 return grad_x, grad_w

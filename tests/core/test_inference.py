@@ -3,6 +3,8 @@ theorem: with identical weights and an all-valid network, the
 domain-decomposed prediction with halo exchange must equal the global
 single-network prediction exactly."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from repro.core import (
 )
 from repro.domain import BlockDecomposition
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.tensor import Tensor
+from repro.nn import Conv2d, ConvTranspose2d, Sequential
+from repro.tensor import Tensor, no_grad
 
 
 def clone_models(config, num, seed=0):
@@ -182,3 +185,71 @@ class TestSingleNetworkRollout:
         parallel = ParallelPredictor(models, decomp).rollout(field, 2)
         sequential = rollout(EnsembleStepper([reference]), field, 2)
         assert np.array_equal(parallel.trajectory, sequential.trajectory)
+
+
+class Overriding(SubdomainCNN):
+    """The Table-I network behind its own ``forward``."""
+
+    def forward(self, x):
+        return super().forward(x) * 0.5
+
+
+class TestRefusedModels:
+    """A model the plan refuses runs the module forward and says so once
+    per block stepper, at construction, with the refusal's reason."""
+
+    @pytest.fixture
+    def warnings_logged(self):
+        records = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("repro.inference")
+        logger.addHandler(handler)
+        yield records
+        logger.removeHandler(handler)
+
+    def test_stride_two_conv(self, rng, warnings_logged):
+        model = Sequential(
+            Conv2d(4, 4, 3, stride=2, padding=1, rng=np.random.default_rng(0)),
+            ConvTranspose2d(4, 4, 2, stride=2, rng=np.random.default_rng(1)),
+        )
+        field = rng.standard_normal((4, 12, 12))
+        stepper = EnsembleStepper([model])
+        trajectory = rollout(stepper, field, 3).trajectory
+        assert len(warnings_logged) == 1
+        assert "stride-1" in warnings_logged[0].getMessage()
+        state = field
+        for step in range(1, 4):
+            with no_grad():
+                state = model(Tensor(state[None])).numpy()[0]
+            assert np.array_equal(trajectory[step], state)
+        stepper.advance(field, 2)
+        assert len(warnings_logged) == 1, "said once per stepper, not per step"
+
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    def test_overridden_forward(self, rng, warnings_logged, execution):
+        config = CNNConfig(channels=(4, 5, 4), kernel_size=3)
+        models = [Overriding(config, rng=np.random.default_rng(r)) for r in range(2)]
+        decomp = BlockDecomposition((12, 12), (1, 2))
+        predictor = ParallelPredictor(models, decomp)
+        assert len(warnings_logged) == 2  # one per rank's stepper
+        assert all("Overriding" in r.getMessage() for r in warnings_logged)
+        field = rng.standard_normal((4, 12, 12))
+        result = predictor.rollout(field, 3, execution=execution)
+        assert len(warnings_logged) == 2
+        halo = models[0].input_halo
+        state = field
+        for step in range(1, 4):
+            blocks = []
+            for rank, model in enumerate(models):
+                with no_grad():
+                    local = decomp.extract(state, rank, halo)[None]
+                    blocks.append(model(Tensor(local)).numpy()[0])
+            state = decomp.assemble(blocks)
+            assert np.array_equal(result.trajectory[step], state)
+
+    def test_compiled_models_say_nothing(self, rng, warnings_logged):
+        config = CNNConfig(channels=(4, 5, 4), kernel_size=3)
+        _, models = clone_models(config, 2)
+        ParallelPredictor(models, BlockDecomposition((12, 12), (1, 2)))
+        assert warnings_logged == []

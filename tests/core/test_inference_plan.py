@@ -22,7 +22,7 @@ from repro.core import (
 from repro.domain import BlockDecomposition
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn import Conv2d, LeakyReLU, Module, Sequential
-from repro.tensor import Tensor, no_grad, perf
+from repro.tensor import Tensor, Workspace, blocked, no_grad, perf
 
 STRATEGIES = [
     PaddingStrategy.ZERO,
@@ -143,6 +143,8 @@ class TestAllocationFreedom:
         assert counters["plan.run"].calls == 3
 
     def test_warm_arena_is_fully_hit(self, rng):
+        """A warm run does not even ask: every operand was bound by the
+        first run, so the arena sees no request at all."""
         model = make_model(PaddingStrategy.NEIGHBOR_ALL)
         plan = InferencePlan(model)
         halo = model.input_halo
@@ -153,7 +155,128 @@ class TestAllocationFreedom:
         plan.run(x)
         after = plan.workspace.stats
         assert after.buffers_created == created
-        assert after.requests > requests  # warm requests did happen
+        assert after.requests == requests
+
+
+class TestBinding:
+    """A conv step binds its operand views on the first input it sees
+    and re-runs them until the input's shape, strides, dtype or buffer
+    changes; the parameters are read on every run."""
+
+    @pytest.fixture
+    def binds(self, monkeypatch):
+        """Strips drawn per run: what binding costs, zero when warm."""
+        drawn = []
+        original = blocked.patch_strips
+
+        def counting(*args, **kwargs):
+            for strip in original(*args, **kwargs):
+                drawn.append(1)
+                yield strip
+
+        monkeypatch.setattr(blocked, "patch_strips", counting)
+
+        def run(plan, x):
+            start = len(drawn)
+            result = plan.run(x)
+            return result, len(drawn) - start
+
+        return run
+
+    @pytest.mark.parametrize("block", [(16, 32), (256, 128)], ids=["16x32", "256x128"])
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+    def test_bit_identical_at_the_rollout_block_sizes(self, rng, strategy, block):
+        """The two rollout workloads' per-rank blocks; at 256x128 every
+        conv step's last 1 MiB strip is ragged."""
+        model = make_model(strategy, channels=(4, 6, 16, 6, 4))
+        halo = model.input_halo
+        x = rng.standard_normal((1, 4, block[0] + 2 * halo, block[1] + 2 * halo))
+        expected = model_forward(model, x)
+        plan = InferencePlan(model)
+        for _ in range(2):  # the binding run, then a warm one
+            assert np.array_equal(plan.run(x), expected)
+        if block == (256, 128):
+            bound = [step._forward for step in plan.steps if hasattr(step, "_forward")]
+            assert len(bound) == 4
+            for forward in bound:
+                slabs = [strip[3] for strip in forward.strips]
+                assert len(slabs) > 1 and slabs[-1].shape[1] < slabs[0].shape[1]
+
+    def test_new_shape_dtype_or_buffer_rebinds(self, rng, binds):
+        model = make_model(PaddingStrategy.NEIGHBOR_FIRST)  # first conv reads x
+        plan = InferencePlan(model)
+        x = rng.standard_normal((1, 4, 12, 12))
+        assert binds(plan, x)[1] > 0
+        # the same buffer with new contents: no rebind, new answer
+        x[...] = rng.standard_normal(x.shape)
+        got, drawn = binds(plan, x)
+        assert drawn == 0 and np.array_equal(got, model_forward(model, x))
+        variants = {  # each differs from x in the named property only
+            "shape": rng.standard_normal((1, 4, 14, 12)),
+            "dtype": x.astype(np.float32),
+            "buffer": rng.standard_normal(x.shape),
+            "strides": np.asfortranarray(x),
+        }
+        for name, variant in variants.items():
+            binds(plan, x)
+            got, drawn = binds(plan, variant)
+            assert drawn > 0, name
+            assert np.array_equal(got, model_forward(model, variant.astype(np.float64))), name
+        assert binds(plan, variants["strides"])[1] == 0  # warm again
+
+    def test_padded_first_layer_ignores_the_buffer(self, rng, binds):
+        """A padding conv copies its input into its own arena buffer, so
+        a rollout feeding each step from a new frame does not rebind."""
+        model = make_model(PaddingStrategy.ZERO)
+        plan = InferencePlan(model)
+        binds(plan, rng.standard_normal((1, 4, 8, 8)))
+        x = rng.standard_normal((1, 4, 8, 8))
+        got, drawn = binds(plan, x)
+        assert drawn == 0 and np.array_equal(got, model_forward(model, x))
+
+    @pytest.mark.parametrize("name", ["weight", "bias"])
+    def test_in_place_update_is_seen_by_the_next_run(self, rng, binds, name):
+        model = make_model(PaddingStrategy.NEIGHBOR_FIRST)
+        plan = InferencePlan(model)
+        x = rng.standard_normal((1, 4, 12, 12))
+        before = binds(plan, x)[0]
+        for layer in model.layers:
+            if isinstance(layer, Conv2d):
+                getattr(layer, name).data += 0.5
+        got, drawn = binds(plan, x)
+        assert drawn == 0, "an in-place update needs no rebind"
+        assert not np.array_equal(got, before)
+        assert np.array_equal(got, model_forward(model, x))
+
+    def test_replaced_parameter_array_is_seen_without_a_rebind(self, rng, binds):
+        """The parameters are read on every run, not bound."""
+        model = make_model(PaddingStrategy.NEIGHBOR_FIRST)
+        plan = InferencePlan(model)
+        x = rng.standard_normal((1, 4, 12, 12))
+        binds(plan, x)
+        for param in model.parameters():
+            param.data = param.data + 0.25
+        got, drawn = binds(plan, x)
+        assert drawn == 0 and np.array_equal(got, model_forward(model, x))
+
+    def test_warm_run_requests_nothing_and_builds_no_view(self, rng, monkeypatch):
+        model = make_model(PaddingStrategy.NEIGHBOR_FIRST, channels=(4, 6, 16, 6, 4))
+        plan = InferencePlan(model)
+        halo = model.input_halo
+        x = rng.standard_normal((1, 4, 16 + 2 * halo, 32 + 2 * halo))
+        out = np.empty((1, 4, 16, 32))
+        plan.run(x, out=out)
+        nbytes, expected = plan.workspace.nbytes, model_forward(model, x)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm plan run built an operand")
+
+        monkeypatch.setattr(Workspace, "request", refuse)
+        monkeypatch.setattr(blocked, "as_strided", refuse)
+        monkeypatch.setattr(blocked, "patch_strips", refuse)
+        plan.run(x, out=out)
+        assert plan.workspace.nbytes == nbytes
+        assert np.array_equal(out, expected)
 
 
 class TestCompilation:
@@ -167,13 +290,14 @@ class TestCompilation:
         assert len(plan.steps) < len(flat)
         assert fused >= 1
 
-    def test_try_compile_unsupported_returns_none(self):
+    def test_unsupported_or_empty_model_raises(self):
         class Exotic(Module):
             def forward(self, x):  # pragma: no cover - never run
                 return x
 
-        assert InferencePlan.try_compile(Exotic()) is None
-        assert InferencePlan.try_compile(Sequential()) is None
+        for model in (Exotic(), Sequential()):
+            with pytest.raises(ConfigurationError):
+                InferencePlan(model)
 
     def test_compile_unsupported_raises(self):
         class Exotic(Module):
@@ -273,7 +397,6 @@ class TestForwardOverride:
         (model,) = self.models(1)
         with pytest.raises(ConfigurationError, match="Doubled"):
             InferencePlan(model)
-        assert InferencePlan.try_compile(model) is None
 
     @pytest.mark.parametrize("execution", ["threads", "processes"])
     def test_parallel_rollout_runs_the_overriding_forward(self, rng, execution):

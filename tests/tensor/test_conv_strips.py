@@ -13,6 +13,7 @@ import pytest
 import repro.tensor as T
 from repro.analysis import check_op
 from repro.analysis import gradcheck as gradcheck_fn
+from repro.exceptions import ShapeError
 from repro.tensor import Tensor, blocked, ops_conv, precision, workspace_disabled
 
 #: (C, F) of the paper's four Table-I layers, 5x5 kernels.
@@ -56,11 +57,17 @@ def case_arrays(rng, n, c, f, padding, dtype):
     return [a.astype(dtype) for a in arrays]
 
 
+def set_budget(monkeypatch, nbytes):
+    """Both strip budgets, forward-only and training, to ``nbytes``."""
+    monkeypatch.setattr(blocked, "_FORWARD_STRIP_BYTES", nbytes)
+    monkeypatch.setattr(blocked, "_TRAIN_STRIP_BYTES", nbytes)
+
+
 @pytest.fixture
 def tiny_strips(monkeypatch):
     """One output row (its K input rows) per strip for every shape in
     this file: the budget's floor."""
-    monkeypatch.setattr(blocked, "_TARGET_STRIP_BYTES", 1 << 12)
+    set_budget(monkeypatch, 1 << 12)
 
 
 def fix_strip_rows(monkeypatch, rows):
@@ -103,10 +110,9 @@ class TestParityWithReference:
             # oh is odd, so at least five strips per image with a ragged
             # last one.
             itemsize = np.dtype(dtype).itemsize
-            monkeypatch.setattr(
-                blocked, "_TARGET_STRIP_BYTES", (2 + K - 1) * ow * c * K * itemsize
-            )
-            assert blocked._strip_rows(ow, c, K, K, itemsize, oh) == 2
+            budget = (2 + K - 1) * ow * c * K * itemsize
+            set_budget(monkeypatch, budget)
+            assert blocked._strip_rows(budget, ow, c, K, K, itemsize, oh) == 2
             assert oh >= 9 and oh % 2 == 1
             _, got = run_backward(strips(padding, activation), x, w, b, g)
             _, want = run_backward(reference(padding, activation), x, w, b, g)
@@ -473,6 +479,24 @@ class TestGemmOperands:
 
 
 class TestStripCount:
+    def test_strips_per_plan_run_at_the_forward_budget(self, rng, strips_drawn):
+        """``rollout_euler256``'s per-rank block, 256x128 under the
+        default strategy: 1 MiB strips cut its four layers into 56 (the
+        training budget would cut 181), all drawn when the plan binds and
+        none by a warm run."""
+        from repro.core.inference import InferencePlan
+        from repro.core.model import SubdomainCNN
+        from repro.scenarios import cnn_config
+
+        model = SubdomainCNN(cnn_config("euler-gaussian"))
+        halo = model.input_halo
+        plan = InferencePlan(model)
+        x = rng.standard_normal((1, 4, 256 + 2 * halo, 128 + 2 * halo))
+        plan.run(x)
+        assert sum(strips_drawn) == 56 and len(strips_drawn) == 4, strips_drawn
+        plan.run(x)
+        assert sum(strips_drawn) == 56
+
     def test_strips_per_training_step_at_the_shipped_budget(self, rng, strips_drawn):
         """``train_seq96``'s step — the Table-I network on a 16x4x100x100
         batch — drew 7,296 strips of full patches (one output row each
@@ -487,3 +511,35 @@ class TestStripCount:
         out.sum().backward()
         assert out.shape == (images, 4, 96, 96)
         assert sum(strips_drawn) * 16 // images == 1824
+
+
+class TestStripBudgets:
+    """Forward-only calls cut 1 MiB strips, training calls 512 KiB; each
+    output row is one GEMM either way, so the budgets change no bit."""
+
+    @pytest.mark.parametrize("mode", ["float64", "float32"])
+    def test_training_and_forward_only_strips_agree_bitwise(self, rng, strips_drawn, mode):
+        with precision(mode):
+            x = Tensor(rng.standard_normal((1, 6, 260, 132)))
+            w = Tensor(rng.standard_normal((16, 6, K, K)))
+            b = Tensor(rng.standard_normal(16))
+            with T.no_grad():
+                forward_only = T.conv2d(x, w, b, padding=2, activation="leaky_relu")
+            w.requires_grad = True
+            training = T.conv2d(x, w, b, padding=2, activation="leaky_relu")
+        rows = [
+            blocked._strip_rows(budget, 132, 6, K, K, x.data.itemsize, 260)
+            for budget in (blocked._FORWARD_STRIP_BYTES, blocked._TRAIN_STRIP_BYTES)
+        ]
+        assert strips_drawn == [-(-260 // r) for r in rows]
+        # different seams, and a ragged last strip on both sides
+        assert rows[0] > rows[1] and all(260 % r for r in rows), rows
+        assert np.array_equal(forward_only.data, training.data)
+
+    def test_out_of_another_dtype_is_refused(self, rng):
+        x = rng.standard_normal((1, 2, 6, 6))
+        w = rng.standard_normal((3, 2, 3, 3))
+        with pytest.raises(ShapeError, match="float64"):
+            blocked.conv2d_forward_blocked(x, w, None, (1, 1), out=np.empty((1, 3, 6, 6), np.float32))
+        out = np.empty((1, 3, 6, 6))
+        assert blocked.conv2d_forward_blocked(x, w, None, (1, 1), out=out) is out
