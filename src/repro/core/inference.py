@@ -11,8 +11,10 @@ Rollout is the inference hot loop, so this module also hosts
 sequence into raw-ndarray steps over a private
 :class:`~repro.tensor.workspace.Workspace`.  The first (warmup) run
 binds each conv step's operand views
-(:class:`~repro.tensor.blocked.StripForward`); every later rollout step
-only executes them: no buffer request, no view, no allocation.  Plan
+(:class:`~repro.tensor.blocked.StripForward`), chaining a conv into
+the zero-bordered input of a padding conv after it; every later
+rollout step only executes them: no buffer request, no view, no
+allocation, no pad copy between convs.  Plan
 outputs are bit-identical to the module-by-module forward; the
 equivalence tests pin this per strategy and over seeded multi-step MPI
 rollouts on both execution backends.
@@ -56,7 +58,7 @@ from ..obs.log import get_logger
 from ..solver.simulation import Stepper
 from ..tensor import Tensor, no_grad, perf
 from ..tensor.blocked import StripForward
-from ..tensor.im2col import col2im, conv_output_size
+from ..tensor.im2col import conv_output_size, scatter_patches
 from ..tensor.precision import default_dtype
 from ..tensor.workspace import Workspace
 from .model import SubdomainCNN
@@ -109,24 +111,34 @@ class _ConvStep:
     """One (possibly activation-fused) convolution of a compiled plan,
     bound to the first input it sees.  It rebinds when the input's shape,
     strides or dtype change, or — when the strips read the input itself
-    (no padding), so the views hold it — its buffer."""
+    (no padding), so the views hold it — its buffer.
+
+    A step whose follower pads (``border``, set at compile) writes into
+    that follower's zero-bordered input, and the follower reads it as a
+    valid convolution (``padding`` 0): its input is then always the
+    leader's arena buffer, so its key — that buffer's shape and address
+    — changes only when the leader rebinds to a new shape."""
 
     def __init__(self, index: int, layer: Conv2d, slope: float | None) -> None:
         self.index = index
         self.layer = layer
         self.slope = slope  # fused leaky-ReLU negative slope, or None
+        self.padding = layer.padding  # 0 once a leader writes the border
+        self.border = 0  # the follower's padding around this step's output
         self._key: tuple = ()
         self._forward: StripForward | None = None
 
     def apply(self, x: np.ndarray, ws: Workspace, dtype: np.dtype, timed: bool) -> np.ndarray:
-        layer, p = self.layer, self.layer.padding
+        layer, p, b = self.layer, self.padding, self.border
         key = (x.shape, x.strides, x.dtype, 0 if p else x.__array_interface__["data"][0])
         if self._forward is None or key != self._key:
             n, _, h, w = x.shape
             k, slot = layer.kernel_size, f"plan.conv{self.index}"
             oh, ow = conv_output_size(h, k, 1, p), conv_output_size(w, k, 1, p)
-            out = ws.request(f"{slot}.out", (n, layer.out_channels, oh, ow), dtype)
-            forward = StripForward(x, out, (k, k), (p, p), self.slope, ws, slot)
+            shape = (n, layer.out_channels, oh + 2 * b, ow + 2 * b)
+            out = ws.request(f"{slot}.out", shape, dtype)  # zero-filled once
+            biased = layer.bias is not None
+            forward = StripForward(x, out, (k, k), (p, p), biased, self.slope, ws, slot)
             forward.strips = list(forward.strips)
             self._forward, self._key = forward, key
         # The strip kernel the op itself runs; the parameters are re-read
@@ -159,11 +171,14 @@ class _LeakyStep:
 
 
 class _ConvTransposeStep:
-    """A transposed convolution with workspace-backed scratch."""
+    """A transposed convolution into plan-owned buffers bound to the
+    input shape and dtype."""
 
     def __init__(self, index: int, layer: ConvTranspose2d) -> None:
         self.index = index
         self.layer = layer
+        self._key: tuple = ()
+        self._buffers: tuple[np.ndarray, ...] = ()
 
     def apply(self, x: np.ndarray, ws: Workspace, dtype: np.dtype, timed: bool) -> np.ndarray:
         layer = self.layer
@@ -171,16 +186,22 @@ class _ConvTransposeStep:
         c, f = weight.shape[0], weight.shape[1]
         n, _, h, w = x.shape
         k, s, p = layer.kernel_size, layer.stride, layer.padding
-        oh = (h - 1) * s - 2 * p + k
-        ow = (w - 1) * s - 2 * p + k
-        wmat = weight.reshape(c, f * k * k)
+        if self._key != (x.shape, dtype):
+            oh = (h - 1) * s - 2 * p + k
+            ow = (w - 1) * s - 2 * p + k
+            slot = f"plan.tconv{self.index}"
+            xmat = ws.request(f"{slot}.xmat", (n * h * w, c), dtype)
+            cols = ws.request(f"{slot}.cols", (n * h * w, f * k * k), dtype)
+            padded = ws.request(f"{slot}.padded", (n, f, oh + 2 * p, ow + 2 * p), dtype)
+            self._buffers = (xmat, cols, padded, padded[:, :, p : p + oh, p : p + ow])
+            self._key = (x.shape, dtype)
+        xmat, cols, padded, out = self._buffers
         # Same element order as the op's transpose-then-reshape copy,
         # landed in a warm buffer instead of a fresh allocation.
-        xmat = ws.request(f"plan.tconv{self.index}.xmat", (n * h * w, c), dtype)
         np.copyto(xmat.reshape(n, h, w, c), x.transpose(0, 2, 3, 1))
-        cols = ws.request(f"plan.tconv{self.index}.cols", (n * h * w, f * k * k), dtype)
-        np.matmul(xmat, wmat, out=cols)
-        out = col2im(cols, (n, f, oh, ow), (k, k), (s, s), (p, p), workspace=ws)
+        np.matmul(xmat, weight.reshape(c, f * k * k), out=cols)
+        padded.fill(0)  # the scatter accumulates
+        scatter_patches(cols, padded, (k, k), (s, s))
         if layer.bias is not None:
             out += layer.bias.data[None, :, None, None]
         return out
@@ -191,9 +212,13 @@ class InferencePlan:
 
     Compilation flattens the module tree (``SubdomainCNN`` →
     ``Sequential`` → layers), fuses every ``Conv2d`` directly followed
-    by a ``LeakyReLU`` into one strip-epilogue step, and gives all
-    steps a plan-owned :class:`Workspace`.  Each step binds its buffers
-    and views on the first ``run``; a warm run only does arithmetic.
+    by a ``LeakyReLU`` into one strip-epilogue step, chains each conv
+    step to a padding conv step after it — the leader writes the
+    follower's zero-bordered input, the follower runs it as a valid
+    convolution, so no step copies its input into a padded buffer
+    except a padded first layer — and gives all steps a plan-owned
+    :class:`Workspace`.  Each step binds its buffers and views on the
+    first ``run``; a warm run only does arithmetic.
 
     The plan reads the model's parameters on every run, so it sees
     training updates; structural edits (adding/removing layers) require
@@ -274,6 +299,10 @@ class InferencePlan:
             else:  # LeakyReLU not preceded by a Conv2d
                 steps.append(_LeakyStep(len(steps), layer.negative_slope))
             i += 1
+        for lead, follower in zip(steps, steps[1:]):
+            if isinstance(lead, _ConvStep) and isinstance(follower, _ConvStep):
+                # No pad copy: the leader writes the follower's padded input.
+                lead.border, follower.padding = follower.padding, 0
         return steps
 
     def run(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -17,9 +17,13 @@ stack of GEMM operands, consumed while cache-hot:
   ``conv2d`` with or without autograd and by
   :class:`~repro.core.inference.InferencePlan`: one stacked ``matmul``
   per strip, a ``(F, K) @ (K, OW)`` GEMM per output row landing in the
-  ``(F, rows, OW)`` slab of the C-contiguous ``(N, F, OH, OW)`` result
-  (no GEMM-output buffer, no transposed copy), then the
-  bias/leaky-ReLU epilogue on that slab;
+  ``(F, rows, OW)`` slab of the ``(N, F, OH, OW)`` result (no
+  GEMM-output buffer, no transposed copy), then the leaky-ReLU on that
+  slab.  Per strip that is ``copyto`` → ``matmul(out=)`` → ``multiply``
+  → ``maximum`` and nothing else: a biased forward carries the bias as
+  one more tap per strip-buffer row (a constant 1.0, written when the
+  strip is bound, against the bias at ``dy = 0`` and zero at ``dy >
+  0`` in the repacked weights), so the GEMM adds it;
 * :func:`conv2d_weight_grad_blocked` — the weight gradient, which
   *redraws* each strip and accumulates ``g_strip @ shifted`` for all
   ``kh`` row shifts in one stacked ``matmul``, so training retains no
@@ -31,14 +35,21 @@ stack of GEMM operands, consumed while cache-hot:
 The forward binds a :class:`StripForward` — every operand view — and
 executes a fixed loop of NumPy calls over it; the op runs each strip as
 it is bound, an ``InferencePlan`` keeps the views and re-runs them.
-Strips fill 1 MiB in forward-only calls (the plan, the no-grad op) and
-512 KiB in training, whose weight gradient is slower at 1 MiB.
+The result may be the interior of a zero-bordered buffer — the next
+conv's padded input, which then needs no pad copy: the GEMMs write the
+interior through their leading dimension, and the activation sweeps
+the whole padded rows, which are contiguous, leaving the border 0
+because ``leaky(0) = 0`` and no bias pass touches it.  Strips fill
+1 MiB in forward-only calls (the plan, the no-grad op) and 512 KiB in
+training, whose weight gradient is slower at 1 MiB; the bias tap
+counts in the budget.
 
 Per output element this is the dot product over the same ``C*kh*kw``
-values as the reference im2col kernel, summed in ``(dy, c, dx)``
-instead of ``(c, dy, dx)`` order; the test suite pins equality with it
-at ``allclose`` tolerances, not bitwise.  What *is* bit-pinned is the
-kernel against itself: every output row is one independent GEMM
+values as the reference im2col kernel plus the bias, summed in ``(dy,
+c, dx)`` order with the bias after the ``dy = 0`` taps instead of
+``(c, dy, dx)`` order and the bias last; the test suite pins equality
+with it at ``allclose`` tolerances, not bitwise.  What *is* bit-pinned
+is the kernel against itself: every output row is one independent GEMM
 whatever the strip holds, so the op, the compiled plan, a training
 forward and a call without an arena all agree bitwise.
 """
@@ -58,7 +69,7 @@ from .workspace import Workspace, scratch
 
 __all__ = ["StripForward", "conv2d_forward_blocked", "conv2d_weight_grad_blocked"]
 
-#: ``(shifts, strip, operand, slab, slab.T, scaled)`` of one bound strip
+#: ``(shifts, strip, operand, slab, gemm_out, scaled)`` of one bound strip
 _Strip = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
 
 #: Strip buffer budgets, forward-only and training: ``rows + kh - 1``
@@ -68,9 +79,10 @@ _FORWARD_STRIP_BYTES = 1 << 20
 _TRAIN_STRIP_BYTES = 1 << 19
 
 
-def _strip_rows(budget: int, ow: int, c: int, kh: int, kw: int, size: int, oh: int) -> int:
-    """Output rows per strip so its ``rows + kh - 1`` input rows meet ``budget``."""
-    row_bytes = ow * c * kw * size
+def _strip_rows(budget: int, ow: int, width: int, kh: int, size: int, oh: int) -> int:
+    """Output rows per strip so its ``rows + kh - 1`` input rows of
+    ``width`` taps (``C*kw``, plus a bias tap) meet ``budget``."""
+    row_bytes = ow * width * size
     return max(1, min(oh, budget // max(1, row_bytes) - (kh - 1)))
 
 
@@ -106,6 +118,7 @@ def patch_strips(
     workspace: Workspace | None,
     slot_prefix: str,
     tap_major: bool = False,
+    bias_tap: bool = False,
 ) -> Iterator[tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(image, r0, r1, shifts, strip, operand)`` per strip of
     ``rows`` output rows of the valid convolution of the padded
@@ -116,9 +129,11 @@ def patch_strips(
 
     * row-major (the default), ``R[y, (c, dx), x] = xpad[c, r0 + y, x +
       dx]``: the ``kh`` buffer rows from ``y = j`` on are one contiguous
-      ``(kh*C*kw, OW)`` matrix, taps in ``(dy, c, dx)`` order, and the
-      operand stacks those overlapping windows as ``(rows, kh*C*kw,
-      OW)``;
+      ``(kh*T, OW)`` matrix, taps in ``(dy, c, dx)`` order, and the
+      operand stacks those overlapping windows as ``(rows, kh*T, OW)``.
+      ``T`` is ``C*kw``, plus one with ``bias_tap``: every buffer row
+      then ends in an ``OW``-long run of 1.0, written here, once, and
+      never part of ``strip``;
     * ``tap_major``, ``R[(c, dx), y, x]``: reading a tap's plane ``dy``
       rows later shifts all ``m = rows*OW`` positions at once, and the
       operand is ``(kh, m, C*kw)``.
@@ -131,13 +146,16 @@ def patch_strips(
     shifts = as_strided(source, (n, hp, c, kw, ow), (sn, sy, sc, sx, sx), writeable=False)
     step = np.dtype(dtype).itemsize
     rin, taps = rows + kh - 1, c * kw
-    buffer = scratch(workspace, f"{slot_prefix}.rows", (rin * taps * ow,), dtype)
+    width = taps + bias_tap
+    buffer = scratch(workspace, f"{slot_prefix}.rows", (rin * width * ow,), dtype)
     if tap_major:
         strip = buffer.reshape(c, kw, rin, ow).transpose(2, 0, 1, 3)
         shape, strides = (kh, rows * ow, taps), (ow * step, step, rin * ow * step)
     else:
-        strip = buffer.reshape(rin, c, kw, ow)
-        shape, strides = (rows, kh * taps, ow), (taps * ow * step, ow * step, step)
+        tap_rows = buffer.reshape(rin, width, ow)
+        tap_rows[:, taps:] = 1.0  # the bias tap, if any
+        strip = tap_rows[:, :taps].reshape(rin, c, kw, ow)
+        shape, strides = (rows, kh * width, ow), (width * ow * step, ow * step, step)
     operand = as_strided(buffer, shape, strides, writeable=False)
     for image in range(n):
         for r0 in range(0, oh, rows):
@@ -154,6 +172,10 @@ class StripForward:
     views hold their base arrays (an unpadded input too), so a kept
     binding stays valid; ``strips`` is a generator, which a caller that
     re-executes turns into a list.  ``out``'s dtype is the compute dtype.
+
+    ``out`` is the ``(N, F, OH, OW)`` result or a zero-bordered ``(N, F,
+    OH + 2*bh, OW + 2*bw)`` buffer whose interior receives it, border
+    kept 0 (see the module docstring); ``biased`` binds the bias tap.
     """
 
     def __init__(
@@ -162,40 +184,51 @@ class StripForward:
         out: np.ndarray,
         kernel: tuple[int, int],
         padding: tuple[int, int],
+        biased: bool,
         slope: float | None,
         workspace: Workspace | None,
         slot: str,
         training: bool = False,
     ) -> None:
-        (_, f, oh, ow), (kh, kw), dtype = out.shape, kernel, out.dtype
-        c = x.shape[1]
+        (kh, kw), (ph, pw), dtype = kernel, padding, out.dtype
+        _, c, h, w = x.shape
+        oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+        f, bh, bw = out.shape[1], (out.shape[2] - oh) // 2, (out.shape[3] - ow) // 2
+        result = out[:, :, bh : bh + oh, bw : bw + ow]
         source, self.interior = _padded_source(x, padding, dtype, workspace, f"{slot}.padded")
         budget = _TRAIN_STRIP_BYTES if training else _FORWARD_STRIP_BYTES
-        rows = _strip_rows(budget, ow, c, kh, kw, dtype.itemsize, oh)
-        # Taps in (dy, c, dx) order, as kh consecutive strip rows hold them.
-        self.taps = scratch(workspace, f"{slot}.wmat", (f, kh, c, kw), dtype)
-        self.wmat = self.taps.reshape(f, kh * c * kw)
+        width = c * kw + biased
+        rows = _strip_rows(budget, ow, width, kh, dtype.itemsize, oh)
+        # Taps in (dy, c, dx[, bias]) order, as kh consecutive strip rows hold them.
+        taps = scratch(workspace, f"{slot}.wmat", (f, kh, width), dtype)
+        taps[:, 1:, c * kw :] = 0.0  # the bias tap counts once, at dy = 0
+        self.taps = taps[:, :, : c * kw].reshape(f, kh, c, kw)
+        self.bias = taps[:, 0, c * kw] if biased else None
+        self.wmat = taps.reshape(f, kh * width)
         self.slope, self.out = slope, out
         scaled = None
         if slope is not None:
-            scaled = scratch(workspace, f"{slot}.scaled", (f, rows, ow), dtype)
+            scaled = scratch(workspace, f"{slot}.scaled", (f, rows, out.shape[3]), dtype)
 
         def strips() -> Iterator[_Strip]:
             for image, r0, r1, shifts, strip, stack in patch_strips(
-                source, kernel, rows, dtype, workspace, slot
+                source, kernel, rows, dtype, workspace, slot, bias_tap=biased
             ):
-                slab = out[image, :, r0:r1, :]
+                # The activation's whole rows, and the GEMMs' interior.
+                slab = out[image, :, bh + r0 : bh + r1, :]
+                gemm_out = result[image, :, r0:r1, :].transpose(1, 0, 2)
                 sub = None if scaled is None else scaled[:, : r1 - r0, :]
-                yield shifts, strip, stack, slab, slab.transpose(1, 0, 2), sub
+                yield shifts, strip, stack, slab, gemm_out, sub
 
         self.strips: Iterable[_Strip] = strips()
 
     def execute(
         self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, timing: bool
     ) -> np.ndarray:
-        """Run the bound views on ``x`` and the parameters (read afresh)
-        and return ``out``.  ``timing`` (the perf flag, read once by the
-        caller) records ``im2col`` and ``fused.bias_leaky_relu`` per call.
+        """Run the bound views on ``x`` and the parameters (read afresh;
+        ``bias`` is given exactly when bound ``biased``) and return
+        ``out``.  ``timing`` (the perf flag, read once by the caller)
+        records ``im2col`` and ``conv2d.leaky_relu`` per call.
 
         The activation ``max(z, slope * z)`` is, for ``0 <= slope <= 1``,
         bit-identical to the op's ``z * where(z >= 0, 1, slope)``: ``z >=
@@ -207,22 +240,22 @@ class StripForward:
         if self.interior is not None:
             np.copyto(self.interior, x)
         np.copyto(self.taps, weight.transpose(0, 2, 1, 3))
+        if self.bias is not None:
+            np.copyto(self.bias, bias)
         wmat, slope = self.wmat, self.slope
-        bias_col = None if bias is None else bias.reshape(-1, 1, 1)
         copy_s = epilogue_s = 0.0
-        for shifts, strip, stack, slab, slab_t, scaled in self.strips:
+        for shifts, strip, stack, slab, gemm_out, scaled in self.strips:
             tick = clock()
             np.copyto(strip, shifts)
             copy_s += clock() - tick
             # One (F, K) @ (K, OW) GEMM per output row, looped by NumPy
             # in C, each landing in its row of the strip's (F, rows, OW)
-            # slab of the result: rows of one GEMM's output are OH*OW
-            # apart, which BLAS takes as a leading dimension.
-            np.matmul(wmat, stack, out=slab_t)
-            if bias_col is not None:
-                np.add(slab, bias_col, out=slab)
+            # block of the result: rows of one GEMM's output are a
+            # whole (padded) plane apart, which BLAS takes as a leading
+            # dimension.  The bias tap makes this the pre-activation.
+            np.matmul(wmat, stack, out=gemm_out)
             if scaled is not None:
-                # Contiguous OW-long inner loops on the cache-hot slab;
+                # Contiguous whole-row inner loops on the cache-hot slab;
                 # two dense vector ops beat NumPy's buffered where=-masked
                 # multiply several times over.
                 tick = clock()
@@ -232,7 +265,7 @@ class StripForward:
         if timing:
             perf.record_call("im2col", copy_s)
             if slope is not None:
-                perf.record_call("fused.bias_leaky_relu", epilogue_s)
+                perf.record_call("conv2d.leaky_relu", epilogue_s)
             perf.record_call("conv2d.blocked", clock() - start)
         return self.out
 
@@ -272,7 +305,9 @@ def conv2d_forward_blocked(
             f"got {out.dtype} {out.shape}"
         )
     slope = None if activation is None else negative_slope
-    forward = StripForward(x, out, (kh, kw), padding, slope, workspace, slot_prefix, training)
+    forward = StripForward(
+        x, out, (kh, kw), padding, bias is not None, slope, workspace, slot_prefix, training
+    )
     return forward.execute(x, weight, bias, perf.perf_enabled())
 
 
@@ -306,7 +341,7 @@ def conv2d_weight_grad_blocked(
     source, interior = _padded_source(x, padding, dtype, workspace, f"{slot_prefix}.padded")
     if interior is not None:
         np.copyto(interior, x)
-    rows = _strip_rows(_TRAIN_STRIP_BYTES, ow, c, kh, kw, dtype.itemsize, oh)
+    rows = _strip_rows(_TRAIN_STRIP_BYTES, ow, c * kw, kh, dtype.itemsize, oh)
     grad_rows = grad.reshape(n, f, oh * ow)
     grad_w = np.zeros((kh, f, c * kw), dtype=dtype)
     partial = scratch(workspace, f"{slot_prefix}.wgrad", grad_w.shape, dtype)

@@ -8,14 +8,15 @@ scatter-adds with a short loop over the *kernel* footprint — at most
 Python loop over pixels.
 
 ``col2im`` accepts an optional :class:`~repro.tensor.workspace.
-Workspace` (the :class:`~repro.core.inference.InferencePlan`'s
-transposed-convolution step): the scatter-add base is then served from
-a reusable arena buffer instead of a fresh allocation.  The arithmetic
-is bit-identical either way; only the buffer's provenance changes.
-With a workspace the result aliases arena storage (it is the scatter
-base, or a view into it), so it is only valid until the next request
-of the same slot — callers that let the result escape must copy it
-out.
+Workspace`: the scatter-add base is then served from a reusable arena
+buffer instead of a fresh allocation.  The arithmetic is bit-identical
+either way; only the buffer's provenance changes.  With a workspace
+the result aliases arena storage (it is the scatter base, or a view
+into it), so it is only valid until the next request of the same slot
+— callers that let the result escape must copy it out.  The
+:class:`~repro.core.inference.InferencePlan`'s transposed-convolution
+step binds its own base and calls :func:`scatter_patches`, the
+scatter itself.
 
 These monolithic kernels are the *reference* pair, allocate-per-call:
 every stride-1 convolution runs the strip kernels of
@@ -126,7 +127,6 @@ def col2im(
         raise ShapeError(f"col2im expected cols of shape {expected}, got {cols.shape}")
 
     with perf.timed("col2im"):
-        patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
         padded_shape = (n, c, h + 2 * ph, w + 2 * pw)
         if workspace is not None:
             # The scatter base accumulates, so it must be re-zeroed on
@@ -139,13 +139,25 @@ def col2im(
             # Workspace-less naive fallback: correctness path only,
             # never taken by a warmed-up InferencePlan.
             padded = np.zeros(padded_shape, dtype=cols.dtype)  # noqa: REP012
-        # Loop only over the kernel footprint; each iteration is a strided
-        # vectorized add over all output positions at once.
-        for i in range(kh):
-            h_stop = i + sh * oh
-            for j in range(kw):
-                w_stop = j + sw * ow
-                padded[:, :, i:h_stop:sh, j:w_stop:sw] += patches[:, :, :, :, i, j]
+        scatter_patches(cols, padded, kernel, stride)
     if ph or pw:
         return padded[:, :, ph : ph + h, pw : pw + w]
     return padded
+
+
+def scatter_patches(
+    cols: np.ndarray, padded: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
+) -> None:
+    """Add the patch rows ``cols`` into the zero-padded image ``padded``
+    (:func:`col2im`'s kernel, for a caller that owns the base)."""
+    n, c, hp, wp = padded.shape
+    (kh, kw), (sh, sw) = kernel, stride
+    oh, ow = (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    # Loop only over the kernel footprint; each iteration is a strided
+    # vectorized add over all output positions at once.
+    for i in range(kh):
+        h_stop = i + sh * oh
+        for j in range(kw):
+            w_stop = j + sw * ow
+            padded[:, :, i:h_stop:sh, j:w_stop:sw] += patches[:, :, :, :, i, j]

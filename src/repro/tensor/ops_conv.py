@@ -9,8 +9,10 @@ autograd:
   ``(N*OH*OW, C*kh*kw)`` patch matrix: per strip of output rows it
   copies the ``kw`` horizontal shifts of the input rows underneath and
   reads the ``kh`` row shifts through strides, one GEMM per output
-  row.  Under ``no_grad`` the bias and activation are fused into the
-  strip epilogue; under autograd the backward closure retains only
+  row.  The bias is one more tap of that GEMM, with and without
+  autograd, so per strip the forward is ``copyto`` → ``matmul(out=)``
+  and, under ``no_grad``, the fused activation's ``multiply`` →
+  ``maximum``; under autograd the backward closure retains only
   what the graph holds anyway: the parents' arrays (plus the
   output-sized activation derivative when ``activation`` is fused).
   The backward *redraws* each strip for the weight gradient and
@@ -37,9 +39,10 @@ The transposed convolution is implemented as the exact adjoint of the
 convolution, which is what the paper's "de-convolutional layer"
 alternative (Sec. III, option 4) requires.
 
-``conv2d`` accepts ``activation="leaky_relu"``, fusing the bias add and
-the activation into the op.  Fused and unfused are bit-identical on
-every path: the forward multiplies by the exact ``where(z >= 0, 1,
+``conv2d`` accepts ``activation="leaky_relu"``, fusing the activation
+into the op (the bias is already in the GEMM on the strip path, and a
+separate add on the reference path).  Fused and unfused are
+bit-identical on every path: the forward multiplies by the exact ``where(z >= 0, 1,
 slope)`` array the standalone op would build (the no-grad strip
 epilogue's ``max(z, slope*z)`` equals it for ``0 <= slope <= 1``), and
 the backward scales gradients with that same array.

@@ -106,13 +106,13 @@ class TestParityWithReference:
             dtype = T.default_dtype()
             x, w, b, g = case_arrays(rng, n, c, f, padding, dtype)
             oh, ow = g.shape[2:]
-            # Two output rows (2 + K - 1 input rows) per forward strip;
-            # oh is odd, so at least five strips per image with a ragged
-            # last one.
+            # Two output rows (2 + K - 1 input rows of C*K taps and the
+            # bias tap) per forward strip; oh is odd, so at least five
+            # strips per image with a ragged last one.
             itemsize = np.dtype(dtype).itemsize
-            budget = (2 + K - 1) * ow * c * K * itemsize
+            budget = (2 + K - 1) * ow * (c * K + 1) * itemsize
             set_budget(monkeypatch, budget)
-            assert blocked._strip_rows(budget, ow, c, K, K, itemsize, oh) == 2
+            assert blocked._strip_rows(budget, ow, c * K + 1, K, itemsize, oh) == 2
             assert oh >= 9 and oh % 2 == 1
             _, got = run_backward(strips(padding, activation), x, w, b, g)
             _, want = run_backward(reference(padding, activation), x, w, b, g)
@@ -153,6 +153,70 @@ class TestParityWithReference:
             _, cold = run_backward(strips(2, "leaky_relu"), x, w, b, g)
         for a, r in zip(warm, cold):
             assert np.array_equal(a, r)
+
+
+class TestBiasTap:
+    """The bias is one more GEMM tap: every strip-buffer row ends in a
+    run of 1.0, and the repacked weights hold the bias at ``dy = 0`` and
+    zero at ``dy > 0``.  No pass adds it afterwards."""
+
+    @staticmethod
+    def arrays(rng, padding):
+        x, w, b, g = case_arrays(rng, 2, 6, 16, padding, np.float64)
+        return x, w, b + 3.0 * np.sign(b), g  # a bias that dominates the sum
+
+    @pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "training"])
+    @pytest.mark.parametrize("activation", [None, "leaky_relu"])
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_matches_reference(self, rng, tiny_strips, padding, activation, grad):
+        x, w, b, g = self.arrays(rng, padding)
+        if grad:
+            _, got = run_backward(strips(padding, activation), x, w, b, g)
+            _, want = run_backward(reference(padding, activation), x, w, b, g)
+        else:
+            with T.no_grad():
+                got = [strips(padding, activation)(*map(Tensor, (x, w, b))).data]
+                want = [reference(padding, activation)(*map(Tensor, (x, w, b))).data]
+        for a, r in zip(got, want):
+            np.testing.assert_allclose(a, r, rtol=1e-10, atol=1e-10 * np.abs(r).max())
+
+    @pytest.mark.parametrize("activation", [None, "leaky_relu"])
+    def test_no_arena_and_garbage_scratch_change_no_bit(self, rng, monkeypatch, activation):
+        """Without an arena ``scratch()`` is ``np.empty``, so the ones and
+        the zero ``dy > 0`` weights must be written, not inherited from
+        a zero-filled buffer; scratch full of NaN proves they are."""
+        x, w, b, g = self.arrays(rng, 2)
+        op = strips(2, activation)
+        with T.no_grad():
+            warm = op(*map(Tensor, (x, w, b))).data
+            with workspace_disabled():
+                cold = op(*map(Tensor, (x, w, b))).data
+        _, trained = run_backward(op, x, w, b, g)
+        monkeypatch.setattr(
+            blocked, "scratch", lambda ws, slot, shape, dtype: np.full(shape, np.nan, dtype)
+        )
+        with T.no_grad():
+            garbage = op(*map(Tensor, (x, w, b))).data
+        _, garbage_trained = run_backward(op, x, w, b, g)
+        assert np.array_equal(cold, warm) and np.array_equal(garbage, warm)
+        for a, r in zip(garbage_trained, trained):
+            assert np.array_equal(a, r)
+
+    def test_input_gradient_has_no_tap(self, rng, monkeypatch):
+        """The bias tap widens a biased forward's strip rows by one; the
+        input gradient is a bias-free forward and keeps ``C*kw`` taps."""
+        widths = []
+        original = blocked.patch_strips
+
+        def spy(source, kernel, *args, bias_tap=False, **kwargs):
+            widths.append((source.shape[1], bias_tap))
+            return original(source, kernel, *args, bias_tap=bias_tap, **kwargs)
+
+        monkeypatch.setattr(blocked, "patch_strips", spy)
+        x, w, b, g = self.arrays(rng, 2)
+        run_backward(strips(2, None), x, w, b, g)
+        # forward (6 channels, biased), weight gradient, input gradient (16, none)
+        assert widths == [(6, True), (6, False), (16, False)]
 
 
 def closure_arrays(fn, seen=None):
@@ -528,7 +592,7 @@ class TestStripBudgets:
             w.requires_grad = True
             training = T.conv2d(x, w, b, padding=2, activation="leaky_relu")
         rows = [
-            blocked._strip_rows(budget, 132, 6, K, K, x.data.itemsize, 260)
+            blocked._strip_rows(budget, 132, 6 * K + 1, K, x.data.itemsize, 260)
             for budget in (blocked._FORWARD_STRIP_BYTES, blocked._TRAIN_STRIP_BYTES)
         ]
         assert strips_drawn == [-(-260 // r) for r in rows]
