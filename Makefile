@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint analyze check test all
+.PHONY: lint analyze check test loc all
 
 lint:
 	bash scripts/check.sh
@@ -14,5 +14,9 @@ check:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# src/ line total, the count ROADMAP.md reports
+loc:
+	@find src -name '*.py' | xargs wc -l | tail -1
 
 all: lint analyze check test

@@ -504,12 +504,6 @@ def _getitem_slice(rng):
     ]
 
 
-@case("concatenate", "three-way")
-def _concatenate(rng):
-    fn = lambda a, b, c: get_op("concatenate")([a, b, c], axis=1)  # noqa: E731
-    return fn, [_normal(rng, 2, 2), _normal(rng, 2, 3), _normal(rng, 2, 1)]
-
-
 @case("stack", "new-axis")
 def _stack(rng):
     fn = lambda a, b: get_op("stack")([a, b], axis=1)  # noqa: E731

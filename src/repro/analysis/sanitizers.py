@@ -178,8 +178,7 @@ class ShapeContract:
 
     - tensor inputs with a floating dtype (integer/bool tensors at a
       layer boundary are almost always an accidental cast),
-    - a :class:`Tensor` result (or tuple of tensors, e.g. recurrent
-      layers returning ``(output, state)``),
+    - a :class:`Tensor` result (or tuple of tensors),
     - **shape determinism**: the same module instance fed the same
       input shapes must produce the same output shapes every time.  A
       drifting output shape is the classic symptom of a mis-sized halo

@@ -31,12 +31,6 @@ from .inference import (
     RolloutResult,
     rollout,
 )
-from .parallel_recurrent import (
-    ParallelRecurrentResult,
-    RecurrentRankResult,
-    train_parallel_recurrent,
-)
-from .recurrent_surrogate import RecurrentSurrogate, WindowDataset, train_recurrent
 from .metrics import (
     mae,
     mape,
@@ -112,12 +106,6 @@ __all__ = [
     "evaluate_parallel",
     "ParallelEvaluation",
     "load_parallel_models",
-    "RecurrentSurrogate",
-    "WindowDataset",
-    "train_recurrent",
-    "train_parallel_recurrent",
-    "ParallelRecurrentResult",
-    "RecurrentRankResult",
     "mape",
     "rmse",
     "mae",

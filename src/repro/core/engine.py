@@ -2,9 +2,8 @@
 
 Every training entry point in the repo — :func:`~repro.core.trainer.
 train_network`, the :class:`~repro.core.parallel.ParallelTrainer` rank
-programs, the recurrent surrogate, the weight-averaging baseline —
-delegates its epoch/batch loop here.  The engine owns the canonical
-sequence
+programs, the weight-averaging baseline — delegates its epoch/batch
+loop here.  The engine owns the canonical sequence
 
     forward → loss → backward → (clip) → step → (schedule)
 
@@ -400,8 +399,7 @@ class ProgressLogger(Callback):
 class Engine:
     """Owns the canonical epoch/batch loop over any dataset exposing
     ``batches(batch_size, shuffle, rng)`` yielding ``(inputs, targets)``
-    ndarray pairs (``RankDataset``, ``WindowDataset``,
-    ``SnapshotDataset``).
+    ndarray pairs (``RankDataset``, ``SnapshotDataset``).
 
     The default callback set — :class:`LossHistory`, :class:`Timer`,
     :class:`GradClip`, :class:`LRScheduler` — reproduces the historical

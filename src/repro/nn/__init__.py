@@ -14,7 +14,6 @@ from .init import (
 from .linear import Linear
 from .losses import HuberLoss, Loss, MAELoss, MAPELoss, MSELoss, get_loss, loss_class
 from .module import Module, Parameter
-from .recurrent import ConvLSTM, ConvLSTMCell
 from .regularization import BatchNorm2d, Dropout
 from .sequential import Sequential
 
@@ -31,8 +30,6 @@ __all__ = [
     "Tanh",
     "Identity",
     "get_activation",
-    "ConvLSTM",
-    "ConvLSTMCell",
     "BatchNorm2d",
     "Dropout",
     "Loss",

@@ -7,16 +7,9 @@ scatter-adds with a short loop over the *kernel* footprint — at most
 ``kh*kw`` iterations (25 for the paper's 5×5 kernels) — instead of a
 Python loop over pixels.
 
-``col2im`` accepts an optional :class:`~repro.tensor.workspace.
-Workspace`: the scatter-add base is then served from a reusable arena
-buffer instead of a fresh allocation.  The arithmetic is bit-identical
-either way; only the buffer's provenance changes.  With a workspace
-the result aliases arena storage (it is the scatter base, or a view
-into it), so it is only valid until the next request of the same slot
-— callers that let the result escape must copy it out.  The
-:class:`~repro.core.inference.InferencePlan`'s transposed-convolution
-step binds its own base and calls :func:`scatter_patches`, the
-scatter itself.
+The :class:`~repro.core.inference.InferencePlan`'s
+transposed-convolution step binds its own scatter base and calls
+:func:`scatter_patches`, the scatter itself.
 
 These monolithic kernels are the *reference* pair, allocate-per-call:
 every stride-1 convolution runs the strip kernels of
@@ -31,7 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..exceptions import ShapeError
 from . import perf
-from .workspace import Workspace
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -95,7 +87,6 @@ def col2im(
     kernel: tuple[int, int],
     stride: tuple[int, int] = (1, 1),
     padding: tuple[int, int] = (0, 0),
-    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add patch rows back to an image.
 
@@ -105,11 +96,6 @@ def col2im(
         Array of shape ``(N * OH * OW, C * kh * kw)``.
     input_shape:
         The ``(N, C, H, W)`` shape of the original (un-padded) input.
-    workspace:
-        Optional arena serving the scatter-add base.  The result then
-        aliases arena storage (the base itself, or a view into it when
-        padding is non-zero) and is valid only until the arena's next
-        request of the same slot — copy it out if it escapes.
 
     Returns
     -------
@@ -127,18 +113,10 @@ def col2im(
         raise ShapeError(f"col2im expected cols of shape {expected}, got {cols.shape}")
 
     with perf.timed("col2im"):
+        # Reference path: allocates per call, never taken by the
+        # InferencePlan.
         padded_shape = (n, c, h + 2 * ph, w + 2 * pw)
-        if workspace is not None:
-            # The scatter base accumulates, so it must be re-zeroed on
-            # every request — fill(0) on a warm buffer is still far
-            # cheaper than a fresh page-faulting np.zeros.
-            padded = workspace.request(
-                f"col2im.padded.{ph}x{pw}", padded_shape, cols.dtype, zero=True
-            )
-        else:
-            # Workspace-less naive fallback: correctness path only,
-            # never taken by a warmed-up InferencePlan.
-            padded = np.zeros(padded_shape, dtype=cols.dtype)  # noqa: REP012
+        padded = np.zeros(padded_shape, dtype=cols.dtype)  # noqa: REP012
         scatter_patches(cols, padded, kernel, stride)
     if ph or pw:
         return padded[:, :, ph : ph + h, pw : pw + w]

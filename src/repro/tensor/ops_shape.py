@@ -1,5 +1,5 @@
 """Shape-manipulation operations: reshape, transpose, pad, slicing,
-concatenate, stack.
+stack.
 
 These ops move no data through nonlinearities, so their adjoints are the
 corresponding inverse rearrangements.
@@ -76,22 +76,6 @@ def getitem(a: Any, index: Any) -> Tensor:
         return (full,)
 
     return Tensor.from_op(np.asarray(out), (ta,), backward, "getitem")
-
-
-@register_op("concatenate")
-def concatenate(tensors: Sequence[Any], axis: int = 0) -> Tensor:
-    """Join tensors along an existing axis."""
-    parts = [ensure_tensor(t) for t in tensors]
-    if not parts:
-        raise ShapeError("concatenate of an empty sequence")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    boundaries = np.cumsum(sizes)[:-1]
-
-    def backward(grad: np.ndarray):
-        return tuple(np.split(grad, boundaries, axis=axis))
-
-    return Tensor.from_op(out, tuple(parts), backward, "concatenate")
 
 
 @register_op("stack")

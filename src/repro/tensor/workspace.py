@@ -13,17 +13,15 @@ Ownership contract
 A buffer handed out for ``(slot, shape, dtype)`` is valid until the
 next ``request`` of that key.  Callers therefore must either (a) finish
 with the buffer before anyone can re-request the key — the scratch
-pattern used by ``im2col``/``col2im`` — or (b) own the arena outright
-and manage slot lifetimes themselves, which is what
-:class:`~repro.core.inference.InferencePlan` does.  Results that escape
-to user code are never workspace-backed unless the caller explicitly
-owns the arena.
+pattern used by the strip kernels of :mod:`~repro.tensor.blocked` — or
+(b) own the arena outright and manage slot lifetimes themselves, which
+is what :class:`~repro.core.inference.InferencePlan` does.  Results
+that escape to user code are never workspace-backed unless the caller
+explicitly owns the arena.
 
-Buffers are zero-filled exactly once, at creation; pass ``zero=True``
-for slots whose algorithm needs a clean buffer on *every* request (the
-``col2im`` scatter-add base).  The padded-input slots instead encode
-the padding split in the slot name and only ever write the interior,
-so their borders stay zero for the buffer's whole lifetime.
+Buffers are zero-filled exactly once, at creation.  The padded-input
+slots encode the padding split in the slot name and only ever write the
+interior, so their borders stay zero for the buffer's whole lifetime.
 
 Thread and fork semantics
 -------------------------
@@ -97,14 +95,12 @@ class Workspace:
         slot: str,
         shape: tuple[int, ...],
         dtype: Any,
-        zero: bool = False,
     ) -> np.ndarray:
         """Return the reusable buffer for ``(slot, shape, dtype)``.
 
-        Fresh buffers are always zero-filled; pass ``zero=True`` when
-        the slot needs a clean buffer on every request (scatter-add
-        bases).  The returned array is valid until the next request of
-        the same key — see the module docstring's ownership contract.
+        Fresh buffers are zero-filled.  The returned array is valid
+        until the next request of the same key — see the module
+        docstring's ownership contract.
         """
         key = (slot, tuple(int(s) for s in shape), np.dtype(dtype))
         self.stats.requests += 1
@@ -116,8 +112,6 @@ class Workspace:
             self.stats.bytes_allocated += buffer.nbytes
             perf.record_bytes("workspace", buffer.nbytes, reused=False)
         else:
-            if zero:
-                buffer.fill(0)
             self.stats.bytes_reused += buffer.nbytes
             perf.record_bytes("workspace", buffer.nbytes, reused=True)
         return buffer

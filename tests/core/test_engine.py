@@ -24,12 +24,9 @@ from repro.core import (
     TrainingConfig,
     load_checkpoint,
     train_network,
-    train_recurrent,
-    train_parallel_recurrent,
     train_weight_averaging,
 )
 from repro.core.parallel import ParallelTrainer
-from repro.core.recurrent_surrogate import RecurrentSurrogate, WindowDataset
 from repro.data import SnapshotDataset, synthetic_advection_snapshots
 from repro.exceptions import ConfigurationError
 
@@ -173,22 +170,6 @@ class TestGoldenEquivalence:
             0.0545402933822151,
         ])
 
-    def test_train_recurrent(self):
-        snaps = synthetic_advection_snapshots(grid_size=10, num_snapshots=8, seed=2)
-        model = RecurrentSurrogate(
-            channels=4, hidden_channels=6, kernel_size=3, rng=np.random.default_rng(11)
-        )
-        history = train_recurrent(
-            model,
-            WindowDataset(snaps, window=2),
-            TrainingConfig(epochs=3, batch_size=2, lr=0.01, loss="mse", seed=4),
-        )
-        assert history.epoch_losses == golden([
-            0.10429143511237071,
-            0.07905397227389,
-            0.05992293198846969,
-        ])
-
     def test_weight_averaging(self):
         result = train_weight_averaging(
             advection(),
@@ -205,23 +186,6 @@ class TestGoldenEquivalence:
             0.07723297443326674,
         ])
         assert result.bytes_reduced == 42432
-
-    def test_parallel_recurrent(self):
-        result = train_parallel_recurrent(
-            advection(num_snapshots=8),
-            num_ranks=2,
-            window=2,
-            hidden_channels=6,
-            kernel_size=3,
-            training_config=TrainingConfig(
-                epochs=2, batch_size=2, lr=0.01, loss="mse", seed=6
-            ),
-            seed=13,
-            execution="serial",
-        )
-        rank0, rank1 = (r.history.epoch_losses for r in result.rank_results)
-        assert rank0 == golden([0.08950252515646073, 0.06414163276967585])
-        assert rank1 == golden([0.0761336266969359, 0.05392340633950702])
 
 
 # ----------------------------------------------------------------------

@@ -9,12 +9,7 @@ makes this hold; these tests are the regression gate for that property.
 
 import numpy as np
 
-from repro.core import (
-    CNNConfig,
-    ParallelTrainer,
-    TrainingConfig,
-    train_parallel_recurrent,
-)
+from repro.core import CNNConfig, ParallelTrainer, TrainingConfig
 from repro.data import SnapshotDataset, synthetic_advection_snapshots
 
 
@@ -61,25 +56,3 @@ class TestParallelTrainerEquivalence:
             # under concurrent execution; serial sums the ranks instead.
             if mode != "serial":
                 assert result.wall_time >= result.max_train_time
-
-
-class TestRecurrentEquivalence:
-    def test_processes_match_serial(self):
-        dataset = SnapshotDataset(
-            synthetic_advection_snapshots(grid_size=12, num_snapshots=6, seed=0)
-        )
-        kwargs = dict(
-            num_ranks=2,
-            window=2,
-            hidden_channels=4,
-            kernel_size=3,
-            training_config=TrainingConfig(
-                epochs=1, batch_size=4, lr=0.01, loss="mse", seed=0
-            ),
-            seed=0,
-        )
-        serial = train_parallel_recurrent(dataset, execution="serial", **kwargs)
-        processes = train_parallel_recurrent(dataset, execution="processes", **kwargs)
-        for a, b in zip(serial.rank_results, processes.rank_results):
-            for name in a.state_dict:
-                assert np.array_equal(a.state_dict[name], b.state_dict[name])

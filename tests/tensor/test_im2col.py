@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import ShapeError
 from repro.tensor.im2col import col2im, conv_output_size, im2col
-from repro.tensor.workspace import Workspace
 
 
 def reference_im2col(x, kernel, stride, padding):
@@ -143,20 +142,3 @@ class TestEdgeCases:
         rows = oh * ow
         assert np.array_equal(cols[rows : 2 * rows], single)
 
-
-class TestWorkspacePath:
-    """The arena-backed ``col2im`` must be bit-identical to the naive one."""
-
-    @pytest.mark.parametrize("padding", [(0, 0), (1, 1), (2, 1)])
-    def test_col2im_identical(self, rng, padding):
-        ws = Workspace()
-        shape = (2, 3, 8, 8)
-        cols, _ = im2col(rng.standard_normal(shape), (3, 3), (1, 1), padding)
-        y = rng.standard_normal(cols.shape)
-        naive = col2im(y, shape, (3, 3), (1, 1), padding)
-        warm = col2im(y, shape, (3, 3), (1, 1), padding, workspace=ws)
-        assert np.array_equal(naive, warm)
-        # The scatter base is re-zeroed on every request, so repeated
-        # calls must not accumulate.
-        again = col2im(y, shape, (3, 3), (1, 1), padding, workspace=ws)
-        assert np.array_equal(naive, again)

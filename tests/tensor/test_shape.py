@@ -47,14 +47,6 @@ class TestForward:
         a = Tensor(np.arange(5.0))
         assert np.allclose(a[np.array([0, 0, 3])].data, [0.0, 0.0, 3.0])
 
-    def test_concatenate(self):
-        a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 3)))
-        assert T.concatenate([a, b], axis=1).shape == (2, 5)
-
-    def test_concatenate_empty_raises(self):
-        with pytest.raises(ShapeError):
-            T.concatenate([], axis=0)
-
     def test_stack(self):
         a, b = Tensor(np.ones(3)), Tensor(np.zeros(3))
         out = T.stack([a, b], axis=0)
@@ -91,13 +83,6 @@ class TestGradients:
 
     def test_getitem_slice_grad(self, rng):
         assert_gradcheck(lambda x: x[1:, ::2] * 3.0, rng.standard_normal((4, 6)))
-
-    def test_concatenate_grad(self, rng):
-        assert_gradcheck(
-            lambda x, y: T.concatenate([x, y], axis=0) ** 2,
-            rng.standard_normal((2, 3)),
-            rng.standard_normal((1, 3)),
-        )
 
     def test_stack_grad(self, rng):
         assert_gradcheck(

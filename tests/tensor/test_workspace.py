@@ -44,15 +44,7 @@ class TestRequest:
         assert a is not b
         assert b.dtype == np.float32
 
-    def test_zero_true_rezeroes_on_reuse(self):
-        ws = Workspace()
-        buf = ws.request("base", (5,), np.float64, zero=True)
-        buf[:] = 7.0
-        again = ws.request("base", (5,), np.float64, zero=True)
-        assert again is buf
-        assert np.array_equal(again, np.zeros(5))
-
-    def test_zero_false_keeps_contents(self):
+    def test_reuse_keeps_contents(self):
         ws = Workspace()
         buf = ws.request("scratch", (5,), np.float64)
         buf[:] = 7.0

@@ -1,12 +1,14 @@
 """One contract for everything that advances a field.
 
 ``Stepper.advance(state, num_steps=1, out=None)``: the finite-difference
-drivers and the CNN ensemble (one full-domain network being its
-one-block case) are checked against the same rows — composition,
-``out=``, an untouched input, the result dtype and ``rollout``.
+drivers of every registered scenario and the CNN ensemble (one
+full-domain network being its one-block case) are checked against the
+same rows — composition, ``out=``, an untouched input, the result dtype
+and ``rollout``.
 """
 
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from repro import mpi
 from repro.core import CNNConfig, EnsembleStepper, SubdomainCNN, rollout
 from repro.domain import BlockDecomposition
 from repro.exceptions import ConfigurationError
-from repro.scenarios import build_grid, build_initial_state, build_simulation, get_scenario
+from repro.scenarios import (
+    available_scenarios,
+    build_grid,
+    build_initial_state,
+    build_simulation,
+    get_scenario,
+)
 from repro.solver import EulerState
 from repro.tensor import Tensor, precision
 
@@ -31,7 +39,7 @@ def simulation_case(scenario):
     return build_simulation(spec, grid), np.asarray(initial, dtype=float)
 
 
-def ensemble_case(pgrid, mode):
+def ensemble_case(pgrid, mode, fill="zero"):
     state = np.random.default_rng(5).standard_normal((4, GRID, GRID))
     with precision(mode):
         models = [
@@ -40,16 +48,23 @@ def ensemble_case(pgrid, mode):
         ]
     if pgrid == (1, 1):
         return EnsembleStepper(models), state  # builds its own 1 x 1 decomposition
-    return EnsembleStepper(models, BlockDecomposition((GRID, GRID), pgrid)), state
+    return EnsembleStepper(models, BlockDecomposition((GRID, GRID), pgrid), fill), state
 
 
+# Every registered scenario's driver is a case; the two first cases
+# keep the ids they were introduced under.
+SIMULATION_IDS = {"euler-gaussian": "simulation-euler", "allen-cahn": "field-simulation-allen-cahn"}
+SCENARIO_CASES = {
+    SIMULATION_IDS.get(name, f"simulation-{name}"): (partial(simulation_case, name), "float64")
+    for name in available_scenarios()
+}
 CASES = {
-    "simulation-euler": (lambda: simulation_case("euler-gaussian"), "float64"),
-    "field-simulation-allen-cahn": (lambda: simulation_case("allen-cahn"), "float64"),
+    **SCENARIO_CASES,
     "one-model-float64": (lambda: ensemble_case((1, 1), "float64"), "float64"),
     "one-model-float32": (lambda: ensemble_case((1, 1), "float32"), "float32"),
     "ensemble-2x2-float64": (lambda: ensemble_case((2, 2), "float64"), "float64"),
     "ensemble-2x2-float32": (lambda: ensemble_case((2, 2), "float32"), "float32"),
+    "ensemble-2x1-edge-float64": (lambda: ensemble_case((2, 1), "float64", "edge"), "float64"),
 }
 
 
@@ -142,6 +157,16 @@ class TestEnsembleStepper:
         padded = np.pad(state, ((0, 0), (halo, halo), (halo, halo)))
         expected = model(Tensor(padded[None])).numpy()[0]
         assert np.array_equal(EnsembleStepper([model]).advance(state), expected)
+
+    def test_one_model_edge_fill_replicates_the_walls(self):
+        model = SubdomainCNN(CNNConfig(), rng=np.random.default_rng(0))
+        halo = model.input_halo
+        state = np.random.default_rng(1).standard_normal((4, GRID, GRID))
+        padded = np.pad(state, ((0, 0), (halo, halo), (halo, halo)), mode="edge")
+        expected = model(Tensor(padded[None])).numpy()[0]
+        stepper = EnsembleStepper([model], fill="edge")
+        assert np.array_equal(stepper.advance(state), expected)
+        assert not np.array_equal(EnsembleStepper([model]).advance(state), expected)
 
     @pytest.mark.parametrize("pgrid", [(1, 1), (2, 2)], ids=["lazy-1x1", "2x2"])
     def test_threads_sharing_one_stepper_get_their_own_scratch(self, pgrid):
