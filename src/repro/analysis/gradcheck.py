@@ -418,6 +418,16 @@ def _conv2d_fused(rng):
     return fn, [_normal(rng, 2, 3, 5, 5), _normal(rng, 4, 3, 3, 3), _normal(rng, 4)]
 
 
+@case("conv2d", "fused-leaky-relu-steep")
+def _conv2d_fused_steep(rng):
+    # A slope above 1 takes the other branch of both strip epilogues:
+    # min, not max, and the derivative built from 1 - (z >= 0).
+    fn = lambda x, w, b: get_op("conv2d")(  # noqa: E731
+        x, w, b, stride=1, padding=1, activation="leaky_relu", negative_slope=2.0
+    )
+    return fn, [_normal(rng, 2, 3, 5, 5), _normal(rng, 4, 3, 3, 3), _normal(rng, 4)]
+
+
 @case("conv2d", "strip-seam")
 def _conv2d_strip_seam(rng):
     # The strip kernels cut the output rows so that a strip's input

@@ -51,7 +51,7 @@ import numpy as np
 from .. import mpi
 from ..domain.decomposition import BlockDecomposition
 from ..exceptions import ConfigurationError, ShapeError
-from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
+from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential, fuse_leaky_relu
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.log import get_logger
@@ -154,6 +154,9 @@ class _LeakyStep:
     def __init__(self, index: int, slope: float) -> None:
         self.index = index
         self.slope = slope
+        # max(z, slope*z) for slope <= 1, min above: either picks the
+        # op's z * where(z >= 0, 1, slope) bit for bit.
+        self._bound = np.maximum if slope <= 1.0 else np.minimum
         self._buffers: list[np.ndarray] = []
 
     def apply(self, x: np.ndarray, ws: Workspace, dtype: np.dtype, timed: bool) -> np.ndarray:
@@ -162,11 +165,10 @@ class _LeakyStep:
             self._buffers = [ws.request(name, x.shape, dtype) for name in names]
         out, scaled = self._buffers
         np.copyto(out, x)  # also casts a foreign-dtype input
-        # max(z, slope*z) — bit-identical to the masked multiply for
-        # 0 <= slope <= 1 and several times faster (dense vector ops
-        # instead of NumPy's buffered where= path).
+        # Dense vector ops: several times faster than NumPy's buffered
+        # where= path.
         np.multiply(out, self.slope, out=scaled)
-        np.maximum(out, scaled, out=out)
+        self._bound(out, scaled, out=out)
         return out
 
 
@@ -284,21 +286,13 @@ class InferencePlan:
                     f"padding < kernel, got {layer!r}"
                 )
         steps: list = []
-        i = 0
-        while i < len(layers):
-            layer = layers[i]
+        for layer, slope in fuse_leaky_relu(layers):
             if isinstance(layer, Conv2d):
-                follower = layers[i + 1] if i + 1 < len(layers) else None
-                if isinstance(follower, LeakyReLU):
-                    steps.append(_ConvStep(len(steps), layer, follower.negative_slope))
-                    i += 2
-                    continue
-                steps.append(_ConvStep(len(steps), layer, None))
+                steps.append(_ConvStep(len(steps), layer, slope))
             elif isinstance(layer, ConvTranspose2d):
                 steps.append(_ConvTransposeStep(len(steps), layer))
             else:  # LeakyReLU not preceded by a Conv2d
                 steps.append(_LeakyStep(len(steps), layer.negative_slope))
-            i += 1
         for lead, follower in zip(steps, steps[1:]):
             if isinstance(lead, _ConvStep) and isinstance(follower, _ConvStep):
                 # No pad copy: the leader writes the follower's padded input.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
+from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential, fuse_leaky_relu
 from ..tensor import Tensor
 from .padding import PaddingStrategy
 
@@ -130,7 +130,12 @@ class SubdomainCNN(Module):
         return self.config.output_crop
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.layers(x)
+        # Each conv runs the leaky ReLU after it in its strip epilogue:
+        # one output array per layer and, in training, one derivative
+        # kept for backward instead of the pre-activation.
+        for layer, slope in fuse_leaky_relu(self.layers):
+            x = layer(x) if slope is None else layer(x, negative_slope=slope)
+        return x
 
     def expected_output_shape(self, block_shape: tuple[int, int]) -> tuple[int, int]:
         """Output spatial size for a subdomain block of ``block_shape``."""

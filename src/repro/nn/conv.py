@@ -9,10 +9,13 @@ input with halo data.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..tensor import Tensor, conv2d, conv_transpose2d
+from .activations import LeakyReLU
 from .init import get_initializer
 from .module import Module, Parameter
 
@@ -82,8 +85,16 @@ class Conv2d(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+    def forward(self, x: Tensor, negative_slope: float | None = None) -> Tensor:
+        """Convolve ``x``; a ``negative_slope`` fuses a leaky ReLU with
+        that slope into the conv (bit-identical to a following
+        :class:`LeakyReLU`, see :func:`fuse_leaky_relu`)."""
+        if negative_slope is None:
+            return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return conv2d(
+            x, self.weight, self.bias, stride=self.stride, padding=self.padding,
+            activation="leaky_relu", negative_slope=negative_slope,
+        )  # fmt: skip
 
     def output_shape(self, height: int, width: int) -> tuple[int, int]:
         """Spatial output size for an input of ``(height, width)``."""
@@ -150,3 +161,24 @@ class ConvTranspose2d(Module):
             f"kernel_size={self.kernel_size}, stride={self.stride}, "
             f"padding={self.padding})"
         )
+
+
+def fuse_leaky_relu(layers: Iterable[Module]) -> list[tuple[Module, float | None]]:
+    """``(layer, slope)`` per step of running ``layers`` in order: a
+    :class:`Conv2d` directly followed by a :class:`LeakyReLU` is one
+    step carrying that activation's slope, every other layer a step of
+    its own with ``None``.  The one pairing rule of the paper network's
+    module forward and of a compiled
+    :class:`~repro.core.inference.InferencePlan`."""
+    steps: list[tuple[Module, float | None]] = []
+    for layer in layers:
+        if (
+            isinstance(layer, LeakyReLU)
+            and steps
+            and isinstance(steps[-1][0], Conv2d)
+            and steps[-1][1] is None
+        ):
+            steps[-1] = (steps[-1][0], layer.negative_slope)
+        else:
+            steps.append((layer, None))
+    return steps

@@ -61,7 +61,6 @@ from .ops_matmul import matmul  # noqa: E402
 from .ops_conv import conv2d, conv_transpose2d  # noqa: E402
 from .im2col import col2im, conv_output_size, im2col  # noqa: E402
 from . import perf  # noqa: E402
-from .fused import add_, leaky_relu_, mul_  # noqa: E402
 from .workspace import (  # noqa: E402
     Workspace,
     WorkspaceStats,
@@ -130,13 +129,10 @@ __all__ = [
     "im2col",
     "col2im",
     "conv_output_size",
-    # workspace / fused / perf layer
+    # workspace / perf layer
     "Workspace",
     "WorkspaceStats",
     "get_workspace",
     "workspace_disabled",
     "perf",
-    "add_",
-    "mul_",
-    "leaky_relu_",
 ]

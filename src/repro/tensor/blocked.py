@@ -20,10 +20,13 @@ stack of GEMM operands, consumed while cache-hot:
   ``(F, rows, OW)`` slab of the ``(N, F, OH, OW)`` result (no
   GEMM-output buffer, no transposed copy), then the leaky-ReLU on that
   slab.  Per strip that is ``copyto`` → ``matmul(out=)`` → ``multiply``
-  → ``maximum`` and nothing else: a biased forward carries the bias as
-  one more tap per strip-buffer row (a constant 1.0, written when the
-  strip is bound, against the bias at ``dy = 0`` and zero at ``dy >
-  0`` in the repacked weights), so the GEMM adds it;
+  → ``maximum`` (``minimum`` for a slope above 1) and nothing else; in
+  training the epilogue also writes the slab's activation derivative,
+  which the backward keeps instead of the pre-activation.  A biased
+  forward carries the bias as one more tap per strip-buffer row (a
+  constant 1.0, written when the strip is bound, against the bias at
+  ``dy = 0`` and zero at ``dy > 0`` in the repacked weights), so the
+  GEMM adds it;
 * :func:`conv2d_weight_grad_blocked` — the weight gradient, which
   *redraws* each strip and accumulates ``g_strip @ shifted`` for all
   ``kh`` row shifts in one stacked ``matmul``, so training retains no
@@ -69,7 +72,9 @@ from .workspace import Workspace, scratch
 
 __all__ = ["StripForward", "conv2d_forward_blocked", "conv2d_weight_grad_blocked"]
 
-#: ``(shifts, strip, operand, slab, gemm_out, scaled)`` of one bound strip
+#: ``(shifts, strip, operand, slab, gemm_out, scratch)`` of one bound
+#: strip; ``scratch`` is the epilogue's slab-sized second operand (the
+#: derivative's slab in training), ``None`` without an activation.
 _Strip = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
 
 #: Strip buffer budgets, forward-only and training: ``rows + kh - 1``
@@ -176,6 +181,8 @@ class StripForward:
     ``out`` is the ``(N, F, OH, OW)`` result or a zero-bordered ``(N, F,
     OH + 2*bh, OW + 2*bw)`` buffer whose interior receives it, border
     kept 0 (see the module docstring); ``biased`` binds the bias tap.
+    ``derivative``, an array shaped like ``out`` (training, with a
+    ``slope``), receives the activation's ``where(z >= 0, 1, slope)``.
     """
 
     def __init__(
@@ -189,6 +196,7 @@ class StripForward:
         workspace: Workspace | None,
         slot: str,
         training: bool = False,
+        derivative: np.ndarray | None = None,
     ) -> None:
         (kh, kw), (ph, pw), dtype = kernel, padding, out.dtype
         _, c, h, w = x.shape
@@ -205,9 +213,13 @@ class StripForward:
         self.taps = taps[:, :, : c * kw].reshape(f, kh, c, kw)
         self.bias = taps[:, 0, c * kw] if biased else None
         self.wmat = taps.reshape(f, kh * width)
-        self.slope, self.out = slope, out
+        self.slope, self.out, self.derivative = slope, out, derivative
+        # z * where(z >= 0, 1, slope) is max(z, slope*z) for slope <= 1
+        # and min(z, slope*z) above: whichever picks z where z >= 0.
+        self.steep = slope is not None and slope > 1.0
+        self.bound = np.minimum if self.steep else np.maximum
         scaled = None
-        if slope is not None:
+        if slope is not None and derivative is None:
             scaled = scratch(workspace, f"{slot}.scaled", (f, rows, out.shape[3]), dtype)
 
         def strips() -> Iterator[_Strip]:
@@ -217,7 +229,10 @@ class StripForward:
                 # The activation's whole rows, and the GEMMs' interior.
                 slab = out[image, :, bh + r0 : bh + r1, :]
                 gemm_out = result[image, :, r0:r1, :].transpose(1, 0, 2)
-                sub = None if scaled is None else scaled[:, : r1 - r0, :]
+                if derivative is not None:
+                    sub = derivative[image, :, bh + r0 : bh + r1, :]
+                else:
+                    sub = None if scaled is None else scaled[:, : r1 - r0, :]
                 yield shifts, strip, stack, slab, gemm_out, sub
 
         self.strips: Iterable[_Strip] = strips()
@@ -230,9 +245,11 @@ class StripForward:
         ``out``.  ``timing`` (the perf flag, read once by the caller)
         records ``im2col`` and ``conv2d.leaky_relu`` per call.
 
-        The activation ``max(z, slope * z)`` is, for ``0 <= slope <= 1``,
-        bit-identical to the op's ``z * where(z >= 0, 1, slope)``: ``z >=
-        0`` wins the max untouched, ``z < 0`` loses to the same product.
+        Without a derivative the activation is ``max(z, slope * z)``
+        (``min`` for ``slope > 1``), bit-identical to the standalone op's
+        ``z * where(z >= 0, 1, slope)``: ``z >= 0`` is picked untouched,
+        ``z < 0`` gives the same product.  With one, the epilogue writes
+        that ``where`` array exactly and multiplies by it, as the op does.
         """
         # Perf off: ``float()`` is 0.0, a no-op clock in the same calls.
         clock: Callable[[], float] = time.perf_counter if timing else float
@@ -242,7 +259,8 @@ class StripForward:
         np.copyto(self.taps, weight.transpose(0, 2, 1, 3))
         if self.bias is not None:
             np.copyto(self.bias, bias)
-        wmat, slope = self.wmat, self.slope
+        wmat, slope, bound, steep = self.wmat, self.slope, self.bound, self.steep
+        with_derivative = self.derivative is not None
         copy_s = epilogue_s = 0.0
         for shifts, strip, stack, slab, gemm_out, scaled in self.strips:
             tick = clock()
@@ -254,14 +272,28 @@ class StripForward:
             # whole (padded) plane apart, which BLAS takes as a leading
             # dimension.  The bias tap makes this the pre-activation.
             np.matmul(wmat, stack, out=gemm_out)
-            if scaled is not None:
-                # Contiguous whole-row inner loops on the cache-hot slab;
-                # two dense vector ops beat NumPy's buffered where=-masked
-                # multiply several times over.
-                tick = clock()
+            if scaled is None:
+                continue
+            # Contiguous whole-row inner loops on the cache-hot slab;
+            # dense vector ops beat NumPy's buffered where=-masked
+            # multiply several times over.
+            tick = clock()
+            if with_derivative:
+                # where(z >= 0, 1, slope) exactly: the comparison's {1, 0}
+                # (NaN compares false), max with the slope, or when steep
+                # 1 - d -> {0, slope} -> max with 1; then z times it.
+                np.greater_equal(slab, 0.0, out=scaled)
+                if steep:
+                    np.subtract(1.0, scaled, out=scaled)
+                    np.multiply(scaled, slope, out=scaled)
+                    np.maximum(scaled, 1.0, out=scaled)
+                else:
+                    np.maximum(scaled, slope, out=scaled)
+                np.multiply(slab, scaled, out=slab)
+            else:
                 np.multiply(slab, slope, out=scaled)
-                np.maximum(slab, scaled, out=slab)
-                epilogue_s += clock() - tick
+                bound(slab, scaled, out=slab)
+            epilogue_s += clock() - tick
         if timing:
             perf.record_call("im2col", copy_s)
             if slope is not None:
@@ -281,6 +313,7 @@ def conv2d_forward_blocked(
     out: np.ndarray | None = None,
     slot_prefix: str = "conv2d.blocked",
     training: bool = False,
+    derivative: np.ndarray | None = None,
 ) -> np.ndarray:
     """Strip-mined stride-1 conv2d forward; nothing is kept for a backward pass.
 
@@ -288,9 +321,10 @@ def conv2d_forward_blocked(
     ``(F,)`` or ``None``; ``padding`` is symmetric zero padding.  ``out``
     is an optional C-contiguous ``(N, F, OH, OW)`` destination in the
     compute dtype ``result_type(x, weight)`` — any other is refused, not
-    cast into.  ``training`` selects the training strip budget.  Returns
-    the C-contiguous result.  The autograd path calls this kernel with
-    ``activation=None`` and scales exactly.
+    cast into.  ``training`` selects the training strip budget, and
+    ``derivative``, an array like the result, receives the activation's
+    ``where(z >= 0, 1, negative_slope)`` (the autograd path keeps it for
+    backward).  Returns the C-contiguous result.
     """
     n, _, h, w = x.shape
     f, _, kh, kw = weight.shape
@@ -306,8 +340,9 @@ def conv2d_forward_blocked(
         )
     slope = None if activation is None else negative_slope
     forward = StripForward(
-        x, out, (kh, kw), padding, bias is not None, slope, workspace, slot_prefix, training
-    )
+        x, out, (kh, kw), padding, bias is not None, slope, workspace, slot_prefix,
+        training, derivative,
+    )  # fmt: skip
     return forward.execute(x, weight, bias, perf.perf_enabled())
 
 

@@ -11,10 +11,10 @@ autograd:
   reads the ``kh`` row shifts through strides, one GEMM per output
   row.  The bias is one more tap of that GEMM, with and without
   autograd, so per strip the forward is ``copyto`` → ``matmul(out=)``
-  and, under ``no_grad``, the fused activation's ``multiply`` →
-  ``maximum``; under autograd the backward closure retains only
-  what the graph holds anyway: the parents' arrays (plus the
-  output-sized activation derivative when ``activation`` is fused).
+  and the fused activation's ``multiply`` → ``maximum``, which under
+  autograd also writes the activation's derivative; the backward
+  closure retains only the parents' arrays and, with ``activation``,
+  that one output-sized derivative — never the pre-activation.
   The backward *redraws* each strip for the weight gradient and
   obtains the input gradient as a correlation of the
   ``(k-1-p)``-padded output gradient with the flipped, channel-swapped
@@ -41,11 +41,13 @@ alternative (Sec. III, option 4) requires.
 
 ``conv2d`` accepts ``activation="leaky_relu"``, fusing the activation
 into the op (the bias is already in the GEMM on the strip path, and a
-separate add on the reference path).  Fused and unfused are
-bit-identical on every path: the forward multiplies by the exact ``where(z >= 0, 1,
-slope)`` array the standalone op would build (the no-grad strip
-epilogue's ``max(z, slope*z)`` equals it for ``0 <= slope <= 1``), and
-the backward scales gradients with that same array.
+separate add on the reference path); the paper's network runs it for
+every conv a ``LeakyReLU`` follows, in training and evaluation alike.
+Fused and unfused are bit-identical on every path and for every slope
+>= 0: the forward multiplies by the exact ``where(z >= 0, 1, slope)``
+array the standalone op would build (the no-grad strip epilogue's
+``max(z, slope*z)``, ``min`` for ``slope > 1``, equals that product),
+and the backward scales gradients with that same array.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ import numpy as np
 from ..exceptions import ConfigurationError, ShapeError
 from . import autograd, perf
 from .blocked import conv2d_forward_blocked, conv2d_weight_grad_blocked
-from .fused import leaky_relu_scale
-from .im2col import col2im, im2col
+from .im2col import col2im, conv_output_size, im2col
 from .tensor import Tensor, ensure_tensor, register_op
 from .workspace import get_workspace, scratch
 
@@ -151,26 +152,31 @@ def _conv2d_strips(
     Scratch (padded input, row-patch strip, padded output gradient) comes
     from the calling thread's arena under the ``conv2d.train.*`` slots
     and is dead when each kernel returns; everything that escapes — the
-    output and the three gradients — is freshly allocated.
+    output, the activation derivative and the three gradients — is
+    freshly allocated.
     """
     x, weight = tx.data, tw.data
-    kh, kw = weight.shape[2], weight.shape[3]
+    n, _, h, w = x.shape
+    f, _, kh, kw = weight.shape
+    act_scale = None
+    if activation is not None:
+        # where(z >= 0, 1, slope), written by the strip epilogue while
+        # each slab is cache-hot; the backward keeps it.
+        oh, ow = conv_output_size(h, kh, 1, padding[0]), conv_output_size(w, kw, 1, padding[1])
+        act_scale = np.empty((n, f, oh, ow), np.result_type(x.dtype, weight.dtype))
     with perf.timed("conv2d"):
         out = conv2d_forward_blocked(
             x,
             weight,
             None if tb is None else tb.data,
             padding,
+            activation=activation,
+            negative_slope=negative_slope,
             workspace=get_workspace(),
             slot_prefix=_TRAIN_SLOTS,
             training=True,
+            derivative=act_scale,
         )
-        act_scale = None
-        if activation is not None:
-            # Exact for any slope and bit-identical to the standalone
-            # leaky_relu op (z * 1.0 is z); kept for backward.
-            act_scale = leaky_relu_scale(out, negative_slope)
-            out *= act_scale
 
     def backward(grad: np.ndarray):
         workspace = get_workspace()
@@ -213,6 +219,22 @@ def _conv2d_strips(
             return grad_x, grad_w, grad_b
 
     return Tensor.from_op(out, parents, backward, "conv2d")
+
+
+def leaky_relu_scale(z: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
+    """The leaky-ReLU derivative mask ``where(z >= 0, 1, slope)``.
+
+    Built once by the reference ``conv2d`` forward and reused by its
+    backward, so both directions scale with the exact same array.  The
+    mask is built in ``z``'s own dtype: the float64 values are
+    unchanged, and a float32 backward pass would otherwise be silently
+    promoted to float64 by the float64 array ``np.where`` produces from
+    Python-float branches.
+    """
+    scale = np.empty_like(z)
+    scale[...] = negative_slope
+    np.copyto(scale, 1.0, where=z >= 0.0)
+    return scale
 
 
 def conv2d_reference(

@@ -3,7 +3,7 @@
 A process-wide registry of named :class:`Counter` records — call
 counts, cumulative seconds, and workspace bytes allocated vs. reused —
 fed by the instrumented kernels (``conv2d``, ``im2col``, ``col2im``,
-the fused elementwise ops, :class:`~repro.core.inference.InferencePlan`)
+the fused conv epilogue, :class:`~repro.core.inference.InferencePlan`)
 and by every :class:`~repro.tensor.workspace.Workspace` arena.
 
 Timing is **off by default** so the hot path pays a single attribute

@@ -19,6 +19,7 @@ from repro.core import (
     SubdomainCNN,
     rollout,
 )
+from repro.core.inference import _ConvStep, _LeakyStep
 from repro.domain import BlockDecomposition
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn import Conv2d, LeakyReLU, Module, Sequential
@@ -31,9 +32,14 @@ STRATEGIES = [
     PaddingStrategy.TRANSPOSE,
 ]
 
+#: Both epilogue branches (max for slope <= 1, min above) and their bounds.
+SLOPES = [0.0, 0.01, 1.0, 2.0]
 
-def make_model(strategy, seed=0, channels=(4, 6, 4)):
-    config = CNNConfig(channels=channels, kernel_size=3, strategy=strategy)
+
+def make_model(strategy, seed=0, channels=(4, 6, 4), slope=0.01):
+    config = CNNConfig(
+        channels=channels, kernel_size=3, strategy=strategy, negative_slope=slope
+    )
     return SubdomainCNN(config, rng=np.random.default_rng(seed))
 
 
@@ -77,9 +83,10 @@ class Doubled(SubdomainCNN):
 
 
 class TestPlanEquivalence:
+    @pytest.mark.parametrize("slope", SLOPES)
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
-    def test_bit_identical_to_module_forward(self, rng, strategy):
-        model = make_model(strategy)
+    def test_bit_identical_to_module_forward(self, rng, strategy, slope):
+        model = with_biases(make_model(strategy, slope=slope), rng)
         plan = InferencePlan(model)
         halo = model.input_halo
         x = rng.standard_normal((2, 4, 10 + 2 * halo, 10 + 2 * halo))
@@ -460,21 +467,25 @@ class TestCompilation:
         with pytest.raises(ConfigurationError):
             InferencePlan(Sequential(Conv2d(2, 2, 3), Exotic()))
 
-    def test_plain_sequential_supported(self, rng):
+    @pytest.mark.parametrize("slope", SLOPES)
+    def test_plain_sequential_supported(self, rng, slope):
         model = Sequential(
             Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0)),
-            LeakyReLU(0.1),
+            LeakyReLU(slope),
             Conv2d(3, 2, 3, padding=1, rng=np.random.default_rng(1)),
         )
         plan = InferencePlan(model)
+        assert [type(step) for step in plan.steps] == [_ConvStep, _ConvStep]
         x = rng.standard_normal((1, 2, 6, 6))
         assert np.array_equal(plan.run(x), model_forward(model, x))
 
-    def test_leading_leaky_relu_copies_input(self, rng):
+    @pytest.mark.parametrize("slope", SLOPES)
+    def test_leading_leaky_relu_copies_input(self, rng, slope):
         """A LeakyReLU that is the first step must not mutate the
         caller's array (the in-place step copies into the arena)."""
-        model = Sequential(LeakyReLU(0.1), Conv2d(2, 2, 3, padding=1))
+        model = Sequential(LeakyReLU(slope), Conv2d(2, 2, 3, padding=1))
         plan = InferencePlan(model)
+        assert type(plan.steps[0]) is _LeakyStep
         x = rng.standard_normal((1, 2, 6, 6))
         original = x.copy()
         assert np.array_equal(plan.run(x), model_forward(model, x))

@@ -10,9 +10,11 @@ from repro.core import (
     SubdomainCNN,
     build_paper_cnn,
 )
+from repro.analysis import ShapeContract
 from repro.exceptions import ConfigurationError
-from repro.nn import Conv2d, ConvTranspose2d, LeakyReLU
-from repro.tensor import Tensor
+from repro.nn import Conv2d, ConvTranspose2d, LeakyReLU, MSELoss, fuse_leaky_relu
+from repro.optim import Adam
+from repro.tensor import Tensor, no_grad
 
 
 class TestTable1Architecture:
@@ -81,6 +83,92 @@ class TestShapeContracts:
     def test_transpose_strategy_has_deconv_layer(self, rng):
         model = build_paper_cnn(PaddingStrategy.TRANSPOSE, rng=rng)
         assert any(isinstance(m, ConvTranspose2d) for m in model.layers)
+
+
+#: Both fused-epilogue branches (max for slope <= 1, min above) and their bounds.
+SLOPES = [0.0, 0.01, 1.0, 2.0]
+STRATEGIES = list(PaddingStrategy)
+
+
+def fused_case(strategy, slope, seed=3):
+    """A small Table-I-shaped network with nonzero biases, an input
+    block and a target for it."""
+    config = CNNConfig(strategy=strategy, negative_slope=slope)
+    model = SubdomainCNN(config, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for param in model.parameters():
+        if param.ndim == 1:
+            param.data[...] = rng.uniform(-0.5, 0.5, param.shape)
+    halo, crop = model.input_halo, model.output_crop
+    x = rng.standard_normal((2, 4, 20 + 2 * halo, 19 + 2 * halo))
+    y = rng.standard_normal((2, 4, 20 - 2 * crop, 19 - 2 * crop))
+    return model, x, y
+
+
+class TestFusedForward:
+    """The model runs each conv with the leaky ReLU after it fused into
+    one ``conv2d`` call; everything it computes equals the layer-by-layer
+    ``Sequential`` forward bit for bit."""
+
+    def test_pairs_every_activated_conv(self, rng):
+        model = build_paper_cnn(PaddingStrategy.TRANSPOSE, rng=rng)
+        steps = fuse_leaky_relu(model.layers)
+        assert [(type(m), s) for m, s in steps] == [(Conv2d, 0.01)] * 4 + [
+            (ConvTranspose2d, None)
+        ]
+        # A conv takes at most the one activation right after it.
+        layers = [LeakyReLU(0.2), Conv2d(2, 2, 3), LeakyReLU(0.3), LeakyReLU(0.4)]
+        steps = fuse_leaky_relu(layers)
+        assert [m for m, _ in steps] == [layers[0], layers[1], layers[3]]
+        assert [s for _, s in steps] == [None, 0.3, None]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+    @pytest.mark.parametrize("slope", SLOPES)
+    def test_forward_and_gradients(self, strategy, slope):
+        model, x, y = fused_case(strategy, slope)
+        with no_grad():
+            assert np.array_equal(model(Tensor(x)).data, model.layers(Tensor(x)).data)
+        results = []
+        for forward in (model, model.layers):
+            model.zero_grad()
+            tx = Tensor(x, requires_grad=True)
+            out = forward(tx)
+            MSELoss()(out, Tensor(y)).backward()
+            results.append([out.data, tx.grad] + [p.grad.copy() for p in model.parameters()])
+        for fused, layered in zip(*results):
+            assert np.array_equal(fused, layered)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+    @pytest.mark.parametrize("slope", SLOPES)
+    def test_adam_steps_bit_identical(self, strategy, slope):
+        """Three optimizer steps through the fused model and through an
+        unfused twin leave the same losses and weights."""
+        trained = []
+        for fused in (True, False):
+            model, x, y = fused_case(strategy, slope)
+            forward = model if fused else model.layers
+            optimizer = Adam(model.parameters(), lr=1e-2)
+            losses = []
+            for _ in range(3):
+                optimizer.zero_grad()
+                loss = MSELoss()(forward(Tensor(x)), Tensor(y))
+                loss.backward()
+                optimizer.step()
+                losses.append(loss.item())
+            trained.append((losses, [p.data for p in model.parameters()]))
+        (losses, weights), (ref_losses, ref_weights) = trained
+        assert losses == ref_losses
+        for got, expected in zip(weights, ref_weights):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+    def test_shape_contract_checks_every_conv(self, strategy):
+        model, x, _ = fused_case(strategy, 0.01)
+        convs = {id(m) for m in model.modules() if isinstance(m, (Conv2d, ConvTranspose2d))}
+        with ShapeContract() as contract:
+            model(Tensor(x, requires_grad=True))
+            checked = {module_id for module_id, _ in contract._observed}
+        assert convs <= checked
 
 
 class TestDeterminism:

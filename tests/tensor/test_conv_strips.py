@@ -13,7 +13,9 @@ import pytest
 import repro.tensor as T
 from repro.analysis import check_op
 from repro.analysis import gradcheck as gradcheck_fn
+from repro.core import CNNConfig, PaddingStrategy, SubdomainCNN
 from repro.exceptions import ShapeError
+from repro.nn import fuse_leaky_relu
 from repro.tensor import Tensor, blocked, ops_conv, precision, workspace_disabled
 
 #: (C, F) of the paper's four Table-I layers, 5x5 kernels.
@@ -241,10 +243,27 @@ def closure_arrays(fn, seen=None):
     return found
 
 
-def owner_nbytes(array):
+def owner(array):
     while array.base is not None and isinstance(array.base, np.ndarray):
         array = array.base
-    return array.nbytes
+    return array
+
+
+def owner_nbytes(array):
+    return owner(array).nbytes
+
+
+def graph_nodes(out):
+    """Every recorded op output reachable from ``out``."""
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
 
 
 class TestRetention:
@@ -259,6 +278,30 @@ class TestRetention:
         assert max(owner_nbytes(a) for a in held) <= limit
         # ... which is far below the patch matrix the old path kept.
         assert out.data.size // 6 * 16 * K * K * 8 > 10 * limit
+
+    @pytest.mark.parametrize("strategy", list(PaddingStrategy), ids=lambda s: s.value)
+    def test_model_graph_holds_no_pre_activation(self, rng, strategy):
+        """A whole network forward records one node per conv, and a conv
+        node's closure holds, beside the parameters, only its input and —
+        when a leaky ReLU is fused — one output-sized derivative; the
+        output is the node's own data.  No pre-activation survives."""
+        model = SubdomainCNN(CNNConfig(strategy=strategy), rng=rng)
+        halo = model.input_halo
+        x = rng.standard_normal((2, 4, 24 + 2 * halo, 24 + 2 * halo))
+        out = model(Tensor(x, requires_grad=True))
+        slopes = {id(m.weight): s for m, s in fuse_leaky_relu(model.layers)}
+        params = {id(owner(p.data)) for p in model.parameters()}
+        nodes = graph_nodes(out)
+        ops = sorted(node.op_name for node in nodes)
+        transposed = strategy is PaddingStrategy.TRANSPOSE
+        assert ops == ["conv2d"] * 4 + ["conv_transpose2d"] * transposed
+        for node in (n for n in nodes if n.op_name == "conv2d"):
+            source = owner(node._parents[0].data)
+            held = {id(a): a for a in map(owner, closure_arrays(node._backward))}
+            assert id(source) in held
+            rest = [a for key, a in held.items() if key not in params and a is not source]
+            assert len(rest) == (slopes[id(node._parents[1])] is not None)
+            assert all(a.shape == node.data.shape and a is not node.data for a in rest)
 
     def test_the_walk_sees_the_reference_patch_matrix(self, rng):
         """Guards the guard: on the reference path the same walk does

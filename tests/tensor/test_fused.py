@@ -1,81 +1,17 @@
-"""Fused / in-place kernels: autograd guard + bit-identity to naive."""
+"""Fused conv + leaky ReLU: bit-identity to the conv-then-activation ops."""
 
 import numpy as np
 import pytest
 
 from repro import tensor as T
-from repro.exceptions import AutogradError, ConfigurationError
-from repro.tensor import (
-    Tensor,
-    add_,
-    leaky_relu_,
-    mul_,
-    no_grad,
-)
-from repro.tensor.fused import leaky_relu_scale
-from repro.tensor.workspace import Workspace, workspace_disabled
+from repro.exceptions import ConfigurationError
+from repro.tensor import Tensor, no_grad
+from repro.tensor.ops_conv import leaky_relu_scale
+from repro.tensor.workspace import workspace_disabled
 
-
-class TestInPlaceGuard:
-    """Every in-place kernel must refuse to run while grads record."""
-
-    def test_leaky_relu_raises_under_grad(self, rng):
-        x = rng.standard_normal((3, 3))
-        with pytest.raises(AutogradError):
-            leaky_relu_(x)
-
-    def test_add_raises_under_grad(self, rng):
-        with pytest.raises(AutogradError):
-            add_(rng.standard_normal(4), rng.standard_normal(4))
-
-    def test_mul_raises_under_grad(self, rng):
-        with pytest.raises(AutogradError):
-            mul_(rng.standard_normal(4), 2.0)
-
-    def test_non_array_operand_raises(self):
-        with no_grad():
-            with pytest.raises(AutogradError):
-                leaky_relu_([1.0, -1.0])
-
-
-class TestInPlaceEquivalence:
-    def test_leaky_relu_matches_op(self, rng):
-        x = rng.standard_normal((2, 3, 5, 5))
-        expected = T.leaky_relu(Tensor(x), negative_slope=0.1).numpy()
-        with no_grad():
-            got = leaky_relu_(x.copy(), negative_slope=0.1)
-        assert np.array_equal(got, expected)
-
-    def test_leaky_relu_mutates_in_place(self, rng):
-        x = rng.standard_normal((4, 4))
-        with no_grad():
-            out = leaky_relu_(x)
-        assert out is x
-
-    def test_leaky_relu_tensor_operand(self, rng):
-        x = rng.standard_normal((3, 3))
-        t = Tensor(x.copy())
-        with no_grad():
-            got = leaky_relu_(t, negative_slope=0.2)
-        assert got is t
-        assert np.array_equal(t.numpy(), T.leaky_relu(Tensor(x), 0.2).numpy())
-
-    def test_add_and_mul_match_naive(self, rng):
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((3, 4))
-        with no_grad():
-            assert np.array_equal(add_(a.copy(), b), a + b)
-            assert np.array_equal(mul_(a.copy(), b), a * b)
-
-    def test_negative_zero_preserved(self):
-        """x * 1.0 on the non-negative lanes must keep -0.0 untouched —
-        the masked-multiply path never touches them at all."""
-        x = np.array([-0.0, 0.0, -1.0, 2.0])
-        with no_grad():
-            got = leaky_relu_(x.copy(), negative_slope=0.5)
-        expected = T.leaky_relu(Tensor(x), 0.5).numpy()
-        assert np.array_equal(got, expected)
-        assert np.signbit(got[0]) == np.signbit(expected[0])
+#: Both strip-epilogue branches (max for slope <= 1, min above) and
+#: their boundaries: plain ReLU, the paper's epsilon, identity, steep.
+SLOPES = [0.0, 0.01, 1.0, 2.0]
 
 
 class TestLeakyReluScale:
@@ -99,17 +35,20 @@ class TestFusedConv:
             )
             return T.leaky_relu(out, negative_slope=slope)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("slope", SLOPES)
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (1, 2), (1, 3)])
-    def test_forward_bit_identical(self, rng, bias, stride, padding):
+    def test_forward_bit_identical(self, rng, bias, stride, padding, slope, dtype):
         """Both kernel classes: (1, 1) and (1, 2) run the strip kernel
-        (epilogue ``max(z, slope*z)``), stride 2 and padding >= kernel the
-        reference (``z * where(z >= 0, 1, slope)``); either way fused and
-        unfused, arena and no arena, agree to the bit."""
-        x = rng.standard_normal((2, 3, 9, 9))
-        w = rng.standard_normal((4, 3, 3, 3))
-        b = rng.standard_normal(4) if bias else None
-        expected = self._unfused(x, w, b, stride, padding, 0.1).numpy()
+        (epilogue ``max(z, slope*z)``, ``min`` for ``slope > 1``), stride
+        2 and padding >= kernel the reference (``z * where(z >= 0, 1,
+        slope)``); either way fused and unfused, arena and no arena,
+        agree to the bit."""
+        x = rng.standard_normal((2, 3, 9, 9)).astype(dtype)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype) if bias else None
+        expected = self._unfused(x, w, b, stride, padding, slope).numpy()
         with no_grad():
             fused = T.conv2d(
                 Tensor(x),
@@ -118,8 +57,9 @@ class TestFusedConv:
                 stride=stride,
                 padding=padding,
                 activation="leaky_relu",
-                negative_slope=0.1,
+                negative_slope=slope,
             ).numpy()
+        assert fused.dtype == dtype
         assert np.array_equal(fused, expected)
 
     def test_forward_identical_with_and_without_workspace(self, rng):
@@ -145,29 +85,31 @@ class TestFusedConv:
         assert np.array_equal(cold, warm1)
         assert np.array_equal(cold, warm2)
 
-    def test_backward_bit_identical(self, rng):
-        x = rng.standard_normal((2, 3, 8, 8))
-        w = rng.standard_normal((4, 3, 3, 3))
-        b = rng.standard_normal(4)
-        seed = rng.standard_normal((2, 4, 8, 8))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("slope", SLOPES)
+    @pytest.mark.parametrize("stride", [1, 2], ids=["strips", "reference"])
+    def test_backward_bit_identical(self, rng, stride, slope, dtype):
+        """Under autograd the strip epilogue writes the derivative the
+        backward keeps; output and gradients equal the two-op graph's."""
+        x, w, b = (rng.standard_normal(s).astype(dtype) for s in ((2, 3, 8, 8), (4, 3, 3, 3), (4,)))
+        seed = rng.standard_normal((2, 4, 8 // stride, 8 // stride)).astype(dtype)
 
-        def grads(fused):
-            tx = Tensor(x, requires_grad=True)
-            tw = Tensor(w, requires_grad=True)
-            tb = Tensor(b, requires_grad=True)
+        def run(fused):
+            tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
             if fused:
                 out = T.conv2d(
-                    tx, tw, tb, padding=1,
-                    activation="leaky_relu", negative_slope=0.1,
-                )
+                    tx, tw, tb, stride=stride, padding=1,
+                    activation="leaky_relu", negative_slope=slope,
+                )  # fmt: skip
             else:
                 out = T.leaky_relu(
-                    T.conv2d(tx, tw, tb, padding=1), negative_slope=0.1
+                    T.conv2d(tx, tw, tb, stride=stride, padding=1), negative_slope=slope
                 )
             out.backward(seed)
-            return tx.grad, tw.grad, tb.grad
+            return out.data, tx.grad, tw.grad, tb.grad
 
-        for naive, fused in zip(grads(fused=False), grads(fused=True)):
+        for naive, fused in zip(run(fused=False), run(fused=True)):
+            assert fused.dtype == naive.dtype
             assert np.array_equal(naive, fused)
 
     def test_unknown_activation_raises(self, rng):
