@@ -428,6 +428,28 @@ def _conv2d_fused_steep(rng):
     return fn, [_normal(rng, 2, 3, 5, 5), _normal(rng, 4, 3, 3, 3), _normal(rng, 4)]
 
 
+@case("conv2d", "chained-border")
+def _conv2d_chained(rng):
+    # The leader writes its result into the interior of a buffer whose
+    # zero border is the follower's (uneven) padding: the follower's
+    # forward and weight gradient read that buffer with no pad copy,
+    # the weight gradients copy their output gradient strip by strip,
+    # and the leader's activation multiply writes the zero-bordered
+    # source of its input-gradient correlation.
+    conv2d = get_op("conv2d")
+
+    def fn(x, w1, b1, w2):
+        h = conv2d(
+            x, w1, b1, padding=1, activation="leaky_relu", negative_slope=0.1, border=(1, 2)
+        )
+        return conv2d(h, w2, padding=(1, 2))
+
+    return fn, [
+        _normal(rng, 2, 3, 5, 6), _normal(rng, 4, 3, 3, 3), _normal(rng, 4),
+        _normal(rng, 2, 4, 3, 5),
+    ]  # fmt: skip
+
+
 @case("conv2d", "strip-seam")
 def _conv2d_strip_seam(rng):
     # The strip kernels cut the output rows so that a strip's input

@@ -51,7 +51,8 @@ import numpy as np
 from .. import mpi
 from ..domain.decomposition import BlockDecomposition
 from ..exceptions import ConfigurationError, ShapeError
-from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential, fuse_leaky_relu
+from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
+from ..nn import chain_borders, fuse_leaky_relu
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.log import get_logger
@@ -285,18 +286,19 @@ class InferencePlan:
                     "InferencePlan compiles only stride-1 convolutions with "
                     f"padding < kernel, got {layer!r}"
                 )
+        fused = fuse_leaky_relu(layers)
         steps: list = []
-        for layer, slope in fuse_leaky_relu(layers):
+        for layer, slope in fused:
             if isinstance(layer, Conv2d):
                 steps.append(_ConvStep(len(steps), layer, slope))
             elif isinstance(layer, ConvTranspose2d):
                 steps.append(_ConvTransposeStep(len(steps), layer))
             else:  # LeakyReLU not preceded by a Conv2d
                 steps.append(_LeakyStep(len(steps), layer.negative_slope))
-        for lead, follower in zip(steps, steps[1:]):
-            if isinstance(lead, _ConvStep) and isinstance(follower, _ConvStep):
+        for lead, follower, border in zip(steps, steps[1:], chain_borders(fused)):
+            if border:
                 # No pad copy: the leader writes the follower's padded input.
-                lead.border, follower.padding = follower.padding, 0
+                lead.border, follower.padding = border, 0
         return steps
 
     def run(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

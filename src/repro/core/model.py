@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential, fuse_leaky_relu
+from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
+from ..nn import chain_borders, fuse_leaky_relu
 from ..tensor import Tensor
 from .padding import PaddingStrategy
 
@@ -132,9 +133,15 @@ class SubdomainCNN(Module):
     def forward(self, x: Tensor) -> Tensor:
         # Each conv runs the leaky ReLU after it in its strip epilogue:
         # one output array per layer and, in training, one derivative
-        # kept for backward instead of the pre-activation.
-        for layer, slope in fuse_leaky_relu(self.layers):
-            x = layer(x) if slope is None else layer(x, negative_slope=slope)
+        # kept for backward instead of the pre-activation.  A conv
+        # followed by a padded one writes the follower's zero-bordered
+        # input, so no conv pad-copies its input after the first.
+        steps = fuse_leaky_relu(self.layers)
+        for (layer, slope), border in zip(steps, chain_borders(steps)):
+            if isinstance(layer, Conv2d):
+                x = layer(x, negative_slope=slope, border=border)
+            else:
+                x = layer(x)
         return x
 
     def expected_output_shape(self, block_shape: tuple[int, int]) -> tuple[int, int]:

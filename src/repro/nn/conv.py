@@ -85,15 +85,20 @@ class Conv2d(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor, negative_slope: float | None = None) -> Tensor:
+    def forward(self, x: Tensor, negative_slope: float | None = None, border: int = 0) -> Tensor:
         """Convolve ``x``; a ``negative_slope`` fuses a leaky ReLU with
         that slope into the conv (bit-identical to a following
-        :class:`LeakyReLU`, see :func:`fuse_leaky_relu`)."""
+        :class:`LeakyReLU`, see :func:`fuse_leaky_relu`), and a
+        ``border`` writes the result into the zero-bordered input of the
+        padded conv after it (see :func:`chain_borders`)."""
         if negative_slope is None:
-            return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+            return conv2d(
+                x, self.weight, self.bias, stride=self.stride, padding=self.padding,
+                border=border,
+            )  # fmt: skip
         return conv2d(
             x, self.weight, self.bias, stride=self.stride, padding=self.padding,
-            activation="leaky_relu", negative_slope=negative_slope,
+            activation="leaky_relu", negative_slope=negative_slope, border=border,
         )  # fmt: skip
 
     def output_shape(self, height: int, width: int) -> tuple[int, int]:
@@ -182,3 +187,17 @@ def fuse_leaky_relu(layers: Iterable[Module]) -> list[tuple[Module, float | None
         else:
             steps.append((layer, None))
     return steps
+
+
+def chain_borders(steps: list[tuple[Module, float | None]]) -> list[int]:
+    """The zero border each step of :func:`fuse_leaky_relu` writes its
+    output with: a :class:`Conv2d` directly followed by another writes
+    that follower's padding, so the follower reads the buffer as its
+    padded input with no pad copy; every other step 0.  The one chaining
+    rule of the paper network's module forward and of a compiled
+    :class:`~repro.core.inference.InferencePlan`."""
+    borders = [0] * len(steps)
+    for index, ((lead, _), (follower, _)) in enumerate(zip(steps, steps[1:])):
+        if isinstance(lead, Conv2d) and isinstance(follower, Conv2d):
+            borders[index] = follower.padding
+    return borders

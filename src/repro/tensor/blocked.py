@@ -30,7 +30,9 @@ stack of GEMM operands, consumed while cache-hot:
 * :func:`conv2d_weight_grad_blocked` — the weight gradient, which
   *redraws* each strip and accumulates ``g_strip @ shifted`` for all
   ``kh`` row shifts in one stacked ``matmul``, so training retains no
-  patch matrix;
+  patch matrix; ``g_strip`` is the strip's rows of the output gradient
+  copied into a small contiguous buffer, since that gradient is the
+  interior of the input gradient's zero-bordered source;
 * the input gradient, which is :func:`conv2d_forward_blocked` again:
   a correlation of the padded output gradient with the flipped,
   channel-swapped weights (see :func:`~repro.tensor.ops_conv.conv2d`).
@@ -42,7 +44,9 @@ The result may be the interior of a zero-bordered buffer — the next
 conv's padded input, which then needs no pad copy: the GEMMs write the
 interior through their leading dimension, and the activation sweeps
 the whole padded rows, which are contiguous, leaving the border 0
-because ``leaky(0) = 0`` and no bias pass touches it.  Strips fill
+because ``leaky(0) = 0`` and no bias pass touches it (a training
+epilogue, which also writes an interior-sized derivative, runs on the
+interior columns).  Strips fill
 1 MiB in forward-only calls (the plan, the no-grad op) and 512 KiB in
 training, whose weight gradient is slower at 1 MiB; the bias tap
 counts in the budget.
@@ -70,7 +74,12 @@ from . import perf
 from .im2col import conv_output_size
 from .workspace import Workspace, scratch
 
-__all__ = ["StripForward", "conv2d_forward_blocked", "conv2d_weight_grad_blocked"]
+__all__ = [
+    "StripForward",
+    "bordered_buffer",
+    "conv2d_forward_blocked",
+    "conv2d_weight_grad_blocked",
+]
 
 #: ``(shifts, strip, operand, slab, gemm_out, scratch)`` of one bound
 #: strip; ``scratch`` is the epilogue's slab-sized second operand (the
@@ -91,28 +100,27 @@ def _strip_rows(budget: int, ow: int, width: int, kh: int, size: int, oh: int) -
     return max(1, min(oh, budget // max(1, row_bytes) - (kh - 1)))
 
 
-def _padded_source(
-    x: np.ndarray,
-    padding: tuple[int, int],
+def bordered_buffer(
+    shape: tuple[int, ...],
+    border: tuple[int, int],
     dtype: np.dtype,
     workspace: Workspace | None,
     slot: str,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The array strips are cut from, and its interior ``x`` is copied
-    into (``None``: the strips read ``x``).  The arena slot name encodes
-    the padding split: only interiors are written, so two splits of one
-    padded shape must not share a buffer's zero borders."""
-    ph, pw = padding
-    if not (ph or pw):
-        return x, None
-    n, c, h, w = x.shape
-    shape = (n, c, h + 2 * ph, w + 2 * pw)
+) -> tuple[np.ndarray, np.ndarray]:
+    """A buffer ``2*bh`` rows and ``2*bw`` columns larger than the ``(N,
+    C, H, W)`` ``shape``, its border zero, and its ``shape``-sized
+    interior.  Only interiors are ever written, so the arena slot name,
+    ``{slot}.{bh}x{bw}``, encodes the split: two splits of one padded
+    shape must not share a buffer's zero borders.  Without an arena
+    (``workspace_disabled``) the buffer is freshly zeroed."""
+    bh, bw = border
+    n, c, h, w = shape
+    padded_shape = (n, c, h + 2 * bh, w + 2 * bw)
     if workspace is None:
-        # No arena (``workspace_disabled``): never taken by an InferencePlan.
-        padded = np.zeros(shape, dtype)
+        padded = np.zeros(padded_shape, dtype)
     else:
-        padded = workspace.request(f"{slot}.{ph}x{pw}", shape, dtype)
-    return padded, padded[:, :, ph : ph + h, pw : pw + w]
+        padded = workspace.request(f"{slot}.{bh}x{bw}", padded_shape, dtype)
+    return padded, padded[:, :, bh : bh + h, bw : bw + w]
 
 
 def patch_strips(
@@ -181,8 +189,9 @@ class StripForward:
     ``out`` is the ``(N, F, OH, OW)`` result or a zero-bordered ``(N, F,
     OH + 2*bh, OW + 2*bw)`` buffer whose interior receives it, border
     kept 0 (see the module docstring); ``biased`` binds the bias tap.
-    ``derivative``, an array shaped like ``out`` (training, with a
-    ``slope``), receives the activation's ``where(z >= 0, 1, slope)``.
+    ``derivative``, an ``(N, F, OH, OW)`` array (training, with a
+    ``slope``), receives the activation's ``where(z >= 0, 1, slope)``;
+    that epilogue runs on the slab's interior columns only.
     """
 
     def __init__(
@@ -203,7 +212,11 @@ class StripForward:
         oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
         f, bh, bw = out.shape[1], (out.shape[2] - oh) // 2, (out.shape[3] - ow) // 2
         result = out[:, :, bh : bh + oh, bw : bw + ow]
-        source, self.interior = _padded_source(x, padding, dtype, workspace, f"{slot}.padded")
+        source, self.interior = x, None
+        if ph or pw:  # x is copied into the interior on every execute
+            source, self.interior = bordered_buffer(
+                x.shape, padding, dtype, workspace, f"{slot}.padded"
+            )
         budget = _TRAIN_STRIP_BYTES if training else _FORWARD_STRIP_BYTES
         width = c * kw + biased
         rows = _strip_rows(budget, ow, width, kh, dtype.itemsize, oh)
@@ -226,12 +239,13 @@ class StripForward:
             for image, r0, r1, shifts, strip, stack in patch_strips(
                 source, kernel, rows, dtype, workspace, slot, bias_tap=biased
             ):
-                # The activation's whole rows, and the GEMMs' interior.
-                slab = out[image, :, bh + r0 : bh + r1, :]
+                # The GEMMs' interior, and the activation's whole rows
+                # (interior columns, beside an interior-sized derivative).
                 gemm_out = result[image, :, r0:r1, :].transpose(1, 0, 2)
                 if derivative is not None:
-                    sub = derivative[image, :, bh + r0 : bh + r1, :]
+                    slab, sub = result[image, :, r0:r1, :], derivative[image, :, r0:r1, :]
                 else:
+                    slab = out[image, :, bh + r0 : bh + r1, :]
                     sub = None if scaled is None else scaled[:, : r1 - r0, :]
                 yield shifts, strip, stack, slab, gemm_out, sub
 
@@ -319,12 +333,14 @@ def conv2d_forward_blocked(
 
     ``x`` is ``(N, C, H, W)``, ``weight`` ``(F, C, kh, kw)``, ``bias``
     ``(F,)`` or ``None``; ``padding`` is symmetric zero padding.  ``out``
-    is an optional C-contiguous ``(N, F, OH, OW)`` destination in the
-    compute dtype ``result_type(x, weight)`` — any other is refused, not
-    cast into.  ``training`` selects the training strip budget, and
-    ``derivative``, an array like the result, receives the activation's
-    ``where(z >= 0, 1, negative_slope)`` (the autograd path keeps it for
-    backward).  Returns the C-contiguous result.
+    is an optional C-contiguous destination in the compute dtype
+    ``result_type(x, weight)``: the ``(N, F, OH, OW)`` result, or a
+    zero-bordered buffer ``2*bh`` rows and ``2*bw`` columns larger whose
+    interior receives it (the caller zeroed the border) — any other is
+    refused, not cast into.  ``training`` selects the training strip
+    budget, and ``derivative``, an ``(N, F, OH, OW)`` array, receives the
+    activation's ``where(z >= 0, 1, negative_slope)`` (the autograd path
+    keeps it for backward).  Returns ``out``, C-contiguous.
     """
     n, _, h, w = x.shape
     f, _, kh, kw = weight.shape
@@ -333,10 +349,15 @@ def conv2d_forward_blocked(
     dtype = np.result_type(x.dtype, weight.dtype)
     if out is None:
         out = np.empty(shape, dtype=dtype)
-    elif out.shape != shape or not out.flags.c_contiguous or out.dtype != dtype:
+    elif (
+        out.shape[:2] != shape[:2]
+        or any(o < s or (o - s) % 2 for o, s in zip(out.shape[2:], shape[2:]))
+        or not out.flags.c_contiguous
+        or out.dtype != dtype
+    ):
         raise ShapeError(
-            f"blocked conv needs a C-contiguous {shape} {dtype} destination, "
-            f"got {out.dtype} {out.shape}"
+            f"blocked conv needs a C-contiguous {shape} {dtype} destination "
+            f"or a bordered one, got {out.dtype} {out.shape}"
         )
     slope = None if activation is None else negative_slope
     forward = StripForward(
@@ -356,28 +377,33 @@ def conv2d_weight_grad_blocked(
 ) -> np.ndarray:
     """Weight gradient of a stride-1 conv2d without a retained patch matrix.
 
-    ``x`` is the ``(N, C, H, W)`` forward input and ``grad`` the
-    C-contiguous ``(N, F, OH, OW)`` gradient of the pre-activation
-    output.  Each strip is redrawn tap-major (into the arena slot the
-    forward used, when ``slot_prefix`` and dtypes match), where row
-    shift ``dy`` of all its ``m = rows*OW`` output positions is the
-    strip itself read ``dy*OW`` elements later: one stacked matmul
-    ``g_strip (F, m) @ shifted (kh, m, C*kw)`` gives all ``kh`` shifts.
-    The strip-wise sum reassociates the reference ``gmat.T @ cols``
-    reduction, so the two agree to roundoff, not bitwise.  Returns a
-    freshly allocated contiguous ``(F, C, kh, kw)`` array.
+    ``x`` is the ``(N, C, H, W)`` forward input (a chained conv passes
+    its zero-bordered source with ``padding`` 0) and ``grad`` the ``(N,
+    F, OH, OW)`` gradient of the pre-activation output, in any layout —
+    the autograd path passes the interior of the input gradient's
+    zero-bordered source.  Each strip is redrawn tap-major (into the
+    arena slot the forward used, when ``slot_prefix`` and dtypes match),
+    where row shift ``dy`` of all its ``m = rows*OW`` output positions
+    is the strip itself read ``dy*OW`` elements later, and the strip's
+    rows of ``grad`` are copied into a small contiguous ``(F, m)``
+    buffer: one stacked matmul ``g_strip (F, m) @ shifted (kh, m,
+    C*kw)`` gives all ``kh`` shifts.  The strip-wise sum reassociates
+    the reference ``gmat.T @ cols`` reduction, so the two agree to
+    roundoff, not bitwise.  Returns a freshly allocated contiguous
+    ``(F, C, kh, kw)`` array.
     """
     n, f, oh, ow = grad.shape
     c = x.shape[1]
     kh, kw = kernel
-    if not grad.flags.c_contiguous:
-        raise ShapeError("blocked weight gradient needs a C-contiguous output gradient")
     dtype = np.result_type(x.dtype, grad.dtype)
-    source, interior = _padded_source(x, padding, dtype, workspace, f"{slot_prefix}.padded")
-    if interior is not None:
+    source = x
+    if padding != (0, 0):
+        source, interior = bordered_buffer(
+            x.shape, padding, dtype, workspace, f"{slot_prefix}.padded"
+        )
         np.copyto(interior, x)
     rows = _strip_rows(_TRAIN_STRIP_BYTES, ow, c * kw, kh, dtype.itemsize, oh)
-    grad_rows = grad.reshape(n, f, oh * ow)
+    grad_rows = scratch(workspace, f"{slot_prefix}.grows", (f * rows * ow,), dtype)
     grad_w = np.zeros((kh, f, c * kw), dtype=dtype)
     partial = scratch(workspace, f"{slot_prefix}.wgrad", grad_w.shape, dtype)
     for image, r0, r1, shifts, strip, shifted in patch_strips(
@@ -385,6 +411,8 @@ def conv2d_weight_grad_blocked(
     ):
         with perf.timed("im2col"):
             np.copyto(strip, shifts)
-        np.matmul(grad_rows[image, :, r0 * ow : r1 * ow], shifted, out=partial)
+        g_strip = grad_rows[: f * (r1 - r0) * ow].reshape(f, r1 - r0, ow)
+        np.copyto(g_strip, grad[image, :, r0:r1])
+        np.matmul(g_strip.reshape(f, -1), shifted, out=partial)
         grad_w += partial
     return np.ascontiguousarray(grad_w.reshape(kh, f, c, kw).transpose(1, 2, 0, 3))

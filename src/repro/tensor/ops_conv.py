@@ -19,14 +19,25 @@ autograd:
   obtains the input gradient as a correlation of the
   ``(k-1-p)``-padded output gradient with the flipped, channel-swapped
   weights through the same forward kernel — no column gradient, no
-  ``col2im``.  Live memory per layer is O(input + output) instead of
-  O(N*OH*OW*C*kh*kw).
+  ``col2im``.  The chain-rule multiply writes the output gradient
+  straight into that padded source, so there is no gradient scratch
+  and no pad copy.  Live memory per layer is O(input + output) instead
+  of O(N*OH*OW*C*kh*kw).
 * **everything else** (:func:`conv2d_reference`) — monolithic im2col +
   one GEMM, backward through the cached patch matrix and
   :func:`~repro.tensor.im2col.col2im`, allocate-per-call.  Serves
   stride != 1 and padding >= kernel (the correlation-form input
   gradient pads by ``k-1-p``, which has to be non-negative), and is
   what the parity tests and gradcheck compare the strip path against.
+
+**Chaining.**  With ``border`` (set by :func:`~repro.nn.chain_borders`
+for a conv followed by a conv) the strip path's result is the interior
+of a fresh buffer whose zero border is the follower's padding, marked
+on the returned tensor as :attr:`~repro.tensor.Tensor.bordered`.  A
+conv whose input carries a fitting mark reads that buffer as its
+padded source — in the no-grad forward, the training forward and the
+weight gradient — instead of pad-copying the input; an unmarked input
+is always pad-copied, whatever array it is a view of.
 
 The strip path draws its scratch from the calling thread's arena when
 there is one and allocates it otherwise; the arithmetic does not
@@ -52,20 +63,23 @@ and the backward scales gradients with that same array.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, ShapeError
 from . import autograd, perf
-from .blocked import conv2d_forward_blocked, conv2d_weight_grad_blocked
+from .blocked import bordered_buffer, conv2d_forward_blocked, conv2d_weight_grad_blocked
 from .im2col import col2im, conv_output_size, im2col
 from .tensor import Tensor, ensure_tensor, register_op
-from .workspace import get_workspace, scratch
+from .workspace import get_workspace
 
-#: Arena slot namespace of the autograd strip path (forward and
-#: backward share it: every buffer is dead when its kernel returns).
-_TRAIN_SLOTS = "conv2d.train"
+#: Arena slot namespaces of the no-grad and the autograd strip path.
+#: Forward and backward share the latter: every buffer is dead when its
+#: kernel returns, except the input gradient's zero-bordered source
+#: (``.gsrc``), which lives across the backward's two kernels and which
+#: neither touches.
+_FORWARD_SLOTS, _TRAIN_SLOTS = "conv2d.blocked", "conv2d.train"
 
 
 def _pair(value: int | tuple[int, int]) -> tuple[int, int]:
@@ -83,6 +97,7 @@ def conv2d(
     padding: int | tuple[int, int] = 0,
     activation: str | None = None,
     negative_slope: float = 0.01,
+    border: int | tuple[int, int] = 0,
 ) -> Tensor:
     """2-D cross-correlation of ``x`` (N, C, H, W) with ``weight``
     (F, C, kh, kw), optional per-filter ``bias`` (F,).
@@ -93,6 +108,12 @@ def conv2d(
     paper's Eq. (2) activation into the GEMM epilogue — bit-identical
     to a standalone ``leaky_relu`` applied to the conv output, in both
     forward and backward.
+
+    ``border`` chains two convs (:func:`~repro.nn.chain_borders` sets
+    it): on the strip path the result is the interior of a fresh buffer
+    with that zero border, marked as :attr:`Tensor.bordered`, and a
+    following conv whose padding equals the border reads that buffer as
+    its padded input.  The reference path ignores it.
     """
     tx, tw = ensure_tensor(x), ensure_tensor(weight)
     tb = ensure_tensor(bias) if bias is not None else None
@@ -107,7 +128,7 @@ def conv2d(
         raise ConfigurationError(
             f"conv2d supports activation=None or 'leaky_relu', got {activation!r}"
         )
-    c = tx.shape[1]
+    n, c, h, w = tx.shape
     f, wc, kh, kw = tw.shape
     if wc != c:
         raise ShapeError(
@@ -123,102 +144,135 @@ def conv2d(
         return conv2d_reference(
             tx, tw, tb, stride, padding, activation, negative_slope, parents
         )
-    if autograd.grad_enabled() and any(p.requires_grad for p in parents):
-        return _conv2d_strips(tx, tw, tb, padding, activation, negative_slope, parents)
+    shape = (n, f, conv_output_size(h, kh, 1, ph), conv_output_size(w, kw, 1, pw))
+    dtype = np.result_type(tx.dtype, tw.dtype)
+    bh, bw = _pair(border)
+    out = np.empty((n, f, shape[2] + 2 * bh, shape[3] + 2 * bw), dtype)
+    # The one place a border is zeroed, and so the one place it is marked.
+    out[:, :, :bh], out[:, :, shape[2] + bh :] = 0.0, 0.0
+    out[:, :, :, :bw], out[:, :, :, shape[3] + bw :] = 0.0, 0.0
+    source, source_padding = _chained_source(tx, padding)
+    training = autograd.grad_enabled() and any(p.requires_grad for p in parents)
+    # where(z >= 0, 1, slope), written by the training epilogue while
+    # each slab is cache-hot; the backward keeps it.
+    act_scale = np.empty(shape, dtype) if training and activation is not None else None
     with perf.timed("conv2d"):
-        out = conv2d_forward_blocked(
-            tx.data,
+        conv2d_forward_blocked(
+            source,
             tw.data,
             None if tb is None else tb.data,
-            padding,
+            source_padding,
             activation=activation,
             negative_slope=negative_slope,
             workspace=get_workspace(),
+            out=out,
+            slot_prefix=_TRAIN_SLOTS if training else _FORWARD_SLOTS,
+            training=training,
+            derivative=act_scale,
         )
-    return Tensor(out)
+    interior = _interior(out, shape)
+    if training:
+        backward = _strip_backward(tx, tw, tb, source, source_padding, padding, act_scale)
+        result = Tensor.from_op(interior, parents, backward, "conv2d")
+    else:
+        result = Tensor(interior)
+    if out.shape != shape and _same_view(result.data, interior):
+        result.bordered = out  # unless a precision-policy cast copied the data
+    return result
 
 
-def _conv2d_strips(
+def _interior(padded: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The centred ``(N, C, H, W)`` ``shape`` window of ``padded``."""
+    bh, bw = (padded.shape[2] - shape[2]) // 2, (padded.shape[3] - shape[3]) // 2
+    return padded[:, :, bh : bh + shape[2], bw : bw + shape[3]]
+
+
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` are the same elements in the same layout."""
+    return (a.shape, a.strides, a.dtype, a.__array_interface__["data"][0]) == (
+        b.shape, b.strides, b.dtype, b.__array_interface__["data"][0]
+    )  # fmt: skip
+
+
+def _chained_source(tx: Tensor, padding: tuple[int, int]) -> tuple[np.ndarray, tuple[int, int]]:
+    """The array the strips are cut from and the padding still to apply:
+    the zero-bordered buffer a leading conv wrote ``tx`` into, read as a
+    valid convolution, when its border is ``padding`` and ``tx.data`` is
+    still its interior; otherwise ``tx.data``, to be pad-copied."""
+    padded, (n, c, h, w) = tx.bordered, tx.shape
+    if (
+        padded is not None
+        and padded.shape == (n, c, h + 2 * padding[0], w + 2 * padding[1])
+        and _same_view(tx.data, _interior(padded, tx.shape))
+    ):
+        return padded, (0, 0)
+    return tx.data, padding
+
+
+def _strip_backward(
     tx: Tensor,
     tw: Tensor,
     tb: Tensor | None,
+    source: np.ndarray,
+    source_padding: tuple[int, int],
     padding: tuple[int, int],
-    activation: str | None,
-    negative_slope: float,
-    parents: tuple[Tensor, ...],
-) -> Tensor:
-    """Stride-1 ``conv2d`` under autograd on the strip kernels.
+    act_scale: np.ndarray | None,
+) -> Callable[[np.ndarray], tuple[np.ndarray | None, ...]]:
+    """The backward of a strip-path ``conv2d`` whose forward cut its
+    strips from ``source`` (``tx``'s data, or the zero-bordered buffer a
+    leading conv wrote it into, with ``source_padding`` 0) and, with an
+    activation, wrote the derivative ``act_scale``.
 
-    Scratch (padded input, row-patch strip, padded output gradient) comes
-    from the calling thread's arena under the ``conv2d.train.*`` slots
-    and is dead when each kernel returns; everything that escapes — the
-    output, the activation derivative and the three gradients — is
-    freshly allocated.
+    The chain-rule multiply writes the output gradient straight into
+    the interior of the input-gradient correlation's zero-bordered
+    source (arena slot ``conv2d.train.gsrc.{qh}x{qw}``, ``q = k - 1 -
+    p``): the weight gradient copies it strip by strip, the correlation
+    reads it as a valid convolution, and neither needs a gradient
+    scratch or a pad copy.  The three gradients are freshly allocated.
     """
-    x, weight = tx.data, tw.data
-    n, _, h, w = x.shape
-    f, _, kh, kw = weight.shape
-    act_scale = None
-    if activation is not None:
-        # where(z >= 0, 1, slope), written by the strip epilogue while
-        # each slab is cache-hot; the backward keeps it.
-        oh, ow = conv_output_size(h, kh, 1, padding[0]), conv_output_size(w, kw, 1, padding[1])
-        act_scale = np.empty((n, f, oh, ow), np.result_type(x.dtype, weight.dtype))
-    with perf.timed("conv2d"):
-        out = conv2d_forward_blocked(
-            x,
-            weight,
-            None if tb is None else tb.data,
-            padding,
-            activation=activation,
-            negative_slope=negative_slope,
-            workspace=get_workspace(),
-            slot_prefix=_TRAIN_SLOTS,
-            training=True,
-            derivative=act_scale,
-        )
+    weight = tw.data
+    kh, kw = weight.shape[2:]
+    # d(out)/d(x) is a full correlation with the flipped kernel whose
+    # in/out channels swap roles; cropping its result by p is the same
+    # as padding the output gradient by k-1-p.
+    flip_border = (kh - 1 - padding[0], kw - 1 - padding[1])
 
-    def backward(grad: np.ndarray):
+    def backward(grad: np.ndarray) -> tuple[np.ndarray | None, ...]:
         workspace = get_workspace()
         with perf.timed("conv2d.backward"):
+            dtype = np.result_type(grad.dtype, tx.dtype, weight.dtype)
+            padded, grad_out = bordered_buffer(
+                grad.shape, flip_border, dtype, workspace, f"{_TRAIN_SLOTS}.gsrc"
+            )
             if act_scale is None:
-                grad = np.ascontiguousarray(grad)
+                np.copyto(grad_out, grad)
             else:
-                # Fused activation backward: the chain-rule multiply
-                # the standalone op would apply, into arena scratch.
-                buffer = scratch(
-                    workspace,
-                    f"{_TRAIN_SLOTS}.grad",
-                    grad.shape,
-                    np.result_type(grad.dtype, act_scale.dtype),
-                )
-                grad = np.multiply(grad, act_scale, out=buffer)
+                # The fused activation's chain-rule multiply, as the
+                # standalone op would apply it.
+                np.multiply(grad, act_scale, out=grad_out)
             grad_w = None
             if tw.requires_grad:
                 grad_w = conv2d_weight_grad_blocked(
-                    x, grad, (kh, kw), padding, workspace, _TRAIN_SLOTS
+                    source, grad_out, (kh, kw), source_padding, workspace, _TRAIN_SLOTS
                 )
             grad_x = None
             if tx.requires_grad:
-                # d(out)/d(x) is a full correlation with the flipped
-                # kernel whose in/out channels swap roles; cropping its
-                # result by p is the same as padding grad by k-1-p.
                 flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
                 grad_x = conv2d_forward_blocked(
-                    grad,
+                    padded,
                     flipped,
                     None,
-                    (kh - 1 - padding[0], kw - 1 - padding[1]),
+                    (0, 0),
                     workspace=workspace,
                     slot_prefix=_TRAIN_SLOTS,
                     training=True,
                 )
             if tb is None:
                 return grad_x, grad_w
-            grad_b = grad.sum(axis=(0, 2, 3)) if tb.requires_grad else None
+            grad_b = grad_out.sum(axis=(0, 2, 3)) if tb.requires_grad else None
             return grad_x, grad_w, grad_b
 
-    return Tensor.from_op(out, parents, backward, "conv2d")
+    return backward
 
 
 def leaky_relu_scale(z: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:

@@ -73,12 +73,18 @@ class Tensor:
     requires_grad:
         Whether gradients should flow into this tensor.  Leaf tensors
         with ``requires_grad=True`` accumulate into ``.grad``.
+
+    ``bordered`` is ``None`` or the zero-bordered buffer whose interior
+    is ``data``, set only by the op that zeroed the border (a chained
+    ``conv2d``), so that a following padded conv reads it without a pad
+    copy.
     """
 
     __slots__ = (
         "data",
         "grad",
         "requires_grad",
+        "bordered",
         "_parents",
         "_backward",
         "_retains_grad",
@@ -106,6 +112,7 @@ class Tensor:
         self.data: np.ndarray = array
         self.requires_grad: bool = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.bordered: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
         # Leaves that require grad retain their gradient; interior nodes

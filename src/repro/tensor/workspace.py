@@ -20,8 +20,9 @@ that escape to user code are never workspace-backed unless the caller
 explicitly owns the arena.
 
 Buffers are zero-filled exactly once, at creation.  The padded-input
-slots encode the padding split in the slot name and only ever write the
-interior, so their borders stay zero for the buffer's whole lifetime.
+slots, and the training backward's input-gradient sources, encode the
+padding split in the slot name and only ever write the interior, so
+their borders stay zero for the buffer's whole lifetime.
 
 Thread and fork semantics
 -------------------------

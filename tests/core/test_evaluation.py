@@ -1,5 +1,7 @@
 """Parallel-evaluation tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,35 @@ class TestEvaluateParallel:
         )
         with pytest.raises(ConfigurationError):
             evaluate_parallel(result, wrong)
+
+
+class TestEvaluationMemory:
+    #: Traced peak of the case below: 23.7 MB.  Each rank's padded convs
+    #: used to pad-copy their inputs into the rank thread's arena, which
+    #: kept the copies; that read 35.3 MB.
+    PEAK_BOUND_MB = 30
+
+    def test_traced_peak_at_64_squared_on_two_ranks(self):
+        """The Table-I network on 64x32 blocks, 17 validation samples:
+        every conv after the first writes the zero-bordered input of the
+        next, so no rank holds a padded copy of any activation."""
+        snaps = synthetic_advection_snapshots(grid_size=64, num_snapshots=22, seed=0)
+        train, validation = SnapshotDataset(snaps).split(5)
+        result = ParallelTrainer(
+            CNNConfig(),
+            TrainingConfig(epochs=1, batch_size=4, seed=0),
+            num_ranks=2,
+            pgrid=(1, 2),
+        ).train(train, execution="serial")
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            evaluate_parallel(result, validation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert validation.num_samples == 17
+        assert peak < self.PEAK_BOUND_MB * 2**20, peak / 2**20

@@ -650,3 +650,144 @@ class TestStripBudgets:
             blocked.conv2d_forward_blocked(x, w, None, (1, 1), out=np.empty((1, 3, 6, 6), np.float32))
         out = np.empty((1, 3, 6, 6))
         assert blocked.conv2d_forward_blocked(x, w, None, (1, 1), out=out) is out
+
+
+def chained_step(model, x, y):
+    """One training step's output, input gradient and parameter
+    gradients, then a no-grad forward of the same input."""
+    model.zero_grad()
+    tx = Tensor(x, requires_grad=True)
+    out = model(tx)
+    ((out - Tensor(y)) ** 2).sum().backward()
+    with T.no_grad():
+        evaluated = model(Tensor(x)).data
+    return [out.data, tx.grad, evaluated] + [p.grad.copy() for p in model.parameters()]
+
+
+def table1_case(rng, strategy, n=2, size=20):
+    model = SubdomainCNN(CNNConfig(strategy=strategy), rng=rng)
+    for param in model.parameters():
+        if param.ndim == 1:
+            param.data[...] = rng.uniform(-0.5, 0.5, param.shape)
+    halo, crop = model.input_halo, model.output_crop
+    x = rng.standard_normal((n, 4, size + 2 * halo, size + 3 + 2 * halo))
+    y = rng.standard_normal((n, 4, size - 2 * crop, size + 3 - 2 * crop))
+    return model, x, y
+
+
+#: The strategies whose padded convs chain (every other one is all-valid).
+CHAINED = [PaddingStrategy.NEIGHBOR_FIRST, PaddingStrategy.ZERO]
+
+
+class TestZeroBorderProvenance:
+    """A conv reads its input as an already padded source only when the
+    op that zeroed the border marked it on the tensor; any other input
+    is pad-copied, whatever array its data is a view of."""
+
+    @pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "training"])
+    def test_view_into_a_nonzero_border_is_pad_copied(self, rng, tiny_strips, grad):
+        x, w, b, g = case_arrays(rng, 2, 6, 16, 2, np.float64)
+        framed = np.full((2, 6, H + 4, W + 4), 7.0)  # the padding's shape, not zero
+        framed[:, :, 2:-2, 2:-2] = x
+        view = framed[:, :, 2:-2, 2:-2]
+        op = strips(2, "leaky_relu")
+        if grad:
+            _, got = run_backward(op, view, w, b, g)
+            _, want = run_backward(op, x.copy(), w, b, g)
+        else:
+            with T.no_grad():
+                got = [op(Tensor(view), Tensor(w), Tensor(b)).data]
+                want = [op(Tensor(x.copy()), Tensor(w), Tensor(b)).data]
+        for a, r in zip(got, want):
+            assert np.array_equal(a, r)
+
+    @pytest.mark.parametrize("edit", ["other-padding", "flipped-view", "detached"])
+    def test_a_mark_that_does_not_fit_is_not_used(self, rng, tiny_strips, edit):
+        """A marked result fed to a conv of another padding, one whose
+        data became another view of the same buffer, and its detached
+        copy are all pad-copied."""
+        x, w, b, _ = case_arrays(rng, 2, 6, 16, 2, np.float64)
+        w2 = rng.standard_normal((3, 16, 3, 3))
+        padding = 1 if edit == "other-padding" else 2
+        with T.no_grad():
+            lead = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=2, border=2)
+            assert lead.bordered is not None and lead.bordered.shape == (2, 16, H + 4, W + 4)
+            if edit == "flipped-view":
+                lead.data = lead.bordered[:, :, ::-1, ::-1][:, :, 2:-2, 2:-2]
+            elif edit == "detached":
+                lead = lead.detach()
+                assert lead.bordered is None
+            want = T.conv2d(Tensor(lead.data.copy()), Tensor(w2), padding=padding).data
+            got = T.conv2d(lead, Tensor(w2), padding=padding).data
+        assert np.array_equal(got, want)
+
+    def test_gradient_sources_are_keyed_by_split(self, rng, tiny_strips):
+        """A same-padded and a valid conv of one input shape pad their
+        output gradients to one shape, ``(N, F, H + 4, W + 4)``, with
+        2 and 4 border lines.  Run alternately in one thread — one
+        arena — each must still give the reference input gradient: a
+        shared buffer would hand the valid conv the same-padded one's
+        interior as border."""
+        x, w, b, _ = case_arrays(rng, 2, 6, 16, 0, np.float64)
+        for padding in (2, 0, 2, 0):
+            g = rng.standard_normal((2, 16, H + 2 * padding - K + 1, W + 2 * padding - K + 1))
+            _, got = run_backward(strips(padding, "leaky_relu"), x, w, b, g)
+            _, want = run_backward(reference(padding, "leaky_relu"), x, w, b, g)
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-10, atol=1e-10)
+        slots = {key[0] for key in T.get_workspace()._buffers}
+        assert {"conv2d.train.gsrc.2x2", "conv2d.train.gsrc.4x4"} <= slots
+
+    @pytest.mark.parametrize("strategy", CHAINED, ids=lambda s: s.value)
+    def test_no_arena_run_equals_arena_run_bitwise(self, rng, monkeypatch, strategy):
+        """Without an arena every zero border must be freshly zeroed:
+        the run also hands the kernels NaN-filled scratch, so a border
+        taken from uninitialized memory would show."""
+        model, x, y = table1_case(rng, strategy)
+        warm = chained_step(model, x, y)
+        monkeypatch.setattr(
+            blocked, "scratch", lambda ws, slot, shape, dtype: np.full(shape, np.nan, dtype)
+        )
+        with workspace_disabled():
+            cold = chained_step(model, x, y)
+        for a, r in zip(cold, warm):
+            assert np.array_equal(a, r)
+
+
+class TestChainAllocation:
+    @pytest.mark.parametrize("strategy", CHAINED, ids=lambda s: s.value)
+    def test_arena_holds_no_gradient_scratch_and_no_chained_pad_copy(self, rng, strategy):
+        """After a training step and a no-grad forward of the Table-I
+        model, the thread's arena holds no ``conv2d.train.grad`` scratch
+        and no padded copy of any conv's input but the first layer's."""
+        model, x, y = table1_case(rng, strategy)
+        workspace = T.get_workspace()
+        workspace.clear()
+        chained_step(model, x, y)
+        slots = [(key[0], key[1]) for key in workspace._buffers]
+        assert not [name for name, _ in slots if name == "conv2d.train.grad"]
+        p = model.layers[0].padding
+        first = {(2, 4, x.shape[2] + 2 * p, x.shape[3] + 2 * p)} if p else set()
+        assert {shape for name, shape in slots if ".padded." in name} <= first
+        assert any(".gsrc." in name for name, _ in slots)
+
+    def test_registry_chain_case_reads_the_bordered_source(self, monkeypatch):
+        """``repro check``'s ``chained-border`` case really chains: the
+        follower's forward and weight gradient get the leader's buffer
+        with no padding left to apply."""
+        from repro.analysis.gradcheck import OP_CASES
+
+        calls = []
+        for name in ("conv2d_forward_blocked", "conv2d_weight_grad_blocked"):
+            real = getattr(ops_conv, name)
+
+            def spy(x, *args, _real=real, _name=name, **kwargs):
+                calls.append((_name, x.shape, tuple(args[2])))  # args[2]: padding
+                return _real(x, *args, **kwargs)
+
+            monkeypatch.setattr(ops_conv, name, spy)
+        (chain,) = [c for c in OP_CASES["conv2d"] if c.label == "chained-border"]
+        fn, arrays = chain.build(np.random.default_rng(7))
+        fn(*[Tensor(a, requires_grad=True) for a in arrays]).sum().backward()
+        leader_out = (2, 4, 5 + 2, 6 + 4)  # 5x6 same-padded, bordered (1, 2)
+        assert ("conv2d_forward_blocked", leader_out, (0, 0)) in calls
+        assert ("conv2d_weight_grad_blocked", leader_out, (0, 0)) in calls
