@@ -1,13 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint analyze check test loc all
+.PHONY: lint check test loc all
 
 lint:
 	bash scripts/check.sh
-
-analyze:
-	$(PYTHON) -m repro.cli analyze src/repro
 
 check:
 	$(PYTHON) -m repro.cli check --sanitize
@@ -19,4 +16,4 @@ test:
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
 
-all: lint analyze check test
+all: lint check test

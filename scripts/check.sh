@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-shot static-analysis gate: ruff + mypy (when installed) +
-# repro lint + repro analyze.
+# repro lint.
 # Run from the repo root:  bash scripts/check.sh   (or: make lint)
 set -u
 
@@ -24,9 +24,6 @@ fi
 
 echo "== repro lint src/repro =="
 python -m repro.cli lint src/repro --no-baseline || status=1
-
-echo "== repro analyze src/repro =="
-python -m repro.cli analyze src/repro || status=1
 
 if [ "$status" -eq 0 ]; then
     echo "check.sh: all passes clean"

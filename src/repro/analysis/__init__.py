@@ -3,16 +3,13 @@
 Two halves (see ANALYSIS.md for the full guide):
 
 **Static** — :func:`lint_paths` runs the repo-specific AST rule
-catalogue (REP001: in-place tape mutation, REP002: cross-thread
-communicator capture, REP003: unmatched send/recv tags, REP004:
-loop-variable capture in closures) plus optional ``ruff`` / ``mypy``
-baseline passes, exposed as the ``repro lint`` CLI subcommand.
-:func:`analyze_paths` runs the interprocedural, rank-abstracted flow
-rules (REP009: collective divergence, REP010: blocking send/recv
-cycles, REP012: allocation on the InferencePlan hot path) over a
-project call graph, exposed as
-``repro analyze`` with ``# noqa`` suppressions and a committed
-``analysis-baseline.json`` for intentional findings.
+catalogue, one module at a time: REP001 (in-place tape mutation),
+REP002 (cross-thread communicator capture), REP004 (loop-variable
+capture in closures) and the eight confinement rules (REP005-REP008,
+REP013-REP016: "construct X only under path Y", one table), plus
+optional ``ruff`` / ``mypy`` baseline passes.  It is exposed as the
+``repro lint`` CLI subcommand, with ``# noqa`` suppressions for
+intentional findings.
 
 **Runtime** — opt-in, zero-cost-when-off sanitizers
 (:class:`FloatSanitizer`, :class:`ShapeContract`, :class:`MpiSanitizer`)
@@ -30,15 +27,6 @@ from .gradcheck import (
     numerical_gradient,
     ops_by_module,
 )
-from .flow import (
-    BASELINE_FILENAME,
-    FLOW_RULES,
-    AnalysisReport,
-    BaselineEntry,
-    analyze_paths,
-    find_baseline,
-    load_baseline,
-)
 from .lint import BaselineResult, LintReport, iter_python_files, lint_paths
 from .mpi_audit import MpiAuditReport, MpiSanitizer, RouterAudit
 from .rules import RULES, FileContext, Violation
@@ -53,14 +41,6 @@ __all__ = [
     "BaselineResult",
     "lint_paths",
     "iter_python_files",
-    # flow analysis
-    "FLOW_RULES",
-    "AnalysisReport",
-    "BaselineEntry",
-    "analyze_paths",
-    "find_baseline",
-    "load_baseline",
-    "BASELINE_FILENAME",
     # gradcheck
     "OP_CASES",
     "GradcheckReport",

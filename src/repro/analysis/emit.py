@@ -1,14 +1,11 @@
-"""Shared machine-readable emitters for ``repro lint`` / ``repro analyze``.
+"""Machine-readable emitters for ``repro lint`` and ``repro scenarios``.
 
-Both CLI subcommands render the same violation shape, so CI consumes
-one schema: a top-level object with ``tool``, ``ok``, ``files_checked``,
-per-rule ``counts``, and a ``violations`` list whose entries carry a
-pre-rendered ``github_annotation`` string — printing that field verbatim
-in a workflow step makes the finding appear inline on the pull-request
-diff (GitHub's ``::error`` workflow command).  ``repro analyze``
-additionally reports ``baselined`` findings (accepted via
-``analysis-baseline.json``) and stale baseline entries; ``repro lint``
-reports its optional ruff/mypy ``baseline_tools`` passes.
+``repro lint --format json`` prints one object with ``tool``, ``ok``,
+``files_checked``, per-rule ``counts``, the optional ruff/mypy
+``baseline_tools`` passes, and a ``violations`` list whose entries carry
+a pre-rendered ``github_annotation`` string — printing that field
+verbatim in a workflow step makes the finding appear inline on the
+pull-request diff (GitHub's ``::error`` workflow command).
 
 ``repro scenarios --format json`` shares the envelope style (a ``tool``
 tag plus a machine-readable body) via :func:`scenarios_payload`.
@@ -25,7 +22,6 @@ __all__ = [
     "github_annotation",
     "violation_payload",
     "lint_report_payload",
-    "analysis_report_payload",
     "scenarios_payload",
     "to_json",
 ]
@@ -74,32 +70,10 @@ def lint_report_payload(report: Any) -> dict[str, Any]:
     }
 
 
-def analysis_report_payload(report: Any) -> dict[str, Any]:
-    """JSON payload for a :class:`~repro.analysis.flow.AnalysisReport`."""
-    return {
-        "tool": "repro-analyze",
-        "ok": report.ok,
-        "files_checked": report.files_checked,
-        "counts": _counts(report.violations),
-        "violations": [violation_payload(v) for v in report.violations],
-        "baseline": report.baseline_path,
-        "baselined": [violation_payload(v) for v in report.baselined],
-        "stale_baseline_entries": [
-            {
-                "rule": entry.rule,
-                "path": entry.path,
-                "line_text": entry.line_text,
-                "justification": entry.justification,
-            }
-            for entry in report.stale_entries
-        ],
-    }
-
-
 def scenarios_payload(specs: list[Any]) -> dict[str, Any]:
     """JSON payload for ``repro scenarios --format json``.
 
-    Same envelope family as the lint/analyze reports (a ``tool`` tag
+    Same envelope family as the lint report (a ``tool`` tag
     plus a machine-readable body), so CI consumers parse one schema.
     Each entry is the spec's canonical dict — including the per-scenario
     parareal defaults — exactly what ``Scenario.from_dict`` accepts.

@@ -15,19 +15,13 @@ import importlib.util
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from ..exceptions import AnalysisError
-from .rules import (
-    RULES,
-    FileContext,
-    Violation,
-    audit_message_events,
-    collect_message_events,
-    run_file_rules,
-)
+from .rules import RULES, FileContext, Violation, run_file_rules
 
 __all__ = ["BaselineResult", "LintReport", "lint_paths", "iter_python_files"]
 
@@ -87,7 +81,8 @@ class LintReport:
     def format(self) -> str:
         lines = [v.format() for v in self.violations]
         lines.extend(b.format() for b in self.baseline)
-        by_rule = {rule: self.count(rule) for rule in RULES if self.count(rule)}
+        # Every rule that fired, REP000 (a file that does not parse) included.
+        by_rule = Counter(v.rule for v in self.violations)
         summary = ", ".join(f"{rule}: {n}" for rule, n in sorted(by_rule.items()))
         if self.violations:
             lines.append(
@@ -131,7 +126,7 @@ def lint_paths(
     paths:
         Files and/or directories; directories are walked recursively.
     rules:
-        Subset of rule ids to run (default: every REP00x rule).
+        Subset of rule ids to run (default: every rule in ``RULES``).
     baseline:
         Also run ``ruff`` / ``mypy`` when they are installed.
     """
@@ -145,15 +140,6 @@ def lint_paths(
 
     for ctx in contexts:
         violations.extend(run_file_rules(ctx, enabled))
-
-    if enabled is None or "REP003" in enabled:
-        events = [e for ctx in contexts for e in collect_message_events(ctx)]
-        ctx_map = {ctx.path: ctx for ctx in contexts}
-        for violation in audit_message_events(events):
-            ctx = ctx_map.get(violation.path)
-            if ctx is None or not ctx.suppressed(violation.rule, violation.line):
-                violations.append(violation)
-
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     report = LintReport(violations, files_checked=len(files))
     if baseline:

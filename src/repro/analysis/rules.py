@@ -8,9 +8,10 @@ the naming and calling conventions of this repository (``.data`` is a
 message-passing endpoints, ``tag=`` is an MPI message tag) and accept
 ``# noqa: REP00x`` suppressions for documented, intentional uses.
 
-Per-file rules (REP001, REP002, REP004) run on one module at a time;
-the paired-message audit (REP003) is a whole-pool pass driven by
-:mod:`repro.analysis.lint`, fed by :func:`collect_message_events`.
+Every rule runs on one module at a time.  REP001, REP002 and REP004
+have visitors of their own; the eight confinement rules (REP005-REP008,
+REP013-REP016), each of the form "construct X only under path Y", are
+rows of one :data:`CONFINEMENTS` table driven by :func:`rule_confined`.
 """
 
 from __future__ import annotations
@@ -19,17 +20,10 @@ import ast
 import re
 import symtable
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
-__all__ = [
-    "Violation",
-    "FileContext",
-    "RULES",
-    "run_file_rules",
-    "collect_message_events",
-    "audit_message_events",
-    "MessageEvent",
-]
+__all__ = ["Violation", "FileContext", "Confinement", "CONFINEMENTS", "RULES", "run_file_rules"]
 
 
 @dataclass(frozen=True)
@@ -52,8 +46,6 @@ RULES: dict[str, str] = {
     "sanctioned no_grad/copy idiom (corrupts the autograd tape)",
     "REP002": "communicator/router captured by a thread other than the "
     "owning rank's (endpoints are single-thread objects)",
-    "REP003": "send/recv tag with no matching counterpart in the audited "
-    "tree (message can never be delivered/received)",
     "REP004": "closure captures a loop variable by reference (late "
     "binding: every closure sees the final iteration's value)",
     "REP005": "hand-rolled training loop (backward + optimizer step inside "
@@ -88,7 +80,7 @@ RULES: dict[str, str] = {
 #: ruff-style suppression comment: bare ``# noqa`` (all rules) or
 #: ``# noqa: REP001,REP004`` (specific rules).  The code list may be
 #: separated by commas and/or whitespace and may be followed by prose
-#: (``# noqa: REP003 receiver lives outside the tree``) — parsing stops
+#: (``# noqa: REP014 float64 solver golden``) — parsing stops
 #: at the first token that is not a rule code.
 _NOQA_RE = re.compile(r"#\s*noqa(?P<colon>\s*:\s*(?P<codes>.*))?", re.IGNORECASE)
 _NOQA_CODES_RE = re.compile(r"^\s*(?P<codes>[A-Z]+[0-9]+(?:[,\s]+[A-Z]+[0-9]+)*)", re.IGNORECASE)
@@ -135,6 +127,19 @@ class FileContext:
     def suppressed(self, rule: str, line: int) -> bool:
         codes = self.suppressions.get(line)
         return bool(codes) and ("*" in codes or rule in codes)
+
+
+def _sanctioned(path: str, sanctioned: tuple[str, ...]) -> bool:
+    """Whether ``path`` lies under a sanctioned directory name or, for an
+    entry ending in ``.py``, ends with that path suffix — compared whole
+    component by component, so ``notcore/engine.py`` is not ``core/engine.py``."""
+    parts = path.replace("\\", "/").split("/")
+    return any(
+        parts[-len(entry.split("/")) :] == entry.split("/")
+        if entry.endswith(".py")
+        else entry in parts
+        for entry in sanctioned
+    )
 
 
 # ======================================================================
@@ -252,8 +257,7 @@ class _Rep001Visitor(ast.NodeVisitor):
 
 
 def rule_rep001(ctx: FileContext) -> Iterator[Violation]:
-    parts = ctx.path.replace("\\", "/").split("/")
-    if any(fragment in parts for fragment in _REP001_SANCTIONED_DIRS):
+    if _sanctioned(ctx.path, _REP001_SANCTIONED_DIRS):
         return
     visitor = _Rep001Visitor()
     visitor.visit(ctx.tree)
@@ -372,199 +376,6 @@ def rule_rep002(ctx: FileContext) -> Iterator[Violation]:
 
 
 # ======================================================================
-# REP003 — paired-message audit (cross-file)
-# ======================================================================
-#: method name -> positional index of the tag argument.  Only attribute
-#: calls (``obj.send(...)``) are considered, matching the Communicator /
-#: MessageRouter API surface.
-_SEND_SIGS = {"send": 2, "isend": 2, "Send": 2, "post": 2}
-_RECV_SIGS = {
-    "recv": 1,
-    "recv_with_status": 1,
-    "irecv": 1,
-    "Recv": 2,
-    "collect": 2,
-    "try_collect": 2,
-    "peek": 2,
-}
-# sendrecv(payload, dest, recv_source, send_tag, recv_tag) produces one
-# event on each side.
-_SENDRECV_SEND_POS = 3
-_SENDRECV_RECV_POS = 4
-
-#: tag-expression keys: ("literal", int) exact value, ("call", fname)
-#: symbolic tag-builder, ("wildcard",) matches anything on the recv side.
-TagKey = tuple
-
-
-@dataclass(frozen=True)
-class MessageEvent:
-    """One send or receive site with a statically resolvable tag."""
-
-    kind: str  # "send" | "recv"
-    key: TagKey
-    path: str
-    line: int
-    col: int
-
-    def describe_tag(self) -> str:
-        if self.key[0] == "literal":
-            return f"tag {self.key[1]}"
-        if self.key[0] == "call":
-            return f"tag {self.key[1]}(...)"
-        return "any tag"
-
-
-def _module_constants(tree: ast.Module) -> dict[str, int]:
-    """Module-level ``NAME = <int expr>`` bindings, constant-folded."""
-    consts: dict[str, int] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                value = _fold_int(node.value, consts)
-                if value is not None:
-                    consts[target.id] = value
-    return consts
-
-
-def _fold_int(node: ast.AST, consts: dict[str, int]) -> int | None:
-    """Best-effort constant folding of integer expressions."""
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return node.value
-    if isinstance(node, ast.Name):
-        return consts.get(node.id)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = _fold_int(node.operand, consts)
-        if inner is None:
-            return None
-        return -inner if isinstance(node.op, ast.USub) else inner
-    if isinstance(node, ast.BinOp):
-        left = _fold_int(node.left, consts)
-        right = _fold_int(node.right, consts)
-        if left is None or right is None:
-            return None
-        try:
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.LShift):
-                return left << right
-            if isinstance(node.op, ast.FloorDiv) and right != 0:
-                return left // right
-            if isinstance(node.op, ast.Mod) and right != 0:
-                return left % right
-        except (OverflowError, ValueError):  # pragma: no cover - defensive
-            return None
-    return None
-
-
-def _resolve_tag(node: ast.AST | None, consts: dict[str, int], *, recv: bool) -> TagKey | None:
-    """Resolve a tag expression to a matchable key, or ``None`` (dynamic)."""
-    if node is None:
-        # Omitted send tags default to 0 but are ignored (too noisy);
-        # omitted recv tags default to the ANY_TAG wildcard.
-        return ("wildcard",) if recv else None
-    if isinstance(node, (ast.Name, ast.Attribute)):
-        attr = node.id if isinstance(node, ast.Name) else node.attr
-        if attr == "ANY_TAG":
-            return ("wildcard",)
-    folded = _fold_int(node, consts)
-    if folded is not None:
-        return ("literal", folded)
-    if isinstance(node, ast.Call):
-        name = _dotted_name(node.func)
-        if name:
-            return ("call", name.rsplit(".", 1)[-1])
-    return None
-
-
-def _tag_argument(node: ast.Call, pos: int, keyword: str) -> ast.AST | None:
-    for kw in node.keywords:
-        if kw.arg == keyword:
-            return kw.value
-    if len(node.args) > pos:
-        return node.args[pos]
-    return None
-
-
-def collect_message_events(ctx: FileContext) -> list[MessageEvent]:
-    """Extract every send/recv site with a statically resolvable tag."""
-    consts = _module_constants(ctx.tree)
-    events: list[MessageEvent] = []
-
-    def add(kind: str, key: TagKey | None, node: ast.Call) -> None:
-        if key is None:
-            return
-        events.append(MessageEvent(kind, key, ctx.path, node.lineno, node.col_offset))
-
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-            continue
-        method = node.func.attr
-        if method in _SEND_SIGS:
-            tag = _tag_argument(node, _SEND_SIGS[method], "tag")
-            if tag is not None:  # omitted send tag: skipped (see _resolve_tag)
-                add("send", _resolve_tag(tag, consts, recv=False), node)
-        elif method in _RECV_SIGS:
-            tag = _tag_argument(node, _RECV_SIGS[method], "tag")
-            add("recv", _resolve_tag(tag, consts, recv=True), node)
-        elif method == "sendrecv":
-            send_tag = _tag_argument(node, _SENDRECV_SEND_POS, "send_tag")
-            recv_tag = _tag_argument(node, _SENDRECV_RECV_POS, "recv_tag")
-            if send_tag is not None:
-                add("send", _resolve_tag(send_tag, consts, recv=False), node)
-            add("recv", _resolve_tag(recv_tag, consts, recv=True), node)
-    return events
-
-
-def audit_message_events(events: list[MessageEvent]) -> Iterator[Violation]:
-    """Whole-pool paired-message audit.
-
-    A resolved send tag must have a matching recv tag somewhere in the
-    audited pool (exact literal value or same symbolic tag-builder
-    call); a wildcard receive matches sends *in the same file only* —
-    a pool-wide wildcard would neuter the rule, since the generic
-    collective layer legitimately receives with ``ANY_TAG``.
-    Resolved recv tags symmetrically require a matching send.
-    """
-    sends = [e for e in events if e.kind == "send"]
-    recvs = [e for e in events if e.kind == "recv"]
-    send_keys = {e.key for e in sends}
-    recv_keys = {e.key for e in recvs if e.key[0] != "wildcard"}
-    wildcard_files = {e.path for e in recvs if e.key[0] == "wildcard"}
-
-    for event in sends:
-        if event.key in recv_keys or event.path in wildcard_files:
-            continue
-        yield Violation(
-            "REP003",
-            event.path,
-            event.line,
-            event.col,
-            f"send with {event.describe_tag()} has no matching receive "
-            "anywhere in the audited tree: the message would sit in the "
-            "mailbox forever (check the counterpart module, or suppress "
-            "with '# noqa: REP003' if the receiver is outside the tree)",
-        )
-    for event in recvs:
-        if event.key[0] == "wildcard" or event.key in send_keys:
-            continue
-        yield Violation(
-            "REP003",
-            event.path,
-            event.line,
-            event.col,
-            f"receive with {event.describe_tag()} has no matching send "
-            "anywhere in the audited tree: the receive would block until "
-            "the deadlock watchdog fires",
-        )
-
-
-# ======================================================================
 # REP004 — closures capturing loop variables by reference
 # ======================================================================
 def _loop_target_names(target: ast.AST) -> set[str]:
@@ -625,201 +436,104 @@ def rule_rep004(ctx: FileContext) -> Iterator[Violation]:
                     )
 
 
+
+
 # ======================================================================
-# REP005 — hand-rolled training loops outside the Engine
+# Confinement rules — "construct X only under path Y"
 # ======================================================================
-#: The one sanctioned home of the epoch/batch loop (posix-style suffix).
-_REP005_SANCTIONED_SUFFIX = "core/engine.py"
+#: A finder walks one module and yields ``(node, what)`` for each site it
+#: flags; ``what`` opens the violation message.
+Finder = Callable[[ast.Module], Iterator[tuple[ast.AST, str]]]
 
 
-def _loop_calls(loop: ast.For | ast.AsyncFor | ast.While) -> set[str]:
-    """Attribute-method names called anywhere inside the loop body."""
-    calls: set[str] = set()
-    for stmt in loop.body + loop.orelse:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                calls.add(node.func.attr)
-    return calls
+@dataclass(frozen=True)
+class Confinement:
+    """One confinement rule: the construct ``find`` flags may appear only
+    in files under ``sanctioned`` — directory names (``"mpi"``) or path
+    suffixes (``"core/engine.py"``)."""
+
+    rule: str
+    sanctioned: tuple[str, ...]
+    find: Finder
+    advice: str
 
 
-def rule_rep005(ctx: FileContext) -> Iterator[Violation]:
-    if ctx.path.replace("\\", "/").endswith(_REP005_SANCTIONED_SUFFIX):
+def rule_confined(ctx: FileContext, row: Confinement) -> Iterator[Violation]:
+    if _sanctioned(ctx.path, row.sanctioned):
         return
-    for loop in ast.walk(ctx.tree):
+    for node, what in row.find(ctx.tree):
+        yield Violation(
+            row.rule, ctx.path, node.lineno, node.col_offset, f"{what}: {row.advice}"
+        )
+
+
+def _either(*finders: Finder) -> Finder:
+    def find(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
+        for finder in finders:
+            yield from finder(tree)
+
+    return find
+
+
+def _calls(names: set[str], module: str | None = None) -> Finder:
+    """Calls whose last dotted component is in ``names``: under any
+    qualification, or — given ``module`` — bare or ``module.<name>``."""
+
+    def find(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _dotted_name(node.func)
+                leaf = name.rsplit(".", 1)[-1]
+                if leaf in names and (module is None or name in (leaf, f"{module}.{leaf}")):
+                    yield node, f"call to {name}()"
+
+    return find
+
+
+def _imports(roots: set[str], names: set[str] | None = None) -> Finder:
+    """Imports of any module under ``roots``; given ``names``, only
+    ``from <root> import <name>`` of one of those names."""
+
+    def find(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and names is None:
+                hit = next((a.name for a in node.names if a.name.split(".")[0] in roots), None)
+                if hit is not None:
+                    yield node, f"direct import of {hit!r}"
+            elif (
+                isinstance(node, ast.ImportFrom)
+                and node.module
+                and node.module.split(".")[0] in roots
+            ):
+                if names is None:
+                    yield node, f"direct import of {node.module!r}"
+                    continue
+                for alias in node.names:
+                    if alias.name in names:
+                        yield node, f"'from {node.module} import {alias.name}'"
+
+    return find
+
+
+def _training_loops(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
+    for loop in ast.walk(tree):
         if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
             continue
-        calls = _loop_calls(loop)
+        calls = {
+            node.func.attr
+            for stmt in loop.body + loop.orelse
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
         # The signature of a training loop: a backward pass feeding an
         # optimizer step.  Either alone is innocent (gradcheck calls
         # backward; schedules call step).
         if "backward" in calls and "step" in calls:
-            yield Violation(
-                "REP005",
-                ctx.path,
-                loop.lineno,
-                loop.col_offset,
-                "hand-rolled training loop (backward() + step() inside one "
-                "loop): the canonical epoch/batch loop lives in "
-                "repro.core.engine.Engine — use Engine.fit with callbacks, "
-                "or suppress with '# noqa: REP005' and a justification",
-            )
+            yield loop, "hand-rolled training loop (backward() + step() inside one loop)"
 
-
-# ======================================================================
-# REP006 — multiprocessing / mmap outside the MPI runtime
-# ======================================================================
-#: The one sanctioned home of process-level transport code.  Everything
-#: else must go through the Communicator API (repro.mpi.run_parallel),
-#: otherwise rank programs grow private side channels that the deadlock
-#: watchdog, the MPI sanitizer, and the REP003 message audit cannot see.
-_REP006_SANCTIONED_DIRS = ("mpi",)
-
-#: Top-level modules whose import signals process-level transport
-#: (``mmap``: shared mappings are handed out by repro.mpi.shared_empty).
-_REP006_FORBIDDEN_ROOTS = ("multiprocessing", "mmap")
-
-
-def rule_rep006(ctx: FileContext) -> Iterator[Violation]:
-    parts = ctx.path.replace("\\", "/").split("/")
-    if any(fragment in parts for fragment in _REP006_SANCTIONED_DIRS):
-        return
-    for node in ast.walk(ctx.tree):
-        imported: str | None = None
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root in _REP006_FORBIDDEN_ROOTS:
-                    imported = alias.name
-                    break
-        elif isinstance(node, ast.ImportFrom) and node.module is not None:
-            if node.module.split(".")[0] in _REP006_FORBIDDEN_ROOTS:
-                imported = node.module
-        if imported is None:
-            continue
-        yield Violation(
-            "REP006",
-            ctx.path,
-            node.lineno,
-            node.col_offset,
-            f"direct import of {imported!r} outside src/repro/mpi/: "
-            "process-level transport (workers, queues, named segments, shared "
-            "mappings) is the MPI runtime's job — use repro.mpi.run_parallel("
-            "backend='processes') and repro.mpi.shared_empty so inter-rank "
-            "communication stays behind the Communicator API (watchdog, sanitizers, "
-            "message audit), or suppress with '# noqa: REP006' plus a "
-            "justification",
-        )
-
-
-# ======================================================================
-# REP007 — Workspace arenas constructed outside the sanctioned modules
-# ======================================================================
-#: Where building a Workspace is legitimate: the tensor package (which
-#: defines the arena and the per-thread default) and the inference plan
-#: (which owns a private arena per compiled model).  Everywhere else,
-#: constructing an arena forks the buffer-reuse accounting and invites
-#: two owners handing out the same scratch — callers should use
-#: repro.tensor.get_workspace() or accept an arena as a parameter.
-_REP007_SANCTIONED_DIRS = ("tensor",)
-_REP007_SANCTIONED_SUFFIX = "core/inference.py"
-
-
-def rule_rep007(ctx: FileContext) -> Iterator[Violation]:
-    posix = ctx.path.replace("\\", "/")
-    parts = posix.split("/")
-    if any(fragment in parts for fragment in _REP007_SANCTIONED_DIRS):
-        return
-    if posix.endswith(_REP007_SANCTIONED_SUFFIX):
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _dotted_name(node.func)
-        if not (name == "Workspace" or name.endswith(".Workspace")):
-            continue
-        yield Violation(
-            "REP007",
-            ctx.path,
-            node.lineno,
-            node.col_offset,
-            "Workspace construction outside src/repro/tensor/ and "
-            "src/repro/core/inference.py: private arenas split the reuse "
-            "accounting and can hand out scratch another owner still "
-            "holds — request buffers via repro.tensor.get_workspace() or "
-            "take an arena as a parameter, or suppress with "
-            "'# noqa: REP007' plus a justification",
-        )
-
-
-# ======================================================================
-# REP008 — raw perf_counter timing outside the observability layer
-# ======================================================================
-#: Where reading time.perf_counter() directly is legitimate: the obs
-#: package (which *defines* the sanctioned clock and the wall-clock
-#: anchor), the tensor perf registry (pre-dates obs; its counters feed
-#: the same timeline), and benchmarks (standalone timing harnesses).
-#: Everywhere else, a private perf_counter() reading produces timestamps
-#: that cannot be aligned with the trace timeline — call
-#: ``repro.obs.trace.clock()`` (the same function, re-exported) or open
-#: a span instead.
-_REP008_SANCTIONED_DIRS = ("obs", "benchmarks")
-_REP008_SANCTIONED_SUFFIX = "tensor/perf.py"
-
-#: Call spellings that read the raw monotonic clock.
-_REP008_CLOCK_CALLS = {"perf_counter", "perf_counter_ns"}
-
-
-def rule_rep008(ctx: FileContext) -> Iterator[Violation]:
-    posix = ctx.path.replace("\\", "/")
-    parts = posix.split("/")
-    if any(fragment in parts for fragment in _REP008_SANCTIONED_DIRS):
-        return
-    if posix.endswith(_REP008_SANCTIONED_SUFFIX):
-        return
-
-    def hit(node: ast.AST, what: str) -> Violation:
-        return Violation(
-            "REP008",
-            ctx.path,
-            node.lineno,
-            node.col_offset,
-            f"{what}: raw perf_counter readings cannot be aligned with "
-            "the trace timeline — use repro.obs.trace.clock() (the same "
-            "monotonic clock, shared with every span) or wrap the region "
-            "in trace.span(...), or suppress with '# noqa: REP008' plus "
-            "a justification",
-        )
-
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Call):
-            name = _dotted_name(node.func)
-            leaf = name.rsplit(".", 1)[-1]
-            if leaf in _REP008_CLOCK_CALLS and (
-                name == leaf or name.startswith("time.")
-            ):
-                yield hit(node, f"call to {name}()")
-        elif isinstance(node, ast.ImportFrom) and node.module == "time":
-            for alias in node.names:
-                if alias.name in _REP008_CLOCK_CALLS:
-                    yield hit(node, f"'from time import {alias.name}'")
-
-
-# ======================================================================
-# REP013 — physics construction outside the scenario registry
-# ======================================================================
-#: Where instantiating equations / initial conditions / boundary
-#: stencils directly is legitimate: the solver package (which defines
-#: them) and the scenarios package (whose build_* helpers are the one
-#: sanctioned spec-string -> object resolution point).  Everywhere else
-#: — CLI, experiments, data generation, examples — the physics must
-#: come from a :class:`~repro.scenarios.Scenario`, otherwise "many
-#: PDEs, one pipeline" decays back into per-script hardcoded setups
-#: that the registry, the residual evaluator, and ``--scenario`` flags
-#: cannot see.
-_REP013_SANCTIONED_DIRS = ("scenarios", "solver")
 
 #: Concrete physics factories: any direct call is a hardcoded choice.
-_REP013_CONSTRUCTORS = {
+_PHYSICS_CONSTRUCTORS = {
     # equations
     "LinearizedEuler",
     "Diffusion2D",
@@ -839,7 +553,7 @@ _REP013_CONSTRUCTORS = {
 #: Name-based lookups: sanctioned when fed a spec field
 #: (``get_equation(spec.equation)``), flagged only when the first
 #: argument is a string literal — that is the hardcoded form.
-_REP013_LOOKUPS = {
+_PHYSICS_LOOKUPS = {
     "get_equation",
     "get_boundary_condition",
     "get_field_boundary",
@@ -847,100 +561,39 @@ _REP013_LOOKUPS = {
 }
 
 
-def rule_rep013(ctx: FileContext) -> Iterator[Violation]:
-    parts = ctx.path.replace("\\", "/").split("/")
-    if any(fragment in parts for fragment in _REP013_SANCTIONED_DIRS):
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        leaf = _dotted_name(node.func).rsplit(".", 1)[-1]
-        if leaf in _REP013_CONSTRUCTORS:
-            what = f"direct call to {leaf}()"
-        elif (
-            leaf in _REP013_LOOKUPS
+def _hardcoded_lookups(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
             and node.args
             and isinstance(node.args[0], ast.Constant)
             and isinstance(node.args[0].value, str)
         ):
-            what = f"{leaf}({node.args[0].value!r}) with a hardcoded name"
-        else:
-            continue
-        yield Violation(
-            "REP013",
-            ctx.path,
-            node.lineno,
-            node.col_offset,
-            f"{what}: equation/IC/BC choices outside src/repro/scenarios/ "
-            "and src/repro/solver/ bypass the scenario registry — resolve "
-            "a Scenario (get_scenario / --scenario) and use the "
-            "scenarios.build_* helpers, or suppress with '# noqa: REP013' "
-            "plus a justification",
-        )
+            leaf = _dotted_name(node.func).rsplit(".", 1)[-1]
+            if leaf in _PHYSICS_LOOKUPS:
+                yield node, f"{leaf}({node.args[0].value!r}) with a hardcoded name"
 
 
-# ======================================================================
-# REP014 — hardcoded float dtype literals outside the precision policy
-# ======================================================================
-#: Where ``np.float64`` / ``np.float32`` literals are legitimate: the
-#: tensor package, which *defines* the precision policy (the two-member
-#: mode table in ``tensor/precision.py``) and casts at the Tensor
-#: boundary.  Everywhere else a pinned dtype either silently up-casts a
-#: float32 graph back to float64 (the exact leak PrecisionSanitizer
-#: hunts at runtime — this rule is its static twin) or freezes a buffer
-#: out of the ``--precision`` flag's reach.  Documented exceptions
-#: (solver goldens that must stay bit-exact float64, tolerance-tier
-#: comparisons) carry ``# noqa: REP014`` with a rationale.
-_REP014_SANCTIONED_DIRS = ("tensor",)
-
-#: Attribute spellings of the two policy-managed float dtypes.
-_REP014_DTYPE_ATTRS = {"float64", "float32"}
+#: The two policy-managed float dtypes.
+_FLOAT_DTYPES = {"float64", "float32"}
 
 
-def rule_rep014(ctx: FileContext) -> Iterator[Violation]:
-    parts = ctx.path.replace("\\", "/").split("/")
-    if any(fragment in parts for fragment in _REP014_SANCTIONED_DIRS):
-        return
-
-    def hit(node: ast.AST, what: str) -> Violation:
-        return Violation(
-            "REP014",
-            ctx.path,
-            node.lineno,
-            node.col_offset,
-            f"{what}: a dtype pinned outside src/repro/tensor/ bypasses "
-            "the precision policy — use repro.tensor.default_dtype() / "
-            "compute_dtype(), or let the Tensor boundary cast; suppress "
-            "with '# noqa: REP014' plus a comment for buffers that must "
-            "stay at a fixed width (e.g. float64 solver goldens)",
-        )
-
-    for node in ast.walk(ctx.tree):
+def _dtype_literals(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
-            and node.attr in _REP014_DTYPE_ATTRS
+            and node.attr in _FLOAT_DTYPES
             and _dotted_name(node.value) in {"np", "numpy"}
         ):
-            yield hit(node, f"np.{node.attr} literal")
+            yield node, f"np.{node.attr} literal"
         elif isinstance(node, ast.Call):
             for kw in node.keywords:
                 if (
                     kw.arg == "dtype"
                     and isinstance(kw.value, ast.Constant)
-                    and kw.value.value in _REP014_DTYPE_ATTRS
+                    and kw.value.value in _FLOAT_DTYPES
                 ):
-                    yield hit(node, f"dtype={kw.value.value!r} string literal")
-
-
-# ======================================================================
-# REP015 — Parareal correction arithmetic outside the driver
-# ======================================================================
-#: The one sanctioned home of the Parareal predictor-corrector update
-#: ``G(U_k+1) + F(U_k) - G(U_k)``.  Re-deriving the correction at call
-#: sites forks the convergence semantics (tolerance handling, the
-#: pipelined schedule, the exactness guarantee) away from the driver
-#: the tests pin — use ``PararealDriver`` instead.
-_REP015_SANCTIONED_SUFFIX = "solver/parareal.py"
+                    yield node, f"dtype={kw.value.value!r} string literal"
 
 
 def _addsub_leaves(node: ast.AST) -> list[ast.AST] | None:
@@ -955,123 +608,150 @@ def _addsub_leaves(node: ast.AST) -> list[ast.AST] | None:
     return [node]
 
 
-def rule_rep015(ctx: FileContext) -> Iterator[Violation]:
-    if ctx.path.replace("\\", "/").endswith(_REP015_SANCTIONED_SUFFIX):
-        return
-
-    # Only flag the outermost chain of a +/- tree so a four-term
+def _parareal_corrections(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
+    # Only the outermost chain of a +/- tree counts, so a four-term
     # correction does not double-report through its sub-expressions.
-    nested: set[ast.AST] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-            for child in (node.left, node.right):
-                if isinstance(child, ast.BinOp) and isinstance(
-                    child.op, (ast.Add, ast.Sub)
-                ):
-                    nested.add(child)
-
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.BinOp) or node in nested:
+    chains = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+    ]
+    nested = {child for node in chains for child in (node.left, node.right)}
+    for node in chains:
+        if node in nested:
             continue
         leaves = _addsub_leaves(node)
         if leaves is None or len(leaves) < 3:
             continue
         names = [_dotted_name(leaf).lower() for leaf in leaves]
-        if any("coarse" in name for name in names) and any(
-            "fine" in name for name in names
-        ):
-            yield Violation(
-                "REP015",
-                ctx.path,
-                node.lineno,
-                node.col_offset,
-                "a +/- chain mixing coarse- and fine-propagator terms is "
-                "the Parareal correction, whose one sanctioned home is "
-                "src/repro/solver/parareal.py — run the update through "
-                "PararealDriver instead of re-deriving it; suppress with "
-                "'# noqa: REP015' plus a rationale for genuine "
-                "non-Parareal arithmetic",
-            )
+        if any("coarse" in name for name in names) and any("fine" in name for name in names):
+            yield node, "a +/- chain mixing coarse- and fine-propagator terms"
 
 
-# ======================================================================
-# REP016 — metric instruments constructed outside the obs layer
-# ======================================================================
-#: Where constructing Counter/Gauge/Histogram instruments directly is
-#: legitimate: the obs package, whose :mod:`repro.obs.metrics` registry
-#: owns the process-wide singletons.  Everywhere else a direct
-#: ``metrics.Gauge(...)`` (or a bare ``Gauge(...)`` imported from the
-#: metrics module) creates a private instrument the registry cannot
-#: snapshot, merge across ranks, or export — call sites must go through
-#: the lowercase factories ``metrics.counter/gauge/histogram`` instead.
-_REP016_SANCTIONED_DIRS = ("obs",)
-
-#: Instrument class names the rule looks for.
-_REP016_INSTRUMENTS = {"Counter", "Gauge", "Histogram"}
+_INSTRUMENTS = {"Counter", "Gauge", "Histogram"}
 
 
-def rule_rep016(ctx: FileContext) -> Iterator[Violation]:
-    posix = ctx.path.replace("\\", "/")
-    parts = posix.split("/")
-    if any(fragment in parts for fragment in _REP016_SANCTIONED_DIRS):
-        return
-
+def _metric_instruments(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
     # Bare ``Counter(...)`` is ambiguous (collections.Counter, the perf
-    # registry's own Counter class): only flag it when this file imports
-    # Counter from a metrics module.  Bare Gauge/Histogram have no such
-    # stdlib/in-repo doppelgangers and are always flagged.
-    metrics_imports: set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.rsplit(".", 1)[-1] == "metrics":
-                for alias in node.names:
-                    if alias.name in _REP016_INSTRUMENTS:
-                        metrics_imports.add(alias.asname or alias.name)
-
-    for node in ast.walk(ctx.tree):
+    # registry's own Counter class): it counts only when this file
+    # imports Counter from a metrics module.  Bare Gauge/Histogram have
+    # no such doppelgangers; qualified calls count only through a
+    # ``metrics`` module (``metrics.Gauge``, ``obs.metrics.Gauge``).
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module
+        and node.module.rsplit(".", 1)[-1] == "metrics"
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         name = _dotted_name(node.func)
         leaf = name.rsplit(".", 1)[-1]
-        if leaf not in _REP016_INSTRUMENTS:
+        if leaf not in _INSTRUMENTS:
             continue
         if "." in name:
-            # Qualified: only the metrics module's attributes count
-            # (``metrics.Gauge`` / ``obs.metrics.Gauge``), so e.g.
-            # ``collections.Counter`` or ``perf.Counter`` stay clean.
-            prefix_leaf = name.rsplit(".", 2)[-2]
-            if prefix_leaf != "metrics":
+            if name.rsplit(".", 2)[-2] != "metrics":
                 continue
-        else:
-            if leaf == "Counter" and leaf not in metrics_imports:
-                continue
-        yield Violation(
-            "REP016",
-            ctx.path,
-            node.lineno,
-            node.col_offset,
-            f"{name}(...) constructs a metric instrument outside "
-            "src/repro/obs/: a private instrument is invisible to the "
-            "registry's snapshot/merge/export path — use the "
-            "repro.obs.metrics factories (metrics.counter(name) / "
-            "metrics.gauge(name) / metrics.histogram(name)), or "
-            "suppress with '# noqa: REP016' plus a justification",
-        )
+        elif leaf == "Counter" and leaf not in imported:
+            continue
+        yield node, f"{name}(...) constructs a metric instrument"
+
+
+#: The confinement rules, one row each.  Why each path is the sanctioned
+#: home is in ANALYSIS.md; the advice is what the violation tells the
+#: author to do instead.
+CONFINEMENTS = (
+    Confinement(
+        "REP005",
+        ("core/engine.py",),
+        _training_loops,
+        "the canonical epoch/batch loop lives in repro.core.engine.Engine — use "
+        "Engine.fit with callbacks, or suppress with '# noqa: REP005' and a "
+        "justification",
+    ),
+    Confinement(
+        "REP006",
+        ("mpi",),
+        _imports({"multiprocessing", "mmap"}),
+        "process-level transport (workers, queues, named segments, shared "
+        "mappings) is the job of the MPI runtime in src/repro/mpi/ — use "
+        "repro.mpi.run_parallel(backend='processes') and repro.mpi.shared_empty "
+        "so inter-rank communication stays behind the Communicator API "
+        "(watchdog, sanitizers), or suppress with '# noqa: REP006' plus a "
+        "justification",
+    ),
+    Confinement(
+        "REP007",
+        ("tensor", "core/inference.py"),
+        _calls({"Workspace"}),
+        "a Workspace built outside src/repro/tensor/ and "
+        "src/repro/core/inference.py splits the reuse accounting and can hand "
+        "out scratch another owner still holds — request buffers via "
+        "repro.tensor.get_workspace() or take an arena as a parameter, or "
+        "suppress with '# noqa: REP007' plus a justification",
+    ),
+    Confinement(
+        "REP008",
+        ("obs", "benchmarks", "tensor/perf.py"),
+        _either(
+            _calls({"perf_counter", "perf_counter_ns"}, module="time"),
+            _imports({"time"}, names={"perf_counter", "perf_counter_ns"}),
+        ),
+        "raw perf_counter readings cannot be aligned with the trace timeline — "
+        "use repro.obs.trace.clock() (the same monotonic clock, shared with "
+        "every span) or wrap the region in trace.span(...), or suppress with "
+        "'# noqa: REP008' plus a justification",
+    ),
+    Confinement(
+        "REP013",
+        ("scenarios", "solver"),
+        _either(_calls(_PHYSICS_CONSTRUCTORS), _hardcoded_lookups),
+        "equation/IC/BC choices outside src/repro/scenarios/ and "
+        "src/repro/solver/ bypass the scenario registry — resolve a Scenario "
+        "(get_scenario / --scenario) and use the scenarios.build_* helpers, or "
+        "suppress with '# noqa: REP013' plus a justification",
+    ),
+    Confinement(
+        "REP014",
+        ("tensor",),
+        _dtype_literals,
+        "a dtype pinned outside src/repro/tensor/ bypasses the precision policy "
+        "— use repro.tensor.default_dtype() / compute_dtype(), or let the "
+        "Tensor boundary cast; suppress with '# noqa: REP014' plus a comment "
+        "for buffers that must stay at a fixed width (e.g. float64 solver "
+        "goldens)",
+    ),
+    Confinement(
+        "REP015",
+        ("solver/parareal.py",),
+        _parareal_corrections,
+        "that is the Parareal correction, whose one sanctioned home is "
+        "src/repro/solver/parareal.py — run the update through PararealDriver "
+        "instead of re-deriving it; suppress with '# noqa: REP015' plus a "
+        "rationale for genuine non-Parareal arithmetic",
+    ),
+    Confinement(
+        "REP016",
+        ("obs",),
+        _metric_instruments,
+        "outside src/repro/obs/ a private instrument is invisible to the "
+        "registry's snapshot/merge/export path — use the repro.obs.metrics "
+        "factories (metrics.counter(name) / metrics.gauge(name) / "
+        "metrics.histogram(name)), or suppress with '# noqa: REP016' plus a "
+        "justification",
+    ),
+)
 
 
 #: Per-file rules, run by :func:`run_file_rules`.
-_FILE_RULES = {
+_FILE_RULES: dict[str, Callable[[FileContext], Iterator[Violation]]] = {
     "REP001": rule_rep001,
     "REP002": rule_rep002,
     "REP004": rule_rep004,
-    "REP005": rule_rep005,
-    "REP006": rule_rep006,
-    "REP007": rule_rep007,
-    "REP008": rule_rep008,
-    "REP013": rule_rep013,
-    "REP014": rule_rep014,
-    "REP015": rule_rep015,
-    "REP016": rule_rep016,
+    **{row.rule: partial(rule_confined, row=row) for row in CONFINEMENTS},
 }
 
 

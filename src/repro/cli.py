@@ -18,10 +18,6 @@ Subcommands cover the full workflow:
 - ``repro table1``    — print the architecture table,
 - ``repro lint``      — repo-specific static analysis (REP00x rules
   plus optional ruff/mypy baseline passes),
-- ``repro analyze``   — interprocedural flow analysis over the project
-  call graph (REP009, REP010, REP012: collective divergence, send/recv
-  deadlock cycles, hot-path allocations), with a committed baseline for
-  intentional findings,
 - ``repro check``     — runtime verification: gradcheck every
   registered op, optionally smoke-test the sanitizers,
 - ``repro perf``      — op-level perf report: naive vs fused/workspace
@@ -408,46 +404,8 @@ def _add_lint(subparsers) -> None:
         dest="output_format",
         default="text",
         choices=["text", "json"],
-        help="text (default) or json — the JSON schema is shared with "
-        "'repro analyze' and carries a github_annotation string per "
-        "finding for CI annotation",
-    )
-
-
-def _add_analyze(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "analyze",
-        help="interprocedural flow analysis (REP009, REP010, REP012): "
-        "collective divergence, send/recv deadlock cycles, hot-path "
-        "allocations",
-    )
-    parser.add_argument(
-        "paths", nargs="+", help="files or directories to analyze (e.g. src/repro)"
-    )
-    parser.add_argument(
-        "--rules",
-        help="comma-separated flow-rule ids to run (default: REP009,REP010,REP012)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file of accepted findings (default: discover "
-        "analysis-baseline.json by walking up from the analyzed paths)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file: every finding counts",
-    )
-    parser.add_argument(
-        "--format",
-        dest="output_format",
-        default="text",
-        choices=["text", "json"],
-        help="text (default) or json — the JSON schema is shared with "
-        "'repro lint' and carries a github_annotation string per "
-        "finding for CI annotation",
+        help="text (default) or json — the JSON report carries a "
+        "github_annotation string per finding for CI annotation",
     )
 
 
@@ -559,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("table1", help="print the Table-I architecture")
     _add_scenarios_cmd(subparsers)
     _add_lint(subparsers)
-    _add_analyze(subparsers)
     _add_check(subparsers)
     _add_perf(subparsers)
     _add_trace_cmd(subparsers)
@@ -933,37 +890,6 @@ def _cmd_lint(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_analyze(args) -> int:
-    from .analysis import analyze_paths, find_baseline
-    from .analysis.emit import analysis_report_payload, to_json
-    from .exceptions import AnalysisError
-
-    baseline = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline = pathlib.Path(args.baseline)
-            if not baseline.is_file():
-                print(
-                    f"repro analyze: error: baseline file not found: {baseline}",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
-            baseline = find_baseline(args.paths)
-    try:
-        report = analyze_paths(
-            args.paths, rules=_parse_rule_list(args.rules), baseline_path=baseline
-        )
-    except AnalysisError as exc:
-        print(f"repro analyze: error: {exc}", file=sys.stderr)
-        return 2
-    if args.output_format == "json":
-        print(to_json(analysis_report_payload(report)))
-    else:
-        print(report.format())
-    return 0 if report.ok else 1
-
-
 def _sanitizer_smoke(seed: int) -> list[str]:
     """Exercise each sanitizer on a real forward pass / halo exchange."""
     from . import mpi
@@ -1184,7 +1110,6 @@ _COMMANDS = {
     "table1": _cmd_table1,
     "scenarios": _cmd_scenarios,
     "lint": _cmd_lint,
-    "analyze": _cmd_analyze,
     "check": _cmd_check,
     "perf": _cmd_perf,
     "trace": _cmd_trace,

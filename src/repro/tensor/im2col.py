@@ -116,7 +116,7 @@ def col2im(
         # Reference path: allocates per call, never taken by the
         # InferencePlan.
         padded_shape = (n, c, h + 2 * ph, w + 2 * pw)
-        padded = np.zeros(padded_shape, dtype=cols.dtype)  # noqa: REP012
+        padded = np.zeros(padded_shape, dtype=cols.dtype)
         scatter_patches(cols, padded, kernel, stride)
     if ph or pw:
         return padded[:, :, ph : ph + h, pw : pw + w]

@@ -7,7 +7,7 @@ from multiprocessing.shared_memory import SharedMemory
 
 def rogue_side_channel(payload):
     # Process transport hand-rolled outside repro.mpi: invisible to the
-    # deadlock watchdog and the REP003 message audit.
+    # deadlock watchdog and the message sanitizers.
     queue = multiprocessing.Queue()
     segment = SharedMemory(create=True, size=payload.nbytes)
     queue.put(segment.name)

@@ -4,26 +4,13 @@ import textwrap
 
 import pytest
 
-from repro.analysis.rules import (
-    FileContext,
-    audit_message_events,
-    collect_message_events,
-    run_file_rules,
-)
+from repro.analysis.rules import FileContext, run_file_rules
 from repro.exceptions import AnalysisError
 
 
 def lint_snippet(source, path="snippet.py", rules=None):
     ctx = FileContext.parse(path, textwrap.dedent(source))
     return list(run_file_rules(ctx, rules))
-
-
-def rep003_violations(*sources):
-    events = []
-    for i, source in enumerate(sources):
-        ctx = FileContext.parse(f"file{i}.py", textwrap.dedent(source))
-        events.extend(collect_message_events(ctx))
-    return list(audit_message_events(events))
 
 
 # ----------------------------------------------------------------------
@@ -160,72 +147,6 @@ class TestRep002:
         t = threading.Thread(target=run, args=(router,))  # noqa: REP002
         """
         assert lint_snippet(source, rules={"REP002"}) == []
-
-
-# ----------------------------------------------------------------------
-# REP003 — paired-message audit
-# ----------------------------------------------------------------------
-class TestRep003:
-    def test_matched_literals_clean(self):
-        violations = rep003_violations(
-            "comm.send(x, 1, tag=7)\n",
-            "y, s = comm.recv(source=0, tag=7)\n",
-        )
-        assert violations == []
-
-    def test_orphan_send_flagged(self):
-        violations = rep003_violations("comm.send(x, 1, tag=421)\n")
-        assert [v.rule for v in violations] == ["REP003"]
-        assert "tag 421" in violations[0].message
-
-    def test_orphan_recv_flagged(self):
-        violations = rep003_violations("comm.recv(source=0, tag=9000)\n")
-        assert [v.rule for v in violations] == ["REP003"]
-        assert "no matching send" in violations[0].message
-
-    def test_module_constants_folded(self):
-        violations = rep003_violations(
-            """
-            TAG_BASE = 7000
-            comm.send(x, 1, tag=TAG_BASE + 3)
-            """,
-            "comm.recv(source=0, tag=7003)\n",
-        )
-        assert violations == []
-
-    def test_symbolic_tag_builder_matches_by_name(self):
-        violations = rep003_violations(
-            "comm.send(x, 1, tag=_halo_tag(phase, 1))\n",
-            "comm.recv(source=0, tag=_halo_tag(phase, -1))\n",
-        )
-        assert violations == []
-
-    def test_wildcard_recv_matches_same_file_only(self):
-        same_file = """
-        comm.send(x, 1, tag=55)
-        comm.recv(source=0, tag=ANY_TAG)
-        """
-        assert rep003_violations(same_file) == []
-        # The wildcard in another file does not absorb the orphan send.
-        cross_file = rep003_violations(
-            "comm.send(x, 1, tag=55)\n",
-            "comm.recv(source=0, tag=ANY_TAG)\n",
-        )
-        assert [v.rule for v in cross_file] == ["REP003"]
-
-    def test_omitted_recv_tag_is_wildcard(self):
-        assert rep003_violations("comm.send(x, 1, tag=9)\ncomm.recv(source=0)\n") == []
-
-    def test_dynamic_tag_ignored(self):
-        assert rep003_violations("comm.send(x, 1, tag=base + offset)\n") == []
-
-    def test_sendrecv_produces_both_events(self):
-        violations = rep003_violations(
-            "comm.sendrecv(x, 1, 0, send_tag=11, recv_tag=12)\n"
-        )
-        assert len(violations) == 2
-        messages = " | ".join(v.message for v in violations)
-        assert "tag 11" in messages and "tag 12" in messages
 
 
 # ----------------------------------------------------------------------

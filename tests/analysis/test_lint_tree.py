@@ -6,7 +6,9 @@ exists for: any new REP00x violation in ``src/repro`` fails the suite.
 
 from pathlib import Path
 
-from repro.analysis import lint_paths
+import pytest
+
+from repro.analysis import RULES, lint_paths
 from repro.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
@@ -22,24 +24,22 @@ def test_source_tree_is_lint_clean(capsys):
 
 
 def test_planted_fixtures_are_caught(capsys):
+    """Every rule in the catalogue fires on its own planted fixture, so a
+    rule (or confinement table row) added without one fails here."""
     exit_code = main(["lint", str(FIXTURES), "--no-baseline"])
     output = capsys.readouterr().out
     assert exit_code == 1
-    assert "REP001" in output
-    assert "REP003" in output
-    assert "REP005" in output
-    assert "REP006" in output
-    assert "REP007" in output
-    assert "REP008" in output
-    assert "REP014" in output
-    assert "REP015" in output
+    for rule in RULES:
+        fixture = f"planted_{rule.lower()}.py:"
+        assert any(
+            fixture in line and f" {rule} " in line for line in output.splitlines()
+        ), f"{rule}: no finding in fixtures/{fixture[:-1]}"
 
 
 def test_fixture_report_details():
     report = lint_paths([FIXTURES])
     assert not report.ok
     assert report.count("REP001") >= 1
-    assert report.count("REP003") >= 2  # orphan send AND orphan recv
     assert report.count("REP005") >= 1
     assert report.count("REP006") >= 3  # multiprocessing import + from-import, mmap
     rep001 = [v for v in report.violations if v.rule == "REP001"]
@@ -63,9 +63,24 @@ def test_fixture_report_details():
 
 
 def test_rule_subset_runs_only_selected():
-    report = lint_paths([FIXTURES], rules=["REP003"])
+    report = lint_paths([FIXTURES], rules=["REP006"])
     assert report.count("REP001") == 0
-    assert report.count("REP003") >= 2
+    assert report.count("REP006") >= 3
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_rule_subset_reports_only_that_rule(rule):
+    report = lint_paths([FIXTURES], rules=[rule])
+    assert {v.rule for v in report.violations} == {rule}
+    assert any(v.path.endswith(f"planted_{rule.lower()}.py") for v in report.violations)
+
+
+def test_unparseable_file_is_counted_in_the_summary(tmp_path):
+    broken = tmp_path / "broken.py"
+    broken.write_text("def f(:\n")
+    report = lint_paths([broken])
+    assert report.count("REP000") == 1
+    assert report.format().splitlines()[-1] == "1 violation(s) in 1 file(s) [REP000: 1]"
 
 
 def test_baseline_passes_skip_not_fail_when_tools_missing():
@@ -106,7 +121,8 @@ def test_lint_json_clean_tree(capsys):
 
 
 def test_suppressed_tree_findings_are_documented():
-    """Every # noqa: REPxxx comment in the tree must carry a rationale."""
+    """Every # noqa: REPxxx comment in the tree must carry a rationale and
+    name only rules that exist: a suppression outliving its rule is noise."""
     import io
     import re
     import tokenize
@@ -115,12 +131,14 @@ def test_suppressed_tree_findings_are_documented():
     for path in sorted(SRC.rglob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
-        comment_lines = {
-            tok.start[0]
+        comments = {
+            tok.start[0]: tok.string
             for tok in tokenize.generate_tokens(io.StringIO(source).readline)
             if tok.type == tokenize.COMMENT and pattern.search(tok.string)
         }
-        for lineno in comment_lines:
+        for lineno, comment in comments.items():
+            unknown = set(re.findall(r"REP\d+", comment)) - set(RULES)
+            assert not unknown, f"{path}:{lineno}: noqa names unknown rule(s) {sorted(unknown)}"
             # A rationale comment on one of the two preceding lines.
             context = " ".join(lines[max(0, lineno - 3) : lineno - 1])
             assert "#" in context, f"{path}:{lineno}: bare noqa without rationale"
