@@ -12,9 +12,23 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pytest
 
 from repro.data.generation import generate_multi_pulse_dataset, generate_paper_dataset
-from repro.solver import EulerState, get_boundary_condition
+from repro.scenarios import simulate
+from repro.solver import (
+    AllenCahn,
+    Background,
+    EulerState,
+    FieldSimulation,
+    LinearizedEuler,
+    Simulation,
+    UniformGrid2D,
+    get_boundary_condition,
+    paper_initial_condition,
+    random_phase_field,
+)
+from repro.solver.parareal import PararealConfig, PararealDriver
 
 
 def _sha(array: np.ndarray) -> str:
@@ -79,3 +93,130 @@ class TestBoundaryGoldens:
             "sponge",
             "8402dbc99500723b444450b31daea0b940c68c6169a756095942d4f00bb4066c",
         )
+
+
+# -- every other solver path -------------------------------------------
+# Captured from the allocating step (EulerState arithmetic, 2-D strided
+# stencils) before the solver moved to in-place stacked stages.  Each
+# case hashes a whole run: snapshots and energies, or states and deltas.
+
+GRID = 20
+
+
+def _run_digest(result) -> str:
+    return _sha(np.concatenate([result.snapshots.ravel(), result.energies]))
+
+
+def _euler_run(**kwargs) -> str:
+    """The paper pulse through a ``Simulation`` configured by ``kwargs``."""
+    grid = UniformGrid2D.square(GRID, 1.0)
+    equation = kwargs.pop("equations", LinearizedEuler())
+    simulation = Simulation(grid, equation, **kwargs)
+    initial = paper_initial_condition(grid, background=equation.background)
+    return _run_digest(simulation.run(initial, num_snapshots=5, steps_per_snapshot=3))
+
+
+def _field_rk4() -> str:
+    grid = UniformGrid2D.square(GRID, 1.0)
+    simulation = FieldSimulation(grid, AllenCahn(epsilon=0.01), integrator="rk4")
+    initial = random_phase_field(grid, amplitude=0.5, smoothing=1, seed=2)
+    return _run_digest(simulation.run(initial, num_snapshots=5, steps_per_snapshot=3))
+
+
+def _parareal_solver_as_coarse() -> str:
+    grid = UniformGrid2D.square(GRID, 1.0)
+    simulation = Simulation(grid, LinearizedEuler())
+    initial = paper_initial_condition(grid).to_array()
+    config = PararealConfig(slices=3, coarse_steps=2, tolerance=1e-12, max_iterations=2)
+    result = PararealDriver(simulation, simulation, config).solve(initial, execution="threads")
+    return _sha(np.concatenate([result.states.ravel(), result.deltas]))
+
+
+def _rhs_array(dtype: str, **kwargs) -> str:
+    fields = np.random.default_rng(7).standard_normal((4, 11, 13)).astype(dtype)
+    rhs = LinearizedEuler(**kwargs).rhs_array(fields, 0.1, 0.15)
+    assert rhs.dtype == fields.dtype
+    return _sha(rhs)
+
+
+FLOW = Background(u_c=0.3, v_c=-0.2)
+
+SOLVER_CASES = {
+    **{
+        f"simulate-{name}": lambda name=name: _run_digest(
+            simulate(name, grid_size=GRID, num_snapshots=6, steps_per_snapshot=2)
+        )
+        for name in (
+            "euler-off-center",
+            "euler-reflecting",
+            "euler-periodic",
+            "euler-absorbing",
+            "diffusion",
+            "allen-cahn",
+        )
+    },
+    "order-4": lambda: _euler_run(equations=LinearizedEuler(order=4)),
+    "background-flow": lambda: _euler_run(equations=LinearizedEuler(background=FLOW)),
+    "background-flow-order-4": lambda: _euler_run(
+        equations=LinearizedEuler(background=FLOW, order=4)
+    ),
+    "heun": lambda: _euler_run(integrator="heun"),
+    "euler": lambda: _euler_run(integrator="euler", cfl=0.1),
+    "field-simulation-rk4": _field_rk4,
+    "parareal-solver-as-coarse": _parareal_solver_as_coarse,
+    "rhs-array-float64": lambda: _rhs_array("float64", background=FLOW, order=4),
+    "rhs-array-float32": lambda: _rhs_array("float32", background=FLOW),
+}
+
+SOLVER_GOLDENS = {
+    "simulate-euler-off-center": (
+        "b3d5837ab716bf513492416202f023cbd86dc16a8124d2042c991ea729487c50"
+    ),
+    "simulate-euler-reflecting": (
+        "c6564778595199e104d83723ffc43a1bc2059e2e40b212399fcb940d359bd7f8"
+    ),
+    "simulate-euler-periodic": (
+        "8b694fd221dc5499011b11af79bdf9e418f9a89a04f92bec75ca2ce3177ed0b9"
+    ),
+    "simulate-euler-absorbing": (
+        "c509b0d29d78dae28843bb615515fb7cd1ca2f1614d5a68b99d1eca55b426493"
+    ),
+    "simulate-diffusion": (
+        "55d9e9be4802ea5f7b6189b9b5272248b2afa01edadea3f152e1154c7703e6fe"
+    ),
+    "simulate-allen-cahn": (
+        "a62ccfb79c2a669dda82b7328719c73eb33542f7c24f840ed20b30149dfd9158"
+    ),
+    "order-4": (
+        "bd0192dc291a46ba84a8d139418a0b2b74886f7490c265247999f77d2e3140b6"
+    ),
+    "background-flow": (
+        "cb7bd952729a00d14ca8a90edac98a1f804500dad0673774e7e200975261c9e2"
+    ),
+    "background-flow-order-4": (
+        "039912b3116fbd9e82d780c142e607165354f32d712d147a761d5d3696c09d46"
+    ),
+    "heun": (
+        "ba3da02959268b0b4182e1b562f7e0f67f9a9e5cacf97aad85277b688e23224c"
+    ),
+    "euler": (
+        "f60d5598fd69338cd506273534d107fde993f9dc3190fbb438549cdf8158d284"
+    ),
+    "field-simulation-rk4": (
+        "4a21dc2b20998518b9c7e69c225accfe10b17a60f3d266eb3cdaa02a07e409aa"
+    ),
+    "parareal-solver-as-coarse": (
+        "fa356ee0072c44b8df5986a21dbe2127c32ab7c6de466dc388e25793af7459a7"
+    ),
+    "rhs-array-float64": (
+        "56f883d747f2f2ffc695342e363050f158a7ac11269a5f9a1a4d45cc71110693"
+    ),
+    "rhs-array-float32": (
+        "1381dfcdb5513fc06a8ffef1b7ffac6da801e336eed1a5a654ebc0610b7fc4ce"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVER_CASES))
+def test_solver_path_bit_exact(case):
+    assert SOLVER_CASES[case]() == SOLVER_GOLDENS[case], case

@@ -227,9 +227,14 @@ class TestConvergence:
         with pytest.raises(ConfigurationError, match="does not match"):
             driver.solve(np.zeros((num_channels, GRID, GRID + 1)))
 
-    def test_backends_agree_bitwise(self):
-        simulation, initial, num_channels = scenario_setup("allen-cahn")
-        operator = model_stepper(num_channels)
+    @pytest.mark.parametrize(
+        "scenario,coarse", [("allen-cahn", "cnn"), ("euler-gaussian", "solver")]
+    )
+    def test_backends_agree_bitwise(self, scenario, coarse):
+        """A random CNN as G, or the Euler solver as both G and F (its
+        rank threads then share one solver's workspace binding)."""
+        simulation, initial, num_channels = scenario_setup(scenario)
+        operator = model_stepper(num_channels) if coarse == "cnn" else simulation
         config = PararealConfig(slices=4, tolerance=1e-9, fine_steps_per_coarse=2)
         driver = PararealDriver(simulation, operator, config)
         threaded = driver.solve(initial, execution="threads")
