@@ -23,6 +23,7 @@ Scalar/array equations (diffusion, Allen-Cahn) use the channel-agnostic
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,6 +106,7 @@ def apply_periodic(state: EulerState) -> EulerState:
     return state
 
 
+@lru_cache(maxsize=64)
 def _sponge_damping(
     shape: tuple[int, int],
     width: int,
@@ -116,7 +118,8 @@ def _sponge_damping(
 
     Distances are measured to the *global* walls: ``offset`` places a
     local ``shape`` window inside ``global_shape`` so a subdomain damps
-    exactly the cells the whole-domain sponge would."""
+    exactly the cells the whole-domain sponge would.  Built once per
+    argument set and shared read-only, so a step only multiplies."""
     ny, nx = global_shape if global_shape is not None else shape
     band = min(width, ny // 2, nx // 2)
     y0, x0 = offset
@@ -124,7 +127,9 @@ def _sponge_damping(
     x = np.arange(x0, x0 + shape[1])
     dist = np.minimum.outer(np.minimum(y, ny - 1 - y), np.minimum(x, nx - 1 - x))
     ramp = np.clip((band - dist) / band, 0.0, 1.0)
-    return 1.0 - strength * ramp**2
+    damping = 1.0 - strength * ramp**2
+    damping.flags.writeable = False
+    return damping
 
 
 def make_sponge(width: int = 8, strength: float = 0.05) -> "BoundaryCondition":

@@ -1,12 +1,13 @@
 """PDE right-hand sides: linearized Euler (Eq. 8 of the paper) plus the
 scenario-registry extensions (2-D diffusion, Allen-Cahn).
 
-All equations implement the array-level :class:`Equation` interface —
-``rhs_array`` on channel-stacked ``(C, ny, nx)`` fields — which is what
-:class:`~repro.solver.simulation.FieldSimulation`, the physics-residual
-evaluator and the scenario registry consume.  The original
-``EulerState``-typed ``rhs`` on :class:`LinearizedEuler` is untouched so
-the paper's baseline pipeline stays bit-exact.
+All equations implement the array-level :class:`Equation` interface on
+channel-stacked ``(C, ny, nx)`` fields.  Each has one right-hand side,
+``rhs_into``, which writes into caller-owned buffers — what the
+simulation drivers' in-place integrators call every stage.
+``rhs_array`` is the allocating wrapper the physics-residual evaluator
+and the tests use.  Equations keep no per-call state, so the threads of
+a parallel solve can share one.
 
 The 2-D linearized Euler equations:
 
@@ -51,9 +52,21 @@ class Equation:
     def num_channels(self) -> int:
         return len(self.channels)
 
-    def rhs_array(self, fields: np.ndarray, dx: float, dy: float) -> np.ndarray:
-        """Time derivative of the channel-stacked ``fields``."""
+    def rhs_into(
+        self, fields: np.ndarray, dx: float, dy: float, out: np.ndarray, scratch: np.ndarray
+    ) -> None:
+        """Write the time derivative of the C-contiguous ``fields`` into
+        ``out`` (same shape, not overlapping), using ``scratch`` — a
+        ``(2,) + fields.shape`` array — as work space."""
         raise NotImplementedError
+
+    def rhs_array(self, fields: np.ndarray, dx: float, dy: float) -> np.ndarray:
+        """Time derivative of the channel-stacked ``fields``, in a new
+        array of their floating dtype."""
+        fields = np.ascontiguousarray(fields, dtype=np.result_type(fields, 1.0))
+        out = np.empty_like(fields)
+        self.rhs_into(fields, dx, dy, out, np.empty((2,) + fields.shape, fields.dtype))
+        return out
 
     def stable_dt(self, dx: float, dy: float, cfl: float = 0.5) -> float:
         """A stable explicit time step for the default integrator."""
@@ -112,12 +125,14 @@ class LinearizedEuler(Equation):
     background:
         The constant base flow.
     dissipation:
-        Coefficient of a fourth-order-accurate artificial dissipation
-        term ``nu * dx * c * Laplacian(q)`` added to each equation.  A
-        small amount (default 0.02) suppresses the odd-even decoupling
-        of central differences without visibly smearing the pulse,
-        playing the role of the DG scheme's inherent dissipation in
-        Ateles.  Set to 0 for the pure central scheme.
+        Coefficient ``nu`` of an artificial dissipation term
+        ``nu * c * min(dx, dy) * Laplacian(q)`` added to each equation,
+        with the second-order 5-point Laplacian (so the term vanishes
+        like ``dx`` under refinement).  A small amount (default 0.02)
+        suppresses the odd-even decoupling of central differences
+        without visibly smearing the pulse, playing the role of the DG
+        scheme's inherent dissipation in Ateles.  Set to 0 for the pure
+        central scheme.
     """
 
     channels = CHANNELS
@@ -136,38 +151,31 @@ class LinearizedEuler(Equation):
         self.dissipation = float(dissipation)
         self.order = int(order)
 
-    def rhs(self, state: EulerState, dx: float, dy: float) -> EulerState:
-        """Time derivative of ``state``."""
-        bg = self.background
-        order = self.order
-        div_u = ddx(state.u, dx, order=order) + ddy(state.v, dy, order=order)
+    def rhs_into(
+        self, fields: np.ndarray, dx: float, dy: float, out: np.ndarray, scratch: np.ndarray
+    ) -> None:
+        bg, order = self.background, self.order
+        p, _, u, v = fields
+        work, spare = scratch  # spare: only the order-4 stencils use it
+        div_u = ddx(u, dx, order, out=out[0], scratch=spare)
+        np.add(div_u, ddy(v, dy, order, out=work[0], scratch=spare), out=div_u)
+        np.multiply(div_u, -bg.rho_c, out=out[1])
+        np.multiply(div_u, -bg.gamma * bg.p_c, out=out[0])
+        ddx(p, dx, order, out=out[2], scratch=spare)
+        ddy(p, dy, order, out=out[3], scratch=spare)
+        grad_p = out[2:]
+        np.divide(np.negative(grad_p, out=grad_p), bg.rho_c, out=grad_p)
 
-        dp = -bg.gamma * bg.p_c * div_u
-        drho = -bg.rho_c * div_u
-        du = -ddx(state.p, dx, order=order) / bg.rho_c
-        dv = -ddy(state.p, dy, order=order) / bg.rho_c
-
-        if bg.u_c or bg.v_c:
-            # Background advection of every perturbation field.
-            for target, fld in (
-                (dp, state.p),
-                (drho, state.rho),
-                (du, state.u),
-                (dv, state.v),
-            ):
-                if bg.u_c:
-                    target -= bg.u_c * ddx(fld, dx, order=order)
-                if bg.v_c:
-                    target -= bg.v_c * ddy(fld, dy, order=order)
+        # Background advection of every perturbation field.
+        for speed, derivative, h in ((bg.u_c, ddx, dx), (bg.v_c, ddy, dy)):
+            if speed:
+                gradient = derivative(fields, h, order, out=work, scratch=spare)
+                np.subtract(out, np.multiply(gradient, speed, out=gradient), out=out)
 
         if self.dissipation:
             nu = self.dissipation * self.background.sound_speed * min(dx, dy)
-            dp += nu * laplacian(state.p, dx, dy)
-            drho += nu * laplacian(state.rho, dx, dy)
-            du += nu * laplacian(state.u, dx, dy)
-            dv += nu * laplacian(state.v, dx, dy)
-
-        return EulerState(p=dp, rho=drho, u=du, v=dv)
+            smoothing = laplacian(fields, dx, dy, out=work, scratch=spare)
+            np.add(out, np.multiply(smoothing, nu, out=smoothing), out=out)
 
     def stable_dt(self, dx: float, dy: float, cfl: float = 0.5) -> float:
         """Time step satisfying the CFL condition for the RK4/central
@@ -193,10 +201,6 @@ class LinearizedEuler(Equation):
 
     # -- array-level Equation interface (scenario registry) ------------
 
-    def rhs_array(self, fields: np.ndarray, dx: float, dy: float) -> np.ndarray:
-        state = EulerState(p=fields[0], rho=fields[1], u=fields[2], v=fields[3])
-        return self.rhs(state, dx, dy).to_array()
-
     def energy(self, fields: np.ndarray, dx: float, dy: float) -> float:
         state = EulerState(p=fields[0], rho=fields[1], u=fields[2], v=fields[3])
         return self.acoustic_energy(state, dx, dy)
@@ -217,8 +221,8 @@ class Diffusion2D(Equation):
             raise SolverError(f"diffusivity nu must be positive, got {nu}")
         self.nu = float(nu)
 
-    def rhs_array(self, fields: np.ndarray, dx: float, dy: float) -> np.ndarray:
-        return self.nu * laplacian(fields[0], dx, dy)[None]
+    def rhs_into(self, fields, dx, dy, out, scratch) -> None:
+        np.multiply(laplacian(fields, dx, dy, out=out, scratch=scratch), self.nu, out=out)
 
     def stable_dt(self, dx: float, dy: float, cfl: float = 0.5) -> float:
         """Explicit diffusion limit  dt ≤ cfl / (2 ν (1/dx² + 1/dy²))."""
@@ -236,7 +240,7 @@ class AllenCahn(Equation):
 
     Nonlinear reaction-diffusion dynamics: the cubic reaction drives u
     toward the wells ±1 while ε Δu smooths the interfaces between
-    phases.  Besides the generic RK4 path (``rhs_array``), the equation
+    phases.  Besides the generic RK4 path (``rhs_into``), the equation
     ships its own stable stepper, :meth:`strang_step`: Strang splitting
     with the *exact* closed-form solution of the stiff cubic reaction
 
@@ -253,9 +257,10 @@ class AllenCahn(Equation):
             raise SolverError(f"interface coefficient epsilon must be positive, got {epsilon}")
         self.epsilon = float(epsilon)
 
-    def rhs_array(self, fields: np.ndarray, dx: float, dy: float) -> np.ndarray:
-        u = fields[0]
-        return (self.epsilon * laplacian(u, dx, dy) + u - u**3)[None]
+    def rhs_into(self, fields, dx, dy, out, scratch) -> None:
+        np.multiply(laplacian(fields, dx, dy, out=out, scratch=scratch), self.epsilon, out=out)
+        np.add(out, fields, out=out)
+        np.subtract(out, np.power(fields, 3, out=scratch[0]), out=out)
 
     def stable_dt(self, dx: float, dy: float, cfl: float = 0.5) -> float:
         """Diffusion limit, additionally capped at a quarter of the O(1)

@@ -4,19 +4,23 @@ This is the package's *Ateles* stand-in: it advances the linearized
 Euler equations and records the channel-stacked snapshots
 ``(T, 4, ny, nx)`` that become the CNN training data.
 
-Both drivers — the paper-baseline :class:`Simulation` (EulerState in,
-EulerState out) and the channel-agnostic :class:`FieldSimulation`
-(plain ``(C, ny, nx)`` stacks) — share one time loop through
-:class:`SteppedSimulation`: a single ``advance``/``run`` implementation.
-``advance`` is also the package-wide :class:`Stepper` contract (channel
-stack in, the stack ``n`` steps later out), which the CNN ensemble
-implements too, so the Parareal driver and ``rollout`` take either.
-The loop structure is bit-exact to the historical per-class loops,
-pinned by the sha256 golden tests.
+Both drivers — the paper-baseline :class:`Simulation` (Euler, with the
+paper's wall conditions) and the channel-agnostic
+:class:`FieldSimulation` (any :class:`~repro.solver.Equation`) — share
+one time loop through :class:`SteppedSimulation`.  The loop steps one
+contiguous ``(C, ny, nx)`` stack in place: each calling thread binds its
+integrator stage buffers and stencil scratch on its first ``advance``
+(Parareal's rank threads share one fine propagator), after which a step
+allocates no field.  ``advance`` is also the package-wide
+:class:`Stepper` contract (channel stack in, the stack ``n`` steps later
+out), which the CNN ensemble implements too, so the Parareal driver and
+``rollout`` take either.  The sha256 golden tests pin the loop bit for
+bit.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -31,8 +35,8 @@ from .boundary import (
 )
 from .equations import Equation, LinearizedEuler
 from .grid import UniformGrid2D
-from .state import NUM_CHANNELS, EulerState
-from .time_integrators import Integrator, get_integrator
+from .state import EulerState
+from .time_integrators import STAGES, get_integrator
 
 
 @dataclass
@@ -73,61 +77,81 @@ class SteppedSimulation:
     """The shared stepping surface of :class:`Simulation` and
     :class:`FieldSimulation`.
 
-    Subclasses provide the representation-specific hooks (one solver
-    step, initial-state validation, array conversion, diagnostics);
-    this base owns the single ``advance``/``run`` loop both drivers
-    used to duplicate.  ``advance`` takes the driver's own state type or
-    a plain channel stack: every simulation is a :class:`Stepper`.
+    Subclasses set the equation, the integrator (``None`` for the
+    equation's own Strang step) and the boundary application; this base
+    owns the one ``advance``/``run`` loop.  ``advance`` takes an
+    :class:`EulerState` or a plain channel stack: every simulation is a
+    :class:`Stepper`.
     """
 
     # set by the subclass dataclasses / their __post_init__
     grid: UniformGrid2D
     cfl: float
     dt: float
+    _equation: Equation
+    _local: threading.local
 
-    # -- representation hooks ------------------------------------------
-    def _step_once(self, state):
-        """One solver step (integrator + boundary), not in place."""
-        raise NotImplementedError
+    def _bind(self, equation: Equation, integrator: str | None) -> None:
+        self._equation = equation
+        self._step = None if integrator is None else get_integrator(integrator)
+        self._local = threading.local()
+        self.dt = equation.stable_dt(self.grid.dx, self.grid.dy, self.cfl)
 
-    def _prepare_initial(self, initial):
-        """Validate, copy, and boundary-condition the initial state."""
-        raise NotImplementedError
-
-    def _state_array(self, state) -> np.ndarray:
-        """``(C, ny, nx)`` view/copy of ``state`` (default: it is one)."""
-        return state
-
-    def _state_from_array(self, fields: np.ndarray):
-        """Inverse of :meth:`_state_array` (no boundary application)."""
-        return np.asarray(fields, dtype=float)
-
-    def _is_finite(self, state) -> bool:
-        raise NotImplementedError
-
-    def _energy(self, state) -> float:
+    def _apply_boundary(self, fields: np.ndarray) -> None:
+        """The wall condition, in place on a ``(C, ny, nx)`` stack."""
         raise NotImplementedError
 
     @property
     def num_channels(self) -> int:
-        raise NotImplementedError
+        return self._equation.num_channels
+
+    def _workspace(self) -> threading.local:
+        """This thread's stage buffers and right-hand side, bound on its
+        first call."""
+        local = self._local
+        if not hasattr(local, "stages"):
+            shape = (self.num_channels,) + self.grid.shape
+            buffers = np.empty((STAGES + 2,) + shape)
+            local.stages, scratch = buffers[:STAGES], buffers[STAGES:]
+            equation, dx, dy = self._equation, self.grid.dx, self.grid.dy
+            local.rhs = lambda fields, out: equation.rhs_into(fields, dx, dy, out, scratch)
+        return local
+
+    def _stack(self, state) -> np.ndarray:
+        """``state`` as a ``(C, ny, nx)`` array on this grid."""
+        fields = state.to_array() if isinstance(state, EulerState) else np.asarray(state)
+        expected = (self.num_channels,) + self.grid.shape
+        if fields.shape != expected:
+            raise SolverError(
+                f"state shape {fields.shape} does not match (channels,) + grid "
+                f"shape {expected}"
+            )
+        return fields
 
     # -- the one stepping surface --------------------------------------
     def advance(self, state, num_steps: int = 1, out: np.ndarray | None = None):
         """Advance ``state`` by ``num_steps`` time steps (not in place).
 
         An :class:`EulerState` comes back as one; a ``(C, ny, nx)`` stack
-        (Euler runs convert it through :class:`EulerState`) comes back as
-        a stack — written to ``out`` when given, per :class:`Stepper`.
+        comes back as a float64 stack — written to ``out`` when given,
+        per :class:`Stepper`.
         """
-        stack = not isinstance(state, EulerState)
-        current = self._state_from_array(state) if stack else state
+        fields = self._stack(state)
+        direct = out is not None and out.dtype == float and out.flags.c_contiguous
+        work = out if direct else np.empty(fields.shape)
+        np.copyto(work, fields)
+        local, (dx, dy) = self._workspace(), (self.grid.dx, self.grid.dy)
         for _ in range(num_steps):
-            current = self._step_once(current)
+            if self._step is None:
+                work[...] = self._equation.strang_step(work, dx, dy, self.dt)
+            else:
+                self._step(work, local.rhs, self.dt, local.stages)
+            self._apply_boundary(work)
         if out is not None:
-            np.copyto(out, self._state_array(current))
+            if not direct:
+                np.copyto(out, work)
             return out
-        return self._state_array(current) if stack else current
+        return EulerState(*work) if isinstance(state, EulerState) else work
 
     def run(
         self,
@@ -137,7 +161,8 @@ class SteppedSimulation:
         check_stability: bool = True,
     ) -> SimulationResult:
         """Run and record ``num_snapshots`` states (including the initial
-        one) spaced ``steps_per_snapshot`` solver steps apart.
+        one, boundary-conditioned) spaced ``steps_per_snapshot`` solver
+        steps apart.
 
         Raises :class:`~repro.exceptions.SolverError` if the solution
         blows up (non-finite values), which catches CFL violations early.
@@ -146,23 +171,22 @@ class SteppedSimulation:
             raise SolverError("num_snapshots must be >= 1")
         if steps_per_snapshot < 1:
             raise SolverError("steps_per_snapshot must be >= 1")
-        state = self._prepare_initial(initial)
-        ny, nx = self.grid.shape
-        snapshots = np.empty((num_snapshots, self.num_channels, ny, nx))
+        snapshots = np.empty((num_snapshots, self.num_channels) + self.grid.shape)
         times = np.empty(num_snapshots)
         energies = np.empty(num_snapshots)
+        np.copyto(snapshots[0], self._stack(initial))
+        self._apply_boundary(snapshots[0])
 
-        for index in range(num_snapshots):
+        for index, state in enumerate(snapshots):
             if index > 0:
-                state = self.advance(state, steps_per_snapshot)
-            if check_stability and not self._is_finite(state):
+                self.advance(snapshots[index - 1], steps_per_snapshot, out=state)
+            if check_stability and not np.isfinite(state).all():
                 raise SolverError(
                     f"solution blew up at snapshot {index} "
                     f"(dt={self.dt:.3e}, cfl={self.cfl}); reduce the CFL number"
                 )
-            snapshots[index] = self._state_array(state)
             times[index] = index * steps_per_snapshot * self.dt
-            energies[index] = self._energy(state)
+            energies[index] = self._equation.energy(state, self.grid.dx, self.grid.dy)
         return SimulationResult(snapshots, times, energies, self.dt)
 
 
@@ -193,55 +217,21 @@ class Simulation(SteppedSimulation):
 
     def __post_init__(self) -> None:
         self._bc: BoundaryCondition = get_boundary_condition(self.boundary)
-        self._step: Integrator = get_integrator(self.integrator)
-        self.dt = self.equations.stable_dt(self.grid.dx, self.grid.dy, self.cfl)
+        self._bind(self.equations, self.integrator)
 
-    def _rhs(self, state: EulerState) -> EulerState:
-        return self.equations.rhs(state, self.grid.dx, self.grid.dy)
-
-    # -- SteppedSimulation hooks ---------------------------------------
-    def _step_once(self, state: EulerState) -> EulerState:
-        state = self._step(state, self._rhs, self.dt)
-        self._bc(state)
-        return state
-
-    def _prepare_initial(self, initial: EulerState) -> EulerState:
-        if initial.shape != self.grid.shape:
-            raise SolverError(
-                f"initial state shape {initial.shape} does not match grid "
-                f"{self.grid.shape}"
-            )
-        state = initial.copy()
-        self._bc(state)
-        return state
-
-    def _state_array(self, state: EulerState) -> np.ndarray:
-        return state.to_array()
-
-    def _state_from_array(self, fields: np.ndarray) -> EulerState:
-        return EulerState.from_array(np.asarray(fields, dtype=float))
-
-    def _is_finite(self, state: EulerState) -> bool:
-        return state.is_finite()
-
-    def _energy(self, state: EulerState) -> float:
-        return self.equations.acoustic_energy(state, self.grid.dx, self.grid.dy)
-
-    @property
-    def num_channels(self) -> int:
-        return NUM_CHANNELS
+    def _apply_boundary(self, fields: np.ndarray) -> None:
+        self._bc(EulerState(*fields))  # the stack's channels, as views
 
 
 @dataclass
 class FieldSimulation(SteppedSimulation):
     """Channel-agnostic run of any :class:`~repro.solver.Equation`.
 
-    The array twin of :class:`Simulation`: states are plain
-    ``(C, ny, nx)`` stacks, the boundary condition is one of the field
-    conditions (``periodic`` / ``neumann`` / ``dirichlet``) and the
-    integrator is either a generic explicit scheme (``rk4`` etc. — they
-    are duck-typed and advance arrays unchanged) or ``"strang"``, which
-    delegates to the equation's own split stepper (Allen-Cahn).
+    The array twin of :class:`Simulation`: the boundary condition is one
+    of the field conditions (``periodic`` / ``neumann`` / ``dirichlet``)
+    and the integrator is either a generic explicit scheme (``rk4``
+    etc.) or ``"strang"``, which delegates to the equation's own split
+    stepper (Allen-Cahn).
 
     :class:`Simulation` remains the paper-baseline Euler driver; this
     class is what the scenario registry uses for every non-Euler
@@ -256,48 +246,13 @@ class FieldSimulation(SteppedSimulation):
 
     def __post_init__(self) -> None:
         self._bc: FieldBoundaryCondition = get_field_boundary(self.boundary)
-        if self.integrator == "strang":
-            stepper = getattr(self.equation, "strang_step", None)
-            if stepper is None:
-                raise SolverError(
-                    f"integrator 'strang' needs a strang_step method on the "
-                    f"equation, which {type(self.equation).__name__} lacks"
-                )
-            self._step = None
-        else:
-            self._step = get_integrator(self.integrator)
-        self.dt = self.equation.stable_dt(self.grid.dx, self.grid.dy, self.cfl)
-
-    def _rhs(self, fields: np.ndarray) -> np.ndarray:
-        return self.equation.rhs_array(fields, self.grid.dx, self.grid.dy)
-
-    # -- SteppedSimulation hooks ---------------------------------------
-    def _step_once(self, fields: np.ndarray) -> np.ndarray:
-        if self._step is None:
-            fields = self.equation.strang_step(
-                fields, self.grid.dx, self.grid.dy, self.dt
-            )
-        else:
-            fields = self._step(fields, self._rhs, self.dt)
-        self._bc(fields)
-        return fields
-
-    def _prepare_initial(self, initial: np.ndarray) -> np.ndarray:
-        initial = np.asarray(initial, dtype=float)
-        expected = (self.equation.num_channels,) + self.grid.shape
-        if initial.shape != expected:
+        strang = self.integrator == "strang"
+        if strang and getattr(self.equation, "strang_step", None) is None:
             raise SolverError(
-                f"initial fields shape {initial.shape} does not match "
-                f"(channels,) + grid shape {expected}"
+                f"integrator 'strang' needs a strang_step method on the "
+                f"equation, which {type(self.equation).__name__} lacks"
             )
-        return self._bc(initial.copy())
+        self._bind(self.equation, None if strang else self.integrator)
 
-    def _is_finite(self, fields: np.ndarray) -> bool:
-        return bool(np.isfinite(fields).all())
-
-    def _energy(self, fields: np.ndarray) -> float:
-        return self.equation.energy(fields, self.grid.dx, self.grid.dy)
-
-    @property
-    def num_channels(self) -> int:
-        return self.equation.num_channels
+    def _apply_boundary(self, fields: np.ndarray) -> None:
+        self._bc(fields)

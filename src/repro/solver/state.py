@@ -22,9 +22,10 @@ NUM_CHANNELS: int = len(CHANNELS)
 class EulerState:
     """Perturbation fields ``p'``, ``rho'``, ``u'``, ``v'`` on a grid.
 
-    All arrays have shape ``(ny, nx)`` and share a dtype.  The class
-    supports the vector-space operations the Runge-Kutta integrators
-    need (addition, scalar multiplication).
+    All arrays have shape ``(ny, nx)`` and share a dtype.  The solver
+    steps the channel stack (:meth:`to_array`); a state built from the
+    channels of one stack (``EulerState(*stack)``) holds views of it,
+    which is how boundary conditions write into a stepped stack.
     """
 
     p: np.ndarray
@@ -68,32 +69,9 @@ class EulerState:
     def copy(self) -> "EulerState":
         return EulerState(self.p.copy(), self.rho.copy(), self.u.copy(), self.v.copy())
 
-    # ------------------------------------------------------------------
-    # Vector-space operations for time integrators
-    # ------------------------------------------------------------------
     @property
     def shape(self) -> tuple[int, int]:
         return self.p.shape
-
-    def __add__(self, other: "EulerState") -> "EulerState":
-        return EulerState(
-            self.p + other.p, self.rho + other.rho, self.u + other.u, self.v + other.v
-        )
-
-    def __mul__(self, scalar: float) -> "EulerState":
-        return EulerState(
-            self.p * scalar, self.rho * scalar, self.u * scalar, self.v * scalar
-        )
-
-    __rmul__ = __mul__
-
-    def axpy(self, alpha: float, other: "EulerState") -> "EulerState":
-        """In-place ``self += alpha * other`` (returns ``self``)."""
-        self.p += alpha * other.p
-        self.rho += alpha * other.rho
-        self.u += alpha * other.u
-        self.v += alpha * other.v
-        return self
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -150,3 +150,37 @@ class TestValidation:
             ddx(np.zeros((5, 2)), 0.1)
         with pytest.raises(SolverError):
             ddy(np.zeros((2, 5)), 0.1)
+
+
+class TestStacks:
+    """The flat-shift stencils wrap rows and cross channels only at edge
+    positions: a channel stack differentiates as its channels do."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_stack_equals_its_channels_bitwise(self, rng, order):
+        stack = rng.standard_normal((3, 9, 11))
+        for op, args in ((ddx, (0.1, order)), (ddy, (0.2, order)), (laplacian, (0.1, 0.2))):
+            whole = op(stack, *args)
+            for channel in range(3):
+                assert np.array_equal(whole[channel], op(stack[channel], *args)), op
+
+    def test_transposed_view_matches_the_other_axis(self, rng):
+        field = rng.standard_normal((9, 11))
+        assert np.array_equal(ddy(field.T, 0.1), ddx(field, 0.1).T)
+
+    def test_out_and_scratch_are_used_in_place(self, rng):
+        stack = rng.standard_normal((2, 8, 8))
+        out, scratch = np.empty_like(stack), np.empty_like(stack)
+        assert ddx(stack, 0.1, order=4, out=out, scratch=scratch) is out
+        assert np.array_equal(out, ddx(stack, 0.1, order=4))
+        assert laplacian(stack, 0.1, 0.1, out=out, scratch=scratch) is out
+        assert np.array_equal(out, laplacian(stack, 0.1, 0.1))
+
+    def test_laplacian_edges_are_exactly_zero(self, rng):
+        result = laplacian(rng.standard_normal((2, 7, 9)), 0.1, 0.1)
+        for edge in (result[:, 0], result[:, -1], result[:, :, 0], result[:, :, -1]):
+            assert not np.signbit(edge).any() and not edge.any()
+
+    def test_strided_out_is_rejected(self):
+        with pytest.raises(SolverError, match="C-contiguous"):
+            ddx(np.zeros((8, 8)), 0.1, out=np.empty((8, 16))[:, ::2])

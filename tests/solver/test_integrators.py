@@ -1,30 +1,35 @@
 """Time-integrator order-of-accuracy tests.
 
-The integrators operate on EulerState; to test temporal order we embed
-the scalar ODE q' = lambda*q in the pressure field (RHS ignores space).
+The integrators advance a ``(C, ny, nx)`` stack in place; to test
+temporal order we step the scalar ODE q' = lambda*q in every element
+(the RHS ignores space).
 """
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.solver import EulerState, euler_step, get_integrator, heun_step, rk4_step
+from repro.solver import euler_step, get_integrator, heun_step, rk4_step
+from repro.solver.time_integrators import STAGES
 
 LAMBDA = -1.3
 
 
-def scalar_rhs(state: EulerState) -> EulerState:
-    return EulerState(
-        LAMBDA * state.p, LAMBDA * state.rho, LAMBDA * state.u, LAMBDA * state.v
-    )
+def scalar_rhs(fields: np.ndarray, out: np.ndarray) -> None:
+    np.multiply(fields, LAMBDA, out=out)
+
+
+def stages_for(state: np.ndarray) -> np.ndarray:
+    return np.empty((STAGES,) + state.shape)
 
 
 def integrate(step, dt, steps):
-    state = EulerState.zeros((3, 3))
-    state.p[...] = 1.0
+    state = np.zeros((4, 3, 3))
+    state[0] = 1.0
+    stages = stages_for(state)
     for _ in range(steps):
-        state = step(state, scalar_rhs, dt)
-    return state.p[0, 0]
+        step(state, scalar_rhs, dt, stages)
+    return state[0, 0, 0]
 
 
 def observed_order(step):
@@ -55,22 +60,30 @@ class TestOrders:
 
 class TestAllFields:
     def test_all_channels_advanced(self, rng):
-        state = EulerState.zeros((3, 3))
-        state.p[...] = 1.0
-        state.rho[...] = 2.0
-        state.u[...] = -1.0
-        state.v[...] = 0.5
-        out = rk4_step(state, scalar_rhs, 0.1)
-        factor = out.p[0, 0] / 1.0
-        assert np.isclose(out.rho[0, 0] / 2.0, factor)
-        assert np.isclose(out.u[0, 0] / -1.0, factor)
-        assert np.isclose(out.v[0, 0] / 0.5, factor)
+        state = np.empty((4, 3, 3))
+        state[0], state[1], state[2], state[3] = 1.0, 2.0, -1.0, 0.5
+        rk4_step(state, scalar_rhs, 0.1, stages_for(state))
+        factor = state[0, 0, 0] / 1.0
+        assert np.isclose(state[1, 0, 0] / 2.0, factor)
+        assert np.isclose(state[2, 0, 0] / -1.0, factor)
+        assert np.isclose(state[3, 0, 0] / 0.5, factor)
 
-    def test_step_does_not_mutate_input(self):
-        state = EulerState.zeros((3, 3))
-        state.p[...] = 1.0
-        rk4_step(state, scalar_rhs, 0.1)
-        assert np.allclose(state.p, 1.0)
+    @pytest.mark.parametrize("step", [euler_step, heun_step, rk4_step])
+    def test_step_does_not_mutate_input(self, step):
+        """The state is written once, after the last stage: every RHS
+        call sees the input unchanged and writes a buffer it does not
+        read."""
+        state = np.ones((4, 3, 3))
+        calls = []
+
+        def watching_rhs(fields, out):
+            calls.append(np.shares_memory(fields, out))
+            assert np.allclose(state, 1.0)
+            scalar_rhs(fields, out)
+
+        step(state, watching_rhs, 0.1, stages_for(state))
+        assert calls and not any(calls)
+        assert not np.allclose(state, 1.0)
 
 
 class TestRegistry:

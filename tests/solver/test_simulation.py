@@ -1,5 +1,7 @@
 """Simulation-driver tests (the Ateles stand-in's system behaviour)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,38 @@ class TestRunMechanics:
             sim.run(state, num_snapshots=0)
         with pytest.raises(SolverError):
             sim.run(state, num_snapshots=2, steps_per_snapshot=0)
+
+
+class TestWarmStep:
+    def test_warm_advance_allocates_no_field(self):
+        """Once this thread's stage buffers are bound, RK4 steps the
+        stack in place: five steps into ``out`` allocate less than one
+        ``(4, 64, 64)`` field, whatever the boundary condition, stencil
+        order or background flow."""
+        field_bytes = 4 * 64 * 64 * 8
+        grid = UniformGrid2D.square(64)
+        flow = LinearizedEuler(Background(u_c=0.3, v_c=-0.2), order=4)
+        configurations = [
+            *({"boundary": name} for name in ("outflow", "reflecting", "periodic", "sponge")),
+            {"equations": flow},
+        ]
+        for configuration in configurations:
+            sim = Simulation(grid, **configuration)
+            state = paper_initial_condition(grid).to_array()
+            out = np.empty_like(state)
+            sim.advance(state, 1, out=out)  # binds the workspace
+            was_tracing = tracemalloc.is_tracing()
+            if not was_tracing:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                sim.advance(state, 5, out=out)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+            assert peak < field_bytes, (configuration, peak)
 
 
 class TestPhysics:

@@ -39,24 +39,6 @@ class TestConstruction:
 
 
 class TestVectorSpace:
-    def test_add(self, rng):
-        a = EulerState.from_array(rng.standard_normal((4, 3, 3)))
-        b = EulerState.from_array(rng.standard_normal((4, 3, 3)))
-        assert np.allclose((a + b).to_array(), a.to_array() + b.to_array())
-
-    def test_scalar_mul_both_sides(self, rng):
-        a = EulerState.from_array(rng.standard_normal((4, 3, 3)))
-        assert np.allclose((a * 2.0).to_array(), 2.0 * a.to_array())
-        assert np.allclose((2.0 * a).to_array(), 2.0 * a.to_array())
-
-    def test_axpy_in_place(self, rng):
-        a = EulerState.from_array(rng.standard_normal((4, 3, 3)))
-        b = EulerState.from_array(rng.standard_normal((4, 3, 3)))
-        expected = a.to_array() + 0.5 * b.to_array()
-        result = a.axpy(0.5, b)
-        assert result is a
-        assert np.allclose(a.to_array(), expected)
-
     def test_copy_independent(self):
         a = EulerState.zeros((3, 3))
         b = a.copy()

@@ -168,17 +168,29 @@ class TestEnsembleStepper:
         assert np.array_equal(stepper.advance(state), expected)
         assert not np.array_equal(EnsembleStepper([model]).advance(state), expected)
 
-    @pytest.mark.parametrize("pgrid", [(1, 1), (2, 2)], ids=["lazy-1x1", "2x2"])
+    @pytest.mark.parametrize(
+        "pgrid", [(1, 1), (2, 2), None], ids=["lazy-1x1", "2x2", "simulation"]
+    )
     def test_threads_sharing_one_stepper_get_their_own_scratch(self, pgrid):
         """More rank threads than cores advance through one stepper (the
-        1 x 1 case also builds its decomposition inside the race)."""
-        reference, state = ensemble_case(pgrid, "float64")
+        1 x 1 case also builds its decomposition inside the race; the
+        Euler simulation binds its stage buffers inside it)."""
+        if pgrid is None:
+            build, per_thread = partial(simulation_case, "euler-gaussian"), 1
+        else:
+            build, per_thread = partial(ensemble_case, pgrid, "float64"), pgrid[0] * pgrid[1]
+        reference, state = build()
         expected = reference.advance(state, 3)
-        stepper, _ = ensemble_case(pgrid, "float64")  # same weights; first called in a thread
+        stepper, _ = build()  # same weights; first called in a thread
+
+        def scratch():
+            if pgrid is None:
+                return [stepper._workspace().stages]
+            return [unit.plan for unit in stepper._units()]
 
         def program(comm):
             results = [stepper.advance(state, 3) for _ in range(5)]
-            return all(np.array_equal(r, expected) for r in results), list(stepper._units())
+            return all(np.array_equal(r, expected) for r in results), scratch()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -187,5 +199,5 @@ class TestEnsembleStepper:
         finally:
             sys.setswitchinterval(interval)
         assert all(equal for equal, _ in outputs)
-        units = [unit for _, theirs in outputs for unit in theirs]
-        assert len({id(unit.plan) for unit in units}) == 5 * pgrid[0] * pgrid[1]  # none shared
+        buffers = [buffer for _, theirs in outputs for buffer in theirs]
+        assert len({id(buffer) for buffer in buffers}) == 5 * per_thread  # none shared
