@@ -91,7 +91,7 @@ class SteppedSimulation:
     _equation: Equation
     _local: threading.local
 
-    def _bind(self, equation: Equation, integrator: str | None) -> None:
+    def _setup(self, equation: Equation, integrator: str | None) -> None:
         self._equation = equation
         self._step = None if integrator is None else get_integrator(integrator)
         self._local = threading.local()
@@ -217,7 +217,7 @@ class Simulation(SteppedSimulation):
 
     def __post_init__(self) -> None:
         self._bc: BoundaryCondition = get_boundary_condition(self.boundary)
-        self._bind(self.equations, self.integrator)
+        self._setup(self.equations, self.integrator)
 
     def _apply_boundary(self, fields: np.ndarray) -> None:
         self._bc(EulerState(*fields))  # the stack's channels, as views
@@ -252,7 +252,7 @@ class FieldSimulation(SteppedSimulation):
                 f"integrator 'strang' needs a strang_step method on the "
                 f"equation, which {type(self.equation).__name__} lacks"
             )
-        self._bind(self.equation, None if strang else self.integrator)
+        self._setup(self.equation, None if strang else self.integrator)
 
     def _apply_boundary(self, fields: np.ndarray) -> None:
         self._bc(fields)
