@@ -274,10 +274,12 @@ class PararealDriver:
                     "parareal.correct", cat="parareal", slice=rank, sweep=sweep
                 ):
                     # The Parareal correction — REP015 confines this
-                    # arithmetic to this module.
-                    np.subtract(
-                        coarse_new + fine_end, coarse_end, out=window[sweep, rank + 1]
-                    )
+                    # arithmetic to this module — as F + (G_new - G_old):
+                    # the difference is exactly 0 once a slice start has
+                    # converged, so F survives even where |G| >> |F|.
+                    corrected = window[sweep, rank + 1]
+                    np.subtract(coarse_new, coarse_end, out=corrected)
+                    np.add(fine_end, corrected, out=corrected)
                 chain.post(rank)
                 slice_start = corrected_start
                 coarse_end = coarse_new

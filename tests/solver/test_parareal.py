@@ -80,6 +80,16 @@ class FineAsCoarse:
         )
 
 
+class IdentityStepper:
+    """G(U) = U: the roughest coarse propagator there is."""
+
+    def advance(self, state, num_steps=1, out=None):
+        if out is None:
+            return np.array(state, dtype=float)
+        np.copyto(out, state)
+        return out
+
+
 def reference_parareal(simulation, coarse, config, initial):
     """The recurrence the ranks run, as two nested loops (sweeps x
     slices) over the same operators: ``(states, iterations, converged,
@@ -99,7 +109,7 @@ def reference_parareal(simulation, coarse, config, initial):
             fine_end = simulation.advance(previous[n], config.fine_steps_per_slice)
             delta = max(delta, _relative_delta(states[n], previous[n]))
             coarse_new = coarse.advance(states[n], config.coarse_steps)
-            states[n + 1] = coarse_new + fine_end - coarse_end[n]
+            states[n + 1] = fine_end + (coarse_new - coarse_end[n])
             coarse_end[n] = coarse_new
         deltas.append(delta)
         if delta <= config.tolerance:
@@ -203,6 +213,34 @@ class TestConvergence:
         assert result.converged
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(result.states - reference)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "coarse,coarse_steps,fine_steps_per_coarse",
+        [("identity", 8, 5), (2.0, 8, 4), (2.5, 40, 5)],
+        ids=["identity", "solver-cfl-2.0", "solver-cfl-2.5"],
+    )
+    def test_exact_after_slices_sweeps(self, coarse, coarse_steps, fine_steps_per_coarse):
+        """The exactness property, whatever G is: after ``slices`` sweeps
+        every slice state is the serial fine one.  G is the identity, or
+        the solver at a coarser CFL — stable at 2.0, unstable at 2.5,
+        where 40 steps grow |G| to ~1e4 and a correction that sums G
+        before F rounds F away (error 1e-11, ``converged`` all the
+        same)."""
+        spec = get_scenario("euler-gaussian")
+        grid = build_grid(spec, 16)
+        simulation = build_simulation(spec, grid)
+        initial = build_initial_state(spec, grid).to_array()
+        operator = IdentityStepper() if coarse == "identity" else build_simulation(
+            spec, grid, cfl=coarse
+        )
+        config = PararealConfig(
+            slices=4, tolerance=1e-14, coarse_steps=coarse_steps,
+            fine_steps_per_coarse=fine_steps_per_coarse,
+        )  # fmt: skip
+        result = PararealDriver(simulation, operator, config).solve(initial)
+        reference = serial_fine(simulation, initial, config)
+        assert result.iterations <= config.slices
+        assert _relative_delta(result.states, reference) <= 1e-12
 
     def test_work_accounting(self):
         simulation, initial, num_channels = scenario_setup("allen-cahn")
