@@ -58,7 +58,7 @@ from ..obs import trace
 from ..obs.log import get_logger
 from ..solver.simulation import Stepper
 from ..tensor import Tensor, no_grad, perf
-from ..tensor.blocked import StripForward
+from ..tensor.blocked import StripForward, leaky_relu_inplace
 from ..tensor.im2col import conv_output_size, scatter_patches
 from ..tensor.precision import default_dtype
 from ..tensor.workspace import Workspace
@@ -155,21 +155,14 @@ class _LeakyStep:
     def __init__(self, index: int, slope: float) -> None:
         self.index = index
         self.slope = slope
-        # max(z, slope*z) for slope <= 1, min above: either picks the
-        # op's z * where(z >= 0, 1, slope) bit for bit.
-        self._bound = np.maximum if slope <= 1.0 else np.minimum
         self._buffers: list[np.ndarray] = []
 
     def apply(self, x: np.ndarray, ws: Workspace, dtype: np.dtype, timed: bool) -> np.ndarray:
         if not self._buffers or self._buffers[0].shape != x.shape:
-            names = (f"plan.leaky{self.index}.out", f"plan.leaky{self.index}.scaled")
-            self._buffers = [ws.request(name, x.shape, dtype) for name in names]
+            self._buffers = list(ws.request(f"plan.leaky{self.index}", (2, *x.shape), dtype))
         out, scaled = self._buffers
         np.copyto(out, x)  # also casts a foreign-dtype input
-        # Dense vector ops: several times faster than NumPy's buffered
-        # where= path.
-        np.multiply(out, self.slope, out=scaled)
-        self._bound(out, scaled, out=out)
+        leaky_relu_inplace(out, self.slope, scaled)  # the op's product, bit for bit
         return out
 
 
@@ -204,9 +197,15 @@ class _ConvTransposeStep:
         np.copyto(xmat.reshape(n, h, w, c), x.transpose(0, 2, 3, 1))
         np.matmul(xmat, weight.reshape(c, f * k * k), out=cols)
         padded.fill(0)  # the scatter accumulates
-        scatter_patches(cols, padded, (k, k), (s, s))
-        if layer.bias is not None:
-            out += layer.bias.data[None, :, None, None]
+        # Strided windows and a broadcast bias: NumPy buffers each add,
+        # 8192 elements an operand by default, more than a small block.
+        bufsize = np.setbufsize(256)
+        try:
+            scatter_patches(cols, padded, (k, k), (s, s))
+            if layer.bias is not None:
+                out += layer.bias.data[None, :, None, None]
+        finally:
+            np.setbufsize(bufsize)
         return out
 
 

@@ -17,12 +17,15 @@ stack of GEMM operands, consumed while cache-hot:
   ``conv2d`` with or without autograd and by
   :class:`~repro.core.inference.InferencePlan`: one stacked ``matmul``
   per strip, a ``(F, K) @ (K, OW)`` GEMM per output row landing in the
-  ``(F, rows, OW)`` slab of the ``(N, F, OH, OW)`` result (no
-  GEMM-output buffer, no transposed copy), then the leaky-ReLU on that
-  slab.  Per strip that is ``copyto`` → ``matmul(out=)`` → ``multiply``
-  → ``maximum`` (``minimum`` for a slope above 1) and nothing else; in
-  training the epilogue also writes the slab's activation derivative,
-  which the backward keeps instead of the pre-activation.  A biased
+  strip's ``(F, rows, OW)`` rows of the ``(N, F, OH, OW)`` result (no
+  transposed copy).  With the leaky-ReLU, the GEMMs land in a small
+  contiguous work strip instead and the epilogue runs there — a
+  strided operand costs NumPy iterator buffers on every call and runs
+  at less than half the speed: per strip ``copyto`` → ``matmul(out=)``
+  → ``multiply`` → ``maximum`` (``minimum`` for a slope above 1) →
+  ``copyto`` into the result and nothing else.  Training adds one
+  comparison, writing ``z >= 0`` into a bool mask which the backward
+  keeps, one byte per element, instead of the pre-activation.  A biased
   forward carries the bias as one more tap per strip-buffer row (a
   constant 1.0, written when the strip is bound, against the bias at
   ``dy = 0`` and zero at ``dy > 0`` in the repacked weights), so the
@@ -42,11 +45,10 @@ executes a fixed loop of NumPy calls over it; the op runs each strip as
 it is bound, an ``InferencePlan`` keeps the views and re-runs them.
 The result may be the interior of a zero-bordered buffer — the next
 conv's padded input, which then needs no pad copy: the GEMMs write the
-interior through their leading dimension, and the activation sweeps
-the whole padded rows, which are contiguous, leaving the border 0
-because ``leaky(0) = 0`` and no bias pass touches it (a training
-epilogue, which also writes an interior-sized derivative, runs on the
-interior columns).  Strips fill
+interior through their leading dimension, and an activated strip is
+copied out as whole padded rows, the work strip's border columns 0
+because ``leaky(0) = 0`` and no bias pass touches them (a training
+mask, bordered like the result, takes the same rows).  Strips fill
 1 MiB in forward-only calls (the plan, the no-grad op) and 512 KiB in
 training, whose weight gradient is slower at 1 MiB; the bias tap
 counts in the budget.
@@ -79,12 +81,15 @@ __all__ = [
     "bordered_buffer",
     "conv2d_forward_blocked",
     "conv2d_weight_grad_blocked",
+    "leaky_relu_inplace",
 ]
 
-#: ``(shifts, strip, operand, slab, gemm_out, scratch)`` of one bound
-#: strip; ``scratch`` is the epilogue's slab-sized second operand (the
-#: derivative's slab in training), ``None`` without an activation.
-_Strip = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
+#: ``(shifts, strip, operand, gemm_out, epilogue)`` of one bound strip;
+#: with an activation ``epilogue`` is the contiguous strip the GEMMs
+#: wrote, its scratch twin, the output rows it goes to and, in training,
+#: a bool strip and the mask rows it goes to (else ``None``, ``None``).
+_Epilogue = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
+_Strip = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _Epilogue | None]
 
 #: Strip buffer budgets, forward-only and training: ``rows + kh - 1``
 #: input rows of ``C*kw*OW`` elements, written once and read ``kh``
@@ -121,6 +126,21 @@ def bordered_buffer(
     else:
         padded = workspace.request(f"{slot}.{bh}x{bw}", padded_shape, dtype)
     return padded, padded[:, :, bh : bh + h, bw : bw + w]
+
+
+def leaky_relu_inplace(z: np.ndarray, slope: float, scaled: np.ndarray) -> None:
+    """Overwrite ``z`` with ``z * where(z >= 0, 1, slope)``, the standalone
+    op's product, bit for bit, in two dense passes through the same-shape
+    ``scaled``: ``max(z, slope*z)`` (``min`` for a slope above 1) keeps
+    ``z >= 0`` untouched and picks the same product below it.  A zero
+    slope multiplies by ``z >= 0`` instead, since ``0 * inf`` would make
+    ``max(inf, 0*inf)`` NaN."""
+    if slope == 0.0:
+        np.greater_equal(z, 0.0, out=scaled)
+        np.multiply(z, scaled, out=z)
+    else:
+        np.multiply(z, slope, out=scaled)
+        (np.minimum if slope > 1.0 else np.maximum)(z, scaled, out=z)
 
 
 def patch_strips(
@@ -189,9 +209,10 @@ class StripForward:
     ``out`` is the ``(N, F, OH, OW)`` result or a zero-bordered ``(N, F,
     OH + 2*bh, OW + 2*bw)`` buffer whose interior receives it, border
     kept 0 (see the module docstring); ``biased`` binds the bias tap.
-    ``derivative``, an ``(N, F, OH, OW)`` array (training, with a
-    ``slope``), receives the activation's ``where(z >= 0, 1, slope)``;
-    that epilogue runs on the slab's interior columns only.
+    With a ``slope`` the GEMMs write a contiguous work strip of whole
+    padded rows, whose border columns are zeroed here, once; ``mask``, a
+    bool array shaped like ``out`` (training), receives ``z >= 0`` on
+    the same rows.
     """
 
     def __init__(
@@ -205,12 +226,13 @@ class StripForward:
         workspace: Workspace | None,
         slot: str,
         training: bool = False,
-        derivative: np.ndarray | None = None,
+        mask: np.ndarray | None = None,
     ) -> None:
         (kh, kw), (ph, pw), dtype = kernel, padding, out.dtype
         _, c, h, w = x.shape
         oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-        f, bh, bw = out.shape[1], (out.shape[2] - oh) // 2, (out.shape[3] - ow) // 2
+        f, wp = out.shape[1], out.shape[3]
+        bh, bw = (out.shape[2] - oh) // 2, (wp - ow) // 2
         result = out[:, :, bh : bh + oh, bw : bw + ow]
         source, self.interior = x, None
         if ph or pw:  # x is copied into the interior on every execute
@@ -226,28 +248,30 @@ class StripForward:
         self.taps = taps[:, :, : c * kw].reshape(f, kh, c, kw)
         self.bias = taps[:, 0, c * kw] if biased else None
         self.wmat = taps.reshape(f, kh * width)
-        self.slope, self.out, self.derivative = slope, out, derivative
-        # z * where(z >= 0, 1, slope) is max(z, slope*z) for slope <= 1
-        # and min(z, slope*z) above: whichever picks z where z >= 0.
-        self.steep = slope is not None and slope > 1.0
-        self.bound = np.minimum if self.steep else np.maximum
-        scaled = None
-        if slope is not None and derivative is None:
-            scaled = scratch(workspace, f"{slot}.scaled", (f, rows, out.shape[3]), dtype)
+        self.slope, self.out = slope, out
+        if slope is not None:
+            # (F, rows, wp) strips, flat so a ragged one is a contiguous
+            # prefix; every reshape keeps a column at the same offset.
+            size = (f * rows * wp,)
+            work, scaled = scratch(workspace, f"{slot}.work", (2, *size), dtype)
+            flags = None if mask is None else scratch(workspace, f"{slot}.mask", size, bool)
+            work.reshape(-1, wp)[:, :bw], work.reshape(-1, wp)[:, bw + ow :] = 0.0, 0.0
 
         def strips() -> Iterator[_Strip]:
             for image, r0, r1, shifts, strip, stack in patch_strips(
                 source, kernel, rows, dtype, workspace, slot, bias_tap=biased
             ):
-                # The GEMMs' interior, and the activation's whole rows
-                # (interior columns, beside an interior-sized derivative).
-                gemm_out = result[image, :, r0:r1, :].transpose(1, 0, 2)
-                if derivative is not None:
-                    slab, sub = result[image, :, r0:r1, :], derivative[image, :, r0:r1, :]
-                else:
-                    slab = out[image, :, bh + r0 : bh + r1, :]
-                    sub = None if scaled is None else scaled[:, : r1 - r0, :]
-                yield shifts, strip, stack, slab, gemm_out, sub
+                if slope is None:  # the GEMMs write the result's interior
+                    gemm_out = result[image, :, r0:r1].transpose(1, 0, 2)
+                    yield shifts, strip, stack, gemm_out, None
+                    continue
+                rows_out, m = np.s_[image, :, bh + r0 : bh + r1], f * (r1 - r0) * wp
+                block = work[:m].reshape(f, r1 - r0, wp)
+                epilogue = (block, scaled[:m].reshape(block.shape), out[rows_out], None, None)
+                if flags is not None and mask is not None:
+                    epilogue = epilogue[:3] + (flags[:m].reshape(block.shape), mask[rows_out])
+                gemm_out = block[:, :, bw : bw + ow].transpose(1, 0, 2)
+                yield shifts, strip, stack, gemm_out, epilogue
 
         self.strips: Iterable[_Strip] = strips()
 
@@ -259,11 +283,10 @@ class StripForward:
         ``out``.  ``timing`` (the perf flag, read once by the caller)
         records ``im2col`` and ``conv2d.leaky_relu`` per call.
 
-        Without a derivative the activation is ``max(z, slope * z)``
-        (``min`` for ``slope > 1``), bit-identical to the standalone op's
-        ``z * where(z >= 0, 1, slope)``: ``z >= 0`` is picked untouched,
-        ``z < 0`` gives the same product.  With one, the epilogue writes
-        that ``where`` array exactly and multiplies by it, as the op does.
+        The activation is :func:`leaky_relu_inplace` on the contiguous
+        work strip, bit-identical to the standalone op; training adds one
+        comparison before it, into a contiguous bool strip, and a
+        ``copyto`` each writes the two out.
         """
         # Perf off: ``float()`` is 0.0, a no-op clock in the same calls.
         clock: Callable[[], float] = time.perf_counter if timing else float
@@ -273,40 +296,29 @@ class StripForward:
         np.copyto(self.taps, weight.transpose(0, 2, 1, 3))
         if self.bias is not None:
             np.copyto(self.bias, bias)
-        wmat, slope, bound, steep = self.wmat, self.slope, self.bound, self.steep
-        with_derivative = self.derivative is not None
+        wmat, slope = self.wmat, self.slope
         copy_s = epilogue_s = 0.0
-        for shifts, strip, stack, slab, gemm_out, scaled in self.strips:
+        for shifts, strip, stack, gemm_out, epilogue in self.strips:
             tick = clock()
             np.copyto(strip, shifts)
             copy_s += clock() - tick
             # One (F, K) @ (K, OW) GEMM per output row, looped by NumPy
-            # in C, each landing in its row of the strip's (F, rows, OW)
-            # block of the result: rows of one GEMM's output are a
-            # whole (padded) plane apart, which BLAS takes as a leading
-            # dimension.  The bias tap makes this the pre-activation.
+            # in C, each landing in its row of an (F, rows, OW) block:
+            # rows of one GEMM's output are a whole plane apart, which
+            # BLAS takes as a leading dimension.  The bias tap makes
+            # this the pre-activation.
             np.matmul(wmat, stack, out=gemm_out)
-            if scaled is None:
+            if epilogue is None:
                 continue
-            # Contiguous whole-row inner loops on the cache-hot slab;
-            # dense vector ops beat NumPy's buffered where=-masked
-            # multiply several times over.
+            # Dense inner loops on the cache-hot contiguous strip: a
+            # strided operand would cost NumPy's iterator buffers.
             tick = clock()
-            if with_derivative:
-                # where(z >= 0, 1, slope) exactly: the comparison's {1, 0}
-                # (NaN compares false), max with the slope, or when steep
-                # 1 - d -> {0, slope} -> max with 1; then z times it.
-                np.greater_equal(slab, 0.0, out=scaled)
-                if steep:
-                    np.subtract(1.0, scaled, out=scaled)
-                    np.multiply(scaled, slope, out=scaled)
-                    np.maximum(scaled, 1.0, out=scaled)
-                else:
-                    np.maximum(scaled, slope, out=scaled)
-                np.multiply(slab, scaled, out=slab)
-            else:
-                np.multiply(slab, slope, out=scaled)
-                bound(slab, scaled, out=slab)
+            work, scaled, rows_out, flags, mask_rows = epilogue
+            if flags is not None:
+                np.greater_equal(work, 0.0, out=flags)
+                np.copyto(mask_rows, flags)
+            leaky_relu_inplace(work, slope, scaled)
+            np.copyto(rows_out, work)
             epilogue_s += clock() - tick
         if timing:
             perf.record_call("im2col", copy_s)
@@ -327,7 +339,7 @@ def conv2d_forward_blocked(
     out: np.ndarray | None = None,
     slot_prefix: str = "conv2d.blocked",
     training: bool = False,
-    derivative: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Strip-mined stride-1 conv2d forward; nothing is kept for a backward pass.
 
@@ -338,9 +350,9 @@ def conv2d_forward_blocked(
     zero-bordered buffer ``2*bh`` rows and ``2*bw`` columns larger whose
     interior receives it (the caller zeroed the border) — any other is
     refused, not cast into.  ``training`` selects the training strip
-    budget, and ``derivative``, an ``(N, F, OH, OW)`` array, receives the
-    activation's ``where(z >= 0, 1, negative_slope)`` (the autograd path
-    keeps it for backward).  Returns ``out``, C-contiguous.
+    budget, and ``mask``, a bool array shaped like ``out``, receives the
+    pre-activation's ``z >= 0`` (the autograd path keeps it for
+    backward).  Returns ``out``, C-contiguous.
     """
     n, _, h, w = x.shape
     f, _, kh, kw = weight.shape
@@ -362,7 +374,7 @@ def conv2d_forward_blocked(
     slope = None if activation is None else negative_slope
     forward = StripForward(
         x, out, (kh, kw), padding, bias is not None, slope, workspace, slot_prefix,
-        training, derivative,
+        training, mask,
     )  # fmt: skip
     return forward.execute(x, weight, bias, perf.perf_enabled())
 

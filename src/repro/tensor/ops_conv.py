@@ -11,18 +11,18 @@ autograd:
   reads the ``kh`` row shifts through strides, one GEMM per output
   row.  The bias is one more tap of that GEMM, with and without
   autograd, so per strip the forward is ``copyto`` → ``matmul(out=)``
-  and the fused activation's ``multiply`` → ``maximum``, which under
-  autograd also writes the activation's derivative; the backward
-  closure retains only the parents' arrays and, with ``activation``,
-  that one output-sized derivative — never the pre-activation.
-  The backward *redraws* each strip for the weight gradient and
-  obtains the input gradient as a correlation of the
+  and the fused activation's ``multiply`` → ``maximum`` → ``copyto``,
+  to which autograd adds one comparison: ``z >= 0`` into a bool mask.
+  The backward closure retains only the parents' arrays and, with
+  ``activation``, that mask — one byte per output element, never the
+  pre-activation.  The backward *redraws* each strip for the weight
+  gradient and obtains the input gradient as a correlation of the
   ``(k-1-p)``-padded output gradient with the flipped, channel-swapped
   weights through the same forward kernel — no column gradient, no
   ``col2im``.  The chain-rule multiply writes the output gradient
-  straight into that padded source, so there is no gradient scratch
-  and no pad copy.  Live memory per layer is O(input + output) instead
-  of O(N*OH*OW*C*kh*kw).
+  straight into that padded source, the calling thread's one warm
+  gradient buffer, so there is no pad copy.  Live memory per layer is
+  O(input + output) instead of O(N*OH*OW*C*kh*kw).
 * **everything else** (:func:`conv2d_reference`) — monolithic im2col +
   one GEMM, backward through the cached patch matrix and
   :func:`~repro.tensor.im2col.col2im`, allocate-per-call.  Serves
@@ -55,10 +55,11 @@ into the op (the bias is already in the GEMM on the strip path, and a
 separate add on the reference path); the paper's network runs it for
 every conv a ``LeakyReLU`` follows, in training and evaluation alike.
 Fused and unfused are bit-identical on every path and for every slope
->= 0: the forward multiplies by the exact ``where(z >= 0, 1, slope)``
-array the standalone op would build (the no-grad strip epilogue's
-``max(z, slope*z)``, ``min`` for ``slope > 1``, equals that product),
-and the backward scales gradients with that same array.
+>= 0: the forward's product equals the standalone op's ``z *
+where(z >= 0, 1, slope)`` (the strip epilogue's ``max(z, slope*z)``,
+``min`` for ``slope > 1``, ``z * (z >= 0)`` for slope 0, see
+:func:`~repro.tensor.blocked.leaky_relu_inplace`), and the backward
+scales gradients with that same array, rebuilt exactly from the mask.
 """
 
 from __future__ import annotations
@@ -69,16 +70,16 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, ShapeError
 from . import autograd, perf
-from .blocked import bordered_buffer, conv2d_forward_blocked, conv2d_weight_grad_blocked
+from .blocked import conv2d_forward_blocked, conv2d_weight_grad_blocked
 from .im2col import col2im, conv_output_size, im2col
 from .tensor import Tensor, ensure_tensor, register_op
-from .workspace import get_workspace
+from .workspace import get_workspace, scratch
 
 #: Arena slot namespaces of the no-grad and the autograd strip path.
 #: Forward and backward share the latter: every buffer is dead when its
-#: kernel returns, except the input gradient's zero-bordered source
-#: (``.gsrc``), which lives across the backward's two kernels and which
-#: neither touches.
+#: kernel returns, except the output gradient's source (``.gsrc``),
+#: which lives across the backward's two kernels and which neither
+#: touches.
 _FORWARD_SLOTS, _TRAIN_SLOTS = "conv2d.blocked", "conv2d.train"
 
 
@@ -148,14 +149,12 @@ def conv2d(
     dtype = np.result_type(tx.dtype, tw.dtype)
     bh, bw = _pair(border)
     out = np.empty((n, f, shape[2] + 2 * bh, shape[3] + 2 * bw), dtype)
-    # The one place a border is zeroed, and so the one place it is marked.
-    out[:, :, :bh], out[:, :, shape[2] + bh :] = 0.0, 0.0
-    out[:, :, :, :bw], out[:, :, :, shape[3] + bw :] = 0.0, 0.0
+    _zero_border(out, shape)  # the one place a border is marked
     source, source_padding = _chained_source(tx, padding)
     training = autograd.grad_enabled() and any(p.requires_grad for p in parents)
-    # where(z >= 0, 1, slope), written by the training epilogue while
-    # each slab is cache-hot; the backward keeps it.
-    act_scale = np.empty(shape, dtype) if training and activation is not None else None
+    # z >= 0, written by the training epilogue on the output's rows
+    # while each strip is cache-hot; the backward keeps its interior.
+    mask = np.empty(out.shape, bool) if training and activation is not None else None
     with perf.timed("conv2d"):
         conv2d_forward_blocked(
             source,
@@ -168,11 +167,14 @@ def conv2d(
             out=out,
             slot_prefix=_TRAIN_SLOTS if training else _FORWARD_SLOTS,
             training=training,
-            derivative=act_scale,
+            mask=mask,
         )
     interior = _interior(out, shape)
     if training:
-        backward = _strip_backward(tx, tw, tb, source, source_padding, padding, act_scale)
+        backward = _strip_backward(
+            tx, tw, tb, source, source_padding, padding,
+            None if mask is None else _interior(mask, shape), dtype.type(negative_slope),
+        )  # fmt: skip
         result = Tensor.from_op(interior, parents, backward, "conv2d")
     else:
         result = Tensor(interior)
@@ -185,6 +187,13 @@ def _interior(padded: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The centred ``(N, C, H, W)`` ``shape`` window of ``padded``."""
     bh, bw = (padded.shape[2] - shape[2]) // 2, (padded.shape[3] - shape[3]) // 2
     return padded[:, :, bh : bh + shape[2], bw : bw + shape[3]]
+
+
+def _zero_border(padded: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Zero ``padded`` around its centred ``shape`` window."""
+    bh, bw = (padded.shape[2] - shape[2]) // 2, (padded.shape[3] - shape[3]) // 2
+    padded[:, :, :bh], padded[:, :, shape[2] + bh :] = 0.0, 0.0
+    padded[:, :, :, :bw], padded[:, :, :, shape[3] + bw :] = 0.0, 0.0
 
 
 def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
@@ -216,40 +225,56 @@ def _strip_backward(
     source: np.ndarray,
     source_padding: tuple[int, int],
     padding: tuple[int, int],
-    act_scale: np.ndarray | None,
+    mask: np.ndarray | None,
+    slope: np.floating,
 ) -> Callable[[np.ndarray], tuple[np.ndarray | None, ...]]:
     """The backward of a strip-path ``conv2d`` whose forward cut its
     strips from ``source`` (``tx``'s data, or the zero-bordered buffer a
     leading conv wrote it into, with ``source_padding`` 0) and, with an
-    activation, wrote the derivative ``act_scale``.
+    activation of ``slope`` (in the forward's dtype, as the standalone
+    op rounds it), wrote the pre-activation's ``z >= 0`` into ``mask``.
 
-    The chain-rule multiply writes the output gradient straight into
-    the interior of the input-gradient correlation's zero-bordered
-    source (arena slot ``conv2d.train.gsrc.{qh}x{qw}``, ``q = k - 1 -
-    p``): the weight gradient copies it strip by strip, the correlation
-    reads it as a valid convolution, and neither needs a gradient
-    scratch or a pad copy.  The three gradients are freshly allocated.
+    The chain-rule multiply writes the output gradient into the calling
+    thread's one gradient source (slot ``conv2d.train.gsrc``), bordered
+    by ``q = k - 1 - p`` zeros when ``tx`` needs a gradient: the
+    correlation giving it reads the source as a valid convolution.  The
+    weight gradient copies it strip by strip.  The three gradients are
+    freshly allocated.
     """
     weight = tw.data
     kh, kw = weight.shape[2:]
-    # d(out)/d(x) is a full correlation with the flipped kernel whose
-    # in/out channels swap roles; cropping its result by p is the same
-    # as padding the output gradient by k-1-p.
-    flip_border = (kh - 1 - padding[0], kw - 1 - padding[1])
 
     def backward(grad: np.ndarray) -> tuple[np.ndarray | None, ...]:
         workspace = get_workspace()
         with perf.timed("conv2d.backward"):
             dtype = np.result_type(grad.dtype, tx.dtype, weight.dtype)
-            padded, grad_out = bordered_buffer(
-                grad.shape, flip_border, dtype, workspace, f"{_TRAIN_SLOTS}.gsrc"
-            )
-            if act_scale is None:
+            n, f, oh, ow = grad.shape
+            # d(out)/d(x) is a full correlation with the flipped kernel
+            # whose in/out channels swap roles; cropping its result by p
+            # is the same as padding the output gradient by k-1-p.
+            qh, qw = (kh - 1 - padding[0], kw - 1 - padding[1]) if tx.requires_grad else (0, 0)
+            shape = (n, f, oh + 2 * qh, ow + 2 * qw)
+            padded = scratch(workspace, f"{_TRAIN_SLOTS}.gsrc", shape, dtype, shared=True)
+            _zero_border(padded, grad.shape)  # another layer's interior, maybe
+            grad_out = _interior(padded, grad.shape)
+            if mask is None:
                 np.copyto(grad_out, grad)
             else:
-                # The fused activation's chain-rule multiply, as the
-                # standalone op would apply it.
-                np.multiply(grad, act_scale, out=grad_out)
+                # The standalone op's grad * where(z >= 0, 1, slope), the
+                # factor rebuilt exactly from the mask's {0, 1} one image
+                # at a time in a warm buffer: the maximum with the slope,
+                # or when steep 1 - d -> {0, slope} -> the maximum with 1.
+                scale = scratch(workspace, f"{_TRAIN_SLOTS}.scale", (f, oh, ow), dtype, True)
+                for image in range(n):
+                    np.copyto(scale, mask[image])
+                    if slope > 1.0:
+                        np.subtract(1.0, scale, out=scale)
+                        np.multiply(scale, slope, out=scale)
+                        np.maximum(scale, 1.0, out=scale)
+                    else:
+                        np.maximum(scale, slope, out=scale)
+                    np.multiply(grad[image], scale, out=scale)
+                    np.copyto(grad_out[image], scale)
             grad_w = None
             if tw.requires_grad:
                 grad_w = conv2d_weight_grad_blocked(

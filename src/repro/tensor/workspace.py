@@ -20,9 +20,10 @@ that escape to user code are never workspace-backed unless the caller
 explicitly owns the arena.
 
 Buffers are zero-filled exactly once, at creation.  The padded-input
-slots, and the training backward's input-gradient sources, encode the
-padding split in the slot name and only ever write the interior, so
-their borders stay zero for the buffer's whole lifetime.
+slots encode the padding split in the slot name and only ever write the
+interior, so their borders stay zero for the buffer's whole lifetime.
+A :meth:`~Workspace.reserve` slot (the training backward's gradient
+source) is one buffer that all shapes share: its users zero borders.
 
 Thread and fork semantics
 -------------------------
@@ -117,6 +118,17 @@ class Workspace:
             perf.record_bytes("workspace", buffer.nbytes, reused=True)
         return buffer
 
+    def reserve(self, slot: str, shape: tuple[int, ...], dtype: Any) -> np.ndarray:
+        """A ``shape`` view of the one 1-D buffer ``slot`` holds for
+        ``dtype``, replaced when too small, so it settles at the largest
+        size asked for; valid until the slot's next ``reserve``."""
+        dtype, size = np.dtype(dtype), int(np.prod(shape))
+        for key in [k for k in self._buffers if k[0] == slot and k[2] == dtype]:
+            if key[1][0] >= size:
+                return self.request(slot, key[1], dtype)[:size].reshape(shape)
+            del self._buffers[key]
+        return self.request(slot, (size,), dtype).reshape(shape)
+
     @property
     def num_buffers(self) -> int:
         return len(self._buffers)
@@ -160,14 +172,19 @@ def get_workspace() -> Workspace | None:
 
 
 def scratch(
-    workspace: Workspace | None, slot: str, shape: tuple[int, ...], dtype: Any
+    workspace: Workspace | None,
+    slot: str,
+    shape: tuple[int, ...],
+    dtype: Any,
+    shared: bool = False,
 ) -> np.ndarray:
-    """``workspace.request(slot, shape, dtype)``, or an uninitialized
-    fresh array when there is no arena (``workspace_disabled``) — the
-    correctness-only fallback of kernels that take an optional arena."""
+    """``workspace.request(slot, shape, dtype)`` (``reserve`` when
+    ``shared``), or an uninitialized fresh array when there is no arena
+    (``workspace_disabled``) — the correctness-only fallback of kernels
+    that take an optional arena."""
     if workspace is None:
         return np.empty(shape, dtype=dtype)
-    return workspace.request(slot, shape, dtype)
+    return (workspace.reserve if shared else workspace.request)(slot, shape, dtype)
 
 
 @contextlib.contextmanager

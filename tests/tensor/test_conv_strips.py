@@ -5,6 +5,7 @@ monolithic im2col + col2im pair), with the strip budget shrunk so every
 case is cut into several strips and a ragged last one.
 """
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -283,8 +284,9 @@ class TestRetention:
     def test_model_graph_holds_no_pre_activation(self, rng, strategy):
         """A whole network forward records one node per conv, and a conv
         node's closure holds, beside the parameters, only its input and —
-        when a leaky ReLU is fused — one output-sized derivative; the
-        output is the node's own data.  No pre-activation survives."""
+        when a leaky ReLU is fused — one bool mask bordered like the
+        output, a byte per element; the output is the node's own data.
+        No pre-activation, and no float derivative, survives."""
         model = SubdomainCNN(CNNConfig(strategy=strategy), rng=rng)
         halo = model.input_halo
         x = rng.standard_normal((2, 4, 24 + 2 * halo, 24 + 2 * halo))
@@ -301,7 +303,8 @@ class TestRetention:
             assert id(source) in held
             rest = [a for key, a in held.items() if key not in params and a is not source]
             assert len(rest) == (slopes[id(node._parents[1])] is not None)
-            assert all(a.shape == node.data.shape and a is not node.data for a in rest)
+            out = node.data if node.bordered is None else node.bordered
+            assert all(a.shape == out.shape and a.dtype == np.bool_ for a in rest)
 
     def test_the_walk_sees_the_reference_patch_matrix(self, rng):
         """Guards the guard: on the reference path the same walk does
@@ -734,8 +737,8 @@ class TestZeroBorderProvenance:
             _, got = run_backward(strips(padding, "leaky_relu"), x, w, b, g)
             _, want = run_backward(reference(padding, "leaky_relu"), x, w, b, g)
             np.testing.assert_allclose(got[1], want[1], rtol=1e-10, atol=1e-10)
-        slots = {key[0] for key in T.get_workspace()._buffers}
-        assert {"conv2d.train.gsrc.2x2", "conv2d.train.gsrc.4x4"} <= slots
+        sources = [key for key in T.get_workspace()._buffers if key[0] == "conv2d.train.gsrc"]
+        assert [key[2] for key in sources].count(np.float64) == 1  # both splits shared it
 
     @pytest.mark.parametrize("strategy", CHAINED, ids=lambda s: s.value)
     def test_no_arena_run_equals_arena_run_bitwise(self, rng, monkeypatch, strategy):
@@ -757,8 +760,9 @@ class TestChainAllocation:
     @pytest.mark.parametrize("strategy", CHAINED, ids=lambda s: s.value)
     def test_arena_holds_no_gradient_scratch_and_no_chained_pad_copy(self, rng, strategy):
         """After a training step and a no-grad forward of the Table-I
-        model, the thread's arena holds no ``conv2d.train.grad`` scratch
-        and no padded copy of any conv's input but the first layer's."""
+        model, the thread's arena holds no ``conv2d.train.grad`` scratch,
+        no padded copy of any conv's input but the first layer's, and
+        one gradient source, which all four layers shared."""
         model, x, y = table1_case(rng, strategy)
         workspace = T.get_workspace()
         workspace.clear()
@@ -768,7 +772,46 @@ class TestChainAllocation:
         p = model.layers[0].padding
         first = {(2, 4, x.shape[2] + 2 * p, x.shape[3] + 2 * p)} if p else set()
         assert {shape for name, shape in slots if ".padded." in name} <= first
-        assert any(".gsrc." in name for name, _ in slots)
+        assert [name for name, _ in slots if "gsrc" in name] == ["conv2d.train.gsrc"]
+
+    def test_warm_step_keeps_one_byte_per_activation(self, rng):
+        """A warm training step of the Table-I model peaks, in traced
+        allocations, under its layer outputs, one byte per activated
+        output element, two output-sized gradients alive at once and 64
+        KiB: a float64 derivative per activation (8 B) does not fit."""
+        model, x, y = table1_case(rng, PaddingStrategy.NEIGHBOR_FIRST, n=2, size=32)
+        convs = [n for n in graph_nodes(model(Tensor(x))) if n.op_name == "conv2d"]
+        outputs = [owner(node.data).nbytes for node in convs]
+        activated = sum(node.data.size for node in convs[1:])  # all but the last layer
+        bound = sum(outputs) + activated + 2 * max(outputs) + 64 * 1024
+
+        def step():
+            model.zero_grad()
+            ((model(Tensor(x)) - Tensor(y)) ** 2).sum().backward()
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"warm step peaked at {peak} B, bound {bound} B"
+
+    @pytest.mark.parametrize("input_grad", [False, True], ids=["data", "activation"])
+    def test_input_without_gradient_gets_no_bordered_source(self, rng, input_grad):
+        """The first layer's input is data: its output gradient is read
+        by the weight and bias gradients only, so the thread's gradient
+        source is not bordered for it.  A conv whose input needs a
+        gradient borders it by ``k - 1 - p``."""
+        x, w, b, g = case_arrays(rng, 2, 6, 16, 0, np.float64)
+        workspace = T.get_workspace()
+        workspace.clear()
+        tx, tw, tb = Tensor(x, requires_grad=input_grad), Tensor(w, True), Tensor(b, True)
+        T.conv2d(tx, tw, tb, activation="leaky_relu").backward(g)
+        (size,) = [key[1][0] for key in workspace._buffers if key[0] == "conv2d.train.gsrc"]
+        n, f, oh, ow = g.shape
+        assert size == (n * f * (oh + 2 * K - 2) * (ow + 2 * K - 2) if input_grad else g.size)
 
     def test_registry_chain_case_reads_the_bordered_source(self, monkeypatch):
         """``repro check``'s ``chained-border`` case really chains: the

@@ -89,8 +89,8 @@ class TestFusedConv:
     @pytest.mark.parametrize("slope", SLOPES)
     @pytest.mark.parametrize("stride", [1, 2], ids=["strips", "reference"])
     def test_backward_bit_identical(self, rng, stride, slope, dtype):
-        """Under autograd the strip epilogue writes the derivative the
-        backward keeps; output and gradients equal the two-op graph's."""
+        """Under autograd the strip epilogue writes the ``z >= 0`` mask
+        the backward keeps; output and gradients equal the two-op graph's."""
         x, w, b = (rng.standard_normal(s).astype(dtype) for s in ((2, 3, 8, 8), (4, 3, 3, 3), (4,)))
         seed = rng.standard_normal((2, 4, 8 // stride, 8 // stride)).astype(dtype)
 
@@ -111,6 +111,58 @@ class TestFusedConv:
         for naive, fused in zip(run(fused=False), run(fused=True)):
             assert fused.dtype == naive.dtype
             assert np.array_equal(naive, fused)
+
+    @pytest.mark.parametrize("chained", [False, True], ids=["unchained", "chained"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("slope", SLOPES)
+    def test_edge_values_bit_identical(self, rng, slope, dtype, chained):
+        """IEEE edge cases through the strip epilogue and the mask: inputs
+        and seed gradient hold ±0.0, NaN, ±inf and subnormals, sparsely,
+        so with two bias-free channels the pre-activations hold NaN, ±inf,
+        subnormals and zeros.  The forward (with and without autograd)
+        and the input, weight and bias gradients equal the two-op graph's
+        byte for byte; ``chained`` fuses into a conv that writes its
+        follower's bordered input."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -3 * tiny, 1.5, -2.0])
+
+        def sprinkled(shape):
+            a = np.where(rng.random(shape) < 0.15, rng.choice(specials, shape), 0.0)
+            return a.astype(dtype)
+
+        x, g = sprinkled((2, 3, 9, 8)), sprinkled((2, 2 if chained else 4, 9, 8))
+        w, b = rng.standard_normal((4, 3, 3, 3)), np.array([0, 0, 1, -1])  # two bias-free
+        params = [w.astype(dtype), b.astype(dtype)]
+        with no_grad(), np.errstate(invalid="ignore", over="ignore"):
+            z = T.conv2d(Tensor(x), *map(Tensor, params), padding=1).data
+        small = np.abs(z[np.isfinite(z)])
+        assert np.isnan(z).any() and {np.inf, -np.inf} <= set(z[np.isinf(z)])
+        assert (small == 0).any() and ((small > 0) & (small < np.finfo(dtype).tiny)).any()
+        if chained:
+            params += [rng.standard_normal(s).astype(dtype) for s in ((2, 4, 3, 3), (2,))]
+
+        def run(fused, grad):
+            tx, *tp = leaves = [Tensor(a, requires_grad=grad) for a in (x, *params)]
+            if fused:
+                out = T.conv2d(
+                    tx, tp[0], tp[1], padding=1, activation="leaky_relu",
+                    negative_slope=slope, border=int(chained),
+                )  # fmt: skip
+            else:
+                out = T.leaky_relu(T.conv2d(tx, tp[0], tp[1], padding=1), negative_slope=slope)
+            if chained:
+                out = T.conv2d(out, tp[2], tp[3], padding=1)
+            if not grad:
+                return [out.data]
+            out.backward(g)
+            return [out.data] + [t.grad for t in leaves]
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            with no_grad():
+                evaluated = zip(run(True, False), run(False, False))
+            trained = zip(run(True, True), run(False, True))
+            for got, want in [*evaluated, *trained]:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_unknown_activation_raises(self, rng):
         with pytest.raises(ConfigurationError):
