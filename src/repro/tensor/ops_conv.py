@@ -129,6 +129,8 @@ def conv2d(
         raise ConfigurationError(
             f"conv2d supports activation=None or 'leaky_relu', got {activation!r}"
         )
+    if activation is not None and not negative_slope >= 0.0:  # the epilogue's contract
+        raise ConfigurationError(f"fused leaky_relu needs a slope >= 0, got {negative_slope}")
     n, c, h, w = tx.shape
     f, wc, kh, kw = tw.shape
     if wc != c:

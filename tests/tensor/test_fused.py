@@ -172,6 +172,14 @@ class TestFusedConv:
                 activation="gelu",
             )
 
+    @pytest.mark.parametrize("slope", [-0.1, np.nan])
+    def test_slope_below_zero_raises(self, rng, slope):
+        """The epilogue and the mask's rebuilt factor hold for slopes >= 0
+        only (a negative one gave a wrong input gradient): refused."""
+        x, w = (Tensor(rng.standard_normal(s)) for s in ((1, 1, 4, 4), (1, 1, 3, 3)))
+        with pytest.raises(ConfigurationError, match="slope >= 0"):
+            T.conv2d(x, w, padding=1, activation="leaky_relu", negative_slope=slope)
+
     def test_training_forward_output_never_aliases_workspace(self, rng):
         """With requires_grad inputs the forward draws its strip scratch
         from the arena, but the escaping output must be freshly
