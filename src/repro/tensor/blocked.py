@@ -34,8 +34,8 @@ stack of GEMM operands, consumed while cache-hot:
   *redraws* each strip and accumulates ``g_strip @ shifted`` for all
   ``kh`` row shifts in one stacked ``matmul``, so training retains no
   patch matrix; ``g_strip`` is the strip's rows of the output gradient
-  copied into a small contiguous buffer, since that gradient is the
-  interior of the input gradient's zero-bordered source;
+  copied into a small contiguous buffer, since that gradient is, when
+  an input gradient follows, the interior of its zero-bordered source;
 * the input gradient, which is :func:`conv2d_forward_blocked` again:
   a correlation of the padded output gradient with the flipped,
   channel-swapped weights (see :func:`~repro.tensor.ops_conv.conv2d`).

@@ -266,7 +266,9 @@ def _strip_backward(
                 # factor rebuilt exactly from the mask's {0, 1} one image
                 # at a time in a warm buffer: the maximum with the slope,
                 # or when steep 1 - d -> {0, slope} -> the maximum with 1.
-                scale = scratch(workspace, f"{_TRAIN_SLOTS}.scale", (f, oh, ow), dtype, True)
+                scale = scratch(
+                    workspace, f"{_TRAIN_SLOTS}.scale", (f, oh, ow), dtype, shared=True
+                )
                 for image in range(n):
                     np.copyto(scale, mask[image])
                     if slope > 1.0:
