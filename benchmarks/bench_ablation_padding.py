@@ -1,10 +1,13 @@
-"""Ablation — the four dimension-matching strategies of Sec. III.
+"""Ablation — the dimension-matching strategies of Sec. III.
 
 The paper uses strategies 1-2 (zero padding, neighbour-data input
 enlargement), rejects 3 (inner cropping, unusable for rollout) and
-defers 4 (transposed convolution).  This benchmark trains all of them
-(plus the all-valid NEIGHBOR_ALL extreme) under an equal budget and
-compares single-step validation error.
+defers 4 (transposed convolution).  Strategies 3 and 4 are not
+implemented: the transposed convolution lost to neighbour-data padding
+at every seed in an equal-wall-time run (EXPERIMENTS.md, Sec. III).
+This benchmark trains the three that remain (1, 2 and the all-valid
+NEIGHBOR_ALL extreme) under an equal epoch budget and compares
+single-step validation error.
 """
 
 from conftest import run_once

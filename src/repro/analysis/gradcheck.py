@@ -404,9 +404,9 @@ def _conv2d(rng):
     return fn, [_normal(rng, 2, 3, 5, 5), _normal(rng, 4, 3, 3, 3), _normal(rng, 4)]
 
 
-@case("conv2d", "strided-no-bias")
-def _conv2d_strided(rng):
-    fn = lambda x, w: get_op("conv2d")(x, w, stride=2, padding=0)  # noqa: E731
+@case("conv2d", "valid-no-bias")
+def _conv2d_valid(rng):
+    fn = lambda x, w: get_op("conv2d")(x, w, padding=0)  # noqa: E731
     return fn, [_normal(rng, 1, 2, 6, 6), _normal(rng, 3, 2, 3, 3)]
 
 
@@ -469,12 +469,6 @@ def _conv2d_strip_seam(rng):
         return conv2d(mul(x_col, row_x), mul(w_col, row_w), b, padding=(1, 2))
 
     return fn, [_normal(rng, 1, 2, 13, 1), _normal(rng, 2, 2, 3, 1), _normal(rng, 2)]
-
-
-@case("conv_transpose2d", "strided-bias")
-def _conv_transpose2d(rng):
-    fn = lambda x, w, b: get_op("conv_transpose2d")(x, w, b, stride=2, padding=1)  # noqa: E731
-    return fn, [_normal(rng, 2, 3, 4, 4), _normal(rng, 3, 2, 3, 3), _normal(rng, 2)]
 
 
 # ----------------------------------------------------------------------

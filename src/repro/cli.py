@@ -134,6 +134,15 @@ def _add_scenario_flag(parser, *, resolved_from: str | None = None) -> None:
         )
 
 
+def _add_strategy_flag(parser) -> None:
+    """Add ``--strategy``, its choices the padding strategies."""
+    from .core.padding import PaddingStrategy
+
+    parser.add_argument(
+        "--strategy", default="neighbor_first", choices=[s.value for s in PaddingStrategy]
+    )
+
+
 def _add_precision_flag(parser, *, resolved_from: str | None = None) -> None:
     """Add ``--precision``; commands that can recover the compute mode
     from a recorded artifact default to that, everything else to the
@@ -196,11 +205,7 @@ def _add_train(subparsers) -> None:
     parser.add_argument("--batch-size", type=int, default=16)
     parser.add_argument("--lr", type=float, default=0.002)
     parser.add_argument("--loss", default="mse", choices=["mse", "mae", "mape", "huber"])
-    parser.add_argument(
-        "--strategy",
-        default="neighbor_first",
-        choices=["zero", "neighbor_first", "neighbor_all", "inner_crop", "transpose"],
-    )
+    _add_strategy_flag(parser)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--execution",
@@ -436,7 +441,7 @@ def _add_perf(subparsers) -> None:
     parser.add_argument("--steps", type=int, default=5, help="rollout steps")
     parser.add_argument("--repeats", type=int, default=3, help="forward timing repeats")
     parser.add_argument("--pgrid", type=int, nargs=2, default=(2, 2), metavar=("PY", "PX"))
-    parser.add_argument("--strategy", default="neighbor_first")
+    _add_strategy_flag(parser)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--execution",
@@ -464,7 +469,7 @@ def _add_trace_cmd(subparsers) -> None:
     parser.add_argument("--grid-size", type=int, default=64)
     parser.add_argument("--steps", type=int, default=3, help="rollout steps")
     parser.add_argument("--pgrid", type=int, nargs=2, default=(2, 2), metavar=("PY", "PX"))
-    parser.add_argument("--strategy", default="neighbor_first")
+    _add_strategy_flag(parser)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--execution",
@@ -486,7 +491,7 @@ def _add_metrics_cmd(subparsers) -> None:
     parser.add_argument("--grid-size", type=int, default=64)
     parser.add_argument("--steps", type=int, default=3, help="rollout steps")
     parser.add_argument("--pgrid", type=int, nargs=2, default=(2, 2), metavar=("PY", "PX"))
-    parser.add_argument("--strategy", default="neighbor_first")
+    _add_strategy_flag(parser)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--execution",

@@ -27,7 +27,7 @@ from ..domain.decomposition import BlockDecomposition
 from ..exceptions import DatasetError
 from ..tensor.precision import get_precision, precision as precision_scope
 from .model import CNNConfig, SubdomainCNN
-from .padding import PaddingStrategy
+from .padding import parse_strategy
 from .parallel import ParallelTrainingResult
 from .trainer import TrainingConfig, TrainingHistory
 
@@ -53,7 +53,7 @@ def _config_from_json(payload: str) -> CNNConfig:
         channels=tuple(raw["channels"]),
         kernel_size=raw["kernel_size"],
         negative_slope=raw["negative_slope"],
-        strategy=PaddingStrategy(raw["strategy"]),
+        strategy=parse_strategy(raw["strategy"]),
         init=raw["init"],
     )
 

@@ -63,7 +63,6 @@ def evaluate_parallel(
             decomposition,
             comm.rank,
             halo=cfg.input_halo,
-            crop=cfg.output_crop,
             fill=fill,
         )
         prediction = predict(models[comm.rank], data.inputs)

@@ -51,7 +51,7 @@ import numpy as np
 from .. import mpi
 from ..domain.decomposition import BlockDecomposition
 from ..exceptions import ConfigurationError, ShapeError
-from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
+from ..nn import Conv2d, LeakyReLU, Module, Sequential
 from ..nn import chain_borders, fuse_leaky_relu
 from ..obs import metrics as obs_metrics
 from ..obs import trace
@@ -59,11 +59,10 @@ from ..obs.log import get_logger
 from ..solver.simulation import Stepper
 from ..tensor import Tensor, no_grad, perf
 from ..tensor.blocked import StripForward, leaky_relu_inplace
-from ..tensor.im2col import conv_output_size, scatter_patches
+from ..tensor.im2col import conv_output_size
 from ..tensor.precision import default_dtype
 from ..tensor.workspace import Workspace
 from .model import SubdomainCNN
-from .padding import PaddingStrategy
 
 #: Rollout-loop latency instrument (no-op while metrics are off).
 _ROLLOUT_STEP_SECONDS = obs_metrics.histogram("rollout.step_seconds")
@@ -166,49 +165,6 @@ class _LeakyStep:
         return out
 
 
-class _ConvTransposeStep:
-    """A transposed convolution into plan-owned buffers bound to the
-    input shape and dtype."""
-
-    def __init__(self, index: int, layer: ConvTranspose2d) -> None:
-        self.index = index
-        self.layer = layer
-        self._key: tuple = ()
-        self._buffers: tuple[np.ndarray, ...] = ()
-
-    def apply(self, x: np.ndarray, ws: Workspace, dtype: np.dtype, timed: bool) -> np.ndarray:
-        layer = self.layer
-        weight = layer.weight.data
-        c, f = weight.shape[0], weight.shape[1]
-        n, _, h, w = x.shape
-        k, s, p = layer.kernel_size, layer.stride, layer.padding
-        if self._key != (x.shape, dtype):
-            oh = (h - 1) * s - 2 * p + k
-            ow = (w - 1) * s - 2 * p + k
-            slot = f"plan.tconv{self.index}"
-            xmat = ws.request(f"{slot}.xmat", (n * h * w, c), dtype)
-            cols = ws.request(f"{slot}.cols", (n * h * w, f * k * k), dtype)
-            padded = ws.request(f"{slot}.padded", (n, f, oh + 2 * p, ow + 2 * p), dtype)
-            self._buffers = (xmat, cols, padded, padded[:, :, p : p + oh, p : p + ow])
-            self._key = (x.shape, dtype)
-        xmat, cols, padded, out = self._buffers
-        # Same element order as the op's transpose-then-reshape copy,
-        # landed in a warm buffer instead of a fresh allocation.
-        np.copyto(xmat.reshape(n, h, w, c), x.transpose(0, 2, 3, 1))
-        np.matmul(xmat, weight.reshape(c, f * k * k), out=cols)
-        padded.fill(0)  # the scatter accumulates
-        # Strided windows and a broadcast bias: NumPy buffers each add,
-        # 8192 elements an operand by default, more than a small block.
-        bufsize = np.setbufsize(256)
-        try:
-            scatter_patches(cols, padded, (k, k), (s, s))
-            if layer.bias is not None:
-                out += layer.bias.data[None, :, None, None]
-        finally:
-            np.setbufsize(bufsize)
-        return out
-
-
 class InferencePlan:
     """A model's layer sequence compiled to allocation-free steps.
 
@@ -229,12 +185,11 @@ class InferencePlan:
 
     Raises :class:`~repro.exceptions.ConfigurationError` when the model
     contains a module the step vocabulary cannot express (including a
-    ``Conv2d`` outside the strip kernel's stride-1, padding < kernel
-    class, and a ``SubdomainCNN`` subclass with its own ``forward``) —
+    ``SubdomainCNN`` subclass with its own ``forward``) —
     :class:`BlockStepper` then keeps the module-by-module forward.
     """
 
-    SUPPORTED = (Conv2d, ConvTranspose2d, LeakyReLU)
+    SUPPORTED = (Conv2d, LeakyReLU)
 
     def __init__(self, model: Module, workspace: Workspace | None = None) -> None:
         self.model = model
@@ -277,21 +232,11 @@ class InferencePlan:
                 raise ConfigurationError(
                     f"InferencePlan cannot compile {type(layer).__name__}"
                 )
-            if isinstance(layer, Conv2d) and (
-                layer.stride != 1 or layer.padding >= layer.kernel_size
-            ):
-                # conv2d's reference-path classes allocate per call.
-                raise ConfigurationError(
-                    "InferencePlan compiles only stride-1 convolutions with "
-                    f"padding < kernel, got {layer!r}"
-                )
         fused = fuse_leaky_relu(layers)
         steps: list = []
         for layer, slope in fused:
             if isinstance(layer, Conv2d):
                 steps.append(_ConvStep(len(steps), layer, slope))
-            elif isinstance(layer, ConvTranspose2d):
-                steps.append(_ConvTransposeStep(len(steps), layer))
             else:  # LeakyReLU not preceded by a Conv2d
                 steps.append(_LeakyStep(len(steps), layer.negative_slope))
         for lead, follower, border in zip(steps, steps[1:], chain_borders(fused)):
@@ -363,7 +308,7 @@ class BlockStepper:
         block plus ``halo`` lines of neighbour data (``fill`` beyond a
         wall), refilled in place in one persistent buffer."""
         if not self.halo:
-            return source[self._block]  # ZERO / TRANSPOSE: the block is the input
+            return source[self._block]  # ZERO: the block is the input
         if self._padded is not None and self._padded.dtype != source.dtype:
             self._padded = None  # a float32 field after a float64 one
         self._padded = self.decomposition.extract(
@@ -490,12 +435,6 @@ class ParallelPredictor:
                 f"all models must share one padding strategy, got {strategies}"
             )
         self.strategy = strategies.pop()
-        if self.strategy is PaddingStrategy.INNER_CROP:
-            raise ConfigurationError(
-                "INNER_CROP outputs miss the subdomain interface lines, so "
-                "they cannot seed the next step (the drawback the paper "
-                "notes); use another strategy for rollout"
-            )
         self.models = models
         self.decomposition = decomposition
         self.fill = fill

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
+from ..nn import Conv2d, LeakyReLU, Module, Sequential
 from ..nn import chain_borders, fuse_leaky_relu
 from ..tensor import Tensor
 from .padding import PaddingStrategy
@@ -62,7 +62,9 @@ class CNNConfig:
 
     @property
     def output_crop(self) -> int:
-        return self.strategy.output_crop(self.kernel_size, self.num_layers)
+        # Every strategy's output covers the whole block.  Kept only
+        # because bench/probes.py passes it to build_rank_dataset(crop=).
+        return 0
 
 
 class SubdomainCNN(Module):
@@ -70,8 +72,7 @@ class SubdomainCNN(Module):
 
     The network maps an input block of shape
     ``(N, C, h + 2*input_halo, w + 2*input_halo)`` to an output of shape
-    ``(N, C, h - 2*output_crop, w - 2*output_crop)`` where ``(h, w)`` is
-    the subdomain's interior size.
+    ``(N, C, h, w)`` where ``(h, w)`` is the subdomain's interior size.
     """
 
     def __init__(self, config: CNNConfig | None = None, rng: np.random.Generator | None = None) -> None:
@@ -87,8 +88,7 @@ class SubdomainCNN(Module):
             if cfg.strategy is PaddingStrategy.NEIGHBOR_FIRST:
                 # Layer 1 consumes the input halo (valid); the rest pad.
                 return 0 if index == 0 else same_pad
-            # NEIGHBOR_ALL, INNER_CROP, TRANSPOSE: all layers valid.
-            return 0
+            return 0  # NEIGHBOR_ALL: all layers valid
 
         layers: list[Module] = []
         for index in range(cfg.num_layers):
@@ -104,19 +104,6 @@ class SubdomainCNN(Module):
             )
             if index < cfg.num_layers - 1:
                 layers.append(LeakyReLU(cfg.negative_slope))
-        if cfg.strategy is PaddingStrategy.TRANSPOSE:
-            # Restore the stack's total shrinkage in one transposed conv.
-            shrink = (cfg.kernel_size - 1) * cfg.num_layers
-            layers.append(LeakyReLU(cfg.negative_slope))
-            layers.append(
-                ConvTranspose2d(
-                    cfg.channels[-1],
-                    cfg.channels[-1],
-                    kernel_size=shrink + 1,
-                    init=cfg.init,
-                    rng=generator,
-                )
-            )
         self.layers = Sequential(*layers)
 
     # ------------------------------------------------------------------
@@ -124,11 +111,6 @@ class SubdomainCNN(Module):
     def input_halo(self) -> int:
         """Required input overlap per side (0, 2 or 8 for Table I)."""
         return self.config.input_halo
-
-    @property
-    def output_crop(self) -> int:
-        """Lines per side missing from the output vs. the block."""
-        return self.config.output_crop
 
     def forward(self, x: Tensor) -> Tensor:
         # Each conv runs the leaky ReLU after it in its strip epilogue:
@@ -143,12 +125,6 @@ class SubdomainCNN(Module):
             else:
                 x = layer(x)
         return x
-
-    def expected_output_shape(self, block_shape: tuple[int, int]) -> tuple[int, int]:
-        """Output spatial size for a subdomain block of ``block_shape``."""
-        h, w = block_shape
-        crop = self.output_crop
-        return (h - 2 * crop, w - 2 * crop)
 
 
 def build_paper_cnn(

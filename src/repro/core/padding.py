@@ -2,8 +2,8 @@
 
 A stack of valid ``k × k`` convolutions shrinks the field by ``k - 1``
 lines per layer, so the network output cannot be compared directly with
-the same-size target.  The paper enumerates four remedies; all are
-implemented here so the choice can be ablated:
+the same-size target.  The paper enumerates four remedies.  Two are
+implemented here, plus the all-valid extreme of the neighbour-data one:
 
 1. ``ZERO`` — zero-pad inside every layer ("same" convolutions).
 2. ``NEIGHBOR_FIRST`` — enlarge the *input* with neighbour data so the
@@ -13,11 +13,15 @@ implemented here so the choice can be ablated:
 3. ``NEIGHBOR_ALL`` — every layer valid; the input halo covers the full
    receptive-field shrinkage, so no artificial padding at subdomain
    interfaces at all (the logical extreme of strategy 2).
-4. ``INNER_CROP`` — compare only the inner points of the target
-   (discussed and rejected by the paper because interface data would be
-   missing at inference; included for the ablation).
-5. ``TRANSPOSE`` — restore the size with a trailing transposed
-   convolution (the paper's "under investigation" option).
+
+The paper rejects inner cropping (comparing only the target's inner
+points), because its output misses the interface lines and so cannot
+seed the next step.  It leaves a trailing transposed convolution "under
+investigation".  Measured here at equal training wall time (48²
+euler-gaussian, P = 4, increment form, 5 seeds, 20 s each), the
+transposed convolution lost to ``NEIGHBOR_FIRST`` at every seed, at
+rollout steps 1 and 8 (EXPERIMENTS.md, Sec. III).  Neither is
+implemented.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ class PaddingStrategy(Enum):
     ZERO = "zero"
     NEIGHBOR_FIRST = "neighbor_first"
     NEIGHBOR_ALL = "neighbor_all"
-    INNER_CROP = "inner_crop"
-    TRANSPOSE = "transpose"
 
     # ------------------------------------------------------------------
     def input_halo(self, kernel_size: int, num_layers: int) -> int:
@@ -42,19 +44,13 @@ class PaddingStrategy(Enum):
 
         Strategy 2 needs the first layer's shrinkage ``(k-1)/2``;
         strategy 3 needs the whole stack's ``num_layers * (k-1)/2``;
-        the others feed the bare block.
+        zero padding feeds the bare block.
         """
         per_layer = (kernel_size - 1) // 2
         if self is PaddingStrategy.NEIGHBOR_FIRST:
             return per_layer
         if self is PaddingStrategy.NEIGHBOR_ALL:
             return per_layer * num_layers
-        return 0
-
-    def output_crop(self, kernel_size: int, num_layers: int) -> int:
-        """How many lines per side the *target* must be cropped by."""
-        if self is PaddingStrategy.INNER_CROP:
-            return (kernel_size - 1) // 2 * num_layers
         return 0
 
     @property
@@ -68,8 +64,6 @@ class PaddingStrategy(Enum):
             PaddingStrategy.ZERO: "zero padding in every layer",
             PaddingStrategy.NEIGHBOR_FIRST: "neighbour-data halo for layer 1, zero padding after (paper default)",
             PaddingStrategy.NEIGHBOR_ALL: "valid convolutions with full neighbour-data halo",
-            PaddingStrategy.INNER_CROP: "valid convolutions, loss on inner target points only",
-            PaddingStrategy.TRANSPOSE: "valid convolutions plus a transposed-convolution upscale",
         }[self]
 
 

@@ -170,7 +170,6 @@ class ParallelTrainer:
                 decomposition,
                 rank,
                 halo=cfg.input_halo,
-                crop=cfg.output_crop,
                 fill=self.fill,
             )
 

@@ -106,10 +106,10 @@ def train_weight_averaging(
     cnn_config = cnn_config if cnn_config is not None else CNNConfig(
         strategy=PaddingStrategy.ZERO
     )
-    if cnn_config.input_halo or cnn_config.output_crop:
+    if cnn_config.input_halo:
         raise ConfigurationError(
-            "weight averaging trains full-domain replicas; use a "
-            "size-preserving strategy (ZERO or TRANSPOSE)"
+            "weight averaging trains full-domain replicas; use the "
+            "size-preserving ZERO strategy"
         )
     training_config = training_config if training_config is not None else TrainingConfig()
     chunks = split_extent(dataset.num_samples, num_ranks)

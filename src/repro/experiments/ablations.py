@@ -8,13 +8,10 @@ pipeline at the calibrated defaults of :mod:`repro.experiments.common`.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..obs import trace
 from ..core import (
-    CNNConfig,
     PaddingStrategy,
     ParallelPredictor,
     ParallelTrainer,
@@ -24,7 +21,6 @@ from ..core import (
     train_weight_averaging,
 )
 from ..core.inference import EnsembleStepper
-from ..core.trainer import predict as predict_batch
 from ..exceptions import ConfigurationError
 from .common import (
     DataConfig,
@@ -41,44 +37,21 @@ def _single_step_error(
     result,
     sample_index: int = 0,
 ) -> float:
-    """Global relative-L2 error of one validation step, handling the
-    INNER_CROP strategy (whose outputs miss the interface lines) by
-    aggregating over the per-rank inner regions."""
-    cfg: CNNConfig = result.cnn_config
+    """Global relative-L2 error of one validation step."""
     model_input, target = experiment.validation[sample_index]
-    models = result.build_models()
-    if cfg.strategy is not PaddingStrategy.INNER_CROP:
-        predictor = ParallelPredictor(models, result.decomposition)
-        prediction = predictor.rollout(model_input, 1).trajectory[1]
-        return relative_l2(
-            experiment.denormalize(prediction), experiment.denormalize(target)
-        )
-    decomposition = result.decomposition
-    crop = cfg.output_crop
-    errors_num = 0.0
-    errors_den = 0.0
-    for rank, model in enumerate(models):
-        block_in = decomposition.extract(model_input[None], rank, halo=cfg.input_halo)
-        block_target = decomposition.extract(target[None], rank)[
-            ..., crop:-crop, crop:-crop
-        ]
-        block_pred = predict_batch(model, block_in)
-        pred_phys = experiment.denormalize(block_pred)
-        target_phys = experiment.denormalize(block_target)
-        errors_num += float(np.sum((pred_phys - target_phys) ** 2))
-        errors_den += float(np.sum(target_phys**2))
-    return float(np.sqrt(errors_num / max(errors_den, 1e-30)))
+    predictor = ParallelPredictor(result.build_models(), result.decomposition)
+    prediction = predictor.rollout(model_input, 1).trajectory[1]
+    return relative_l2(experiment.denormalize(prediction), experiment.denormalize(target))
 
 
 # ----------------------------------------------------------------------
-# Padding strategies (Sec. III, options 1-4)
+# Padding strategies (Sec. III, options 1-2 and the NEIGHBOR_ALL extreme)
 # ----------------------------------------------------------------------
 @dataclass
 class AblationRow:
     name: str
     value: float
     train_time: float
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -105,8 +78,7 @@ def run_padding_ablation(
     strategies: tuple[PaddingStrategy, ...] = tuple(PaddingStrategy),
     seed: int = 0,
 ) -> AblationResult:
-    """Compare the paper's four dimension-matching strategies (plus the
-    NEIGHBOR_ALL extreme) on single-step validation error."""
+    """Compare the padding strategies on single-step validation error."""
     data = data if data is not None else DataConfig()
     training = training if training is not None else default_training_config(epochs=15)
     experiment = prepare_data(data)
@@ -118,14 +90,7 @@ def run_padding_ablation(
         result = trainer.train(experiment.train, execution="serial")
         elapsed = trace.clock() - start
         error = _single_step_error(experiment, result)
-        rows.append(
-            AblationRow(
-                strategy.value,
-                error,
-                elapsed,
-                extra={"rollout_capable": strategy is not PaddingStrategy.INNER_CROP},
-            )
-        )
+        rows.append(AblationRow(strategy.value, error, elapsed))
     return AblationResult(
         title=f"Padding-strategy ablation (P={num_ranks})",
         metric_name="val rel. L2 (1 step)",

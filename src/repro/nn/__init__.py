@@ -1,7 +1,7 @@
 """Neural-network layers, losses and initializers (PyTorch ``nn`` stand-in)."""
 
 from .activations import Identity, LeakyReLU, ReLU, Sigmoid, Tanh, get_activation
-from .conv import Conv2d, ConvTranspose2d, chain_borders, fuse_leaky_relu
+from .conv import Conv2d, chain_borders, fuse_leaky_relu
 from .init import (
     compute_fans,
     get_initializer,
@@ -22,7 +22,6 @@ __all__ = [
     "Parameter",
     "Sequential",
     "Conv2d",
-    "ConvTranspose2d",
     "chain_borders",
     "fuse_leaky_relu",
     "Linear",

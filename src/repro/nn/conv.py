@@ -1,4 +1,4 @@
-"""Convolutional layers: :class:`Conv2d` and :class:`ConvTranspose2d`.
+"""The convolutional layer :class:`Conv2d` and its step rules.
 
 :class:`Conv2d` is the building block of the paper's Table-I network;
 ``padding="same"`` reproduces the paper's "Padding: Yes" column for odd
@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..tensor import Tensor, conv2d, conv_transpose2d
+from ..tensor import Tensor, conv2d
 from .activations import LeakyReLU
 from .init import get_initializer
 from .module import Module, Parameter
@@ -46,8 +46,10 @@ class Conv2d(Module):
         Channel counts; Table I of the paper uses 4→6→16→6→4.
     kernel_size:
         Square kernel edge (paper: 5).
+    stride:
+        Must be 1, the only stride :func:`~repro.tensor.conv2d` takes.
     padding:
-        ``int``, ``"same"`` or ``"valid"``.
+        ``int``, ``"same"`` or ``"valid"``; smaller than the kernel.
     bias:
         Include a per-filter bias term.
     init:
@@ -70,13 +72,19 @@ class Conv2d(Module):
         super().__init__()
         if in_channels <= 0 or out_channels <= 0:
             raise ConfigurationError("channel counts must be positive")
-        if kernel_size <= 0 or stride <= 0:
-            raise ConfigurationError("kernel_size and stride must be positive")
+        if kernel_size <= 0:
+            raise ConfigurationError("kernel_size must be positive")
+        if stride != 1:
+            raise ConfigurationError(f"Conv2d takes stride 1 only, got {stride}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = int(kernel_size)
-        self.stride = int(stride)
+        self.stride = 1
         self.padding = _resolve_padding(padding, kernel_size)
+        if self.padding >= self.kernel_size:
+            raise ConfigurationError(
+                f"Conv2d padding must be < kernel_size {kernel_size}, got {self.padding}"
+            )
         generator = rng if rng is not None else np.random.default_rng()
         shape = (out_channels, in_channels, self.kernel_size, self.kernel_size)
         self.weight = Parameter(get_initializer(init)(shape, generator))
@@ -103,68 +111,14 @@ class Conv2d(Module):
 
     def output_shape(self, height: int, width: int) -> tuple[int, int]:
         """Spatial output size for an input of ``(height, width)``."""
-        k, s, p = self.kernel_size, self.stride, self.padding
-        return ((height + 2 * p - k) // s + 1, (width + 2 * p - k) // s + 1)
+        k, p = self.kernel_size, self.padding
+        return (height + 2 * p - k + 1, width + 2 * p - k + 1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Conv2d({self.in_channels}, {self.out_channels}, "
             f"kernel_size={self.kernel_size}, stride={self.stride}, "
             f"padding={self.padding}, bias={self.bias is not None})"
-        )
-
-
-class ConvTranspose2d(Module):
-    """Transposed 2-D convolution (the paper's "de-convolution" option)."""
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int = 5,
-        stride: int = 1,
-        padding: int = 0,
-        bias: bool = True,
-        init: str = "glorot_uniform",
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        super().__init__()
-        if in_channels <= 0 or out_channels <= 0:
-            raise ConfigurationError("channel counts must be positive")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride)
-        self.padding = int(padding)
-        generator = rng if rng is not None else np.random.default_rng()
-        # PyTorch layout: (in, out, kh, kw); fans swap accordingly, so
-        # initialize on the transposed view for a faithful fan estimate.
-        shape = (in_channels, out_channels, self.kernel_size, self.kernel_size)
-        weights = get_initializer(init)(
-            (out_channels, in_channels, self.kernel_size, self.kernel_size), generator
-        ).transpose(1, 0, 2, 3)
-        self.weight = Parameter(np.ascontiguousarray(weights))
-        assert self.weight.shape == shape
-        if bias:
-            self.bias = Parameter(np.zeros(out_channels))
-        else:
-            self.bias = None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv_transpose2d(
-            x, self.weight, self.bias, stride=self.stride, padding=self.padding
-        )
-
-    def output_shape(self, height: int, width: int) -> tuple[int, int]:
-        """Spatial output size for an input of ``(height, width)``."""
-        k, s, p = self.kernel_size, self.stride, self.padding
-        return ((height - 1) * s - 2 * p + k, (width - 1) * s - 2 * p + k)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ConvTranspose2d({self.in_channels}, {self.out_channels}, "
-            f"kernel_size={self.kernel_size}, stride={self.stride}, "
-            f"padding={self.padding})"
         )
 
 

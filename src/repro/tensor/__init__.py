@@ -58,7 +58,7 @@ from .ops_elementwise import (  # noqa: E402
 from .ops_reduce import tensor_max, tensor_mean, tensor_min, tensor_sum  # noqa: E402
 from .ops_shape import flip, getitem, pad, reshape, stack, transpose  # noqa: E402
 from .ops_matmul import matmul  # noqa: E402
-from .ops_conv import conv2d, conv_transpose2d  # noqa: E402
+from .ops_conv import conv2d  # noqa: E402
 from .im2col import col2im, conv_output_size, im2col  # noqa: E402
 from . import perf  # noqa: E402
 from .workspace import (  # noqa: E402
@@ -125,7 +125,6 @@ __all__ = [
     "flip",
     "matmul",
     "conv2d",
-    "conv_transpose2d",
     "im2col",
     "col2im",
     "conv_output_size",

@@ -7,12 +7,8 @@ scatter-adds with a short loop over the *kernel* footprint — at most
 ``kh*kw`` iterations (25 for the paper's 5×5 kernels) — instead of a
 Python loop over pixels.
 
-The :class:`~repro.core.inference.InferencePlan`'s
-transposed-convolution step binds its own scatter base and calls
-:func:`scatter_patches`, the scatter itself.
-
 These monolithic kernels are the *reference* pair, allocate-per-call:
-every stride-1 convolution runs the strip kernels of
+every convolution runs the strip kernels of
 :mod:`~repro.tensor.blocked`, which never materialize the full patch
 matrix and share only :func:`conv_output_size` with this module.
 """
@@ -113,29 +109,15 @@ def col2im(
         raise ShapeError(f"col2im expected cols of shape {expected}, got {cols.shape}")
 
     with perf.timed("col2im"):
-        # Reference path: allocates per call, never taken by the
-        # InferencePlan.
-        padded_shape = (n, c, h + 2 * ph, w + 2 * pw)
-        padded = np.zeros(padded_shape, dtype=cols.dtype)
-        scatter_patches(cols, padded, kernel, stride)
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+        patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+        # Loop only over the kernel footprint; each iteration is a strided
+        # vectorized add over all output positions at once.
+        for i in range(kh):
+            h_stop = i + sh * oh
+            for j in range(kw):
+                w_stop = j + sw * ow
+                padded[:, :, i:h_stop:sh, j:w_stop:sw] += patches[:, :, :, :, i, j]
     if ph or pw:
         return padded[:, :, ph : ph + h, pw : pw + w]
     return padded
-
-
-def scatter_patches(
-    cols: np.ndarray, padded: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
-) -> None:
-    """Add the patch rows ``cols`` into the zero-padded image ``padded``
-    (:func:`col2im`'s kernel, for a caller that owns the base)."""
-    n, c, hp, wp = padded.shape
-    (kh, kw), (sh, sw) = kernel, stride
-    oh, ow = (hp - kh) // sh + 1, (wp - kw) // sw + 1
-    patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    # Loop only over the kernel footprint; each iteration is a strided
-    # vectorized add over all output positions at once.
-    for i in range(kh):
-        h_stop = i + sh * oh
-        for j in range(kw):
-            w_stop = j + sw * ow
-            padded[:, :, i:h_stop:sh, j:w_stop:sw] += patches[:, :, :, :, i, j]

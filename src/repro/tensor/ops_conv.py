@@ -1,34 +1,33 @@
-"""Differentiable 2-D convolution and transposed convolution.
+"""Differentiable 2-D convolution.
 
-``conv2d`` picks its kernel by one rule, the same with and without
-autograd:
+``conv2d`` takes stride 1 and padding < kernel only — every layer of
+the paper's CNN, at every size, training and inference — and runs one
+kernel path, the same with and without autograd: the strip kernels of
+:mod:`~repro.tensor.blocked`.  The forward never materializes the
+``(N*OH*OW, C*kh*kw)`` patch matrix: per strip of output rows it
+copies the ``kw`` horizontal shifts of the input rows underneath and
+reads the ``kh`` row shifts through strides, one GEMM per output
+row.  The bias is one more tap of that GEMM, with and without
+autograd, so per strip the forward is ``copyto`` → ``matmul(out=)``
+and the fused activation's ``multiply`` → ``maximum`` → ``copyto``,
+to which autograd adds one comparison: ``z >= 0`` into a bool mask.
+The backward closure retains only the parents' arrays and, with
+``activation``, that mask — one byte per output element, never the
+pre-activation.  The backward *redraws* each strip for the weight
+gradient and obtains the input gradient as a correlation of the
+``(k-1-p)``-padded output gradient with the flipped, channel-swapped
+weights through the same forward kernel — no column gradient, no
+``col2im``.  That padding has to be non-negative, hence padding <
+kernel.  The chain-rule multiply writes the output gradient
+straight into that padded source, the calling thread's one warm
+gradient buffer, so there is no pad copy.  Live memory per layer is
+O(input + output) instead of O(N*OH*OW*C*kh*kw).
 
-* **stride 1 and padding < kernel** (every layer of the paper's CNN,
-  at every size, training and inference) — the strip kernels of
-  :mod:`~repro.tensor.blocked`.  The forward never materializes the
-  ``(N*OH*OW, C*kh*kw)`` patch matrix: per strip of output rows it
-  copies the ``kw`` horizontal shifts of the input rows underneath and
-  reads the ``kh`` row shifts through strides, one GEMM per output
-  row.  The bias is one more tap of that GEMM, with and without
-  autograd, so per strip the forward is ``copyto`` → ``matmul(out=)``
-  and the fused activation's ``multiply`` → ``maximum`` → ``copyto``,
-  to which autograd adds one comparison: ``z >= 0`` into a bool mask.
-  The backward closure retains only the parents' arrays and, with
-  ``activation``, that mask — one byte per output element, never the
-  pre-activation.  The backward *redraws* each strip for the weight
-  gradient and obtains the input gradient as a correlation of the
-  ``(k-1-p)``-padded output gradient with the flipped, channel-swapped
-  weights through the same forward kernel — no column gradient, no
-  ``col2im``.  The chain-rule multiply writes the output gradient
-  straight into that padded source, the calling thread's one warm
-  gradient buffer, so there is no pad copy.  Live memory per layer is
-  O(input + output) instead of O(N*OH*OW*C*kh*kw).
-* **everything else** (:func:`conv2d_reference`) — monolithic im2col +
-  one GEMM, backward through the cached patch matrix and
-  :func:`~repro.tensor.im2col.col2im`, allocate-per-call.  Serves
-  stride != 1 and padding >= kernel (the correlation-form input
-  gradient pads by ``k-1-p``, which has to be non-negative), and is
-  what the parity tests and gradcheck compare the strip path against.
+:func:`conv2d_reference` — monolithic im2col + one GEMM, backward
+through the cached patch matrix and
+:func:`~repro.tensor.im2col.col2im`, allocate-per-call — is not
+reached from ``conv2d``.  It is the oracle the parity tests and
+``benchmarks/bench_kernels.py`` compare the strip path against.
 
 **Chaining.**  With ``border`` (set by :func:`~repro.nn.chain_borders`
 for a conv followed by a conv) the strip path's result is the interior
@@ -46,16 +45,11 @@ bit-identical.  Nor does it depend on the strip budget: autograd calls
 pass ``training=True`` and cut 512 KiB strips, the no-grad op 1 MiB
 ones.
 
-The transposed convolution is implemented as the exact adjoint of the
-convolution, which is what the paper's "de-convolutional layer"
-alternative (Sec. III, option 4) requires.
-
 ``conv2d`` accepts ``activation="leaky_relu"``, fusing the activation
-into the op (the bias is already in the GEMM on the strip path, and a
-separate add on the reference path); the paper's network runs it for
-every conv a ``LeakyReLU`` follows, in training and evaluation alike.
-Fused and unfused are bit-identical on every path and for every slope
->= 0: the forward's product equals the standalone op's ``z *
+into the op (the bias is already in the GEMM); the paper's network runs
+it for every conv a ``LeakyReLU`` follows, in training and evaluation
+alike.  Fused and unfused are bit-identical for every slope >= 0: the
+forward's product equals the standalone op's ``z *
 where(z >= 0, 1, slope)`` (the strip epilogue's ``max(z, slope*z)``,
 ``min`` for ``slope > 1``, ``z * (z >= 0)`` for slope 0, see
 :func:`~repro.tensor.blocked.leaky_relu_inplace`), and the backward
@@ -111,10 +105,13 @@ def conv2d(
     forward and backward.
 
     ``border`` chains two convs (:func:`~repro.nn.chain_borders` sets
-    it): on the strip path the result is the interior of a fresh buffer
-    with that zero border, marked as :attr:`Tensor.bordered`, and a
-    following conv whose padding equals the border reads that buffer as
-    its padded input.  The reference path ignores it.
+    it): the result is the interior of a fresh buffer with that zero
+    border, marked as :attr:`Tensor.bordered`, and a following conv
+    whose padding equals the border reads that buffer as its padded
+    input.
+
+    ``stride`` must be 1 and ``padding`` smaller than the kernel
+    (:class:`~repro.exceptions.ConfigurationError` otherwise).
     """
     tx, tw = ensure_tensor(x), ensure_tensor(weight)
     tb = ensure_tensor(bias) if bias is not None else None
@@ -140,13 +137,14 @@ def conv2d(
     if tb is not None and tb.shape != (f,):
         raise ShapeError(f"conv2d bias must have shape ({f},), got {tb.shape}")
 
-    parents = (tx, tw) if tb is None else (tx, tw, tb)
     ph, pw = padding
-
     if stride != (1, 1) or ph >= kh or pw >= kw:
-        return conv2d_reference(
-            tx, tw, tb, stride, padding, activation, negative_slope, parents
+        raise ConfigurationError(
+            f"conv2d takes stride 1 and padding < kernel, got stride {stride}, "
+            f"padding {padding}, kernel {(kh, kw)}"
         )
+
+    parents = (tx, tw) if tb is None else (tx, tw, tb)
     shape = (n, f, conv_output_size(h, kh, 1, ph), conv_output_size(w, kw, 1, pw))
     dtype = np.result_type(tx.dtype, tw.dtype)
     bh, bw = _pair(border)
@@ -332,10 +330,10 @@ def conv2d_reference(
 ) -> Tensor:
     """Monolithic ``conv2d``: full patch matrix, one GEMM, ``col2im``.
 
-    Takes validated operands (``conv2d`` is the public entry point).
-    Every array is freshly allocated: under autograd the backward
-    closure captures the patch matrix, and without it this is the
-    correctness path, not a fast one.
+    The oracle the strip kernels are tested and benchmarked against; it
+    takes operands validated as ``conv2d`` validates them, and any
+    stride and padding.  Every array is freshly allocated: under
+    autograd the backward closure captures the patch matrix.
     """
     n, c, h, w = tx.shape
     f, _, kh, kw = tw.shape
@@ -372,71 +370,3 @@ def conv2d_reference(
             return grad_x, grad_w, grad_b
 
     return Tensor.from_op(out, parents, backward, "conv2d")
-
-
-@register_op("conv_transpose2d")
-def conv_transpose2d(
-    x: Any,
-    weight: Any,
-    bias: Any | None = None,
-    stride: int | tuple[int, int] = 1,
-    padding: int | tuple[int, int] = 0,
-) -> Tensor:
-    """Transposed 2-D convolution (adjoint of :func:`conv2d`).
-
-    ``weight`` has shape ``(C_in, C_out, kh, kw)`` (PyTorch convention).
-    The output spatial size is ``(H - 1) * stride - 2 * padding + k``.
-    The op stays allocation-naive even under ``no_grad`` because its
-    ``col2im`` result escapes as the op output; the workspace-backed
-    variant lives in :class:`~repro.core.inference.InferencePlan`,
-    which owns the buffer lifetimes and copies the final result out.
-    """
-    tx, tw = ensure_tensor(x), ensure_tensor(weight)
-    tb = ensure_tensor(bias) if bias is not None else None
-    stride = _pair(stride)
-    padding = _pair(padding)
-
-    if tx.ndim != 4:
-        raise ShapeError(f"conv_transpose2d input must be (N, C, H, W), got {tx.shape}")
-    n, c, h, w = tx.shape
-    wc, f, kh, kw = tw.shape
-    if wc != c:
-        raise ShapeError(
-            f"conv_transpose2d channel mismatch: input {c}, weight expects {wc}"
-        )
-    sh, sw = stride
-    ph, pw = padding
-    oh = (h - 1) * sh - 2 * ph + kh
-    ow = (w - 1) * sw - 2 * pw + kw
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"conv_transpose2d output size ({oh}, {ow}) <= 0")
-    if tb is not None and tb.shape != (f,):
-        raise ShapeError(f"conv_transpose2d bias must have shape ({f},), got {tb.shape}")
-
-    # Forward of the transpose-conv == input-gradient of a conv whose
-    # input has shape (n, f, oh, ow): scatter rows of x @ W into the
-    # output image with col2im.
-    with perf.timed("conv_transpose2d"):
-        wmat = tw.data.reshape(c, f * kh * kw)
-        xmat = tx.data.transpose(0, 2, 3, 1).reshape(n * h * w, c)
-        cols = xmat @ wmat  # (N*H*W, F*kh*kw)
-        out = col2im(cols, (n, f, oh, ow), (kh, kw), stride, padding)
-        if tb is not None:
-            out = out + tb.data[None, :, None, None]
-
-    parents = (tx, tw) if tb is None else (tx, tw, tb)
-
-    def backward(grad: np.ndarray):
-        # Adjoint of col2im is im2col of the gradient image.
-        gcols, _ = im2col(grad, (kh, kw), stride, padding)  # (N*H*W, F*kh*kw)
-        grad_x = None
-        if tx.requires_grad:
-            gx = gcols @ wmat.T  # (N*H*W, C)
-            grad_x = gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-        grad_w = (xmat.T @ gcols).reshape(c, f, kh, kw) if tw.requires_grad else None
-        if tb is None:
-            return grad_x, grad_w
-        grad_b = grad.sum(axis=(0, 2, 3)) if tb.requires_grad else None
-        return grad_x, grad_w, grad_b
-
-    return Tensor.from_op(out, parents, backward, "conv_transpose2d")

@@ -1,5 +1,7 @@
 """Checkpoint save/load tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro.core import (
 )
 from repro.core.engine import build_optimizer
 from repro.data import SnapshotDataset, synthetic_advection_snapshots
-from repro.exceptions import DatasetError
+from repro.exceptions import ConfigurationError, DatasetError
 from repro.tensor import precision, set_precision
 
 
@@ -258,4 +260,37 @@ class TestTrainingCheckpoint:
         path = tmp_path / "models.npz"
         save_parallel_models(path, trained_result)
         with pytest.raises(DatasetError):
+            load_checkpoint(path)
+
+
+def rewrite_strategy(path, meta_key, strategy):
+    """Rewrite the recorded ``cnn_config.strategy`` of a saved checkpoint."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(arrays[meta_key]))
+    cnn_config = json.loads(meta["cnn_config"])
+    cnn_config["strategy"] = strategy
+    meta["cnn_config"] = json.dumps(cnn_config)
+    arrays[meta_key] = json.dumps(meta)
+    np.savez(path, **arrays)
+
+
+class TestUnknownStrategy:
+    """A checkpoint naming a strategy that does not exist (such as the
+    deleted ``transpose``) fails with the typed error that lists the
+    valid choices, not a bare enum ``ValueError``."""
+
+    def test_parallel_models(self, tmp_path, trained_result):
+        path = tmp_path / "models.npz"
+        save_parallel_models(path, trained_result)
+        rewrite_strategy(path, "__meta__", "transpose")
+        with pytest.raises(ConfigurationError, match="'transpose'.*choose from"):
+            load_parallel_models(path)
+
+    def test_training_checkpoint(self, tmp_path):
+        model, cnn_config = small_model()
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, model, TrainingConfig(epochs=1), model_config=cnn_config)
+        rewrite_strategy(path, "__train_meta__", "transpose")
+        with pytest.raises(ConfigurationError, match="'transpose'.*choose from"):
             load_checkpoint(path)

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.domain import BlockDecomposition
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.nn import Conv2d, ConvTranspose2d, Sequential
+from repro.nn import Conv2d, Sequential, Tanh
 from repro.tensor import Tensor, no_grad
 
 
@@ -129,15 +129,6 @@ class TestRolloutMechanics:
 
 
 class TestValidation:
-    def test_inner_crop_rejected_for_rollout(self, rng):
-        config = CNNConfig(
-            channels=(4, 4), kernel_size=3, strategy=PaddingStrategy.INNER_CROP
-        )
-        _, models = clone_models(config, 2)
-        decomp = BlockDecomposition.from_num_ranks((8, 8), 2)
-        with pytest.raises(ConfigurationError, match="INNER_CROP"):
-            ParallelPredictor(models, decomp)
-
     def test_model_count_mismatch_raises(self, rng):
         config = CNNConfig(channels=(4, 4), kernel_size=3, strategy=PaddingStrategy.ZERO)
         _, models = clone_models(config, 2)
@@ -151,7 +142,7 @@ class TestValidation:
             rng=np.random.default_rng(0),
         )
         b = SubdomainCNN(
-            CNNConfig(channels=(4, 4), kernel_size=3, strategy=PaddingStrategy.TRANSPOSE),
+            CNNConfig(channels=(4, 4), kernel_size=3, strategy=PaddingStrategy.NEIGHBOR_FIRST),
             rng=np.random.default_rng(0),
         )
         decomp = BlockDecomposition.from_num_ranks((8, 8), 2)
@@ -208,16 +199,13 @@ class TestRefusedModels:
         yield records
         logger.removeHandler(handler)
 
-    def test_stride_two_conv(self, rng, warnings_logged):
-        model = Sequential(
-            Conv2d(4, 4, 3, stride=2, padding=1, rng=np.random.default_rng(0)),
-            ConvTranspose2d(4, 4, 2, stride=2, rng=np.random.default_rng(1)),
-        )
+    def test_uncompiled_module(self, rng, warnings_logged):
+        model = Sequential(Conv2d(4, 4, 3, padding=1, rng=np.random.default_rng(0)), Tanh())
         field = rng.standard_normal((4, 12, 12))
         stepper = EnsembleStepper([model])
         trajectory = rollout(stepper, field, 3).trajectory
         assert len(warnings_logged) == 1
-        assert "stride-1" in warnings_logged[0].getMessage()
+        assert "cannot compile Tanh" in warnings_logged[0].getMessage()
         state = field
         for step in range(1, 4):
             with no_grad():

@@ -31,7 +31,6 @@ STRATEGIES = [
     PaddingStrategy.ZERO,
     PaddingStrategy.NEIGHBOR_FIRST,
     PaddingStrategy.NEIGHBOR_ALL,
-    PaddingStrategy.TRANSPOSE,
 ]
 
 #: Both epilogue branches (max for slope <= 1, min above) and their bounds.
@@ -154,10 +153,9 @@ class TestPlanEquivalence:
 class TestAllocationFreedom:
     def test_zero_new_buffers_after_warmup(self, rng):
         """The tentpole property, asserted through the perf-counter
-        registry: after the warmup run no step — the transposed conv's
-        included — asks the workspace for anything, so the registry
-        records no workspace bytes at all."""
-        model = make_model(PaddingStrategy.TRANSPOSE)  # conv + tconv steps
+        registry: after the warmup run no step asks the workspace for
+        anything, so the registry records no workspace bytes at all."""
+        model = make_model(PaddingStrategy.ZERO)  # a padded first conv, chained
         plan = InferencePlan(model)
         x = rng.standard_normal((1, 4, 12, 12))
         plan.run(x)  # warmup
@@ -189,8 +187,7 @@ class TestAllocationFreedom:
 
     @pytest.mark.parametrize("block", [(256, 128), (64, 32)], ids=["256x128", "64x32"])
     @pytest.mark.parametrize(
-        "strategy",
-        [PaddingStrategy.NEIGHBOR_FIRST, PaddingStrategy.ZERO, PaddingStrategy.TRANSPOSE],
+        "strategy", [PaddingStrategy.NEIGHBOR_FIRST, PaddingStrategy.ZERO]
     )
     def test_warm_run_traces_under_a_quarter_block(self, strategy, block, rng):
         """The hot-path contract, measured rather than inferred: a warm
@@ -434,7 +431,6 @@ class TestChain:
         init = {"rng": np.random.default_rng(3)}
         return {
             "padded-first-layer": make_model(PaddingStrategy.ZERO, channels=self.CHANNELS),
-            "transpose-follower": make_model(PaddingStrategy.TRANSPOSE, channels=self.CHANNELS),
             "standalone-leaky": Sequential(
                 Conv2d(4, 6, 3, padding=1, **init),
                 LeakyReLU(0.1),
@@ -444,7 +440,7 @@ class TestChain:
         }
 
     @pytest.mark.parametrize(
-        "name", ["padded-first-layer", "transpose-follower", "standalone-leaky"]
+        "name", ["padded-first-layer", "standalone-leaky"]
     )
     def test_models_the_chain_leaves_alone(self, rng, monkeypatch, name):
         model = with_biases(self.left_alone()[name], rng)
@@ -454,10 +450,9 @@ class TestChain:
         assert np.array_equal(plan.run(x), expected)
         steps = self.conv_steps(plan)
         # The last conv writes a plain result; so does a conv whose
-        # follower is not a conv step (a LeakyReLU, a ConvTranspose2d).
+        # follower is not a conv step (a LeakyReLU).
         assert steps[-1].border == 0
-        if name != "transpose-follower":
-            assert steps[-1]._forward.out.shape == expected.shape
+        assert steps[-1]._forward.out.shape == expected.shape
         if name == "padded-first-layer":
             assert steps[0].padding == 1 and steps[0]._forward.interior is not None
             assert [step.border for step in steps] == [1, 1, 1, 0]

@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.analysis import ShapeContract
 from repro.exceptions import ConfigurationError
-from repro.nn import Conv2d, ConvTranspose2d, LeakyReLU, MSELoss, fuse_leaky_relu
+from repro.nn import Conv2d, LeakyReLU, MSELoss, fuse_leaky_relu
 from repro.optim import Adam
 from repro.tensor import Tensor, no_grad
 
@@ -55,34 +55,25 @@ class TestTable1Architecture:
 
 class TestShapeContracts:
     @pytest.mark.parametrize(
-        "strategy, in_extra, out_deficit",
+        "strategy, in_extra",
         [
-            (PaddingStrategy.ZERO, 0, 0),
-            (PaddingStrategy.NEIGHBOR_FIRST, 4, 0),
-            (PaddingStrategy.NEIGHBOR_ALL, 16, 0),
-            (PaddingStrategy.INNER_CROP, 0, 16),
-            (PaddingStrategy.TRANSPOSE, 0, 0),
+            (PaddingStrategy.ZERO, 0),
+            (PaddingStrategy.NEIGHBOR_FIRST, 4),
+            (PaddingStrategy.NEIGHBOR_ALL, 16),
         ],
     )
-    def test_output_size_per_strategy(self, rng, strategy, in_extra, out_deficit):
+    def test_output_size_per_strategy(self, rng, strategy, in_extra):
         model = build_paper_cnn(strategy, rng=rng)
         h = w = 20
         x = Tensor(rng.standard_normal((2, 4, h + in_extra, w + in_extra)))
         out = model(x)
-        assert out.shape == (2, 4, h - out_deficit, w - out_deficit)
+        assert out.shape == (2, 4, h, w)
 
     def test_halo_matches_strategy(self, rng):
         assert build_paper_cnn(PaddingStrategy.NEIGHBOR_FIRST, rng=rng).input_halo == 2
         assert build_paper_cnn(PaddingStrategy.NEIGHBOR_ALL, rng=rng).input_halo == 8
         assert build_paper_cnn(PaddingStrategy.ZERO, rng=rng).input_halo == 0
 
-    def test_expected_output_shape_helper(self, rng):
-        model = build_paper_cnn(PaddingStrategy.INNER_CROP, rng=rng)
-        assert model.expected_output_shape((40, 40)) == (24, 24)
-
-    def test_transpose_strategy_has_deconv_layer(self, rng):
-        model = build_paper_cnn(PaddingStrategy.TRANSPOSE, rng=rng)
-        assert any(isinstance(m, ConvTranspose2d) for m in model.layers)
 
 
 #: Both fused-epilogue branches (max for slope <= 1, min above) and their bounds.
@@ -99,9 +90,9 @@ def fused_case(strategy, slope, seed=3):
     for param in model.parameters():
         if param.ndim == 1:
             param.data[...] = rng.uniform(-0.5, 0.5, param.shape)
-    halo, crop = model.input_halo, model.output_crop
+    halo = model.input_halo
     x = rng.standard_normal((2, 4, 20 + 2 * halo, 19 + 2 * halo))
-    y = rng.standard_normal((2, 4, 20 - 2 * crop, 19 - 2 * crop))
+    y = rng.standard_normal((2, 4, 20, 19))
     return model, x, y
 
 
@@ -111,11 +102,9 @@ class TestFusedForward:
     ``Sequential`` forward bit for bit."""
 
     def test_pairs_every_activated_conv(self, rng):
-        model = build_paper_cnn(PaddingStrategy.TRANSPOSE, rng=rng)
+        model = build_paper_cnn(rng=rng)
         steps = fuse_leaky_relu(model.layers)
-        assert [(type(m), s) for m, s in steps] == [(Conv2d, 0.01)] * 4 + [
-            (ConvTranspose2d, None)
-        ]
+        assert [(type(m), s) for m, s in steps] == [(Conv2d, 0.01)] * 3 + [(Conv2d, None)]
         # A conv takes at most the one activation right after it.
         layers = [LeakyReLU(0.2), Conv2d(2, 2, 3), LeakyReLU(0.3), LeakyReLU(0.4)]
         steps = fuse_leaky_relu(layers)
@@ -164,7 +153,7 @@ class TestFusedForward:
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
     def test_shape_contract_checks_every_conv(self, strategy):
         model, x, _ = fused_case(strategy, 0.01)
-        convs = {id(m) for m in model.modules() if isinstance(m, (Conv2d, ConvTranspose2d))}
+        convs = {id(m) for m in model.modules() if isinstance(m, Conv2d)}
         with ShapeContract() as contract:
             model(Tensor(x, requires_grad=True))
             checked = {module_id for module_id, _ in contract._observed}

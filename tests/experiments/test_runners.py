@@ -143,29 +143,6 @@ class TestAblations:
         assert "Padding" in result.report()
         assert result.best().value == min(r.value for r in result.rows)
 
-    def test_padding_ablation_inner_crop_needs_larger_blocks(self):
-        """INNER_CROP removes 8 lines per side, so a tiny decomposition
-        must fail loudly (this is the paper's usability objection)."""
-        from repro.exceptions import DatasetError
-
-        with pytest.raises(DatasetError):
-            run_padding_ablation(
-                data=TINY,
-                training=FAST_TRAIN,
-                num_ranks=4,
-                strategies=(PaddingStrategy.INNER_CROP,),
-            )
-
-    def test_padding_ablation_inner_crop_on_adequate_grid(self):
-        data = DataConfig(grid_size=40, num_snapshots=8, num_train=6)
-        result = run_padding_ablation(
-            data=data,
-            training=default_training_config(epochs=1),
-            num_ranks=2,
-            strategies=(PaddingStrategy.INNER_CROP,),
-        )
-        assert np.isfinite(result.rows[0].value)
-
     def test_augmentation_ablation(self):
         from repro.experiments import run_augmentation_ablation
 

@@ -1,10 +1,10 @@
-"""Conv2d / ConvTranspose2d layer tests."""
+"""Conv2d layer tests."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.nn import Conv2d, ConvTranspose2d
+from repro.nn import Conv2d
 from repro.tensor import Tensor
 
 
@@ -25,9 +25,17 @@ class TestConv2d:
         assert out.shape == (1, 1, 10, 10)
 
     def test_output_shape_helper_matches(self, rng):
-        layer = Conv2d(2, 3, kernel_size=5, stride=2, padding=1, rng=rng)
+        layer = Conv2d(2, 3, kernel_size=5, padding=1, rng=rng)
         out = layer(Tensor(rng.standard_normal((1, 2, 17, 13))))
         assert out.shape[-2:] == layer.output_shape(17, 13)
+
+    @pytest.mark.parametrize(
+        "options", [dict(stride=2), dict(padding=3), dict(padding=4)], ids=str
+    )
+    def test_outside_the_strip_kernel_raises(self, rng, options):
+        """Stride 1 and padding < kernel is the one class conv2d runs."""
+        with pytest.raises(ConfigurationError):
+            Conv2d(2, 3, kernel_size=3, rng=rng, **options)
 
     def test_no_bias(self, rng):
         layer = Conv2d(2, 3, kernel_size=3, bias=False, rng=rng)
@@ -67,24 +75,3 @@ class TestConv2d:
         layer(Tensor(rng.standard_normal((1, 1, 5, 5)))).sum().backward()
         assert layer.weight.grad is not None
         assert layer.bias.grad is not None
-
-
-class TestConvTranspose2d:
-    def test_restores_valid_conv_shrinkage(self, rng):
-        down = Conv2d(1, 2, kernel_size=5, padding=0, rng=rng)
-        up = ConvTranspose2d(2, 1, kernel_size=5, rng=rng)
-        x = Tensor(rng.standard_normal((1, 1, 12, 12)))
-        assert up(down(x)).shape == (1, 1, 12, 12)
-
-    def test_output_shape_helper(self, rng):
-        layer = ConvTranspose2d(2, 3, kernel_size=4, stride=2, padding=1, rng=rng)
-        out = layer(Tensor(rng.standard_normal((1, 2, 8, 8))))
-        assert out.shape[-2:] == layer.output_shape(8, 8)
-
-    def test_weight_layout(self, rng):
-        layer = ConvTranspose2d(3, 5, kernel_size=3, rng=rng)
-        assert layer.weight.shape == (3, 5, 3, 3)
-
-    def test_bad_channels_raise(self, rng):
-        with pytest.raises(ConfigurationError):
-            ConvTranspose2d(0, 1, rng=rng)

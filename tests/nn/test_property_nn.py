@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Conv2d, ConvTranspose2d, LeakyReLU, Linear, Sequential
+from repro.nn import Conv2d, LeakyReLU, Linear, Sequential
 from repro.tensor import Tensor
 
 
@@ -59,22 +59,6 @@ def test_every_parameter_receives_gradient(arch):
     for name, param in net.named_parameters():
         assert param.grad is not None, name
         assert param.grad.shape == param.data.shape
-
-
-@given(
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.sampled_from([3, 5]),
-    st.integers(6, 12),
-)
-@settings(max_examples=30, deadline=None)
-def test_transpose_conv_inverts_valid_conv_shape(cin, cout, kernel, size):
-    """ConvTranspose2d(k) restores exactly what Conv2d(k, valid) removed."""
-    rng = np.random.default_rng(0)
-    down = Conv2d(cin, cout, kernel_size=kernel, padding=0, rng=rng)
-    up = ConvTranspose2d(cout, cin, kernel_size=kernel, rng=rng)
-    x = Tensor(rng.standard_normal((1, cin, size, size)))
-    assert up(down(x)).shape == x.shape
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5))

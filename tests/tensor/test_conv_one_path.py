@@ -102,5 +102,5 @@ def test_no_stride_one_shape_reaches_im2col(rng, no_im2col, c, f, requires_grad)
                 assert np.array_equal(T.conv2d(x, w, padding=padding).data, out.data)
         if requires_grad:
             out.sum().backward()
-    with pytest.raises(AssertionError, match="im2col reached"):
-        T.conv2d(x, w, stride=2)
+    with pytest.raises(AssertionError, match="im2col reached"):  # the fixture bites
+        ops_conv.conv2d_reference(x, w, None, (1, 1), (0, 0), None, 0.01, (x, w))

@@ -23,38 +23,30 @@ class TestLeakyReluScale:
 class TestFusedConv:
     """conv2d(activation="leaky_relu") vs conv-then-activation."""
 
-    def _unfused(self, x, w, b, stride, padding, slope):
+    def _unfused(self, x, w, b, padding, slope):
         """Conv, then the standalone activation op, without an arena."""
         with workspace_disabled():
-            out = T.conv2d(
-                Tensor(x),
-                Tensor(w),
-                None if b is None else Tensor(b),
-                stride=stride,
-                padding=padding,
-            )
+            tb = None if b is None else Tensor(b)
+            out = T.conv2d(Tensor(x), Tensor(w), tb, padding=padding)
             return T.leaky_relu(out, negative_slope=slope)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("slope", SLOPES)
     @pytest.mark.parametrize("bias", [True, False])
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (1, 2), (1, 3)])
-    def test_forward_bit_identical(self, rng, bias, stride, padding, slope, dtype):
-        """Both kernel classes: (1, 1) and (1, 2) run the strip kernel
-        (epilogue ``max(z, slope*z)``, ``min`` for ``slope > 1``), stride
-        2 and padding >= kernel the reference (``z * where(z >= 0, 1,
-        slope)``); either way fused and unfused, arena and no arena,
-        agree to the bit."""
+    @pytest.mark.parametrize("padding", [1, 2])
+    def test_forward_bit_identical(self, rng, bias, padding, slope, dtype):
+        """The strip epilogue ``max(z, slope*z)`` (``min`` for ``slope >
+        1``) against the standalone op's ``z * where(z >= 0, 1, slope)``:
+        fused and unfused, arena and no arena, agree to the bit."""
         x = rng.standard_normal((2, 3, 9, 9)).astype(dtype)
         w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
         b = rng.standard_normal(4).astype(dtype) if bias else None
-        expected = self._unfused(x, w, b, stride, padding, slope).numpy()
+        expected = self._unfused(x, w, b, padding, slope).numpy()
         with no_grad():
             fused = T.conv2d(
                 Tensor(x),
                 Tensor(w),
                 None if b is None else Tensor(b),
-                stride=stride,
                 padding=padding,
                 activation="leaky_relu",
                 negative_slope=slope,
@@ -87,24 +79,20 @@ class TestFusedConv:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("slope", SLOPES)
-    @pytest.mark.parametrize("stride", [1, 2], ids=["strips", "reference"])
-    def test_backward_bit_identical(self, rng, stride, slope, dtype):
+    def test_backward_bit_identical(self, rng, slope, dtype):
         """Under autograd the strip epilogue writes the ``z >= 0`` mask
         the backward keeps; output and gradients equal the two-op graph's."""
         x, w, b = (rng.standard_normal(s).astype(dtype) for s in ((2, 3, 8, 8), (4, 3, 3, 3), (4,)))
-        seed = rng.standard_normal((2, 4, 8 // stride, 8 // stride)).astype(dtype)
+        seed = rng.standard_normal((2, 4, 8, 8)).astype(dtype)
 
         def run(fused):
             tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
             if fused:
                 out = T.conv2d(
-                    tx, tw, tb, stride=stride, padding=1,
-                    activation="leaky_relu", negative_slope=slope,
-                )  # fmt: skip
-            else:
-                out = T.leaky_relu(
-                    T.conv2d(tx, tw, tb, stride=stride, padding=1), negative_slope=slope
+                    tx, tw, tb, padding=1, activation="leaky_relu", negative_slope=slope
                 )
+            else:
+                out = T.leaky_relu(T.conv2d(tx, tw, tb, padding=1), negative_slope=slope)
             out.backward(seed)
             return out.data, tx.grad, tw.grad, tb.grad
 

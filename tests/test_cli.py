@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import PaddingStrategy
 
 
 class TestParser:
@@ -43,6 +44,21 @@ class TestParser:
     def test_log_level_is_global(self):
         args = build_parser().parse_args(["--log-level", "debug", "table1"])
         assert args.log_level == "debug"
+
+    @pytest.mark.parametrize("command", ["train", "perf", "trace", "metrics"])
+    def test_strategy_choices_are_the_padding_strategies(self, command, capsys):
+        """Every ``--strategy`` offers exactly the enum's values, so a
+        removed or misspelt name is argparse's one-line usage error."""
+        positional = {"train": ["c.npz"], "trace": ["t.json"], "metrics": ["m.prom"]}
+        argv = [command, *positional.get(command, []), "--strategy"]
+        for strategy in (s.value for s in PaddingStrategy):
+            assert build_parser().parse_args(argv + [strategy]).strategy == strategy
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["transpose"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'transpose'" in err
+        assert "Traceback" not in err
 
 
 class TestTable1Command:
