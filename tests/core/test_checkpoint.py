@@ -277,20 +277,22 @@ def rewrite_strategy(path, meta_key, strategy):
 
 class TestUnknownStrategy:
     """A checkpoint naming a strategy that does not exist (such as the
-    deleted ``transpose``) fails with the typed error that lists the
-    valid choices, not a bare enum ``ValueError``."""
+    deleted ``transpose`` and ``inner_crop``) fails with the typed error
+    that lists the valid choices, not a bare enum ``ValueError``."""
 
-    def test_parallel_models(self, tmp_path, trained_result):
+    @pytest.mark.parametrize("name", ["transpose", "inner_crop", "no_such_strategy"])
+    def test_parallel_models(self, tmp_path, trained_result, name):
         path = tmp_path / "models.npz"
         save_parallel_models(path, trained_result)
-        rewrite_strategy(path, "__meta__", "transpose")
-        with pytest.raises(ConfigurationError, match="'transpose'.*choose from"):
+        rewrite_strategy(path, "__meta__", name)
+        with pytest.raises(ConfigurationError, match=f"'{name}'.*choose from"):
             load_parallel_models(path)
 
-    def test_training_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("name", ["transpose", "inner_crop", "no_such_strategy"])
+    def test_training_checkpoint(self, tmp_path, name):
         model, cnn_config = small_model()
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, model, TrainingConfig(epochs=1), model_config=cnn_config)
-        rewrite_strategy(path, "__train_meta__", "transpose")
-        with pytest.raises(ConfigurationError, match="'transpose'.*choose from"):
+        rewrite_strategy(path, "__train_meta__", name)
+        with pytest.raises(ConfigurationError, match=f"'{name}'.*choose from"):
             load_checkpoint(path)

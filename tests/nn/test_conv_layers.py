@@ -37,6 +37,13 @@ class TestConv2d:
         with pytest.raises(ConfigurationError):
             Conv2d(2, 3, kernel_size=3, rng=rng, **options)
 
+    @pytest.mark.parametrize("kernel_size", [1, 3, 5])
+    def test_largest_padding_is_accepted(self, rng, kernel_size):
+        """padding = kernel_size - 1 is the widest the strip kernel runs."""
+        layer = Conv2d(2, 3, kernel_size=kernel_size, padding=kernel_size - 1, rng=rng)
+        out = layer(Tensor(rng.standard_normal((1, 2, 6, 7))))
+        assert out.shape == (1, 3, 6 + kernel_size - 1, 7 + kernel_size - 1)
+
     def test_no_bias(self, rng):
         layer = Conv2d(2, 3, kernel_size=3, bias=False, rng=rng)
         assert layer.bias is None

@@ -319,6 +319,8 @@ class TestRetention:
 OUTSIDE_THE_RULE = {
     "stride-2": (dict(stride=2, padding=1), ((2, 3, 7, 6), (4, 3, 3, 3), (4,))),
     "padding>=kernel": (dict(padding=(2, 1)), ((1, 2, 4, 5), (3, 2, 2, 3), (3,))),
+    "stride-2-along-width": (dict(stride=(1, 2)), ((1, 2, 6, 6), (3, 2, 3, 3), (3,))),
+    "padding>=kernel-width": (dict(padding=(0, 3)), ((1, 2, 4, 5), (3, 2, 2, 3), (3,))),
 }
 
 

@@ -33,11 +33,12 @@ class TestFusedConv:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("slope", SLOPES)
     @pytest.mark.parametrize("bias", [True, False])
-    @pytest.mark.parametrize("padding", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_forward_bit_identical(self, rng, bias, padding, slope, dtype):
-        """The strip epilogue ``max(z, slope*z)`` (``min`` for ``slope >
-        1``) against the standalone op's ``z * where(z >= 0, 1, slope)``:
-        fused and unfused, arena and no arena, agree to the bit."""
+        """Valid, same-size and over-padded: the strip epilogue ``max(z,
+        slope*z)`` (``min`` for ``slope > 1``) against the standalone op's
+        ``z * where(z >= 0, 1, slope)``: fused and unfused, arena and no
+        arena, agree to the bit."""
         x = rng.standard_normal((2, 3, 9, 9)).astype(dtype)
         w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
         b = rng.standard_normal(4).astype(dtype) if bias else None
@@ -79,20 +80,25 @@ class TestFusedConv:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("slope", SLOPES)
-    def test_backward_bit_identical(self, rng, slope, dtype):
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_backward_bit_identical(self, rng, padding, slope, dtype):
         """Under autograd the strip epilogue writes the ``z >= 0`` mask
-        the backward keeps; output and gradients equal the two-op graph's."""
+        the backward keeps; output and gradients equal the two-op graph's
+        whether the output shrinks, keeps or grows the input's size."""
         x, w, b = (rng.standard_normal(s).astype(dtype) for s in ((2, 3, 8, 8), (4, 3, 3, 3), (4,)))
-        seed = rng.standard_normal((2, 4, 8, 8)).astype(dtype)
+        side = 8 - 2 + 2 * padding
+        seed = rng.standard_normal((2, 4, side, side)).astype(dtype)
 
         def run(fused):
             tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
             if fused:
                 out = T.conv2d(
-                    tx, tw, tb, padding=1, activation="leaky_relu", negative_slope=slope
+                    tx, tw, tb, padding=padding, activation="leaky_relu", negative_slope=slope
                 )
             else:
-                out = T.leaky_relu(T.conv2d(tx, tw, tb, padding=1), negative_slope=slope)
+                out = T.leaky_relu(
+                    T.conv2d(tx, tw, tb, padding=padding), negative_slope=slope
+                )
             out.backward(seed)
             return out.data, tx.grad, tw.grad, tb.grad
 

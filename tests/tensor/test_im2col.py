@@ -58,15 +58,44 @@ class TestIm2Col:
             im2col(rng.standard_normal((3, 7, 8)), (3, 3))
 
 
+def reference_col2im(cols, shape, kernel, stride, padding):
+    """Naive scatter-add of patch rows, the loop ``reference_im2col`` reads."""
+    n, c, h, w = shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+    rows = iter(cols)
+    for ni in range(n):
+        for yi in range(oh):
+            for xi in range(ow):
+                patch = next(rows).reshape(c, kh, kw)
+                xp[ni, :, yi * sh : yi * sh + kh, xi * sw : xi * sw + kw] += patch
+    return xp[:, :, ph : ph + h, pw : pw + w]
+
+
 class TestCol2Im:
-    def test_adjoint_identity(self, rng):
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 1), (2, 3)])
+    @pytest.mark.parametrize("padding", [(0, 0), (1, 1), (2, 0)])
+    def test_adjoint_identity(self, rng, stride, padding):
         """<im2col(x), y> == <x, col2im(y)> — the defining property."""
         shape = (2, 3, 6, 7)
         x = rng.standard_normal(shape)
-        cols, _ = im2col(x, (3, 3), (2, 1), (1, 0))
+        cols, _ = im2col(x, (3, 3), stride, padding)
         y = rng.standard_normal(cols.shape)
-        back = col2im(y, shape, (3, 3), (2, 1), (1, 0))
+        back = col2im(y, shape, (3, 3), stride, padding)
         assert np.isclose(np.sum(cols * y), np.sum(x * back))
+
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 1), (2, 3)])
+    @pytest.mark.parametrize("padding", [(0, 0), (1, 1), (2, 0)])
+    def test_matches_reference_scatter(self, rng, stride, padding):
+        shape = (2, 3, 7, 8)
+        cols, _ = im2col(np.zeros(shape), (3, 3), stride, padding)
+        y = rng.standard_normal(cols.shape)
+        back = col2im(y, shape, (3, 3), stride, padding)
+        assert np.allclose(back, reference_col2im(y, shape, (3, 3), stride, padding))
 
     def test_counts_overlaps(self):
         """col2im of ones counts how many patches cover each pixel."""
