@@ -339,7 +339,7 @@ def _add_scaling(subparsers) -> None:
         "--timing",
         default="faithful",
         choices=["faithful", "measured"],
-        help="faithful: serial per-rank max (models a P-core machine); "
+        help="faithful: serial per-rank max, each rank on cores // P threads; "
         "measured: real concurrent wall-clock on this machine",
     )
     parser.add_argument(

@@ -20,8 +20,11 @@ all during training.  Three execution modes are provided:
     Because training is communication-free this is *algorithmically
     identical*; it exists so per-rank training time can be measured
     without scheduling noise on machines with fewer cores than ranks
-    (this is how the Fig. 4 strong-scaling study runs its ``faithful``
-    timing mode inside a single-core container — see DESIGN.md).
+    (the Fig. 4 study's ``faithful`` timing mode — see DESIGN.md).
+
+Every mode runs a rank's conv kernels on ``max(1, cores // P)`` threads
+(:mod:`repro.tensor.blocked`), set where the launcher or the serial loop
+starts the rank.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from ..domain.decomposition import BlockDecomposition, Subdomain
 from ..exceptions import ConfigurationError
 from ..obs import trace
 from .. import mpi
+from ..mpi.launcher import _set_share, _share
 from .engine import Callback, Engine
 from .model import CNNConfig, SubdomainCNN
 from .subdomain_data import build_rank_dataset
@@ -222,13 +226,17 @@ class ParallelTrainer:
             )
         elif execution == "serial":
             rank_results = []
-            for rank in range(self.num_ranks):
-                # Bind the rank context so spans/log lines from the
-                # sequentialized rank programs stay attributable.
-                with trace.rank_scope(rank):
-                    rank_results.append(
-                        self._rank_program(dataset, decomposition, rank, validation)
-                    )
+            previous = _set_share(_share(self.num_ranks))
+            try:
+                for rank in range(self.num_ranks):
+                    # Bind the rank context so spans/log lines from the
+                    # sequentialized rank programs stay attributable.
+                    with trace.rank_scope(rank):
+                        rank_results.append(
+                            self._rank_program(dataset, decomposition, rank, validation)
+                        )
+            finally:
+                _set_share(previous)
         else:
             raise ConfigurationError(
                 f"unknown execution mode {execution!r} "

@@ -5,10 +5,12 @@ communication-free: the parallel wall time equals the slowest rank's
 local training time on 1/P of the data.  Two timing modes are provided:
 
 ``timing="faithful"`` (default)
-    Each rank's training is executed *serially* and timed in isolation;
-    the per-P wall time is the maximum over ranks.  This is the faithful
-    model-based measurement: it reports what a P-core machine would
-    observe, even inside a single-core container (see DESIGN.md).
+    Each rank's training is executed *serially* and timed in isolation,
+    on ``cores // P`` threads (at least one) as it would get running in
+    parallel, so P = 1 uses the whole machine; the per-P wall time is
+    the maximum over ranks.  This is the faithful model-based
+    measurement: it reports what the machine would observe with P ranks
+    sharing it, without their scheduling noise (see DESIGN.md).
 
 ``timing="measured"``
     The ranks actually run concurrently (``execution="processes"`` by
@@ -157,8 +159,8 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
                 result = trainer.train(experiment.train, execution=config.execution)
                 observed = result.wall_time
             else:
-                # Serial execution: ranks run one at a time so each
-                # rank's time is an uncontended single-core measurement;
+                # Serial execution: ranks run one at a time, each on
+                # cores // P threads, so each rank's time is uncontended;
                 # the parallel wall time of the communication-free
                 # scheme is their maximum.
                 result = trainer.train(experiment.train, execution="serial")

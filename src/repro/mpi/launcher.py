@@ -28,6 +28,7 @@ re-raised to the caller.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Any, Callable, Sequence
 
@@ -41,6 +42,19 @@ RankFn = Callable[[Communicator], Any]
 
 #: Valid values of :func:`run_parallel`'s ``backend`` argument.
 BACKENDS = ("threads", "processes")
+
+
+def _share(size: int) -> int:
+    """Conv-kernel threads of a rank of ``size``: its share of the cores
+    this process may run on (``taskset`` sets them)."""
+    return max(1, len(os.sched_getaffinity(0)) // size)
+
+
+def _set_share(threads: int) -> int:
+    """Set the calling thread's share; returns the one it replaces."""
+    from ..tensor.blocked import set_image_threads
+
+    return set_image_threads(threads)
 
 
 def run_parallel(
@@ -129,12 +143,14 @@ def _run_threads(
     isolate_messages: bool,
 ) -> list[Any]:
     router = MessageRouter(size, isolate=isolate_messages)
+    share = _share(size)
     results: list[Any] = [None] * size
     errors: list[tuple[int, BaseException]] = []
     errors_lock = threading.Lock()
 
     def worker(rank: int) -> None:
         trace.set_rank(rank)  # tag this thread's spans with its rank
+        _set_share(share)
         comm = WorldCommunicator(router, rank)
         comm.deadlock_timeout = deadlock_timeout
         try:

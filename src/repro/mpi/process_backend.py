@@ -42,6 +42,7 @@ from ..exceptions import CommunicatorError, DeadlockError
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from .api import ANY_SOURCE, ANY_TAG, Communicator, Request, Status
+from .launcher import _set_share, _share
 from .router import _isolate_payload
 from .shm import is_shared
 
@@ -264,6 +265,7 @@ def _worker_main(
     obs_flags: tuple[bool, bool, bool] = (False, False, False),
     precision: str = "float64",
     heartbeats: Any = None,
+    share: int = 1,
 ) -> None:
     """Entry point of one rank process (module-level for spawn support).
 
@@ -277,13 +279,15 @@ def _worker_main(
     is the shared per-rank last-alive array (or ``None``); when
     present, this rank's :func:`repro.obs.metrics.heartbeat` beats are
     mirrored into slot ``rank`` so the parent's supervisor can detect a
-    stall without any queue traffic.
+    stall without any queue traffic.  ``share`` is the rank's conv
+    kernel threads, computed in the parent.
     """
     trace_on, perf_on, metrics_on = (*obs_flags, False, False)[:3]
     from ..tensor.precision import set_precision
 
     set_precision(precision)
     trace.set_rank(rank)
+    _set_share(share)
     if trace_on:
         trace.reset()
         trace.enable()
@@ -402,6 +406,7 @@ def run_parallel_processes(
                 obs_flags,
                 precision,
                 heartbeats,
+                _share(size),
             ),
             name=f"repro-rank-{rank}",
             daemon=True,

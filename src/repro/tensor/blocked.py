@@ -51,7 +51,17 @@ because ``leaky(0) = 0`` and no bias pass touches them (a training
 mask, bordered like the result, takes the same rows).  Strips fill
 1 MiB in forward-only calls (the plan, the no-grad op) and 512 KiB in
 training, whose weight gradient is slower at 1 MiB; the bias tap
-counts in the budget.
+counts in the budget, and so do a forward-only activated strip's work
+strip and its scaled twin.
+
+A rank's kernels run on its share of the cores, ``max(1, cores //
+ranks)`` threads, set where ranks start (:mod:`repro.mpi.launcher`).
+Above share 1, :func:`for_each_image` hands a batch's images one at a
+time from a shared counter to the caller and ``share - 1`` pool workers,
+each with its own thread's arena; the weight gradient adds an image's
+per-strip partials only after every earlier image's (one done ahead of
+its turn parks a copy), so it sums in the serial ``(image, r0)`` order
+and no split changes a bit.
 
 Per output element this is the dot product over the same ``C*kh*kw``
 values as the reference im2col kernel plus the bias, summed in ``(dy,
@@ -65,7 +75,11 @@ forward and a call without an arena all agree bitwise.
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -74,7 +88,7 @@ from numpy.lib.stride_tricks import as_strided
 from ..exceptions import ShapeError
 from . import perf
 from .im2col import conv_output_size
-from .workspace import Workspace, scratch
+from .workspace import Workspace, get_workspace, scratch
 
 __all__ = [
     "StripForward",
@@ -97,12 +111,68 @@ _Strip = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _Epilogue | None]
 _FORWARD_STRIP_BYTES = 1 << 20
 _TRAIN_STRIP_BYTES = 1 << 19
 
+#: The calling thread's share of the cores (``threads``, 1 unless a
+#: rank's start set it), and the process's pool of image workers.
+_share = threading.local()
+_pool: ThreadPoolExecutor | None = None
 
-def _strip_rows(budget: int, ow: int, width: int, kh: int, size: int, oh: int) -> int:
+
+def image_threads() -> int:
+    """Threads the calling thread's kernels split a batch over."""
+    return getattr(_share, "threads", 1)
+
+
+def set_image_threads(threads: int) -> int:
+    """Set the calling thread's share; returns the one it replaces."""
+    previous, _share.threads = image_threads(), threads
+    return previous
+
+
+def for_each_image(
+    n: int, workspace: Workspace | None, work: Callable[[slice, Workspace | None], None]
+) -> None:
+    """``work(images, arena)`` over all ``n`` images: one call on the
+    whole batch at share 1, else one call per image, handed out from a
+    shared counter to this thread and ``share - 1`` pool workers, each
+    with its own thread's arena (none when ``workspace`` is none)."""
+    global _pool
+    helpers = min(n, image_threads()) - 1
+    if helpers <= 0:
+        work(slice(0, n), workspace)
+        return
+    images = itertools.count()
+
+    def drain(arena: Workspace | None) -> None:
+        while (image := next(images)) < n:
+            work(slice(image, image + 1), arena)
+
+    pool = _pool = _pool or ThreadPoolExecutor(thread_name_prefix="repro-images")
+    helper = (lambda: drain(None)) if workspace is None else (lambda: drain(get_workspace()))
+    futures = [pool.submit(helper) for _ in range(helpers)]
+    try:
+        drain(workspace)
+    finally:  # the helpers are done (or raise) before the caller returns
+        for future in futures:
+            future.result()
+
+
+def _drop_pool() -> None:
+    global _pool  # a forked child has none of its threads
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _strip_rows(
+    budget: int, ow: int, width: int, kh: int, size: int, oh: int, extra: int = 0
+) -> int:
     """Output rows per strip so its ``rows + kh - 1`` input rows of
-    ``width`` taps (``C*kw``, plus a bias tap) meet ``budget``."""
+    ``width`` taps (``C*kw``, plus a bias tap) and ``extra`` elements per
+    output row (a forward-only work strip and its twin) meet ``budget``."""
     row_bytes = ow * width * size
-    return max(1, min(oh, budget // max(1, row_bytes) - (kh - 1)))
+    return max(1, min(oh, (budget - (kh - 1) * row_bytes) // (row_bytes + extra * size)))
 
 
 def bordered_buffer(
@@ -180,7 +250,7 @@ def patch_strips(
     step = np.dtype(dtype).itemsize
     rin, taps = rows + kh - 1, c * kw
     width = taps + bias_tap
-    buffer = scratch(workspace, f"{slot_prefix}.rows", (rin * width * ow,), dtype)
+    buffer = scratch(workspace, f"{slot_prefix}.rows", (rin * width * ow,), dtype, shared=True)
     if tap_major:
         strip = buffer.reshape(c, kw, rin, ow).transpose(2, 0, 1, 3)
         shape, strides = (kh, rows * ow, taps), (ow * step, step, rin * ow * step)
@@ -241,7 +311,8 @@ class StripForward:
             )
         budget = _TRAIN_STRIP_BYTES if training else _FORWARD_STRIP_BYTES
         width = c * kw + biased
-        rows = _strip_rows(budget, ow, width, kh, dtype.itemsize, oh)
+        extra = 2 * f * wp if slope is not None and not training else 0
+        rows = _strip_rows(budget, ow, width, kh, dtype.itemsize, oh, extra)
         # Taps in (dy, c, dx[, bias]) order, as kh consecutive strip rows hold them.
         taps = scratch(workspace, f"{slot}.wmat", (f, kh, width), dtype)
         taps[:, 1:, c * kw :] = 0.0  # the bias tap counts once, at dy = 0
@@ -371,12 +442,17 @@ def conv2d_forward_blocked(
             f"blocked conv needs a C-contiguous {shape} {dtype} destination "
             f"or a bordered one, got {out.dtype} {out.shape}"
         )
-    slope = None if activation is None else negative_slope
-    forward = StripForward(
-        x, out, (kh, kw), padding, bias is not None, slope, workspace, slot_prefix,
-        training, mask,
-    )  # fmt: skip
-    return forward.execute(x, weight, bias, perf.perf_enabled())
+    slope, timing = None if activation is None else negative_slope, perf.perf_enabled()
+
+    def run(images: slice, arena: Workspace | None) -> None:
+        forward = StripForward(
+            x[images], out[images], (kh, kw), padding, bias is not None, slope, arena,
+            slot_prefix, training, None if mask is None else mask[images],
+        )  # fmt: skip
+        forward.execute(x[images], weight, bias, timing)
+
+    for_each_image(n, workspace, run)
+    return out
 
 
 def conv2d_weight_grad_blocked(
@@ -415,16 +491,31 @@ def conv2d_weight_grad_blocked(
         )
         np.copyto(interior, x)
     rows = _strip_rows(_TRAIN_STRIP_BYTES, ow, c * kw, kh, dtype.itemsize, oh)
-    grad_rows = scratch(workspace, f"{slot_prefix}.grows", (f * rows * ow,), dtype)
     grad_w = np.zeros((kh, f, c * kw), dtype=dtype)
-    partial = scratch(workspace, f"{slot_prefix}.wgrad", grad_w.shape, dtype)
-    for image, r0, r1, shifts, strip, shifted in patch_strips(
-        source, kernel, rows, dtype, workspace, slot_prefix, tap_major=True
-    ):
-        with perf.timed("im2col"):
-            np.copyto(strip, shifts)
-        g_strip = grad_rows[: f * (r1 - r0) * ow].reshape(f, r1 - r0, ow)
-        np.copyto(g_strip, grad[image, :, r0:r1])
-        np.matmul(g_strip.reshape(f, -1), shifted, out=partial)
-        grad_w += partial
+    # Images join the sum in the serial order; one done early parks a copy.
+    parked: dict[int, np.ndarray] = {}
+    summed, turn = [0], threading.Lock()
+    per_image = (-(-oh // rows), *grad_w.shape)  # one partial per strip
+
+    def run(images: slice, arena: Workspace | None) -> None:
+        grad_rows = scratch(arena, f"{slot_prefix}.grows", (f * rows * ow,), dtype)
+        partials = scratch(arena, f"{slot_prefix}.wgrad", per_image, dtype)
+        for image, r0, r1, shifts, strip, shifted in patch_strips(
+            source[images], kernel, rows, dtype, arena, slot_prefix, tap_major=True
+        ):
+            with perf.timed("im2col"):
+                np.copyto(strip, shifts)
+            g_strip = grad_rows[: f * (r1 - r0) * ow].reshape(f, r1 - r0, ow)
+            np.copyto(g_strip, grad[images.start + image, :, r0:r1])
+            np.matmul(g_strip.reshape(f, -1), shifted, out=partials[r0 // rows])
+            if r1 == oh:
+                with turn:
+                    image += images.start
+                    parked[image] = partials if image == summed[0] else partials.copy()
+                    while summed[0] in parked:
+                        for partial in parked.pop(summed[0]):
+                            np.add(grad_w, partial, out=grad_w)
+                        summed[0] += 1
+
+    for_each_image(n, workspace, run)
     return np.ascontiguousarray(grad_w.reshape(kh, f, c, kw).transpose(1, 2, 0, 3))

@@ -41,9 +41,10 @@ is always pad-copied, whatever array it is a view of.
 The strip path draws its scratch from the calling thread's arena when
 there is one and allocates it otherwise; the arithmetic does not
 depend on which, so results with and without a workspace are
-bit-identical.  Nor does it depend on the strip budget: autograd calls
+bit-identical.  Nor does it depend on the strip budget (autograd calls
 pass ``training=True`` and cut 512 KiB strips, the no-grad op 1 MiB
-ones.
+ones) or on the threads a rank's share of the cores hands the batch's
+images to, each with its own arena (:mod:`~repro.tensor.blocked`).
 
 ``conv2d`` accepts ``activation="leaky_relu"``, fusing the activation
 into the op (the bias is already in the GEMM); the paper's network runs
@@ -64,10 +65,10 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, ShapeError
 from . import autograd, perf
-from .blocked import conv2d_forward_blocked, conv2d_weight_grad_blocked
+from .blocked import conv2d_forward_blocked, conv2d_weight_grad_blocked, for_each_image
 from .im2col import col2im, conv_output_size, im2col
 from .tensor import Tensor, ensure_tensor, register_op
-from .workspace import get_workspace, scratch
+from .workspace import Workspace, get_workspace, scratch
 
 #: Arena slot namespaces of the no-grad and the autograd strip path.
 #: Forward and backward share the latter: every buffer is dead when its
@@ -264,19 +265,21 @@ def _strip_backward(
                 # factor rebuilt exactly from the mask's {0, 1} one image
                 # at a time in a warm buffer: the maximum with the slope,
                 # or when steep 1 - d -> {0, slope} -> the maximum with 1.
-                scale = scratch(
-                    workspace, f"{_TRAIN_SLOTS}.scale", (f, oh, ow), dtype, shared=True
-                )
-                for image in range(n):
-                    np.copyto(scale, mask[image])
-                    if slope > 1.0:
-                        np.subtract(1.0, scale, out=scale)
-                        np.multiply(scale, slope, out=scale)
-                        np.maximum(scale, 1.0, out=scale)
-                    else:
-                        np.maximum(scale, slope, out=scale)
-                    np.multiply(grad[image], scale, out=scale)
-                    np.copyto(grad_out[image], scale)
+                def scale_images(images: slice, arena: Workspace | None) -> None:
+                    slot = f"{_TRAIN_SLOTS}.scale"  # one buffer per thread
+                    scale = scratch(arena, slot, (f, oh, ow), dtype, shared=True)
+                    for image in range(images.start, images.stop):
+                        np.copyto(scale, mask[image])
+                        if slope > 1.0:
+                            np.subtract(1.0, scale, out=scale)
+                            np.multiply(scale, slope, out=scale)
+                            np.maximum(scale, 1.0, out=scale)
+                        else:
+                            np.maximum(scale, slope, out=scale)
+                        np.multiply(grad[image], scale, out=scale)
+                        np.copyto(grad_out[image], scale)
+
+                for_each_image(n, workspace, scale_images)
             grad_w = None
             if tw.requires_grad:
                 grad_w = conv2d_weight_grad_blocked(

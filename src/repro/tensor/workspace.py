@@ -22,8 +22,9 @@ explicitly owns the arena.
 Buffers are zero-filled exactly once, at creation.  The padded-input
 slots encode the padding split in the slot name and only ever write the
 interior, so their borders stay zero for the buffer's whole lifetime.
-A :meth:`~Workspace.reserve` slot (the training backward's gradient
-source) is one buffer that all shapes share: its users zero borders.
+A :meth:`~Workspace.reserve` slot (a strip buffer, the training
+backward's gradient source) is one buffer all shapes share: its users
+write what they read, zero borders included.
 
 Thread and fork semantics
 -------------------------

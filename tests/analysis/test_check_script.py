@@ -1,5 +1,6 @@
 """The one-shot lint gate (`make lint` / scripts/check.sh) runs clean."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,12 @@ def test_cli_check_subcommand_passes():
         capture_output=True,
         text=True,
         timeout=600,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+        env={
+            "PYTHONPATH": str(REPO / "src"),
+            "PATH": "/usr/bin:/bin:/usr/local/bin",
+            # a run that asks for no bytecode writes none into src/
+            **{k: v for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE"},
+        },
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 failure(s)" in proc.stdout

@@ -253,9 +253,14 @@ class TestBinding:
         if block == (256, 128):
             bound = [step._forward for step in plan.steps if hasattr(step, "_forward")]
             assert len(bound) == 4
+            counts = []
             for forward in bound:
                 rows = [strip[3].shape[0] for strip in forward.strips]  # GEMM outputs
                 assert len(rows) > 1 and rows[-1] < rows[0]
+                counts.append(len(rows))
+            # The activated steps' budgets count the work strip and its twin.
+            all_valid = strategy == PaddingStrategy.NEIGHBOR_ALL
+            assert counts == ([7, 15, 19, 6] if all_valid else [7, 14, 18, 6])
 
     def test_new_shape_dtype_or_buffer_rebinds(self, rng, binds):
         model = make_model(PaddingStrategy.NEIGHBOR_FIRST)  # first conv reads x

@@ -75,7 +75,9 @@ def tiny_strips(monkeypatch):
 def fix_strip_rows(monkeypatch, rows):
     """``rows`` output rows per strip whatever the shape: seams, and a
     ragged last strip where ``oh % rows != 0``."""
-    monkeypatch.setattr(blocked, "_strip_rows", lambda *shape: min(shape[-1], rows))
+    monkeypatch.setattr(
+        blocked, "_strip_rows", lambda budget, ow, width, kh, size, oh, extra=0: min(oh, rows)
+    )
 
 
 @pytest.fixture
@@ -195,7 +197,9 @@ class TestBiasTap:
                 cold = op(*map(Tensor, (x, w, b))).data
         _, trained = run_backward(op, x, w, b, g)
         monkeypatch.setattr(
-            blocked, "scratch", lambda ws, slot, shape, dtype: np.full(shape, np.nan, dtype)
+            blocked,
+            "scratch",
+            lambda ws, slot, shape, dtype, shared=False: np.full(shape, np.nan, dtype),
         )
         with T.no_grad():
             garbage = op(*map(Tensor, (x, w, b))).data
@@ -576,9 +580,10 @@ class TestGemmOperands:
 class TestStripCount:
     def test_strips_per_plan_run_at_the_forward_budget(self, rng, strips_drawn):
         """``rollout_euler256``'s per-rank block, 256x128 under the
-        default strategy: 1 MiB strips cut its four layers into 56 (the
-        training budget would cut 181), all drawn when the plan binds and
-        none by a warm run."""
+        default strategy: 1 MiB strips, which count an activated layer's
+        work strip and its twin, cut its four layers into 10 + 19 + 37 +
+        9 = 75 (the training budget would cut 181), all drawn when the
+        plan binds and none by a warm run."""
         from repro.core.inference import InferencePlan
         from repro.core.model import SubdomainCNN
         from repro.scenarios import cnn_config
@@ -588,9 +593,9 @@ class TestStripCount:
         plan = InferencePlan(model)
         x = rng.standard_normal((1, 4, 256 + 2 * halo, 128 + 2 * halo))
         plan.run(x)
-        assert sum(strips_drawn) == 56 and len(strips_drawn) == 4, strips_drawn
+        assert strips_drawn == [10, 19, 37, 9], strips_drawn
         plan.run(x)
-        assert sum(strips_drawn) == 56
+        assert sum(strips_drawn) == 75
 
     def test_strips_per_training_step_at_the_shipped_budget(self, rng, strips_drawn):
         """``train_seq96``'s step — the Table-I network on a 16x4x100x100
@@ -615,20 +620,26 @@ class TestStripBudgets:
     @pytest.mark.parametrize("mode", ["float64", "float32"])
     def test_training_and_forward_only_strips_agree_bitwise(self, rng, strips_drawn, mode):
         with precision(mode):
-            x = Tensor(rng.standard_normal((1, 6, 260, 132)))
+            x = Tensor(rng.standard_normal((1, 6, 259, 132)))
             w = Tensor(rng.standard_normal((16, 6, K, K)))
             b = Tensor(rng.standard_normal(16))
             with T.no_grad():
                 forward_only = T.conv2d(x, w, b, padding=2, activation="leaky_relu")
             w.requires_grad = True
             training = T.conv2d(x, w, b, padding=2, activation="leaky_relu")
+        # The forward-only strip also holds its work strip and the
+        # scaled twin, 2*F*OW elements per output row.
         rows = [
-            blocked._strip_rows(budget, 132, 6 * K + 1, K, x.data.itemsize, 260)
-            for budget in (blocked._FORWARD_STRIP_BYTES, blocked._TRAIN_STRIP_BYTES)
+            blocked._strip_rows(budget, 132, 6 * K + 1, K, x.data.itemsize, 259, extra)
+            for budget, extra in (
+                (blocked._FORWARD_STRIP_BYTES, 2 * 16 * 132),
+                (blocked._TRAIN_STRIP_BYTES, 0),
+            )
         ]
-        assert strips_drawn == [-(-260 // r) for r in rows]
+        assert strips_drawn == [-(-259 // r) for r in rows]
+        assert strips_drawn == {"float64": [20, 22], "float32": [9, 10]}[mode]
         # different seams, and a ragged last strip on both sides
-        assert rows[0] > rows[1] and all(260 % r for r in rows), rows
+        assert rows[0] > rows[1] and all(259 % r for r in rows), rows
         assert np.array_equal(forward_only.data, training.data)
 
     def test_out_of_another_dtype_is_refused(self, rng):
@@ -733,7 +744,9 @@ class TestZeroBorderProvenance:
         model, x, y = table1_case(rng, strategy)
         warm = chained_step(model, x, y)
         monkeypatch.setattr(
-            blocked, "scratch", lambda ws, slot, shape, dtype: np.full(shape, np.nan, dtype)
+            blocked,
+            "scratch",
+            lambda ws, slot, shape, dtype, shared=False: np.full(shape, np.nan, dtype),
         )
         with workspace_disabled():
             cold = chained_step(model, x, y)
