@@ -52,6 +52,7 @@ import tempfile
 import time
 
 import numpy as np
+import pytest
 
 from conftest import available_cores, run_once
 
@@ -72,6 +73,7 @@ from repro.scenarios import (
     parareal_config,
 )
 from repro.solver.parareal import PararealDriver, serial_fine
+from repro.tensor import precision as precision_scope
 
 #: Rollout grid for every op (training runs at the same grid: the
 #: coarse map is resolution-specific, a surrogate trained at another
@@ -112,6 +114,15 @@ COARSE_HIDDEN = (4, 8, 4)
 EXECUTION = "processes"
 
 _CACHE: dict = {}
+
+
+@pytest.fixture(autouse=True)
+def _float64_oracle():
+    """The coarse model trains, and the float64 rows run, in float64
+    whatever the process default; the float32 twin is the checkpoint's
+    float32 reload."""
+    with precision_scope("float64"):
+        yield
 
 
 def _setup(scenario: str, precision: str = "float64"):

@@ -6,10 +6,12 @@ tensors to the op's output.  :func:`check_all_ops` additionally
 enforces **coverage**: an op registered in :mod:`repro.tensor` without
 a case here fails the check, so new ops cannot land ungradchecked.
 
-All inputs are float64 and chosen away from non-differentiable points
-(kinks of ``abs``/``relu``, ties of ``max``/``maximum``, clip bounds),
-so central finite differences with ``eps = 1e-6`` agree with the
-analytic gradient to ~1e-8 and the default tolerances are tight.
+All inputs are float64, the finite-difference reference runs in float64
+whatever the active policy, and inputs are chosen away from
+non-differentiable points (kinks of ``abs``/``relu``, ties of
+``max``/``maximum``, clip bounds), so central finite differences with
+``eps = 1e-6`` agree with the analytic gradient to ~1e-8 and the
+default tolerances are tight.
 """
 
 from __future__ import annotations
@@ -84,25 +86,28 @@ def case(op: str, label: str = "default", rtol: float = RTOL, atol: float = ATOL
 def numerical_gradient(
     fn: Callable[..., Tensor], arrays: list[np.ndarray], eps: float = EPS
 ) -> list[np.ndarray]:
-    """Central-difference gradient of ``sum(fn(*arrays))`` per input."""
+    """Central-difference gradient of ``sum(fn(*arrays))`` per input,
+    evaluated in float64 whatever the active policy: a central
+    difference with ``eps = 1e-6`` of a float32 function is roundoff."""
 
     def scalar() -> float:
         return float(fn(*[Tensor(a) for a in arrays]).sum().item())
 
     grads: list[np.ndarray] = []
-    for target in arrays:
-        grad = np.zeros_like(target)
-        flat = target.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            plus = scalar()
-            flat[i] = original - eps
-            minus = scalar()
-            flat[i] = original
-            gflat[i] = (plus - minus) / (2.0 * eps)
-        grads.append(grad)
+    with precision("float64"):
+        for target in arrays:
+            grad = np.zeros_like(target)
+            flat = target.reshape(-1)
+            gflat = grad.reshape(-1)
+            for i in range(flat.size):
+                original = flat[i]
+                flat[i] = original + eps
+                plus = scalar()
+                flat[i] = original - eps
+                minus = scalar()
+                flat[i] = original
+                gflat[i] = (plus - minus) / (2.0 * eps)
+            grads.append(grad)
     return grads
 
 
@@ -138,11 +143,12 @@ def gradcheck(
 
     Under the float32 policy the analytic pass runs in float32 (the
     Tensors below inherit the policy) while the finite-difference
-    reference is *forced to float64*: a central difference of a float32
-    function would need a step wide enough (~1e-2) to cross activation
-    kinks, whereas checking float32 gradients against a high-precision
-    reference keeps ``eps`` tiny and only loosens the comparison by the
-    float32 backward's own roundoff (the ``*_FLOAT32`` floors).
+    reference is *float64* (:func:`numerical_gradient`): a central
+    difference of a float32 function would need a step wide enough
+    (~1e-2) to cross activation kinks, whereas checking float32
+    gradients against a high-precision reference keeps ``eps`` tiny and
+    only loosens the comparison by the float32 backward's own roundoff
+    (the ``*_FLOAT32`` floors).
     """
     # Tolerance-tier check against the active policy, not a pinned
     # buffer dtype — no array is ever constructed at this width here.
@@ -152,8 +158,7 @@ def gradcheck(
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = fn(*tensors)
     out.sum().backward()
-    with precision("float64"):
-        numeric = numerical_gradient(fn, [a.copy() for a in arrays], eps=eps)
+    numeric = numerical_gradient(fn, [a.copy() for a in arrays], eps=eps)
 
     failures: list[GradcheckFailure] = []
     for index, (tensor, num) in enumerate(zip(tensors, numeric)):

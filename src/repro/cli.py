@@ -143,18 +143,23 @@ def _add_strategy_flag(parser) -> None:
     )
 
 
-def _add_precision_flag(parser, *, resolved_from: str | None = None) -> None:
+def _add_precision_flag(
+    parser, *, resolved_from: str | None = None, default: str | None = None
+) -> None:
     """Add ``--precision``; commands that can recover the compute mode
-    from a recorded artifact default to that, everything else to the
-    historical float64."""
+    from a recorded artifact default to that, everything else to
+    ``default``, the library's :data:`~repro.tensor.DEFAULT_PRECISION`
+    unless given."""
+    from .tensor import DEFAULT_PRECISION
+
     if resolved_from is None:
+        default = default or DEFAULT_PRECISION
         parser.add_argument(
             "--precision",
-            default="float64",
+            default=default,
             choices=["float32", "float64"],
-            help="compute precision for tensors, kernels, and optimizer "
-            "state (default: float64, the bit-exact historical mode; "
-            "float32 halves memory traffic)",
+            help=f"compute precision for tensors, kernels, and optimizer "
+            f"state (default: {default})",
         )
     else:
         parser.add_argument(
@@ -162,7 +167,8 @@ def _add_precision_flag(parser, *, resolved_from: str | None = None) -> None:
             default=None,
             choices=["float32", "float64"],
             help=f"compute precision (default: recorded in the "
-            f"{resolved_from}, else float64)",
+            f"{resolved_from}, else float64, the mode of checkpoints that "
+            "predate the record)",
         )
 
 
@@ -425,7 +431,8 @@ def _add_check(subparsers) -> None:
         help="also smoke-test the float/shape/MPI sanitizers on a live "
         "forward pass and halo exchange",
     )
-    _add_precision_flag(parser)
+    # float64 is the oracle tier; --precision float32 checks the other.
+    _add_precision_flag(parser, default="float64")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -939,6 +946,7 @@ def _cmd_check(args) -> int:
     set_precision(args.precision)
     rng = np.random.default_rng(args.seed)
     report = check_all_ops(rng)
+    print(f"precision: {args.precision}")
     print(report.format())
     for module, ops in sorted(ops_by_module().items()):
         checked = [op for op in ops if report.checked.get(op)]
@@ -1125,10 +1133,15 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     from .obs import log as obs_log
+    from .tensor import get_precision, precision
 
     obs_log.configure(args.log_level.upper())
-    with _trace_session(getattr(args, "trace", None)), _metrics_session(
-        getattr(args, "metrics", None)
+    # A command's --precision lasts for the command: an in-process caller
+    # gets its own compute mode back.
+    with (
+        precision(get_precision()),
+        _trace_session(getattr(args, "trace", None)),
+        _metrics_session(getattr(args, "metrics", None)),
     ):
         return _COMMANDS[args.command](args)
 

@@ -23,7 +23,7 @@ from .engine import (
     SanitizerAttach,
     Timer,
 )
-from .evaluation import ParallelEvaluation, evaluate_parallel
+from .evaluation import ParallelEvaluation, evaluate_parallel, skill_vs_identity
 from .inference import (
     EnsembleStepper,
     InferencePlan,
@@ -105,6 +105,7 @@ __all__ = [
     "save_parallel_models",
     "evaluate_parallel",
     "ParallelEvaluation",
+    "skill_vs_identity",
     "load_parallel_models",
     "mape",
     "rmse",

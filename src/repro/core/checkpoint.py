@@ -109,7 +109,7 @@ def load_checkpoint_precision(path: str | os.PathLike) -> str:
     """The compute precision recorded in a parallel-model checkpoint.
 
     Checkpoints written before the precision policy existed are
-    implicitly float64 (the historical compute mode).
+    float64, the only mode there was then.
     """
     with np.load(path, allow_pickle=False) as archive:
         if "__meta__" not in archive:

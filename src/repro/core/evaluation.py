@@ -11,12 +11,15 @@ collective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .. import mpi
 from ..data.dataset import SnapshotDataset
 from ..exceptions import ConfigurationError
+from ..solver.state import CHANNELS
+from .metrics import per_channel, relative_l2
 from .parallel import ParallelTrainingResult
 from .subdomain_data import build_rank_dataset
 from .trainer import predict
@@ -88,3 +91,39 @@ def evaluate_parallel(
         per_rank_relative_l2=per_rank,
         num_samples=validation.num_samples,
     )
+
+
+def skill_vs_identity(
+    predicted: np.ndarray,
+    reference: np.ndarray,
+    steps: Sequence[int] = (1, 8),
+    channel_names: tuple[str, ...] = CHANNELS,
+) -> dict[int, dict[str, float]]:
+    """Skill of a rollout over "predict no change", per channel, at each
+    of ``steps``: ``1 - err_model / err_identity``, both the relative L2
+    error against ``reference[step]``, the identity's prediction being
+    ``reference[0]``.  1 is exact, 0 no better than the identity, and
+    below 0 worse; NaN where the identity is exact (the channel did not
+    move), since nothing can beat it there.
+
+    ``predicted`` and ``reference`` are ``(T + 1, C, H, W)`` trajectories
+    from the same initial state; every step must lie in ``1..T``.
+    """
+    predicted, reference = np.asarray(predicted), np.asarray(reference)
+    if predicted.shape != reference.shape or predicted.ndim != 4:
+        raise ConfigurationError(
+            f"need two (T + 1, C, H, W) trajectories of one shape, got "
+            f"{predicted.shape} and {reference.shape}"
+        )
+    horizon = reference.shape[0] - 1
+    skill: dict[int, dict[str, float]] = {}
+    for step in steps:
+        if not 1 <= step <= horizon:
+            raise ConfigurationError(f"step {step} outside the rollout's 1..{horizon}")
+        model = per_channel(relative_l2, predicted[step], reference[step], channel_names)
+        identity = per_channel(relative_l2, reference[0], reference[step], channel_names)
+        skill[step] = {
+            name: 1.0 - model[name] / identity[name] if identity[name] > 0.0 else np.nan
+            for name in model
+        }
+    return skill

@@ -25,6 +25,7 @@ from .common import (
 )
 from .fig3_accuracy import Fig3Config, Fig3Result, run_fig3
 from .fig4_scaling import PAPER_RANK_COUNTS, Fig4Config, Fig4Result, ScalingRow, run_fig4
+from .precision_gate import PrecisionGateConfig, PrecisionGateResult, run_precision_gate
 from .reporting import ascii_heatmap, format_scaling_plot, format_table, side_by_side
 from .table1 import architecture_rows, render_table1
 
@@ -44,6 +45,9 @@ __all__ = [
     "ScalingRow",
     "run_fig4",
     "PAPER_RANK_COUNTS",
+    "PrecisionGateConfig",
+    "PrecisionGateResult",
+    "run_precision_gate",
     "ScalingModel",
     "fit_scaling_model",
     "analyse_fig4",

@@ -262,8 +262,8 @@ def _worker_main(
     mailboxes: Sequence[Any],
     result_queue: Any,
     deadlock_timeout: float | None,
-    obs_flags: tuple[bool, bool, bool] = (False, False, False),
-    precision: str = "float64",
+    obs_flags: tuple[bool, bool, bool],
+    precision: str,
     heartbeats: Any = None,
     share: int = 1,
 ) -> None:

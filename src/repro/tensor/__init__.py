@@ -14,6 +14,7 @@ Importing this package registers every differentiable op on
 from . import autograd as _autograd
 from .autograd import enable_grad, grad_enabled, no_grad
 from .precision import (
+    DEFAULT_PRECISION,
     compute_dtype,
     default_dtype,
     get_precision,
@@ -22,7 +23,6 @@ from .precision import (
     set_precision,
 )
 from .tensor import (
-    DEFAULT_DTYPE,
     Tensor,
     ensure_tensor,
     full,
@@ -76,7 +76,7 @@ max = tensor_max  # noqa: A001
 min = tensor_min  # noqa: A001
 
 __all__ = [
-    "DEFAULT_DTYPE",
+    "DEFAULT_PRECISION",
     "precision",
     "get_precision",
     "set_precision",

@@ -57,8 +57,14 @@ strip and its scaled twin.
 A rank's kernels run on its share of the cores, ``max(1, cores //
 ranks)`` threads, set where ranks start (:mod:`repro.mpi.launcher`).
 Above share 1, :func:`for_each_image` hands a batch's images one at a
-time from a shared counter to the caller and ``share - 1`` pool workers,
-each with its own thread's arena; the weight gradient adds an image's
+time from a shared counter to the caller and ``share - 1`` pool workers.
+Helper ``k`` draws scratch from the caller's arena's ``k``-th helper
+arena (:meth:`~repro.tensor.workspace.Workspace.helper`), whichever pool
+thread runs it, so a helper's scratch is warm from the caller's second
+call on and arenas grow with callers times ``share - 1``, not with the
+pool.  What is zeroed per image (a bordered output's border, the
+backward's gradient source) is zeroed in that per-image work, not on
+the caller's thread before it.  The weight gradient adds an image's
 per-strip partials only after every earlier image's (one done ahead of
 its turn parks a copy), so it sums in the serial ``(image, r0)`` order
 and no split changes a bit.
@@ -88,7 +94,7 @@ from numpy.lib.stride_tricks import as_strided
 from ..exceptions import ShapeError
 from . import perf
 from .im2col import conv_output_size
-from .workspace import Workspace, get_workspace, scratch
+from .workspace import Workspace, scratch
 
 __all__ = [
     "StripForward",
@@ -96,6 +102,7 @@ __all__ = [
     "conv2d_forward_blocked",
     "conv2d_weight_grad_blocked",
     "leaky_relu_inplace",
+    "zero_border",
 ]
 
 #: ``(shifts, strip, operand, gemm_out, epilogue)`` of one bound strip;
@@ -133,8 +140,9 @@ def for_each_image(
 ) -> None:
     """``work(images, arena)`` over all ``n`` images: one call on the
     whole batch at share 1, else one call per image, handed out from a
-    shared counter to this thread and ``share - 1`` pool workers, each
-    with its own thread's arena (none when ``workspace`` is none)."""
+    shared counter to this thread and ``share - 1`` pool workers, helper
+    ``k`` with ``workspace``'s ``k``-th helper arena (none when
+    ``workspace`` is none)."""
     global _pool
     helpers = min(n, image_threads()) - 1
     if helpers <= 0:
@@ -147,8 +155,8 @@ def for_each_image(
             work(slice(image, image + 1), arena)
 
     pool = _pool = _pool or ThreadPoolExecutor(thread_name_prefix="repro-images")
-    helper = (lambda: drain(None)) if workspace is None else (lambda: drain(get_workspace()))
-    futures = [pool.submit(helper) for _ in range(helpers)]
+    arenas = [None if workspace is None else workspace.helper(k) for k in range(helpers)]
+    futures = [pool.submit(drain, arena) for arena in arenas]
     try:
         drain(workspace)
     finally:  # the helpers are done (or raise) before the caller returns
@@ -196,6 +204,15 @@ def bordered_buffer(
     else:
         padded = workspace.request(f"{slot}.{bh}x{bw}", padded_shape, dtype)
     return padded, padded[:, :, bh : bh + h, bw : bw + w]
+
+
+def zero_border(padded: np.ndarray, interior: tuple[int, int]) -> None:
+    """Zero ``padded`` around its centred ``(H, W)`` ``interior`` window,
+    over every leading axis."""
+    h, w = interior
+    bh, bw = (padded.shape[-2] - h) // 2, (padded.shape[-1] - w) // 2
+    padded[..., :bh, :], padded[..., bh + h :, :] = 0.0, 0.0
+    padded[..., :bw], padded[..., bw + w :] = 0.0, 0.0
 
 
 def leaky_relu_inplace(z: np.ndarray, slope: float, scaled: np.ndarray) -> None:
@@ -418,9 +435,9 @@ def conv2d_forward_blocked(
     ``(F,)`` or ``None``; ``padding`` is symmetric zero padding.  ``out``
     is an optional C-contiguous destination in the compute dtype
     ``result_type(x, weight)``: the ``(N, F, OH, OW)`` result, or a
-    zero-bordered buffer ``2*bh`` rows and ``2*bw`` columns larger whose
-    interior receives it (the caller zeroed the border) — any other is
-    refused, not cast into.  ``training`` selects the training strip
+    buffer ``2*bh`` rows and ``2*bw`` columns larger whose interior
+    receives it and whose border is zeroed here, image by image — any
+    other is refused, not cast into.  ``training`` selects the training strip
     budget, and ``mask``, a bool array shaped like ``out``, receives the
     pre-activation's ``z >= 0`` (the autograd path keeps it for
     backward).  Returns ``out``, C-contiguous.
@@ -445,6 +462,8 @@ def conv2d_forward_blocked(
     slope, timing = None if activation is None else negative_slope, perf.perf_enabled()
 
     def run(images: slice, arena: Workspace | None) -> None:
+        if out.shape != shape:
+            zero_border(out[images], shape[2:])
         forward = StripForward(
             x[images], out[images], (kh, kw), padding, bias is not None, slope, arena,
             slot_prefix, training, None if mask is None else mask[images],

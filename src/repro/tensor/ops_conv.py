@@ -44,7 +44,8 @@ depend on which, so results with and without a workspace are
 bit-identical.  Nor does it depend on the strip budget (autograd calls
 pass ``training=True`` and cut 512 KiB strips, the no-grad op 1 MiB
 ones) or on the threads a rank's share of the cores hands the batch's
-images to, each with its own arena (:mod:`~repro.tensor.blocked`).
+images to, each with a helper arena of the caller's
+(:mod:`~repro.tensor.blocked`).
 
 ``conv2d`` accepts ``activation="leaky_relu"``, fusing the activation
 into the op (the bias is already in the GEMM); the paper's network runs
@@ -65,7 +66,12 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, ShapeError
 from . import autograd, perf
-from .blocked import conv2d_forward_blocked, conv2d_weight_grad_blocked, for_each_image
+from .blocked import (
+    conv2d_forward_blocked,
+    conv2d_weight_grad_blocked,
+    for_each_image,
+    zero_border,
+)
 from .im2col import col2im, conv_output_size, im2col
 from .tensor import Tensor, ensure_tensor, register_op
 from .workspace import Workspace, get_workspace, scratch
@@ -150,7 +156,6 @@ def conv2d(
     dtype = np.result_type(tx.dtype, tw.dtype)
     bh, bw = _pair(border)
     out = np.empty((n, f, shape[2] + 2 * bh, shape[3] + 2 * bw), dtype)
-    _zero_border(out, shape)  # the one place a border is marked
     source, source_padding = _chained_source(tx, padding)
     training = autograd.grad_enabled() and any(p.requires_grad for p in parents)
     # z >= 0, written by the training epilogue on the output's rows
@@ -188,13 +193,6 @@ def _interior(padded: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The centred ``(N, C, H, W)`` ``shape`` window of ``padded``."""
     bh, bw = (padded.shape[2] - shape[2]) // 2, (padded.shape[3] - shape[3]) // 2
     return padded[:, :, bh : bh + shape[2], bw : bw + shape[3]]
-
-
-def _zero_border(padded: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Zero ``padded`` around its centred ``shape`` window."""
-    bh, bw = (padded.shape[2] - shape[2]) // 2, (padded.shape[3] - shape[3]) // 2
-    padded[:, :, :bh], padded[:, :, shape[2] + bh :] = 0.0, 0.0
-    padded[:, :, :, :bw], padded[:, :, :, shape[3] + bw :] = 0.0, 0.0
 
 
 def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
@@ -256,30 +254,36 @@ def _strip_backward(
             qh, qw = (kh - 1 - padding[0], kw - 1 - padding[1]) if tx.requires_grad else (0, 0)
             shape = (n, f, oh + 2 * qh, ow + 2 * qw)
             padded = scratch(workspace, f"{_TRAIN_SLOTS}.gsrc", shape, dtype, shared=True)
-            _zero_border(padded, grad.shape)  # another layer's interior, maybe
             grad_out = _interior(padded, grad.shape)
-            if mask is None:
-                np.copyto(grad_out, grad)
-            else:
-                # The standalone op's grad * where(z >= 0, 1, slope), the
-                # factor rebuilt exactly from the mask's {0, 1} one image
-                # at a time in a warm buffer: the maximum with the slope,
-                # or when steep 1 - d -> {0, slope} -> the maximum with 1.
-                def scale_images(images: slice, arena: Workspace | None) -> None:
-                    slot = f"{_TRAIN_SLOTS}.scale"  # one buffer per thread
-                    scale = scratch(arena, slot, (f, oh, ow), dtype, shared=True)
-                    for image in range(images.start, images.stop):
-                        np.copyto(scale, mask[image])
-                        if slope > 1.0:
-                            np.subtract(1.0, scale, out=scale)
-                            np.multiply(scale, slope, out=scale)
-                            np.maximum(scale, 1.0, out=scale)
-                        else:
-                            np.maximum(scale, slope, out=scale)
-                        np.multiply(grad[image], scale, out=scale)
-                        np.copyto(grad_out[image], scale)
 
-                for_each_image(n, workspace, scale_images)
+            # One image at a time, in the work the rank's share hands
+            # out: the border (another layer's interior, maybe) zeroed,
+            # then the gradient copied in or, with an activation, the
+            # standalone op's grad * where(z >= 0, 1, slope), the factor
+            # rebuilt exactly from the mask's {0, 1} in a warm buffer:
+            # the maximum with the slope, or when steep 1 - d -> {0,
+            # slope} -> the maximum with 1.
+            def fill_source(images: slice, arena: Workspace | None) -> None:
+                scale = None
+                if mask is not None:  # one buffer per thread
+                    slot = f"{_TRAIN_SLOTS}.scale"
+                    scale = scratch(arena, slot, (f, oh, ow), dtype, shared=True)
+                for image in range(images.start, images.stop):
+                    zero_border(padded[image], (oh, ow))
+                    if scale is None:
+                        np.copyto(grad_out[image], grad[image])
+                        continue
+                    np.copyto(scale, mask[image])
+                    if slope > 1.0:
+                        np.subtract(1.0, scale, out=scale)
+                        np.multiply(scale, slope, out=scale)
+                        np.maximum(scale, 1.0, out=scale)
+                    else:
+                        np.maximum(scale, slope, out=scale)
+                    np.multiply(grad[image], scale, out=scale)
+                    np.copyto(grad_out[image], scale)
+
+            for_each_image(n, workspace, fill_source)
             grad_w = None
             if tw.requires_grad:
                 grad_w = conv2d_weight_grad_blocked(

@@ -9,18 +9,22 @@ of hard-coding ``np.float64``.
 
 Two modes exist:
 
-``float64`` (default)
-    Bit-for-bit identical to the historical behaviour: floating inputs
-    keep their dtype, non-floating inputs are promoted to float64.
-    Solver goldens and every seeded-equivalence test run in this mode.
-
-``float32``
-    All floating inputs are cast to float32 at :class:`Tensor`
+``float32`` (default, :data:`DEFAULT_PRECISION`)
+    The precision the paper trained in (PyTorch's default dtype).  All
+    floating inputs are cast to float32 at :class:`Tensor`
     construction unless an explicit ``dtype=`` overrides it.  Casting
     at the Tensor boundary (rather than at every call site) is what
     keeps the policy airtight: float64 initializer output, float64
     data batches and float64 literals all land in float32 storage, and
     NumPy's promotion rules then keep intermediate results in float32.
+
+``float64``
+    The oracle: floating inputs keep their dtype, non-floating inputs
+    are promoted to float64.  The solver and the datasets are plain
+    float64 NumPy whatever the mode; gradcheck's finite-difference
+    reference, ``repro check``'s default tier, checkpoints without a
+    recorded precision and every golden or bit-identity test run in
+    this mode, by asking for it explicitly.
 
 The policy is a plain module-global guarded by a context manager, not
 a thread-local: precision is a property of the experiment, and worker
@@ -45,8 +49,11 @@ _MODES: dict[str, np.dtype] = {
     "float64": np.dtype(np.float64),
 }
 
+#: The compute mode a process starts in; every other default reads it.
+DEFAULT_PRECISION = "float32"
+
 _lock = threading.Lock()
-_active: str = "float64"
+_active: str = DEFAULT_PRECISION
 
 
 def resolve_precision(value: Any) -> str:

@@ -16,12 +16,6 @@ from ..exceptions import AutogradError
 from . import autograd
 from .precision import default_dtype as _default_dtype
 
-#: Floating-point dtype of the default (``float64``) compute mode.
-#: Kept as a module constant for backwards compatibility; the live
-#: policy is :func:`repro.tensor.precision.default_dtype`, switched
-#: with ``set_precision("float32")`` or the ``precision(...)`` context.
-DEFAULT_DTYPE = np.float64
-
 # Registry of differentiable operations, populated by the ops modules.
 _OPS: dict[str, Callable[..., Any]] = {}
 

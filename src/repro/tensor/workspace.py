@@ -30,7 +30,10 @@ Thread and fork semantics
 -------------------------
 The default arena returned by :func:`get_workspace` is **per-thread**
 (the thread-backed MPI ranks each train in their own thread, and a
-shared arena would hand two ranks the same scratch buffer).  Under the
+shared arena would hand two ranks the same scratch buffer).  The pool
+helpers a rank's share of the cores adds draw from the calling thread's
+arena's :meth:`~Workspace.helper` arenas, one per helper slot, so a
+helper's scratch is warm whichever pool thread runs it.  Under the
 process execution backend each forked rank inherits a copy-on-write
 image of the parent's arenas; an ``os.register_at_fork`` hook drops
 them in the child so every rank process starts cold and its reuse
@@ -91,6 +94,7 @@ class Workspace:
     def __init__(self, name: str = "workspace") -> None:
         self.name = name
         self._buffers: dict[tuple[str, tuple[int, ...], np.dtype], np.ndarray] = {}
+        self._helpers: list[Workspace] = []
         self.stats = WorkspaceStats()
 
     def request(
@@ -130,6 +134,15 @@ class Workspace:
             del self._buffers[key]
         return self.request(slot, (size,), dtype).reshape(shape)
 
+    def helper(self, k: int) -> Workspace:
+        """The arena of helper slot ``k`` of this arena's owner's image
+        split (:func:`~repro.tensor.blocked.for_each_image`), created on
+        first use.  One owner runs one split at a time, so slot ``k`` is
+        used by one thread at a time, whichever pool thread that is."""
+        while len(self._helpers) <= k:
+            self._helpers.append(Workspace(f"{self.name}.helper{len(self._helpers)}"))
+        return self._helpers[k]
+
     @property
     def num_buffers(self) -> int:
         return len(self._buffers)
@@ -140,8 +153,10 @@ class Workspace:
         return sum(b.nbytes for b in self._buffers.values())
 
     def clear(self) -> None:
-        """Drop every buffer (statistics are kept)."""
+        """Drop every buffer, the helper arenas' too (statistics are kept)."""
         self._buffers.clear()
+        for helper in self._helpers:
+            helper.clear()
 
     def describe(self) -> str:
         """One-line summary used by reports and the ``repro perf`` CLI."""

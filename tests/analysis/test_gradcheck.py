@@ -46,6 +46,16 @@ def test_numerical_gradient_matches_closed_form():
     np.testing.assert_allclose(grad, 2.0 * arrays[0], rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.default_precision
+def test_numerical_gradient_is_float64_under_the_float32_default():
+    """In the process default, float32, a central difference at ``eps =
+    1e-6`` would be roundoff; the reference still runs in float64."""
+    arrays = [np.array([0.5, -1.5, 2.0])]
+    (grad,) = numerical_gradient(lambda t: t * t, arrays)
+    assert grad.dtype == np.float64
+    np.testing.assert_allclose(grad, 2.0 * arrays[0], rtol=1e-6, atol=1e-8)
+
+
 def test_gradcheck_detects_wrong_backward():
     def bad_square(t):
         # Correct forward, wrong backward (should be 2 * x * g).

@@ -118,11 +118,19 @@ def test_precision_sanitizer_ignores_non_floating_outputs():
         assert (t > 0.0).dtype == np.bool_ or (t > 0.0) is not None
 
 
-def test_precision_sanitizer_default_float64_mode_is_silent():
-    with PrecisionSanitizer():
+def test_precision_sanitizer_float64_mode_is_silent():
+    with precision("float64"), PrecisionSanitizer():
         t = Tensor(np.ones(3), requires_grad=True)
         (t * 3.0).sum().backward()
     assert t.grad.dtype == np.float64
+
+
+@pytest.mark.default_precision
+def test_precision_sanitizer_default_float32_mode_is_silent():
+    with PrecisionSanitizer():
+        t = Tensor(np.ones(3), requires_grad=True)
+        (t * 3.0).sum().backward()
+    assert t.grad.dtype == np.float32
 
 
 # ----------------------------------------------------------------------

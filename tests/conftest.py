@@ -7,7 +7,34 @@ import os
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor
+from repro.tensor import DEFAULT_PRECISION, Tensor, precision
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "default_precision: run in the process's default compute mode "
+        "instead of the float64 oracle",
+    )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _float64_oracle():
+    """Run every test module in float64, the oracle its references
+    (central differences at ``eps = 1e-6``, SciPy, goldens, bit-identity)
+    are pinned in, its module- and class-scoped fixtures included.
+    Tests of the float32 path ask for it with ``precision("float32")``."""
+    with precision("float64"):
+        yield
+
+
+@pytest.fixture(autouse=True)
+def _test_precision(request):
+    """Each test starts in float64, or in the process default when it is
+    marked ``default_precision``, and leaks no mode into the next."""
+    marked = request.node.get_closest_marker("default_precision") is not None
+    with precision(DEFAULT_PRECISION if marked else "float64"):
+        yield
 
 
 @pytest.fixture

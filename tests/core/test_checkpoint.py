@@ -21,7 +21,7 @@ from repro.core import (
 from repro.core.engine import build_optimizer
 from repro.data import SnapshotDataset, synthetic_advection_snapshots
 from repro.exceptions import ConfigurationError, DatasetError
-from repro.tensor import precision, set_precision
+from repro.tensor import get_precision, precision, set_precision
 
 
 @pytest.fixture
@@ -82,10 +82,43 @@ class TestPrecisionMetadata:
         yield
         set_precision("float64")
 
-    def test_default_records_float64(self, tmp_path, trained_result):
+    def test_float64_policy_recorded(self, tmp_path, trained_result):
+        path = tmp_path / "models.npz"
+        with precision("float64"):
+            save_parallel_models(path, trained_result)
+        assert load_checkpoint_precision(path) == "float64"
+
+    @pytest.mark.default_precision
+    def test_default_records_float32(self, tmp_path, trained_result):
         path = tmp_path / "models.npz"
         save_parallel_models(path, trained_result)
-        assert load_checkpoint_precision(path) == "float64"
+        assert load_checkpoint_precision(path) == "float32"
+
+    @pytest.mark.default_precision
+    def test_float64_checkpoint_runs_float64_under_the_default(self, tmp_path):
+        """Loaded with no precision named, under the float32 default, a
+        float64 checkpoint rebuilds float64 networks whose rollout is
+        bitwise the one before saving."""
+        dataset = SnapshotDataset(
+            synthetic_advection_snapshots(grid_size=12, num_snapshots=6, seed=0)
+        )
+        path = tmp_path / "models.npz"
+        initial = np.random.default_rng(1).standard_normal((4, 12, 12))
+        with precision("float64"):
+            result = ParallelTrainer(
+                CNNConfig(channels=(4, 6, 4), kernel_size=3),
+                TrainingConfig(epochs=1, batch_size=4, lr=0.01, loss="mse"),
+                num_ranks=4,
+            ).train(dataset, execution="serial")
+            before = ParallelPredictor(result.build_models(), result.decomposition)
+            want = before.rollout(initial, 3).trajectory
+            save_parallel_models(path, result)
+        assert get_precision() == "float32"
+        models, decomposition, _ = load_parallel_models(path)
+        for model in models:
+            assert all(p.dtype == np.float64 for p in model.parameters())
+        got = ParallelPredictor(models, decomposition).rollout(initial, 3).trajectory
+        assert got.dtype == np.float64 and np.array_equal(got, want)
 
     def test_active_policy_recorded(self, tmp_path, trained_result):
         path = tmp_path / "models.npz"

@@ -11,6 +11,7 @@ from repro.core import (
     ParallelTrainer,
     TrainingConfig,
     evaluate_parallel,
+    skill_vs_identity,
 )
 from repro.data import SnapshotDataset, synthetic_advection_snapshots
 from repro.exceptions import ConfigurationError
@@ -105,3 +106,33 @@ class TestEvaluationMemory:
                 tracemalloc.stop()
         assert validation.num_samples == 17
         assert peak < self.PEAK_BOUND_MB * 2**20, peak / 2**20
+
+
+class TestSkillVsIdentity:
+    @staticmethod
+    def trajectory():
+        frames = np.random.default_rng(0).standard_normal((9, 2, 5, 5))
+        return np.cumsum(frames, axis=0)  # every step moves the field
+
+    def test_exact_identity_and_twice_its_error(self):
+        reference = self.trajectory()
+        identity = np.broadcast_to(reference[0], reference.shape)
+        worse = reference + 2.0 * (identity - reference)
+        for predicted, want in ((reference, 1.0), (identity, 0.0), (worse, -1.0)):
+            skill = skill_vs_identity(predicted, reference, (1, 8), ("a", "b"))
+            assert set(skill) == {1, 8}
+            for step in skill.values():
+                assert step == pytest.approx({"a": want, "b": want})
+
+    def test_a_channel_that_does_not_move_has_no_skill(self):
+        reference = self.trajectory()
+        reference[:, 1] = reference[0, 1]
+        skill = skill_vs_identity(reference + 0.1, reference, (1,), ("a", "b"))
+        assert np.isfinite(skill[1]["a"]) and np.isnan(skill[1]["b"])
+
+    def test_rejects_a_step_outside_the_rollout(self):
+        reference = self.trajectory()
+        with pytest.raises(ConfigurationError, match="outside"):
+            skill_vs_identity(reference, reference, (9,))
+        with pytest.raises(ConfigurationError, match="trajectories"):
+            skill_vs_identity(reference[:-1], reference)

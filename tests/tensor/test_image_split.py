@@ -99,38 +99,79 @@ class TestBitIdenticalAtAnyShare:
                 share(threads)
                 assert adam_steps(PaddingStrategy.NEIGHBOR_FIRST, 5) == want
 
-    def test_warm_step_allocation_bound_holds_when_split(self):
+    def test_warm_step_allocation_bound_holds_when_split(self, share):
         """``TestChainAllocation``'s tracemalloc bound, unchanged, on a
         warm step split over two threads (tracemalloc sees them all), in
-        a fresh rank process: its one pool worker's arena is warm."""
+        this process after a share-3 call left the pool more threads than
+        the step uses: the helper's arena is the caller's, warm whichever
+        pool thread runs it."""
+        rng = np.random.default_rng(1234)
+        model, x, y = table1_case(rng, PaddingStrategy.NEIGHBOR_FIRST, n=2, size=32)
+        convs = [n for n in graph_nodes(model(Tensor(x))) if n.op_name == "conv2d"]
+        outputs = [owner(node.data).nbytes for node in convs]
+        activated = sum(node.data.size for node in convs[1:])
+        bound = sum(outputs) + activated + 2 * max(outputs) + 64 * 1024
 
-        def program(comm):
-            _set_share(2)
-            rng = np.random.default_rng(1234)
-            model, x, y = table1_case(rng, PaddingStrategy.NEIGHBOR_FIRST, n=2, size=32)
-            convs = [n for n in graph_nodes(model(Tensor(x))) if n.op_name == "conv2d"]
-            outputs = [owner(node.data).nbytes for node in convs]
-            activated = sum(node.data.size for node in convs[1:])
-            bound = sum(outputs) + activated + 2 * max(outputs) + 64 * 1024
+        def step():
+            model.zero_grad()
+            ((model(Tensor(x)) - Tensor(y)) ** 2).sum().backward()
 
-            def step():
-                model.zero_grad()
-                ((model(Tensor(x)) - Tensor(y)) ** 2).sum().backward()
-
+        share(3)
+        blocked.for_each_image(3, None, lambda images, arena: time.sleep(0.02))
+        assert len(pool_threads()) >= 2
+        share(2)
+        step()
+        tracemalloc.start()
+        try:
             step()
-            tracemalloc.start()
-            try:
-                step()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak, bound, len(pool_threads())
-
-        [(peak, bound, workers)] = mpi.run_parallel(
-            program, 1, backend="processes", timeout=120
-        )
-        assert workers == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < bound, f"warm step peaked at {peak} B, bound {bound} B"
+
+
+class TestBordersZeroedPerImage:
+    """A bordered forward destination and the backward's gradient source
+    get their borders zeroed in the per-image work: prefilled with NaN,
+    they come out with exactly-zero borders, and every result is bitwise
+    the same at shares 1, 2 and 3."""
+
+    @pytest.mark.parametrize("activation", [None, "leaky_relu"])
+    def test_forward_destination(self, share, activation):
+        rng = np.random.default_rng(3)
+        x, w, b = rng.standard_normal((5, 3, 9, 8)), rng.standard_normal((4, 3, 3, 3)), None
+        if activation:
+            b = rng.standard_normal(4)
+        runs = []
+        for threads in (1, 2, 3):
+            share(threads)
+            out = np.full((5, 4, 9 + 4, 8 + 6), np.nan)  # borders 2 and 3
+            blocked.conv2d_forward_blocked(
+                x, w, b, (1, 1), activation=activation, workspace=T.get_workspace(), out=out
+            )
+            interior = out[:, :, 2:-2, 3:-3].copy()
+            out[:, :, 2:-2, 3:-3] = 0.0
+            assert np.isfinite(interior).all() and not out.any()
+            runs.append(interior.tobytes())
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("activation", [None, "leaky_relu"])
+    def test_gradient_source(self, share, activation):
+        rng = np.random.default_rng(4)
+        x, w = rng.standard_normal((5, 3, 9, 8)), rng.standard_normal((4, 3, 3, 3))
+        g = rng.standard_normal((5, 4, 9, 8))
+        workspace, slot = T.get_workspace(), "conv2d.train.gsrc"
+        runs = []
+        for threads in (1, 2, 3):
+            share(threads)
+            workspace.reserve(slot, (1 << 14,), np.float64)[:] = np.nan
+            tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            T.conv2d(tx, tw, padding=1, activation=activation).backward(g)
+            source = workspace.reserve(slot, (5, 4, 9 + 2, 8 + 2), np.float64)
+            assert not source[:, :, [0, -1]].any() and not source[:, :, :, [0, -1]].any()
+            assert np.isfinite(tx.grad).all() and np.isfinite(tw.grad).all()
+            runs.append(tx.grad.tobytes() + tw.grad.tobytes())
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestHandOut:
@@ -150,6 +191,25 @@ class TestHandOut:
         for name, arena in arenas.items():
             assert (arena is caller) == (name == threading.current_thread().name)
         assert len({id(a) for a in arenas.values()}) == len(arenas)
+
+    def test_helper_arenas_are_the_callers(self, share):
+        """Helper ``k`` draws from the caller's ``k``-th helper arena,
+        whichever pool thread runs it; another caller has its own."""
+        share(3)
+        caller, seen = T.get_workspace(), set()
+
+        def work(images, arena):
+            time.sleep(0.01)
+            seen.add(id(arena))
+
+        for _ in range(3):
+            blocked.for_each_image(6, caller, work)
+        assert seen <= {id(caller), id(caller.helper(0)), id(caller.helper(1))}
+        others = []
+        thread = threading.Thread(target=lambda: others.append(T.get_workspace().helper(0)))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and others[0] is not caller.helper(0)
 
     def test_no_arena_for_anyone_without_one(self, share):
         share(2)

@@ -7,6 +7,11 @@ context manager or the autouse restore fixture below, so test order
 never leaks a mode change.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +29,8 @@ from repro.tensor import (
 from repro.tensor.blocked import conv2d_forward_blocked
 from repro.tensor.workspace import Workspace
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
 #: float32 comparison bounds vs a float64 reference.  One conv layer
 #: accumulates C*kh*kw ~ 1e2 products, each with ~6e-8 relative
 #: rounding, so per-layer drift stays well under 1e-5 relative.
@@ -38,9 +45,17 @@ def _restore_precision():
 
 
 class TestResolution:
-    def test_default_is_float64(self):
-        assert get_precision() == "float64"
-        assert default_dtype() == np.float64
+    def test_a_fresh_process_starts_in_float32(self):
+        code = "import repro.tensor as T; print(T.get_precision(), T.default_dtype())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.stdout.split() == ["float32", "float32"], proc.stderr
+        assert T.DEFAULT_PRECISION == "float32"
 
     @pytest.mark.parametrize(
         "alias,expected",

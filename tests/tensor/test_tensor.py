@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AutogradError
-from repro.tensor import DEFAULT_DTYPE, Tensor, ensure_tensor, full, ones, randn, uniform, zeros
+from repro.tensor import Tensor, default_dtype, ensure_tensor, full, ones, randn, uniform, zeros
 
 
 class TestConstruction:
     def test_from_list(self):
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert t.shape == (2, 2)
-        assert t.dtype == DEFAULT_DTYPE
+        assert t.dtype == default_dtype()
 
     def test_integer_input_promoted_to_float(self):
         t = Tensor([1, 2, 3])

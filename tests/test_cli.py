@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.analysis.gradcheck import GradcheckReport
 from repro.cli import build_parser, main
-from repro.core import PaddingStrategy
+from repro.core import PaddingStrategy, load_checkpoint_precision, load_parallel_models
+from repro.tensor import get_precision
 
 
 class TestParser:
@@ -168,6 +170,47 @@ class TestTrainEvaluateRoundtrip:
         )
         assert code == 0
         assert ckpt_path.exists()
+
+
+@pytest.mark.default_precision
+class TestPrecisionDefaults:
+    """Training and inference default to float32; a checkpoint's record
+    and ``repro check``'s float64 tier win over that default."""
+
+    @staticmethod
+    def train(path, *extra):
+        argv = ["train", str(path), "--grid-size", "16", "--snapshots", "6",
+                "--ranks", "1", "--epochs", "1", "--execution", "serial", *extra]  # fmt: skip
+        assert main(argv) == 0
+
+    def test_train_writes_a_float32_checkpoint(self, tmp_path):
+        self.train(tmp_path / "model.npz")
+        assert load_checkpoint_precision(tmp_path / "model.npz") == "float32"
+        models, _, _ = load_parallel_models(tmp_path / "model.npz")
+        assert all(p.dtype == np.float32 for p in models[0].parameters())
+
+    def test_float64_checkpoint_evaluates_at_float64(self, tmp_path, capsys):
+        self.train(tmp_path / "model.npz", "--precision", "float64")
+        capsys.readouterr()
+        assert main(["evaluate", str(tmp_path / "model.npz"), "--snapshots", "4",
+                     "--steps", "1"]) == 0  # fmt: skip
+        assert "precision: float64" in capsys.readouterr().out
+        assert get_precision() == "float32"  # the command's mode ended with it
+
+    def test_check_runs_the_float64_tier_unless_asked(self, monkeypatch, capsys):
+        import repro.analysis
+
+        seen = []
+
+        def check_all_ops(rng):
+            seen.append(get_precision())
+            return GradcheckReport()
+
+        monkeypatch.setattr(repro.analysis, "check_all_ops", check_all_ops)
+        assert main(["check"]) == 0
+        assert main(["check", "--precision", "float32"]) == 0
+        assert seen == ["float64", "float32"]
+        assert "precision: float64" in capsys.readouterr().out
 
 
 class TestScalingCommand:
