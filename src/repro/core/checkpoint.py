@@ -72,8 +72,9 @@ def save_parallel_models(
     metadata.  ``scenario`` records which registered scenario the
     models were trained on, so ``repro evaluate`` can resolve the
     matching physics without being told again; ``precision`` (default:
-    the active compute mode) records the dtype the models were trained
-    in, so loading rebuilds them with matching parameter storage.
+    the mode ``result`` was trained in) records the dtype the models
+    were trained in, so loading rebuilds them with matching parameter
+    storage.
     """
     arrays: dict[str, np.ndarray] = {}
     for rank_result in result.rank_results:
@@ -86,7 +87,7 @@ def save_parallel_models(
         "pgrid": list(decomp.pgrid),
         "field_shape": list(decomp.field_shape),
         "cnn_config": _config_to_json(result.cnn_config),
-        "precision": get_precision() if precision is None else str(precision),
+        "precision": result.precision if precision is None else str(precision),
     }
     if scenario is not None:
         meta["scenario"] = str(scenario)

@@ -48,7 +48,7 @@ from ..optim import (
     optimizer_class,
     schedule_class,
 )
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor, get_precision, no_grad
 from .trainer import TrainingConfig, TrainingHistory
 
 __all__ = [
@@ -513,6 +513,14 @@ class Engine:
                 f"TrainingConfig (digest {checkpoint.config_digest[:12]} != "
                 f"{digest[:12]}); resume with the original configuration"
             )
+        if checkpoint.precision != get_precision():
+            # The weights would be cast to the new mode but the optimizer
+            # moments would not: a hybrid run, not the interrupted one.
+            raise ConfigurationError(
+                f"resume_from checkpoint was trained in {checkpoint.precision} but "
+                f"the active precision is {get_precision()}; resume inside "
+                f"precision({checkpoint.precision!r}) with a model built there"
+            )
         self.model.load_state_dict(checkpoint.model_state)
         self.optimizer.load_state_dict(checkpoint.optimizer_state)
         if checkpoint.rng_state is not None:
@@ -533,7 +541,8 @@ class Engine:
         ``resume_from`` restores a checkpoint written by ``save`` /
         :class:`Checkpointer` and continues bit-exactly: model weights,
         optimizer moments and step count, LR-schedule position, loss
-        history, and the batch-shuffle RNG stream all carry over.
+        history, and the batch-shuffle RNG stream all carry over.  The
+        active precision must be the one the checkpoint was trained in.
         """
         config = self.config
         self._rng = np.random.default_rng(config.seed)

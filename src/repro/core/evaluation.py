@@ -18,7 +18,6 @@ import numpy as np
 from .. import mpi
 from ..data.dataset import SnapshotDataset
 from ..exceptions import ConfigurationError
-from ..solver.state import CHANNELS
 from .metrics import per_channel, relative_l2
 from .parallel import ParallelTrainingResult
 from .subdomain_data import build_rank_dataset
@@ -96,8 +95,8 @@ def evaluate_parallel(
 def skill_vs_identity(
     predicted: np.ndarray,
     reference: np.ndarray,
-    steps: Sequence[int] = (1, 8),
-    channel_names: tuple[str, ...] = CHANNELS,
+    steps: Sequence[int],
+    channel_names: tuple[str, ...],
 ) -> dict[int, dict[str, float]]:
     """Skill of a rollout over "predict no change", per channel, at each
     of ``steps``: ``1 - err_model / err_identity``, both the relative L2

@@ -40,6 +40,7 @@ from ..exceptions import ConfigurationError
 from ..obs import trace
 from .. import mpi
 from ..mpi.launcher import _set_share, _share
+from ..tensor.precision import get_precision, precision
 from .engine import Callback, Engine
 from .model import CNNConfig, SubdomainCNN
 from .subdomain_data import build_rank_dataset
@@ -70,6 +71,9 @@ class ParallelTrainingResult:
     decomposition: BlockDecomposition
     rank_results: list[RankTrainingResult]
     execution: str
+    #: compute mode the networks were trained in; ``build_models``
+    #: rebuilds them in it whatever mode is active
+    precision: str
     #: wall-clock of the whole parallel region as observed by the
     #: caller (includes launch/teardown; the honest "measured" time —
     #: only meaningful as a parallel time under ``execution="processes"``)
@@ -96,12 +100,14 @@ class ParallelTrainingResult:
 
     def build_models(self, rng: np.random.Generator | None = None) -> list[SubdomainCNN]:
         """Reconstruct the trained per-rank networks from their state
-        dictionaries (in rank order)."""
+        dictionaries (in rank order), with parameters in the precision
+        they were trained in."""
         models = []
-        for result in self.rank_results:
-            model = SubdomainCNN(self.cnn_config, rng=rng or np.random.default_rng(0))
-            model.load_state_dict(result.state_dict)
-            models.append(model)
+        with precision(self.precision):
+            for result in self.rank_results:
+                model = SubdomainCNN(self.cnn_config, rng=rng or np.random.default_rng(0))
+                model.load_state_dict(result.state_dict)
+                models.append(model)
         return models
 
 
@@ -248,6 +254,7 @@ class ParallelTrainer:
             decomposition=decomposition,
             rank_results=rank_results,
             execution=execution,
+            precision=get_precision(),
             wall_time=trace.clock() - start,
         )
 

@@ -20,7 +20,7 @@ precisions: only the compute dtype differs.
 
 **The gate**, per scenario, channel, step and metric (error and skill):
 float32's median over the seeds lies inside float64's range over the
-seeds (min to max), widened on each side by ``widen`` (5%) of that
+seeds (min to max), widened on each side by :data:`WIDEN` (5%) of that
 bound's magnitude.  A channel that does not move over the rollout has
 no skill (NaN); it is gated on its error alone.
 :meth:`PrecisionGateResult.report` prints every gap next to the rule.
@@ -49,14 +49,21 @@ from .reporting import format_table
 #: The two compute modes, the oracle first.
 PRECISIONS = ("float64", "float32")
 
+#: The rollout steps every run is scored at.
+STEPS = (1, 8)
+
+#: How far the gate widens float64's seed range, as a share of each
+#: bound's magnitude.
+WIDEN = 0.05
+
 
 @dataclass(frozen=True)
 class PrecisionGateConfig:
     """Budget of the comparison (defaults: every builtin scenario, seeds
-    0-4, 32² grid, one rank, 60 epochs over 21 training pairs).  The
-    snapshot count keeps the validation frames moving: at 32² Allen-Cahn
-    has separated into one uniform phase, which no step changes, by
-    snapshot 56."""
+    0-4, 32² grid, 60 epochs over 21 training pairs; every run trains on
+    one rank).  The snapshot count keeps the validation frames moving:
+    at 32² Allen-Cahn has separated into one uniform phase, which no
+    step changes, by snapshot 56."""
 
     scenarios: tuple[str, ...] = field(default_factory=available_scenarios)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -64,9 +71,6 @@ class PrecisionGateConfig:
     num_snapshots: int = 32
     num_train: int = 22
     epochs: int = 60
-    num_ranks: int = 1
-    steps: tuple[int, ...] = (1, 8)
-    widen: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,9 @@ class GateRow:
         """``|median32 - median64|`` relative to ``|median64|``."""
         return abs(self.median32 - self.median64) / max(abs(self.median64), 1e-30)
 
-    def passed(self, widen: float) -> bool:
-        low, high = self.low - widen * abs(self.low), self.high + widen * abs(self.high)
+    @property
+    def passed(self) -> bool:
+        low, high = self.low - WIDEN * abs(self.low), self.high + WIDEN * abs(self.high)
         return low <= self.median32 <= high
 
 
@@ -122,7 +127,7 @@ class PrecisionGateResult:
     def rows(self) -> list[GateRow]:
         rows = []
         for scenario in self.config.scenarios:
-            for step in self.config.steps:
+            for step in STEPS:
                 for name in channels(scenario):
                     for metric in ("rel_l2", "skill"):
                         oracle = self._values(scenario, "float64", metric, step, name)
@@ -137,12 +142,11 @@ class PrecisionGateResult:
 
     def failures(self) -> list[str]:
         """One line per cell where float32's median leaves the band."""
-        widen = self.config.widen
         return [
             f"{r.scenario} {r.channel} step {r.step} {r.metric}: float32 median "
-            f"{r.median32:.5g} outside float64 [{r.low:.5g}, {r.high:.5g}] +/- {widen:.0%}"
+            f"{r.median32:.5g} outside float64 [{r.low:.5g}, {r.high:.5g}] +/- {WIDEN:.0%}"
             for r in self.rows()
-            if not r.passed(widen)
+            if not r.passed
         ]
 
     def summary(self) -> list[tuple]:
@@ -154,7 +158,7 @@ class PrecisionGateResult:
             for mode in PRECISIONS:
                 runs = [r for r in self.runs if r.scenario == scenario and r.precision == mode]
                 row: list = [scenario, mode]
-                for step in self.config.steps:
+                for step in STEPS:
                     for metric in ("rel_l2", "skill"):
                         means = [np.mean(list(getattr(r, metric)[step].values())) for r in runs]
                         row.append(np.median(means))
@@ -165,9 +169,9 @@ class PrecisionGateResult:
         return out
 
     def report(self) -> str:
-        cfg, widen = self.config, self.config.widen
+        cfg = self.config
         headers = ["scenario", "precision"]
-        for step in cfg.steps:
+        for step in STEPS:
             headers += [f"rel. L2 @{step}", f"skill @{step}"]
         headers += ["energy drift", "solver drift", "train [s]"]
         summary = format_table(
@@ -175,7 +179,7 @@ class PrecisionGateResult:
             self.summary(),
             title=(
                 f"Float32 vs float64, seed medians over seeds {list(cfg.seeds)} "
-                f"({cfg.grid_size}², P={cfg.num_ranks}, {cfg.epochs} epochs; "
+                f"({cfg.grid_size}², P=1, {cfg.epochs} epochs; "
                 "errors and skills are channel means)"
             ),
         )
@@ -185,12 +189,12 @@ class PrecisionGateResult:
              "f64 median", "f32 median", "gap", "pass"],
             [
                 (r.scenario, r.channel, r.step, r.metric, r.low, r.high, r.median64,
-                 r.median32, r.gap, "yes" if r.passed(widen) else "NO")
+                 r.median32, r.gap, "yes" if r.passed else "NO")
                 for r in rows
             ],
             title=(
                 "Gate: float32's seed median inside float64's seed range, "
-                f"widened by {widen:.0%} of each bound; gap = |f32 - f64| / |f64| "
+                f"widened by {WIDEN:.0%} of each bound; gap = |f32 - f64| / |f64| "
                 "of the medians"
             ),
         )  # fmt: skip
@@ -218,14 +222,14 @@ def _run_one(
     mode: str,
     seed: int,
 ) -> PrecisionRun:
-    horizon = max(config.steps)
+    horizon = max(STEPS)
     names = channels(scenario)
     reference = experiment.raw_validation()[: horizon + 1]
     with precision(mode):
         trainer = ParallelTrainer(
             default_cnn_config(scenario=scenario),
             default_training_config(epochs=config.epochs, seed=seed),
-            num_ranks=config.num_ranks,
+            num_ranks=1,
             seed=seed,
         )
         start = trace.clock()
@@ -239,8 +243,8 @@ def _run_one(
         scenario,
         mode,
         seed,
-        {s: per_channel(relative_l2, predicted[s], reference[s], names) for s in config.steps},
-        skill_vs_identity(predicted, reference, config.steps, names),
+        {s: per_channel(relative_l2, predicted[s], reference[s], names) for s in STEPS},
+        skill_vs_identity(predicted, reference, STEPS, names),
         _energy_drift(equation, grid, predicted),
         _energy_drift(equation, grid, reference),
         seconds,

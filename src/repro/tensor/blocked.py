@@ -56,12 +56,13 @@ strip and its scaled twin.
 
 A rank's kernels run on its share of the cores, ``max(1, cores //
 ranks)`` threads, set where ranks start (:mod:`repro.mpi.launcher`).
-Above share 1, :func:`for_each_image` hands a batch's images one at a
-time from a shared counter to the caller and ``share - 1`` pool workers.
+Above share 1, :func:`for_each_image` deals a batch's images one at a
+time, round-robin, to the caller and ``share - 1`` pool workers.
 Helper ``k`` draws scratch from the caller's arena's ``k``-th helper
 arena (:meth:`~repro.tensor.workspace.Workspace.helper`), whichever pool
-thread runs it, so a helper's scratch is warm from the caller's second
-call on and arenas grow with callers times ``share - 1``, not with the
+thread runs it; the deal is fixed, so every arena sees the same shapes
+on every call, a helper's scratch is warm from the caller's second call
+on, and arenas grow with callers times ``share - 1``, not with the
 pool.  What is zeroed per image (a bordered output's border, the
 backward's gradient source) is zeroed in that per-image work, not on
 the caller's thread before it.  The weight gradient adds an image's
@@ -81,7 +82,6 @@ forward and a call without an arena all agree bitwise.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 import time
@@ -139,26 +139,27 @@ def for_each_image(
     n: int, workspace: Workspace | None, work: Callable[[slice, Workspace | None], None]
 ) -> None:
     """``work(images, arena)`` over all ``n`` images: one call on the
-    whole batch at share 1, else one call per image, handed out from a
-    shared counter to this thread and ``share - 1`` pool workers, helper
-    ``k`` with ``workspace``'s ``k``-th helper arena (none when
-    ``workspace`` is none)."""
+    whole batch at share 1, else one call per image, dealt round-robin
+    to this thread (images 0, t, 2t, ...) and ``t - 1`` pool workers
+    (helper ``k`` from image ``k + 1`` on) for ``t = min(n, share)``,
+    helper ``k`` with ``workspace``'s ``k``-th helper arena (none when
+    ``workspace`` is none).  The deal is fixed, so each arena sees the
+    same images, hence the same shapes, on every call."""
     global _pool
-    helpers = min(n, image_threads()) - 1
-    if helpers <= 0:
+    threads = min(n, image_threads())
+    if threads <= 1:
         work(slice(0, n), workspace)
         return
-    images = itertools.count()
 
-    def drain(arena: Workspace | None) -> None:
-        while (image := next(images)) < n:
+    def deal(first: int, arena: Workspace | None) -> None:
+        for image in range(first, n, threads):
             work(slice(image, image + 1), arena)
 
     pool = _pool = _pool or ThreadPoolExecutor(thread_name_prefix="repro-images")
-    arenas = [None if workspace is None else workspace.helper(k) for k in range(helpers)]
-    futures = [pool.submit(drain, arena) for arena in arenas]
+    arenas = [None if workspace is None else workspace.helper(k) for k in range(threads - 1)]
+    futures = [pool.submit(deal, k + 1, arena) for k, arena in enumerate(arenas)]
     try:
-        drain(workspace)
+        deal(0, workspace)
     finally:  # the helpers are done (or raise) before the caller returns
         for future in futures:
             future.result()

@@ -33,7 +33,8 @@ The default arena returned by :func:`get_workspace` is **per-thread**
 shared arena would hand two ranks the same scratch buffer).  The pool
 helpers a rank's share of the cores adds draw from the calling thread's
 arena's :meth:`~Workspace.helper` arenas, one per helper slot, so a
-helper's scratch is warm whichever pool thread runs it.  Under the
+helper's scratch is warm whichever pool thread runs it; the arena's
+``nbytes`` and ``num_buffers`` include them.  Under the
 process execution backend each forked rank inherits a copy-on-write
 image of the parent's arenas; an ``os.register_at_fork`` hook drops
 them in the child so every rank process starts cold and its reuse
@@ -145,12 +146,14 @@ class Workspace:
 
     @property
     def num_buffers(self) -> int:
-        return len(self._buffers)
+        """Buffers held by the arena and its helper arenas."""
+        return len(self._buffers) + sum(h.num_buffers for h in self._helpers)
 
     @property
     def nbytes(self) -> int:
-        """Total bytes currently held by the arena."""
-        return sum(b.nbytes for b in self._buffers.values())
+        """Total bytes held by the arena and its helper arenas."""
+        own = sum(b.nbytes for b in self._buffers.values())
+        return own + sum(h.nbytes for h in self._helpers)
 
     def clear(self) -> None:
         """Drop every buffer, the helper arenas' too (statistics are kept)."""
@@ -159,7 +162,9 @@ class Workspace:
             helper.clear()
 
     def describe(self) -> str:
-        """One-line summary used by reports and the ``repro perf`` CLI."""
+        """One-line summary used by reports and the ``repro perf`` CLI;
+        buffers and bytes include the helper arenas, the requests and
+        hit rate are this arena's own."""
         s = self.stats
         return (
             f"{self.name}: {self.num_buffers} buffers, "

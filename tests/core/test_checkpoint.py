@@ -21,11 +21,11 @@ from repro.core import (
 from repro.core.engine import build_optimizer
 from repro.data import SnapshotDataset, synthetic_advection_snapshots
 from repro.exceptions import ConfigurationError, DatasetError
-from repro.tensor import get_precision, precision, set_precision
+from repro.tensor import get_precision, precision
 
 
-@pytest.fixture
-def trained_result():
+def train_small():
+    """Four tiny networks trained one epoch in the active precision."""
     dataset = SnapshotDataset(synthetic_advection_snapshots(grid_size=12, num_snapshots=6, seed=0))
     trainer = ParallelTrainer(
         CNNConfig(channels=(4, 6, 4), kernel_size=3, strategy=PaddingStrategy.NEIGHBOR_FIRST),
@@ -33,6 +33,11 @@ def trained_result():
         num_ranks=4,
     )
     return trainer.train(dataset, execution="serial")
+
+
+@pytest.fixture
+def trained_result():
+    return train_small()
 
 
 class TestRoundtrip:
@@ -77,11 +82,6 @@ class TestValidation:
 
 
 class TestPrecisionMetadata:
-    @pytest.fixture(autouse=True)
-    def _restore_precision(self):
-        yield
-        set_precision("float64")
-
     def test_float64_policy_recorded(self, tmp_path, trained_result):
         path = tmp_path / "models.npz"
         with precision("float64"):
@@ -120,10 +120,13 @@ class TestPrecisionMetadata:
         got = ParallelPredictor(models, decomposition).rollout(initial, 3).trajectory
         assert got.dtype == np.float64 and np.array_equal(got, want)
 
-    def test_active_policy_recorded(self, tmp_path, trained_result):
+    def test_active_policy_recorded(self, tmp_path):
+        """The policy active while training is recorded, not the one
+        active when saving."""
         path = tmp_path / "models.npz"
         with precision("float32"):
-            save_parallel_models(path, trained_result)
+            result = train_small()
+        save_parallel_models(path, result)
         assert load_checkpoint_precision(path) == "float32"
 
     def test_explicit_precision_wins(self, tmp_path, trained_result):
@@ -133,9 +136,8 @@ class TestPrecisionMetadata:
 
     def test_float32_checkpoint_reloads_float32_parameters(self, tmp_path):
         """A float32-trained checkpoint must come back with float32
-        parameter storage even when the loading process is still in the
-        default float64 mode — the recorded precision drives the
-        rebuild."""
+        parameter storage even when the loading process is in float64
+        mode — the recorded precision drives the rebuild."""
         dataset = SnapshotDataset(
             synthetic_advection_snapshots(grid_size=12, num_snapshots=6, seed=0)
         )
@@ -178,11 +180,6 @@ class TestFloat32RoundTrip:
     (a float64 leak mid-graph changes results at the 1e-7 level but a
     *wrong* computation changes them at the 1e-1 level).
     """
-
-    @pytest.fixture(autouse=True)
-    def _restore_precision(self):
-        yield
-        set_precision("float64")
 
     def _train_rollout(self, tmp_path, execution, mode):
         from repro.data import generate_scenario_dataset

@@ -29,6 +29,7 @@ from repro.core import (
 from repro.core.parallel import ParallelTrainer
 from repro.data import SnapshotDataset, synthetic_advection_snapshots
 from repro.exceptions import ConfigurationError
+from repro.tensor import get_precision, precision
 
 
 def toy_dataset(num=10, seed=42):
@@ -409,6 +410,27 @@ class TestResume:
         other = config.replace(lr=0.5)
         with pytest.raises(ConfigurationError, match="different"):
             Engine(small_model(), other).fit(toy_dataset(), resume_from=str(path))
+
+    @pytest.mark.default_precision
+    def test_a_float64_checkpoint_resumes_in_float64_only(self, tmp_path):
+        """Under the float32 default, resuming a checkpoint written in
+        float64 is refused rather than run as a float32/float64 hybrid;
+        inside ``precision("float64")`` it resumes bit-exactly."""
+        config = TrainingConfig(**self.CONFIG)
+        path = tmp_path / "mid.npz"
+        with precision("float64"):
+            uninterrupted = train_network(small_model(), toy_dataset(), config)
+            Engine(small_model(), config, callbacks=(StopAfter(3, str(path)),)).fit(
+                toy_dataset()
+            )
+        assert get_precision() == "float32"
+        with pytest.raises(ConfigurationError, match="trained in float64"):
+            Engine(small_model(), config).fit(toy_dataset(), resume_from=str(path))
+        with precision("float64"):
+            resumed = Engine(small_model(seed=99), config)
+            history = resumed.fit(toy_dataset(), resume_from=str(path))
+        assert history.epoch_losses == uninterrupted.epoch_losses
+        assert all(p.dtype == np.float64 for p in resumed.model.parameters())
 
 
 # ----------------------------------------------------------------------

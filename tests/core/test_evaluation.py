@@ -133,6 +133,6 @@ class TestSkillVsIdentity:
     def test_rejects_a_step_outside_the_rollout(self):
         reference = self.trajectory()
         with pytest.raises(ConfigurationError, match="outside"):
-            skill_vs_identity(reference, reference, (9,))
+            skill_vs_identity(reference, reference, (9,), ("a", "b"))
         with pytest.raises(ConfigurationError, match="trajectories"):
-            skill_vs_identity(reference[:-1], reference)
+            skill_vs_identity(reference[:-1], reference, (1,), ("a", "b"))

@@ -6,12 +6,14 @@ import pytest
 from repro.core import (
     CNNConfig,
     PaddingStrategy,
+    ParallelPredictor,
     ParallelTrainer,
     TrainingConfig,
     train_sequential_baseline,
 )
 from repro.data import SnapshotDataset, synthetic_advection_snapshots
 from repro.exceptions import ConfigurationError
+from repro.tensor import get_precision, precision
 
 
 def small_setup(strategy=PaddingStrategy.NEIGHBOR_FIRST, epochs=2):
@@ -74,6 +76,22 @@ class TestResults:
         for model, rank_result in zip(models, result.rank_results):
             for name, value in model.state_dict().items():
                 assert np.array_equal(value, rank_result.state_dict[name])
+
+    @pytest.mark.default_precision
+    def test_build_models_uses_the_training_precision(self):
+        """Networks trained in float64 come back float64 under the float32
+        default, and roll out bitwise as they do inside the float64 scope."""
+        dataset, cnn, training = small_setup()
+        initial = dataset.snapshots[0]
+        with precision("float64"):
+            result = ParallelTrainer(cnn, training, num_ranks=2).train(dataset)
+            want = ParallelPredictor(result.build_models(), result.decomposition)
+            want = want.rollout(initial, 2).trajectory
+        assert result.precision == "float64" and get_precision() == "float32"
+        models = result.build_models()
+        assert all(p.dtype == np.float64 for m in models for p in m.parameters())
+        got = ParallelPredictor(models, result.decomposition).rollout(initial, 2).trajectory
+        assert np.array_equal(got, want)
 
     def test_ranks_have_different_initial_seeds(self):
         """Each rank seeds its own network: rank nets must differ."""

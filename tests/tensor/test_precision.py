@@ -3,8 +3,8 @@
 The policy lives in :mod:`repro.tensor.precision` and is deliberately
 process-global (worker threads of the thread-MPI backend must inherit
 it).  Every test that flips the mode does so through the ``precision``
-context manager or the autouse restore fixture below, so test order
-never leaks a mode change.
+context manager or inside the conftest's per-test precision scope, so
+test order never leaks a mode change.
 """
 
 import os
@@ -36,12 +36,6 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: rounding, so per-layer drift stays well under 1e-5 relative.
 F32_RTOL = 1e-4
 F32_ATOL = 1e-5
-
-
-@pytest.fixture(autouse=True)
-def _restore_precision():
-    yield
-    set_precision("float64")
 
 
 class TestResolution:

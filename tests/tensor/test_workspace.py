@@ -91,6 +91,16 @@ class TestStats:
         ws.request("a", (4,), np.float64)
         assert ws.stats.buffers_created == 2
 
+    def test_totals_include_the_helper_arenas(self):
+        ws = Workspace()
+        ws.request("a", (4,), np.float64)
+        ws.helper(1).request("a", (4,), np.float64)
+        assert ws.num_buffers == 2
+        assert ws.nbytes == 2 * 4 * 8
+        assert "2 buffers" in ws.describe()
+        ws.clear()
+        assert ws.num_buffers == 0 and ws.nbytes == 0
+
     def test_describe_mentions_name_and_counts(self):
         ws = Workspace(name="bench")
         ws.request("a", (4,), np.float64)
