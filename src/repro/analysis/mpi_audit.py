@@ -96,7 +96,7 @@ class MpiSanitizer:
     def __enter__(self) -> "MpiSanitizer":
         self._saved = {
             name: MessageRouter.__dict__[name]
-            for name in ("__init__", "post", "collect", "try_collect")
+            for name in ("__init__", "post", "collect")
         }
         originals = dict(self._saved)
         report = self.report
@@ -114,25 +114,15 @@ class MpiSanitizer:
             return originals["post"](router, source, dest, tag, payload)
 
         def patched_collect(router, dest, source, tag, timeout):
-            payload, status = originals["collect"](router, dest, source, tag, timeout)
+            payload = originals["collect"](router, dest, source, tag, timeout)
             audit = getattr(router, "_audit", None)
             if audit is not None:
-                audit.collected[(status.source, dest, status.tag)] += 1
-            return payload, status
-
-        def patched_try_collect(router, dest, source, tag):
-            found = originals["try_collect"](router, dest, source, tag)
-            if found is not None:
-                audit = getattr(router, "_audit", None)
-                if audit is not None:
-                    _, status = found
-                    audit.collected[(status.source, dest, status.tag)] += 1
-            return found
+                audit.collected[(source, dest, tag)] += 1
+            return payload
 
         MessageRouter.__init__ = patched_init  # type: ignore[method-assign]
         MessageRouter.post = patched_post  # type: ignore[method-assign]
         MessageRouter.collect = patched_collect  # type: ignore[method-assign]
-        MessageRouter.try_collect = patched_try_collect  # type: ignore[method-assign]
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:

@@ -2,18 +2,32 @@
 
 The decomposition is the paper's Sec. III step 1: each training data
 set is split into ``Py × Px`` non-overlapping spatial blocks, one per
-MPI rank.  Ranks are numbered row-major over the process grid, matching
-:class:`repro.mpi.CartComm` with dims ``(Py, Px)``.
+MPI rank.  Ranks are numbered row-major over the process grid, as
+``MPI_Cart_create`` numbers dims ``(Py, Px)``; ``coords_of``,
+``rank_of`` and ``neighbour`` are the topology the halo exchange uses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import DecompositionError
-from ..mpi.cartesian import dims_create
+
+
+def dims_create(size: int) -> tuple[int, int]:
+    """The most balanced process grid ``(Py, Px)`` of ``size`` ranks.
+
+    ``MPI_Dims_create`` in 2-D: ``Px`` is the largest divisor of
+    ``size`` not above its square root, so ``Py >= Px`` and ``Py - Px``
+    is as small as any factorization allows.
+    """
+    if size <= 0:
+        raise DecompositionError(f"size must be positive, got {size}")
+    px = max(d for d in range(1, math.isqrt(size) + 1) if size % d == 0)
+    return size // px, px
 
 
 def split_extent(n: int, parts: int) -> list[tuple[int, int]]:
@@ -112,7 +126,7 @@ class BlockDecomposition:
         periodic: tuple[bool, bool] = (False, False),
     ) -> "BlockDecomposition":
         """Decompose for ``num_ranks`` using a balanced 2-D factorization."""
-        return cls(field_shape, dims_create(num_ranks, 2), periodic=periodic)
+        return cls(field_shape, dims_create(num_ranks), periodic=periodic)
 
     # ------------------------------------------------------------------
     @property

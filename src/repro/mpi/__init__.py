@@ -9,11 +9,15 @@ Typical SPMD usage::
             comm.send({"hello": comm.size}, dest=1, tag=7)
         elif comm.rank == 1:
             data = comm.recv(source=0, tag=7)
-        return comm.allreduce(comm.rank)
+        comm.barrier()
+        return comm.allreduce(comm.rank, op=mpi.MAX)
 
     results = mpi.run_parallel(program, size=4)
 
-Two execution backends share the :class:`Communicator` API:
+That is the whole surface: ``send``/``recv`` with explicit source and
+tag, ``barrier``, ``allreduce`` with :data:`SUM` or :data:`MAX`, plus
+:func:`shared_empty` and :class:`Handshake` for bulk data.  Two
+execution backends share the :class:`Communicator` API:
 ``run_parallel(..., backend="threads")`` (default) runs in-process
 ranks over an in-memory router — the faithful communication-structure
 execution — while ``backend="processes"`` runs one OS process per rank,
@@ -25,55 +29,16 @@ each other's windows order those reads with a :class:`Handshake`.  See
 DESIGN.md ("Execution backends") for what each mode measures.
 """
 
-from .api import (
-    ANY_SOURCE,
-    ANY_TAG,
-    LAND,
-    LOR,
-    MAX,
-    MAX_USER_TAG,
-    MIN,
-    PROD,
-    SUM,
-    Communicator,
-    ReduceOp,
-    Request,
-    Status,
-    SubCommunicator,
-    wait_all,
-)
-from .cartesian import CartComm, dims_create
+from .api import MAX, SUM, Communicator
 from .handshake import Handshake
-from .launcher import BACKENDS, run_parallel
-from .process_backend import ProcessCommunicator
-from .router import MessageRouter
+from .launcher import run_parallel
 from .shm import shared_empty
-from .world import SelfCommunicator, WorldCommunicator
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "MAX_USER_TAG",
-    "SUM",
-    "PROD",
-    "MAX",
-    "MIN",
-    "LAND",
-    "LOR",
-    "ReduceOp",
-    "Status",
-    "Request",
-    "wait_all",
     "Communicator",
-    "SubCommunicator",
-    "WorldCommunicator",
-    "SelfCommunicator",
-    "ProcessCommunicator",
-    "MessageRouter",
-    "CartComm",
-    "dims_create",
+    "SUM",
+    "MAX",
     "run_parallel",
-    "BACKENDS",
     "shared_empty",
     "Handshake",
 ]

@@ -78,9 +78,7 @@ class Handshake:
             # already happened costs one sem_trywait.
             while not edge.acquire(True, _WAKE_SECONDS):
                 waited += _WAKE_SECONDS
-                # iprobe is the one call every communicator answers with
-                # "world aborted" once a peer has failed.
-                comm.iprobe()
+                comm._raise_if_aborted()
                 obs_metrics.heartbeat()  # blocked is alive, not stalled
                 timeout = comm.deadlock_timeout
                 if timeout is not None and waited >= timeout:

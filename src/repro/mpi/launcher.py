@@ -15,26 +15,29 @@ two execution backends:
 ``backend="processes"``
     One OS process per rank (see :mod:`repro.mpi.process_backend`), so P
     ranks genuinely occupy P cores: this is the backend that actually
-    *scales*.  Large NumPy payloads travel through shared memory instead
-    of pickle.  With the default ``fork`` start method, rank programs
-    may be closures exactly as with threads; ``spawn`` requires
-    picklable module-level callables.
+    *scales*.  Every message is pickled through the destination's
+    mailbox; bulk data belongs in a :func:`~repro.mpi.shm.shared_empty`
+    array the ranks write in place.  With the default ``fork`` start
+    method, rank programs may be closures exactly as with threads;
+    ``spawn`` requires picklable module-level callables.
 
 An exception in any rank aborts the whole world: the transport is
 poisoned so blocked peers wake with
 :class:`~repro.exceptions.DeadlockError`, and the original exception is
-re-raised to the caller.
+re-raised to the caller.  A region that outlives ``timeout`` is aborted
+the same way and raises :class:`~repro.exceptions.CommunicatorError`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Callable, Sequence
+import time
+from typing import Any, Callable
 
-from ..exceptions import CommunicatorError
+from ..exceptions import CommunicatorError, DeadlockError
 from ..obs import trace
-from .api import Communicator
+from .api import DEADLOCK_TIMEOUT, Communicator
 from .router import MessageRouter
 from .world import WorldCommunicator
 
@@ -58,36 +61,29 @@ def _set_share(threads: int) -> int:
 
 
 def run_parallel(
-    fn: RankFn | Sequence[RankFn],
+    fn: RankFn,
     size: int,
     timeout: float | None = None,
-    deadlock_timeout: float | None = 120.0,
-    isolate_messages: bool = True,
+    deadlock_timeout: float | None = DEADLOCK_TIMEOUT,
     backend: str = "threads",
     start_method: str | None = None,
     heartbeat_timeout: float | None = None,
 ) -> list[Any]:
-    """Run an SPMD (or MPMD) program on ``size`` ranks.
+    """Run the SPMD program ``fn`` on ``size`` ranks.
 
     Parameters
     ----------
     fn:
-        Either one callable executed by every rank (SPMD), or a sequence
-        of ``size`` callables, one per rank (MPMD).  Each callable
-        receives its rank's :class:`Communicator`.
+        Executed by every rank with its rank's :class:`Communicator`.
     size:
         Number of ranks.
     timeout:
         Overall wall-clock limit in seconds for the parallel region
-        (``None`` = unlimited).
+        (``None`` = unlimited); exceeding it aborts the world and raises
+        :class:`~repro.exceptions.CommunicatorError`.
     deadlock_timeout:
         Per-receive watchdog; a blocking receive that waits longer than
         this raises :class:`~repro.exceptions.DeadlockError`.
-    isolate_messages:
-        Deep-copy payloads at the sender (distributed-memory semantics).
-        Disable only for read-only payloads on hot paths.  Ignored by
-        the process backend, where isolation is inherent (payloads cross
-        a real address-space boundary).
     backend:
         ``"threads"`` (in-process ranks, faithful communication
         structure) or ``"processes"`` (one OS process per rank, real
@@ -108,22 +104,13 @@ def run_parallel(
     """
     if size <= 0:
         raise CommunicatorError(f"size must be positive, got {size}")
-    if callable(fn):
-        fns: list[RankFn] = [fn] * size
-    else:
-        fns = list(fn)
-        if len(fns) != size:
-            raise CommunicatorError(
-                f"MPMD launch needs {size} callables, got {len(fns)}"
-            )
-
     if backend == "threads":
-        return _run_threads(fns, size, timeout, deadlock_timeout, isolate_messages)
+        return _run_threads(fn, size, timeout, deadlock_timeout)
     if backend == "processes":
         from .process_backend import run_parallel_processes
 
         return run_parallel_processes(
-            fns,
+            fn,
             size,
             timeout=timeout,
             deadlock_timeout=deadlock_timeout,
@@ -136,13 +123,9 @@ def run_parallel(
 
 
 def _run_threads(
-    fns: Sequence[RankFn],
-    size: int,
-    timeout: float | None,
-    deadlock_timeout: float | None,
-    isolate_messages: bool,
+    fn: RankFn, size: int, timeout: float | None, deadlock_timeout: float | None
 ) -> list[Any]:
-    router = MessageRouter(size, isolate=isolate_messages)
+    router = MessageRouter(size)
     share = _share(size)
     results: list[Any] = [None] * size
     errors: list[tuple[int, BaseException]] = []
@@ -154,7 +137,7 @@ def _run_threads(
         comm = WorldCommunicator(router, rank)
         comm.deadlock_timeout = deadlock_timeout
         try:
-            results[rank] = fns[rank](comm)
+            results[rank] = fn(comm)
         except BaseException as exc:  # noqa: BLE001 - must propagate to caller
             with errors_lock:
                 errors.append((rank, exc))
@@ -162,28 +145,31 @@ def _run_threads(
 
     # The router IS the thread-safe shared transport: each worker builds
     # its own per-rank WorldCommunicator inside the thread and only the
-    # lock-protected router crosses the thread boundary.
+    # lock-protected router crosses the thread boundary.  Daemon
+    # threads: a rank abandoned at the region timeout cannot keep the
+    # interpreter from exiting.
     threads = [
-        threading.Thread(target=worker, args=(rank,), name=f"repro-rank-{rank}")  # noqa: REP002
+        threading.Thread(  # noqa: REP002
+            target=worker, args=(rank,), name=f"repro-rank-{rank}", daemon=True
+        )
         for rank in range(size)
     ]
     for thread in threads:
         thread.start()
+    deadline = None if timeout is None else time.monotonic() + timeout
     for thread in threads:
-        thread.join(timeout)
-        if thread.is_alive():
-            router.abort(
-                CommunicatorError(f"parallel region exceeded timeout {timeout}s")
-            )
-    for thread in threads:
-        thread.join(5.0)
+        thread.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+    if any(thread.is_alive() for thread in threads):
+        # Wake the ranks blocked in recv; ranks stuck elsewhere are left
+        # to finish on their own.
+        error = CommunicatorError(f"parallel region exceeded timeout {timeout}s")
+        router.abort(error)
+        raise error
 
     if errors:
         errors.sort(key=lambda item: item[0])
         # When one rank fails, its peers typically die with the induced
         # "world aborted" DeadlockError; report the root cause instead.
-        from ..exceptions import DeadlockError
-
         primary = [e for e in errors if not isinstance(e[1], DeadlockError)]
         rank, first = (primary or errors)[0]
         raise first

@@ -36,13 +36,13 @@ import queue as queue_module
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from ..exceptions import CommunicatorError, DeadlockError
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from .api import ANY_SOURCE, ANY_TAG, Communicator, Request, Status
-from .launcher import _set_share, _share
+from .api import DEADLOCK_TIMEOUT, Communicator
+from .launcher import RankFn, _set_share, _share
 from .router import _isolate_payload
 from .shm import is_shared
 
@@ -92,7 +92,7 @@ class ProcessCommunicator(Communicator):
         rank: int,
         size: int,
         mailboxes: Sequence[Any],  # one multiprocessing queue per rank
-        deadlock_timeout: float | None = 120.0,
+        deadlock_timeout: float | None = DEADLOCK_TIMEOUT,
     ) -> None:
         if not 0 <= rank < size:
             raise CommunicatorError(f"rank {rank} out of range for size {size}")
@@ -101,7 +101,6 @@ class ProcessCommunicator(Communicator):
         self._mailboxes = mailboxes
         self._inbox: list[_Envelope] = []  # out-of-order arrivals, oldest first
         self._failed: str | None = None
-        self._collective_seq = 0
         self.deadlock_timeout = deadlock_timeout
 
     @property
@@ -138,34 +137,28 @@ class ProcessCommunicator(Communicator):
                 return
             self._admit(item)
 
-    def _check_failed(self) -> None:
+    def _raise_if_aborted(self) -> None:
+        self._drain()
         if self._failed is not None:
             raise DeadlockError(f"world aborted: {self._failed}")
 
-    def _match(self, source: int, tag: int, *, remove: bool) -> _Envelope | None:
+    def _match(self, source: int, tag: int) -> _Envelope | None:
         for i, env in enumerate(self._inbox):
-            if (source == ANY_SOURCE or env.source == source) and (
-                tag == ANY_TAG or env.tag == tag
-            ):
-                if remove:
-                    del self._inbox[i]
+            if env.source == source and env.tag == tag:
+                del self._inbox[i]
                 return env
         return None
 
-    def _deliver(self, env: _Envelope) -> tuple[Any, Status]:
-        return env.payload, Status(env.source, env.tag)
-
-    def _recv(self, source: int, tag: int, timeout: float | None) -> tuple[Any, Status]:
+    def _recv(self, source: int, tag: int, timeout: float | None) -> Any:
         deadline = None if timeout is None else time.monotonic() + timeout
         mailbox = self._mailboxes[self._rank]
         while True:
-            self._drain()
+            self._raise_if_aborted()
             if obs_metrics.enabled():
                 _MAILBOX_DEPTH.set(len(self._inbox))
-            self._check_failed()
-            env = self._match(source, tag, remove=True)
+            env = self._match(source, tag)
             if env is not None:
-                return self._deliver(env)
+                return env.payload
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 raise DeadlockError(
@@ -191,32 +184,6 @@ class ProcessCommunicator(Communicator):
             except queue_module.Empty:
                 continue
             self._admit(item)
-
-    def _iprobe(self, source: int, tag: int) -> bool:
-        self._drain()
-        self._check_failed()
-        return self._match(source, tag, remove=False) is not None
-
-    def _irecv(self, source: int, tag: int) -> Request:
-        def wait(timeout: float | None = None) -> Any:
-            payload, status = self._recv(
-                source, tag, timeout if timeout is not None else self.deadlock_timeout
-            )
-            request.status = status
-            return payload
-
-        def test() -> tuple[bool, Any]:
-            self._drain()
-            self._check_failed()
-            env = self._match(source, tag, remove=True)
-            if env is None:
-                return False, None
-            payload, status = self._deliver(env)
-            request.status = status
-            return True, payload
-
-        request = Request(_wait=wait, _test=test)
-        return request
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +225,7 @@ def _encode_outcome(rank: int, kind: str, value: Any, bundle: Any = None) -> byt
 def _worker_main(
     rank: int,
     size: int,
-    fns: Sequence[Callable[[Communicator], Any]],
+    fn: RankFn,
     mailboxes: Sequence[Any],
     result_queue: Any,
     deadlock_timeout: float | None,
@@ -307,7 +274,7 @@ def _worker_main(
         obs_metrics.heartbeat()  # arm the slot: stall detection needs a first beat
     comm = ProcessCommunicator(rank, size, mailboxes, deadlock_timeout)
     try:
-        result = fns[rank](comm)
+        result = fn(comm)
         kind: str = "ok"
         value: Any = result
     except BaseException as exc:  # noqa: BLE001 - must propagate to the parent
@@ -346,9 +313,9 @@ class _SharedArrayFinder(pickle.Pickler):
         return NotImplemented
 
 
-def _reject_pickled_shared_arrays(fns: Sequence[Callable[[Communicator], Any]]) -> None:
+def _reject_pickled_shared_arrays(fn: RankFn) -> None:
     try:
-        _SharedArrayFinder(io.BytesIO()).dump(fns)
+        _SharedArrayFinder(io.BytesIO()).dump(fn)
     except CommunicatorError:
         raise
     except Exception:  # noqa: BLE001 - Process.start() reports unpicklable programs
@@ -356,14 +323,14 @@ def _reject_pickled_shared_arrays(fns: Sequence[Callable[[Communicator], Any]]) 
 
 
 def run_parallel_processes(
-    fns: Sequence[Callable[[Communicator], Any]],
+    fn: RankFn,
     size: int,
     timeout: float | None = None,
-    deadlock_timeout: float | None = 120.0,
+    deadlock_timeout: float | None = DEADLOCK_TIMEOUT,
     start_method: str | None = None,
     heartbeat_timeout: float | None = None,
 ) -> list[Any]:
-    """Run ``fns[rank]`` in one OS process per rank; returns per-rank
+    """Run ``fn`` in one OS process per rank; returns per-rank
     results (see :func:`repro.mpi.run_parallel` for the contract).
 
     With ``heartbeat_timeout`` set, every rank mirrors its
@@ -381,7 +348,7 @@ def run_parallel_processes(
     """
     method = start_method if start_method is not None else _default_start_method()
     if method != "fork":
-        _reject_pickled_shared_arrays(fns)
+        _reject_pickled_shared_arrays(fn)
     ctx = multiprocessing.get_context(method)
     mailboxes = [ctx.Queue() for _ in range(size)]
     result_queue = ctx.Queue()
@@ -399,7 +366,7 @@ def run_parallel_processes(
             args=(
                 rank,
                 size,
-                fns,
+                fn,
                 mailboxes,
                 result_queue,
                 deadlock_timeout,

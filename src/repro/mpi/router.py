@@ -1,9 +1,9 @@
 """Thread-safe message router shared by the ranks of a world.
 
 One mailbox per destination rank holds ``(source, tag, payload)``
-entries; receives match on ``(source, tag)`` with MPI wildcard
-semantics and are serviced in arrival order per matching pair
-(non-overtaking, as MPI guarantees).
+entries; a receive takes the oldest entry with its exact
+``(source, tag)``, so messages between a pair never overtake each other
+on one tag (as MPI guarantees).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from ..exceptions import DeadlockError
 from ..obs import trace
-from .api import ANY_SOURCE, ANY_TAG, Status
 
 
 @dataclass
@@ -27,7 +26,6 @@ class _Envelope:
     source: int
     tag: int
     payload: Any
-    seq: int
 
 
 #: Types that are immutable (or value-semantic) and need no copy at all.
@@ -68,24 +66,19 @@ def _isolate_payload(payload: Any) -> Any:
 class MessageRouter:
     """In-memory transport connecting the ranks of one world."""
 
-    def __init__(self, size: int, isolate: bool = True) -> None:
+    def __init__(self, size: int) -> None:
         self.size = size
-        self.isolate = isolate
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
+        self._ready = threading.Condition()
         self._mailboxes: list[deque[_Envelope]] = [deque() for _ in range(size)]
-        self._seq = 0
         self._waiting = 0  # ranks currently blocked in recv
         self._failed: BaseException | None = None
 
     # ------------------------------------------------------------------
     def post(self, source: int, dest: int, tag: int, payload: Any) -> None:
-        """Deposit a message (buffered send)."""
-        if self.isolate:
-            payload = _isolate_payload(payload)
+        """Deposit a copy of ``payload`` (buffered send)."""
+        payload = _isolate_payload(payload)
         with self._ready:
-            self._seq += 1
-            self._mailboxes[dest].append(_Envelope(source, tag, payload, self._seq))
+            self._mailboxes[dest].append(_Envelope(source, tag, payload))
             self._ready.notify_all()
 
     def abort(self, exc: BaseException) -> None:
@@ -94,42 +87,21 @@ class MessageRouter:
             self._failed = exc
             self._ready.notify_all()
 
+    def raise_if_aborted(self) -> None:
+        """Raise :class:`DeadlockError` once the world has been aborted."""
+        if self._failed is not None:
+            raise DeadlockError(f"world aborted: {self._failed!r}") from self._failed
+
     # ------------------------------------------------------------------
     def _match(self, dest: int, source: int, tag: int) -> _Envelope | None:
         box = self._mailboxes[dest]
         for i, env in enumerate(box):
-            if (source == ANY_SOURCE or env.source == source) and (
-                tag == ANY_TAG or env.tag == tag
-            ):
+            if env.source == source and env.tag == tag:
                 del box[i]
                 return env
         return None
 
-    def peek(self, dest: int, source: int, tag: int) -> bool:
-        """Whether a matching message is waiting (non-destructive)."""
-        with self._ready:
-            if self._failed is not None:
-                raise DeadlockError(f"world aborted: {self._failed!r}") from self._failed
-            for env in self._mailboxes[dest]:
-                if (source == ANY_SOURCE or env.source == source) and (
-                    tag == ANY_TAG or env.tag == tag
-                ):
-                    return True
-        return False
-
-    def try_collect(self, dest: int, source: int, tag: int) -> tuple[Any, Status] | None:
-        """Non-blocking matching receive; ``None`` when nothing matches."""
-        with self._ready:
-            if self._failed is not None:
-                raise DeadlockError(f"world aborted: {self._failed!r}") from self._failed
-            env = self._match(dest, source, tag)
-        if env is None:
-            return None
-        return env.payload, Status(env.source, env.tag)
-
-    def collect(
-        self, dest: int, source: int, tag: int, timeout: float | None
-    ) -> tuple[Any, Status]:
+    def collect(self, dest: int, source: int, tag: int, timeout: float | None) -> Any:
         """Blocking matching receive with a deadlock watchdog timeout."""
         deadline = None if timeout is None else time.monotonic() + timeout
         # Blocked-wait accounting: the sum of wait() stretches becomes a
@@ -139,19 +111,16 @@ class MessageRouter:
         waited = 0.0
         with self._ready:
             while True:
-                if self._failed is not None:
-                    raise DeadlockError(
-                        f"world aborted: {self._failed!r}"
-                    ) from self._failed
+                self.raise_if_aborted()
                 env = self._match(dest, source, tag)
                 if env is not None:
                     if waited > 0.0 and trace.enabled():
                         trace.record(
                             "router.wait", "comm.wait",
                             trace.clock() - waited, dur=waited,
-                            source=env.source, dest=dest, tag=env.tag,
+                            source=source, dest=dest, tag=tag,
                         )
-                    return env.payload, Status(env.source, env.tag)
+                    return env.payload
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     raise DeadlockError(self._timeout_message(dest, source, tag, timeout))
@@ -170,7 +139,7 @@ class MessageRouter:
         Names the blocked ``(source, dest, tag)`` triple, reports the
         router's full queued-message inventory (the messages that *are*
         in flight but match nothing), and flags the all-ranks-blocked
-        case.  Caller must hold ``self._lock``.
+        case.  Caller must hold ``self._ready``.
         """
         inventory = [
             (env.source, box_dest, env.tag)
@@ -195,20 +164,3 @@ class MessageRouter:
             parts.append("no messages queued anywhere in the world")
         parts.append("likely deadlock")
         return "; ".join(parts)
-
-    # ------------------------------------------------------------------
-    def pending_inventory(self) -> list[tuple[int, int, int]]:
-        """``(source, dest, tag)`` of every queued-but-undelivered message."""
-        with self._lock:
-            return [
-                (env.source, dest, env.tag)
-                for dest, box in enumerate(self._mailboxes)
-                for env in box
-            ]
-
-    def pending_count(self, dest: int | None = None) -> int:
-        """Number of undelivered messages (for one rank or the world)."""
-        with self._lock:
-            if dest is None:
-                return sum(len(box) for box in self._mailboxes)
-            return len(self._mailboxes[dest])

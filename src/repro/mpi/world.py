@@ -1,5 +1,5 @@
-"""Concrete communicators: the router-backed world communicator and the
-trivial single-rank communicator.
+"""The thread backend's communicator: one rank's endpoint into the
+world's shared :class:`~repro.mpi.router.MessageRouter`.
 """
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..exceptions import CommunicatorError
-from .api import Communicator, Request, Status
+from .api import Communicator
 from .router import MessageRouter
 
 
@@ -23,7 +23,6 @@ class WorldCommunicator(Communicator):
             raise CommunicatorError(f"rank {rank} out of range for size {router.size}")
         self._router = router
         self._rank = rank
-        self._collective_seq = 0
 
     @property
     def rank(self) -> int:
@@ -36,75 +35,8 @@ class WorldCommunicator(Communicator):
     def _send(self, payload: Any, dest: int, tag: int) -> None:
         self._router.post(self._rank, dest, tag, payload)
 
-    def _recv(self, source: int, tag: int, timeout: float | None) -> tuple[Any, Status]:
+    def _recv(self, source: int, tag: int, timeout: float | None) -> Any:
         return self._router.collect(self._rank, source, tag, timeout)
 
-    def _iprobe(self, source: int, tag: int) -> bool:
-        return self._router.peek(self._rank, source, tag)
-
-    def _irecv(self, source: int, tag: int) -> Request:
-        def wait(timeout: float | None = None) -> Any:
-            payload, status = self._router.collect(
-                self._rank, source, tag, timeout if timeout is not None else self.deadlock_timeout
-            )
-            request.status = status
-            return payload
-
-        def test() -> tuple[bool, Any]:
-            found = self._router.try_collect(self._rank, source, tag)
-            if found is None:
-                return False, None
-            payload, status = found
-            request.status = status
-            return True, payload
-
-        request = Request(_wait=wait, _test=test)
-        return request
-
-
-class SelfCommunicator(Communicator):
-    """A world of size one (``MPI.COMM_SELF`` analogue).
-
-    Point-to-point messaging to rank 0 (yourself) works through a local
-    router, and every collective degenerates to the identity, so rank
-    programs run unchanged at P = 1 — this is how the sequential
-    baseline executes the same code path as the parallel scheme.
-    """
-
-    def __init__(self) -> None:
-        self._router = MessageRouter(1)
-        self._collective_seq = 0
-
-    @property
-    def rank(self) -> int:
-        return 0
-
-    @property
-    def size(self) -> int:
-        return 1
-
-    def _send(self, payload: Any, dest: int, tag: int) -> None:
-        self._router.post(0, dest, tag, payload)
-
-    def _recv(self, source: int, tag: int, timeout: float | None) -> tuple[Any, Status]:
-        return self._router.collect(0, source, tag, timeout)
-
-    def _iprobe(self, source: int, tag: int) -> bool:
-        return self._router.peek(0, source, tag)
-
-    def _irecv(self, source: int, tag: int) -> Request:
-        def wait(timeout: float | None = None) -> Any:
-            payload, status = self._router.collect(0, source, tag, timeout)
-            request.status = status
-            return payload
-
-        def test() -> tuple[bool, Any]:
-            found = self._router.try_collect(0, source, tag)
-            if found is None:
-                return False, None
-            payload, status = found
-            request.status = status
-            return True, payload
-
-        request = Request(_wait=wait, _test=test)
-        return request
+    def _raise_if_aborted(self) -> None:
+        self._router.raise_if_aborted()

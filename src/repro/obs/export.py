@@ -15,10 +15,11 @@ Three consumers, three formats:
 
 Category accounting (the part that is easy to get wrong): summary
 communication seconds sum only the *primitive* categories ``comm``
-(point-to-point send/recv) and ``comm.collective`` (barrier/bcast/...).
-Compound operations that are built *from* those primitives — sendrecv,
-the halo exchange — carry ``comm.compound`` and are excluded so their
-inner sends and recvs are not counted twice.  ``comm.wait`` (time a
+(point-to-point send/recv) and ``comm.collective`` (``mpi.barrier``,
+and ``mpi.gather`` + ``mpi.bcast``, the two steps of an allreduce).
+Compound operations that are built *from* those primitives — the halo
+exchange — carry ``comm.compound`` and are excluded so their inner sends
+and recvs are not counted twice.  ``comm.wait`` (time a
 recv spent blocked in the router) nests inside recv spans and is
 reported as its own column, never added to the comm total.
 

@@ -22,11 +22,3 @@ def test_timeout_reports_empty_world():
     with pytest.raises(DeadlockError, match="no messages queued"):
         router.collect(dest=0, source=1, tag=7, timeout=0.05)
 
-
-def test_pending_inventory():
-    router = MessageRouter(3)
-    router.post(source=0, dest=1, tag=3, payload=1)
-    router.post(source=2, dest=0, tag=8, payload=2)
-    assert router.pending_inventory() == [(2, 0, 8), (0, 1, 3)]
-    router.try_collect(dest=0, source=2, tag=8)
-    assert router.pending_inventory() == [(0, 1, 3)]

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from repro import mpi
+from repro.analysis import MpiSanitizer
 from repro.domain import BlockDecomposition, HaloExchanger
 from repro.exceptions import DecompositionError
+from repro.mpi.api import MAX_USER_TAG
 
 
 @pytest.mark.parametrize("num_ranks", [1, 2, 4, 6, 9])
@@ -123,6 +125,10 @@ class TestValidation:
                 with pytest.raises(DecompositionError, match="out is"):
                     exchanger.exchange(local, out=bad)
             comm.barrier()
-            return comm.iprobe()  # no rank sent a strip
+            return True
 
-        assert not any(mpi.run_parallel(program, 4))
+        with MpiSanitizer() as sanitizer:
+            assert all(mpi.run_parallel(program, 4))
+        # No rank sent a strip: the barrier's reserved tags are the only traffic.
+        (audit,) = sanitizer.report.audits
+        assert audit.posted and all(tag >= MAX_USER_TAG for _, _, tag in audit.posted)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.domain import BlockDecomposition, split_extent
+from repro.domain.decomposition import dims_create
 from repro.exceptions import DecompositionError
 
 
@@ -30,10 +31,8 @@ def test_split_extent_partition_properties(n, data):
 )
 @settings(max_examples=60, deadline=None)
 def test_extract_assemble_roundtrip(height, width, num_ranks):
-    from repro.mpi import dims_create
-
     num_ranks = min(num_ranks, height * width)
-    pgrid = dims_create(num_ranks, 2)
+    pgrid = dims_create(num_ranks)
     if pgrid[0] > height or pgrid[1] > width:
         return
     decomp = BlockDecomposition((height, width), pgrid)

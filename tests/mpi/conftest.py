@@ -1,7 +1,7 @@
 """Shared fixtures for the communicator contract suite.
 
-Every semantic guarantee of the runtime (ordering, wildcards,
-collectives, topology, failure handling) must hold identically on the
+Every semantic guarantee of the runtime (ordering, collectives,
+failure handling) must hold identically on the
 thread backend and the process backend, so the contract tests take the
 ``launch`` fixture instead of calling ``mpi.run_parallel`` directly —
 pytest then runs each of them once per backend.
@@ -15,9 +15,10 @@ parameterized.
 import pytest
 
 from repro import mpi
+from repro.mpi.launcher import BACKENDS
 
 
-@pytest.fixture(params=list(mpi.BACKENDS), ids=lambda backend: f"backend={backend}")
+@pytest.fixture(params=list(BACKENDS), ids=lambda backend: f"backend={backend}")
 def launch(request):
     """``run_parallel`` bound to one execution backend."""
     backend = request.param

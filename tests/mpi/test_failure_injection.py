@@ -38,11 +38,12 @@ class TestAbortSemantics:
 
     def test_abort_poisons_future_receives(self):
         router = MessageRouter(2)
+        router.post(1, 0, 4, "queued before the abort")
         router.abort(ValueError("poisoned"))
         with pytest.raises(DeadlockError):
-            router.collect(0, mpi.ANY_SOURCE, mpi.ANY_TAG, timeout=1.0)
+            router.collect(0, 1, 4, timeout=1.0)
         with pytest.raises(DeadlockError):
-            router.try_collect(0, mpi.ANY_SOURCE, mpi.ANY_TAG)
+            router.raise_if_aborted()
 
     def test_multiple_rank_failures_report_first_by_rank(self, launch):
         def program(comm):
@@ -113,9 +114,8 @@ class TestTimeouts:
 
         start = time.monotonic()
         try:
-            launch(program, 2, timeout=0.5, deadlock_timeout=None)
-        except CommunicatorError:
-            pass
+            with pytest.raises(CommunicatorError, match="exceeded timeout"):
+                launch(program, 2, timeout=0.5, deadlock_timeout=None)
         finally:
             release.set()
         # The launcher must come back promptly, not after 20s.
@@ -144,9 +144,7 @@ class TestStress:
             peer = 1 - comm.rank
             for i in range(count):
                 comm.send((comm.rank, i), dest=peer, tag=i % 7)
-            received = []
-            for _ in range(count):
-                received.append(comm.recv(source=peer))
+            received = [comm.recv(source=peer, tag=i % 7) for i in range(count)]
             return sorted(m[1] for m in received)
 
         results = launch(program, 2)
@@ -168,17 +166,6 @@ class TestStress:
         results = launch(program, 2)
         assert results[1] == float(payload.sum())
 
-    def test_pending_count_drains_to_zero(self):
-        router = MessageRouter(2)
-        router.post(0, 1, 5, "x")
-        router.post(0, 1, 5, "y")
-        assert router.pending_count() == 2
-        assert router.pending_count(1) == 2
-        assert router.pending_count(0) == 0
-        router.collect(1, 0, 5, timeout=1.0)
-        router.collect(1, 0, 5, timeout=1.0)
-        assert router.pending_count() == 0
-
     def test_repeated_worlds_do_not_leak_state(self, launch):
         """Fresh run_parallel calls must not see old messages."""
 
@@ -190,7 +177,10 @@ class TestStress:
         assert all(launch(sender, 2))
 
         def receiver(comm):
-            found = comm.irecv(source=mpi.ANY_SOURCE, tag=3).test()
-            return found[0]
+            try:
+                comm.recv(source=(comm.rank - 1) % comm.size, tag=3, timeout=0.2)
+            except DeadlockError:
+                return False
+            return True
 
         assert launch(receiver, 2) == [False, False]

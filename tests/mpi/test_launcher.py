@@ -11,7 +11,6 @@ import pytest
 
 from repro import mpi
 from repro.exceptions import CommunicatorError, DeadlockError
-from repro.mpi import SelfCommunicator
 
 
 class TestSPMD:
@@ -21,12 +20,6 @@ class TestSPMD:
 
     def test_world_size_visible(self, launch):
         assert launch(lambda comm: comm.size, 3) == [3, 3, 3]
-
-    def test_get_rank_get_size_aliases(self, launch):
-        def program(comm):
-            return comm.Get_rank(), comm.Get_size()
-
-        assert launch(program, 2) == [(0, 2), (1, 2)]
 
     def test_ranks_run_concurrently(self):
         """Blocking receives must not serialize independent ranks.
@@ -43,16 +36,6 @@ class TestSPMD:
             return True
 
         assert all(mpi.run_parallel(program, 3))
-
-
-class TestMPMD:
-    def test_one_callable_per_rank(self, launch):
-        fns = [lambda comm, i=i: f"rank{i}" for i in range(3)]
-        assert launch(fns, 3) == ["rank0", "rank1", "rank2"]
-
-    def test_wrong_count_raises(self, launch):
-        with pytest.raises(CommunicatorError):
-            launch([lambda c: None], 2)
 
 
 class TestErrorPropagation:
@@ -88,54 +71,3 @@ class TestErrorPropagation:
     def test_unknown_backend_raises(self):
         with pytest.raises(CommunicatorError, match="unknown backend"):
             mpi.run_parallel(lambda c: None, 1, backend="carrier-pigeon")
-
-
-class TestIsolationToggle:
-    def test_isolation_can_be_disabled(self):
-        """With isolation off, large read-only payloads pass by reference.
-
-        Thread backend only: object identity across ranks is meaningless
-        once ranks live in separate address spaces.
-        """
-        import numpy as np
-
-        big = np.ones(10)
-
-        def program(comm):
-            if comm.rank == 0:
-                comm.send(big, dest=1, tag=1)
-                return None
-            received = comm.recv(source=0, tag=1)
-            return received is big
-
-        assert mpi.run_parallel(program, 2, isolate_messages=False)[1]
-
-
-class TestSelfCommunicator:
-    def test_identity(self):
-        comm = SelfCommunicator()
-        assert comm.rank == 0
-        assert comm.size == 1
-
-    def test_collectives_degenerate(self):
-        comm = SelfCommunicator()
-        assert comm.allreduce(5) == 5
-        assert comm.bcast("x") == "x"
-        assert comm.gather(7) == [7]
-        assert comm.scatter([9]) == 9
-        assert comm.allgather(1) == [1]
-        assert comm.alltoall(["self"]) == ["self"]
-        comm.barrier()  # must not block
-
-    def test_self_messaging(self):
-        comm = SelfCommunicator()
-        comm.send("loop", dest=0, tag=2)
-        assert comm.recv(source=0, tag=2) == "loop"
-
-    def test_irecv_on_self(self):
-        comm = SelfCommunicator()
-        request = comm.irecv(source=0, tag=3)
-        done, _ = request.test()
-        assert not done
-        comm.send(1, dest=0, tag=3)
-        assert request.wait() == 1

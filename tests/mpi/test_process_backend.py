@@ -20,7 +20,8 @@ import pytest
 
 from repro import mpi
 from repro.exceptions import CommunicatorError
-from repro.mpi.process_backend import _encode_outcome
+from repro.mpi.launcher import BACKENDS
+from repro.mpi.process_backend import ProcessCommunicator, _encode_outcome
 from repro.mpi.shm import is_shared
 
 
@@ -68,7 +69,7 @@ class TestProcessWorld:
 
     def test_communicator_validates_rank(self):
         with pytest.raises(CommunicatorError):
-            mpi.ProcessCommunicator(rank=2, size=2, mailboxes=[])
+            ProcessCommunicator(rank=2, size=2, mailboxes=[])
 
 
 def _identifiers(node):
@@ -100,7 +101,7 @@ def test_no_module_in_the_package_can_create_a_dev_shm_entry():
 
 class TestSharedEmpty:
     def test_ranks_write_through_on_both_backends(self):
-        for backend in mpi.BACKENDS:
+        for backend in BACKENDS:
             window = mpi.shared_empty((2, 3), np.float32)
             assert window.dtype == np.float32 and window.flags.writeable
             window[...] = 0.0

@@ -1,54 +1,10 @@
-"""Property-based tests on topology math and reductions."""
+"""Property-based tests on reductions."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import mpi
-from repro.mpi import dims_create
-from repro.mpi.cartesian import CartComm
-from repro.mpi.world import SelfCommunicator
-
-
-@given(st.integers(1, 512), st.integers(1, 4))
-@settings(max_examples=100, deadline=None)
-def test_dims_create_product_and_order(size, ndims):
-    dims = dims_create(size, ndims)
-    product = 1
-    for d in dims:
-        product *= d
-    assert product == size
-    assert len(dims) == ndims
-    assert all(d >= 1 for d in dims)
-    assert dims == tuple(sorted(dims, reverse=True))
-
-
-@given(st.integers(1, 256))
-@settings(max_examples=60, deadline=None)
-def test_dims_create_2d_near_square(size):
-    """The 2-D factorization is the most balanced one possible."""
-    py, px = dims_create(size, 2)
-    best = min(
-        (max(a, size // a) - min(a, size // a))
-        for a in range(1, size + 1)
-        if size % a == 0
-    )
-    assert (py - px) == best
-
-
-@given(st.integers(1, 6), st.integers(1, 6), st.data())
-@settings(max_examples=60, deadline=None)
-def test_cart_rank_coords_bijection(py, px, data):
-    # Build topology math on a self communicator for the (1,1) case;
-    # for larger grids only exercise the pure coordinate functions.
-    class FakeComm(SelfCommunicator):
-        @property
-        def size(self):
-            return py * px
-
-    cart = CartComm(FakeComm(), (py, px))
-    rank = data.draw(st.integers(0, py * px - 1))
-    assert cart.rank_of(cart.coords_of(rank)) == rank
 
 
 @given(st.lists(st.integers(-100, 100), min_size=1, max_size=6))
