@@ -1,15 +1,14 @@
 """Shared fixtures for the communicator contract suite.
 
 Every semantic guarantee of the runtime (ordering, collectives,
-failure handling) must hold identically on the
-thread backend and the process backend, so the contract tests take the
-``launch`` fixture instead of calling ``mpi.run_parallel`` directly —
-pytest then runs each of them once per backend.
+failure handling) must hold identically on the thread backend and the
+process backend, so the contract tests take the ``launch`` fixture
+instead of calling ``mpi.run_parallel`` directly — pytest then runs
+each of them once per backend.
 
 Tests that are inherently single-backend (direct ``MessageRouter``
-inspection, in-process identity checks, ``threading`` synchronisation
-across ranks) keep calling ``mpi.run_parallel`` and are not
-parameterized.
+inspection, ``threading`` synchronisation across ranks) keep calling
+``mpi.run_parallel`` and are not parameterized.
 """
 
 import pytest

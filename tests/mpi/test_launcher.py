@@ -1,8 +1,8 @@
 """Launcher (run_parallel) tests.
 
-Backend-agnostic behaviour goes through the ``launch`` fixture; tests
-that rely on in-process state (shared ``threading`` primitives, object
-identity across ranks) pin the thread backend explicitly.
+Backend-agnostic behaviour goes through the ``launch`` fixture; a test
+that relies on in-process state (a shared ``threading`` primitive) pins
+the thread backend explicitly.
 """
 
 import threading
