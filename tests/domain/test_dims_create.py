@@ -18,18 +18,17 @@ EXPECTED_PX = [
 ]  # fmt: skip
 
 
-def test_pinned_grids_up_to_64_ranks():
-    assert [dims_create(n) for n in range(1, 65)] == [
-        (n // px, px) for n, px in enumerate(EXPECTED_PX, start=1)
-    ]
+@pytest.mark.parametrize("size, px", enumerate(EXPECTED_PX, start=1))
+def test_pinned_grids_up_to_64_ranks(size, px):
+    assert dims_create(size) == (size // px, px)
 
 
-def test_examples():
-    assert dims_create(64) == (8, 8)
-    assert dims_create(12) == (4, 3)
-    assert dims_create(2) == (2, 1)
-    assert dims_create(7) == (7, 1)
-    assert dims_create(97) == (97, 1)
+@pytest.mark.parametrize(
+    "size, grid",
+    [(64, (8, 8)), (16, (4, 4)), (12, (4, 3)), (2, (2, 1)), (7, (7, 1)), (97, (97, 1))],
+)
+def test_examples(size, grid):
+    assert dims_create(size) == grid
 
 
 @pytest.mark.parametrize("size", [0, -4])

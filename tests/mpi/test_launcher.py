@@ -7,6 +7,7 @@ the thread backend explicitly.
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro import mpi
@@ -36,6 +37,25 @@ class TestSPMD:
             return True
 
         assert all(mpi.run_parallel(program, 3))
+
+
+class TestSingleRankWorld:
+    def test_identity(self, launch):
+        assert launch(lambda comm: (comm.rank, comm.size), 1) == [(0, 1)]
+
+    def test_collectives_degenerate(self, launch):
+        def program(comm):
+            comm.barrier()  # must not block
+            return comm.allreduce(5), comm.allreduce(np.ones(2), op=mpi.MAX).tolist()
+
+        assert launch(program, 1) == [(5, [1.0, 1.0])]
+
+    def test_self_messaging(self, launch):
+        def program(comm):
+            comm.send("loop", dest=0, tag=2)
+            return comm.recv(source=0, tag=2)
+
+        assert launch(program, 1) == ["loop"]
 
 
 class TestErrorPropagation:

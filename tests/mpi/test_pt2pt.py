@@ -66,6 +66,53 @@ class TestSendRecv:
 
         assert np.allclose(launch(program, 2)[1], 0.0)
 
+    def test_pairwise_exchange(self, launch):
+        """Both ranks send before they receive: buffered sends make the
+        symmetric exchange safe."""
+
+        def program(comm):
+            peer = 1 - comm.rank
+            comm.send(comm.rank * 10, dest=peer, tag=0)
+            return comm.recv(source=peer, tag=0)
+
+        assert launch(program, 2) == [10, 0]
+
+    def test_send_returns_before_matching_recv(self, launch):
+        """A send completes with no receive posted: rank 0 finishes all
+        its sends before rank 1 has asked for anything."""
+
+        def program(comm):
+            if comm.rank == 0:
+                for i in range(5):
+                    comm.send(i, dest=1, tag=i)
+                comm.send("done", dest=1, tag=99)
+                return None
+            done = comm.recv(source=0, tag=99)
+            return done, [comm.recv(source=0, tag=i) for i in range(5)]
+
+        assert launch(program, 2)[1] == ("done", [0, 1, 2, 3, 4])
+
+    def test_queued_messages_collected_in_any_order(self, launch):
+        def program(comm):
+            if comm.rank == 0:
+                for tag in range(6):
+                    comm.send(f"m{tag}", dest=1, tag=tag)
+                return None
+            return [comm.recv(source=0, tag=tag) for tag in reversed(range(6))]
+
+        assert launch(program, 2)[1] == [f"m{tag}" for tag in reversed(range(6))]
+
+    def test_array_dtype_and_shape_survive(self, launch):
+        def program(comm):
+            if comm.rank == 0:
+                comm.send(np.arange(12, dtype=np.float32).reshape(3, 4), dest=1, tag=2)
+                return None
+            return comm.recv(source=0, tag=2)
+
+        received = launch(program, 2)[1]
+        assert received.dtype == np.float32 and received.shape == (3, 4)
+        assert np.array_equal(received, np.arange(12, dtype=np.float32).reshape(3, 4))
+
 
 class TestValidation:
     def test_send_out_of_range_raises(self, launch):
@@ -80,6 +127,22 @@ class TestValidation:
         def program(comm):
             with pytest.raises(CommunicatorError):
                 comm.send("x", dest=0, tag=MAX_USER_TAG)
+            return True
+
+        assert all(launch(program, 1))
+
+    def test_recv_source_out_of_range_raises(self, launch):
+        def program(comm):
+            with pytest.raises(CommunicatorError):
+                comm.recv(source=5, tag=0)
+            return True
+
+        assert all(launch(program, 2))
+
+    def test_negative_tag_rejected_for_recv(self, launch):
+        def program(comm):
+            with pytest.raises(CommunicatorError):
+                comm.recv(source=0, tag=-1)
             return True
 
         assert all(launch(program, 1))
