@@ -632,8 +632,8 @@ _INSTRUMENTS = {"Counter", "Gauge", "Histogram"}
 
 
 def _metric_instruments(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
-    # Bare ``Counter(...)`` is ambiguous (collections.Counter, the perf
-    # registry's own Counter class): it counts only when this file
+    # Bare ``Counter(...)`` is ambiguous (collections.Counter, or any
+    # other module's Counter class): it counts only when this file
     # imports Counter from a metrics module.  Bare Gauge/Histogram have
     # no such doppelgangers; qualified calls count only through a
     # ``metrics`` module (``metrics.Gauge``, ``obs.metrics.Gauge``).
@@ -695,7 +695,7 @@ CONFINEMENTS = (
     ),
     Confinement(
         "REP008",
-        ("obs", "benchmarks", "tensor/perf.py"),
+        ("obs", "benchmarks"),
         _either(
             _calls({"perf_counter", "perf_counter_ns"}, module="time"),
             _imports({"time"}, names={"perf_counter", "perf_counter_ns"}),

@@ -21,7 +21,8 @@ Subcommands cover the full workflow:
 - ``repro check``     — runtime verification: gradcheck every
   registered op, optionally smoke-test the sanitizers,
 - ``repro perf``      — op-level perf report: naive vs fused/workspace
-  conv forward and an allocation-free ``InferencePlan`` rollout,
+  conv forward, then the metrics summary (per-rank kernel timings and
+  workspace bytes) of an allocation-free ``InferencePlan`` rollout,
 - ``repro trace``     — record a traced rollout (or convert a JSONL
   event log) into a chrome://tracing timeline plus a per-rank
   compute/communication summary,
@@ -436,26 +437,33 @@ def _add_check(subparsers) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_rollout_flags(parser, *, grid_size: int, steps: int, execution_help: str) -> None:
+    """The rollout workload flags of ``repro perf|trace|metrics``."""
+    _add_scenario_flag(parser)
+    parser.add_argument("--grid-size", type=int, default=grid_size)
+    parser.add_argument("--steps", type=int, default=steps, help="rollout steps")
+    parser.add_argument("--pgrid", type=int, nargs=2, default=(2, 2), metavar=("PY", "PX"))
+    _add_strategy_flag(parser)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--execution", default="threads", choices=["threads", "processes"], help=execution_help
+    )
+
+
 def _add_perf(subparsers) -> None:
     parser = subparsers.add_parser(
         "perf",
         help="op-level perf report: naive vs fused conv forward and an "
         "allocation-free InferencePlan rollout",
     )
-    _add_scenario_flag(parser)
     _add_precision_flag(parser)
-    parser.add_argument("--grid-size", type=int, default=128)
-    parser.add_argument("--steps", type=int, default=5, help="rollout steps")
     parser.add_argument("--repeats", type=int, default=3, help="forward timing repeats")
-    parser.add_argument("--pgrid", type=int, nargs=2, default=(2, 2), metavar=("PY", "PX"))
-    _add_strategy_flag(parser)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--execution",
-        default="threads",
-        choices=["threads", "processes"],
-        help="rollout backend; counters from process ranks merge into "
-        "the parent's report via the obs aggregation path",
+    _add_rollout_flags(
+        parser,
+        grid_size=128,
+        steps=5,
+        execution_help="rollout backend; kernel timings from process ranks "
+        "merge into the parent's metrics via the obs aggregation path",
     )
 
 
@@ -472,17 +480,8 @@ def _add_trace_cmd(subparsers) -> None:
         metavar="EVENTS.JSONL",
         help="convert an existing JSONL event log instead of running a workload",
     )
-    _add_scenario_flag(parser)
-    parser.add_argument("--grid-size", type=int, default=64)
-    parser.add_argument("--steps", type=int, default=3, help="rollout steps")
-    parser.add_argument("--pgrid", type=int, nargs=2, default=(2, 2), metavar=("PY", "PX"))
-    _add_strategy_flag(parser)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--execution",
-        default="threads",
-        choices=["threads", "processes"],
-        help="MPI backend for the rollout ranks",
+    _add_rollout_flags(
+        parser, grid_size=64, steps=3, execution_help="MPI backend for the rollout ranks"
     )
 
 
@@ -494,17 +493,11 @@ def _add_metrics_cmd(subparsers) -> None:
         "JSONL + per-rank p50/p95/p99 summary)",
     )
     parser.add_argument("output", help="Prometheus exposition output path")
-    _add_scenario_flag(parser)
-    parser.add_argument("--grid-size", type=int, default=64)
-    parser.add_argument("--steps", type=int, default=3, help="rollout steps")
-    parser.add_argument("--pgrid", type=int, nargs=2, default=(2, 2), metavar=("PY", "PX"))
-    _add_strategy_flag(parser)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--execution",
-        default="threads",
-        choices=["threads", "processes"],
-        help="MPI backend for the rollout ranks; process-rank metrics "
+    _add_rollout_flags(
+        parser,
+        grid_size=64,
+        steps=3,
+        execution_help="MPI backend for the rollout ranks; process-rank metrics "
         "merge into the parent's registry via the obs aggregation path",
     )
 
@@ -962,24 +955,46 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_perf(args) -> int:
-    from . import tensor as T
-    from .core import InferencePlan, ParallelPredictor, build_paper_cnn
+def _rollout_workload(args):
+    """The seeded rollout of ``repro perf|trace|metrics``: rank ``r``'s
+    Table-I network from seed ``args.seed + r`` in a
+    :class:`~repro.core.ParallelPredictor` over ``args.pgrid``, and a
+    random initial field from ``args.seed``."""
+    from .core import ParallelPredictor, build_paper_cnn
     from .domain.decomposition import BlockDecomposition
-    from .obs import trace
     from .scenarios import channels
-    from .tensor import no_grad, perf, set_precision, workspace_disabled
 
-    set_precision(args.precision)
-    rng = np.random.default_rng(args.seed)
-    size = args.grid_size
+    size, (py, px) = args.grid_size, args.pgrid
     num_channels = len(channels(args.scenario))
     arch = (num_channels, 6, 16, 6, num_channels)
-    model = build_paper_cnn(
-        args.strategy, rng=np.random.default_rng(args.seed), channels=arch
+    models = [
+        build_paper_cnn(args.strategy, rng=np.random.default_rng(args.seed + r), channels=arch)
+        for r in range(py * px)
+    ]
+    predictor = ParallelPredictor(models, BlockDecomposition((size, size), (py, px)))
+    initial = np.random.default_rng(args.seed).standard_normal((num_channels, size, size))
+    return predictor, initial
+
+
+def _run_rollout(args, predictor, initial) -> None:
+    """Run the rollout and print its one-line header."""
+    predictor.rollout(initial, num_steps=args.steps, execution=args.execution)
+    py, px = args.pgrid
+    print(f"rollout: {args.steps} steps on a {py}x{px} grid ({args.execution} backend)")
+
+
+def _cmd_perf(args) -> int:
+    from . import tensor as T
+    from .core import InferencePlan
+    from .obs import metrics, metrics_export, trace
+    from .tensor import no_grad, set_precision, workspace_disabled
+
+    set_precision(args.precision)
+    predictor, initial = _rollout_workload(args)
+    model, size, halo = predictor.models[0], args.grid_size, predictor.halo
+    x = np.random.default_rng(args.seed).standard_normal(
+        (1, initial.shape[0], size + 2 * halo, size + 2 * halo)
     )
-    halo = model.input_halo
-    x = rng.standard_normal((1, num_channels, size + 2 * halo, size + 2 * halo))
 
     def fwd_naive() -> None:
         with no_grad(), workspace_disabled():
@@ -1007,23 +1022,14 @@ def _cmd_perf(args) -> int:
     print(f"  speedup: {naive_s / plan_s:.2f}x")
     print(f"  {plan.workspace.describe()}")
 
-    # Rollout counters cover every rank on either backend: thread ranks
-    # share this registry directly; process ranks ship their snapshot
-    # back through the obs aggregation path at shutdown.
-    py, px = args.pgrid
-    models = [
-        build_paper_cnn(
-            args.strategy, rng=np.random.default_rng(args.seed + r), channels=arch
-        )
-        for r in range(py * px)
-    ]
-    predictor = ParallelPredictor(models, BlockDecomposition((size, size), (py, px)))
-    initial = rng.standard_normal((num_channels, size, size))
-    perf.reset()
-    with perf.collecting():
-        predictor.rollout(initial, num_steps=args.steps, execution=args.execution)
-    print(f"\nrollout: {args.steps} steps on a {py}x{px} grid ({args.execution} backend)")
-    print(perf.format_report())
+    # The kernel timings cover every rank on either backend: thread ranks
+    # record into this registry directly; process ranks ship their
+    # snapshot back through the obs aggregation path at shutdown.
+    print()
+    metrics.reset()
+    with metrics.collecting():
+        _run_rollout(args, predictor, initial)
+    print(metrics_export.format_metrics_summary(metrics.snapshot()))
     return 0
 
 
@@ -1037,26 +1043,10 @@ def _cmd_trace(args) -> int:
         print(f"chrome trace: {args.output} (load via chrome://tracing)")
         return 0
 
-    from .core import ParallelPredictor, build_paper_cnn
-    from .domain.decomposition import BlockDecomposition
-    from .scenarios import channels
-
-    rng = np.random.default_rng(args.seed)
-    size = args.grid_size
-    py, px = args.pgrid
-    num_channels = len(channels(args.scenario))
-    arch = (num_channels, 6, 16, 6, num_channels)
-    models = [
-        build_paper_cnn(
-            args.strategy, rng=np.random.default_rng(args.seed + r), channels=arch
-        )
-        for r in range(py * px)
-    ]
-    predictor = ParallelPredictor(models, BlockDecomposition((size, size), (py, px)))
-    initial = rng.standard_normal((num_channels, size, size))
+    predictor, initial = _rollout_workload(args)
     trace.reset()
     with trace.tracing():
-        predictor.rollout(initial, num_steps=args.steps, execution=args.execution)
+        _run_rollout(args, predictor, initial)
     spans, metrics = trace.spans(), trace.metrics()
     dropped = trace.dropped()
     out = pathlib.Path(args.output)
@@ -1065,11 +1055,10 @@ def _cmd_trace(args) -> int:
         out.with_suffix(".jsonl"),
         spans,
         metrics,
-        meta={"workload": "rollout", "execution": args.execution, "ranks": py * px},
+        meta={"workload": "rollout", "execution": args.execution, "ranks": len(predictor.models)},
         dropped=dropped,
     )
     summary = export.write_summary(out.with_suffix(".summary.json"), spans)
-    print(f"rollout: {args.steps} steps on a {py}x{px} grid ({args.execution} backend)")
     print(export.format_summary(spans, dropped=dropped))
     print(f"chrome trace: {out} (load via chrome://tracing)")
     print(f"event log:    {jsonl}")
@@ -1078,36 +1067,20 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from .core import ParallelPredictor, build_paper_cnn
-    from .domain.decomposition import BlockDecomposition
     from .obs import metrics, metrics_export
-    from .scenarios import channels
 
-    rng = np.random.default_rng(args.seed)
-    size = args.grid_size
-    py, px = args.pgrid
-    num_channels = len(channels(args.scenario))
-    arch = (num_channels, 6, 16, 6, num_channels)
-    models = [
-        build_paper_cnn(
-            args.strategy, rng=np.random.default_rng(args.seed + r), channels=arch
-        )
-        for r in range(py * px)
-    ]
-    predictor = ParallelPredictor(models, BlockDecomposition((size, size), (py, px)))
-    initial = rng.standard_normal((num_channels, size, size))
+    predictor, initial = _rollout_workload(args)
     metrics.reset()
     with metrics.collecting():
-        predictor.rollout(initial, num_steps=args.steps, execution=args.execution)
+        _run_rollout(args, predictor, initial)
     snap = metrics.snapshot()
     out = pathlib.Path(args.output)
     metrics_export.write_prometheus(out, snap)
     jsonl = metrics_export.write_metrics_jsonl(
         out.with_suffix(".jsonl"),
         snap,
-        meta={"workload": "rollout", "execution": args.execution, "ranks": py * px},
+        meta={"workload": "rollout", "execution": args.execution, "ranks": len(predictor.models)},
     )
-    print(f"rollout: {args.steps} steps on a {py}x{px} grid ({args.execution} backend)")
     print(metrics_export.format_metrics_summary(snap))
     print(f"prometheus exposition: {out}")
     print(f"metrics jsonl:         {jsonl}")

@@ -18,7 +18,6 @@ from .engine import (
     GradClip,
     LossHistory,
     LRScheduler,
-    PerfCounters,
     ProgressLogger,
     SanitizerAttach,
     Timer,
@@ -69,7 +68,6 @@ __all__ = [
     "EarlyStopping",
     "Checkpointer",
     "SanitizerAttach",
-    "PerfCounters",
     "ProgressLogger",
     "save_checkpoint",
     "load_checkpoint",

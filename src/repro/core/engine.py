@@ -61,7 +61,6 @@ __all__ = [
     "EarlyStopping",
     "Checkpointer",
     "SanitizerAttach",
-    "PerfCounters",
     "ProgressLogger",
     "build_loss",
     "build_optimizer",
@@ -325,44 +324,6 @@ class SanitizerAttach(Callback):
             self._active.pop().__exit__(None, None, None)
 
 
-class PerfCounters(Callback):
-    """Collect op-level perf counters over the fit.
-
-    Enables the :mod:`repro.tensor.perf` registry for the duration of
-    the fit and stores a snapshot on ``engine.perf_report`` (a
-    ``{name: Counter}`` dict) at the end; ``log`` (when given) receives
-    the formatted table.  Counters are process-local, so under the
-    process execution backend each rank's callback reports only its own
-    kernels.
-    """
-
-    def __init__(
-        self,
-        log: Callable[[str], None] | None = None,
-        reset: bool = True,
-    ) -> None:
-        self.log = log
-        self.reset = reset
-        self._was_enabled = False
-
-    def on_fit_start(self, engine: "Engine") -> None:
-        from ..tensor import perf
-
-        self._was_enabled = perf.perf_enabled()
-        if self.reset:
-            perf.reset()
-        perf.enable()
-
-    def on_fit_end(self, engine: "Engine") -> None:
-        from ..tensor import perf
-
-        engine.perf_report = perf.snapshot()
-        if not self._was_enabled:
-            perf.disable()
-        if self.log is not None:
-            self.log(perf.format_report(engine.perf_report))
-
-
 class ProgressLogger(Callback):
     """One line per epoch through ``log``.
 
@@ -453,8 +414,6 @@ class Engine:
         self.last_batch_size: int = 0
         self.stop_training = False
         self.fit_time: float | None = None
-        #: filled by the PerfCounters callback at fit end
-        self.perf_report: dict | None = None
         self._rng: np.random.Generator | None = None
 
     # -- callback-facing helpers ---------------------------------------
@@ -566,8 +525,7 @@ class Engine:
                     for self.batch_index, (inputs, targets) in enumerate(
                         data.batches(config.batch_size, config.shuffle, self._rng)
                     ):
-                        step_start = trace.clock() if metered else 0.0
-                        with trace.span("engine.batch", cat="train"):
+                        with _STEP_SECONDS.time(), trace.span("engine.batch", cat="train"):
                             self._emit("on_batch_start")
                             self.optimizer.zero_grad()
                             prediction = self.model(Tensor(inputs))
@@ -585,8 +543,6 @@ class Engine:
                             epoch_loss += self.last_batch_loss * batch
                             samples += batch
                             self._emit("on_batch_end")
-                        if metered:
-                            _STEP_SECONDS.observe(trace.clock() - step_start)
                         obs_metrics.heartbeat()
                     self.train_loss = epoch_loss / samples
                     if metered:

@@ -57,15 +57,17 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.log import get_logger
 from ..solver.simulation import Stepper
-from ..tensor import Tensor, no_grad, perf
+from ..tensor import Tensor, no_grad
 from ..tensor.blocked import StripForward, leaky_relu_inplace
 from ..tensor.im2col import conv_output_size
 from ..tensor.precision import default_dtype
 from ..tensor.workspace import Workspace
 from .model import SubdomainCNN
 
-#: Rollout-loop latency instrument (no-op while metrics are off).
+#: Rollout-loop and plan-run latency instruments (no-ops while metrics
+#: are off).
 _ROLLOUT_STEP_SECONDS = obs_metrics.histogram("rollout.step_seconds")
+_PLAN_RUN_SECONDS = obs_metrics.histogram("plan.run")
 #: The halo volumes a rollout moves, under the instruments the two-sided
 #: exchange reports them (same registry entries, same meaning).
 _HALO_EXCHANGES = obs_metrics.counter("halo.exchanges")
@@ -255,13 +257,11 @@ class InferencePlan:
         data = np.asarray(x)
         if data.ndim != 4:
             raise ShapeError(f"InferencePlan.run expects (N, C, H, W), got {data.shape}")
-        timing = perf.perf_enabled()  # the run's one flag check
-        start = trace.clock() if timing else 0.0
+        timing = obs_metrics.enabled()  # read once for all the steps
         h = data
-        for step in self.steps:
-            h = step.apply(h, self.workspace, self.compute_dtype, timing)
-        if timing:
-            perf.record_call("plan.run", trace.clock() - start)
+        with _PLAN_RUN_SECONDS.time():
+            for step in self.steps:
+                h = step.apply(h, self.workspace, self.compute_dtype, timing)
         if out is not None:
             _store(h, out)
             return out
@@ -487,10 +487,11 @@ class ParallelPredictor:
             rank = comm.rank
             unit = self._units[rank]
             step_bytes = sum(strips[rank])
-            metered = obs_metrics.enabled()
             for step in range(num_steps):
-                step_start = trace.clock() if metered else 0.0
-                with trace.span("rollout.step", cat="rollout", step=step):
+                with (
+                    _ROLLOUT_STEP_SECONDS.time(),
+                    trace.span("rollout.step", cat="rollout", step=step),
+                ):
                     if handshake is None:
                         net_input = unit.gather(trajectory[step])
                     else:
@@ -504,16 +505,13 @@ class ParallelPredictor:
                                 with trace.span("halo.wait", cat="comm.wait"):
                                     handshake.wait(comm, step)
                             net_input = unit.gather(trajectory[step])
-                        if metered:
-                            _HALO_EXCHANGES.inc()
-                            _BYTES_SENT.inc(step_bytes)
-                            _BYTES_RECV.inc(step_bytes)
+                        _HALO_EXCHANGES.inc()
+                        _BYTES_SENT.inc(step_bytes)
+                        _BYTES_RECV.inc(step_bytes)
                     with trace.span("rollout.forward", cat="compute", step=step):
                         unit.predict(net_input, trajectory[step + 1])
                     if handshake is not None and step + 1 < num_steps:
                         handshake.post(rank)
-                if metered:
-                    _ROLLOUT_STEP_SECONDS.observe(trace.clock() - step_start)
                 obs_metrics.heartbeat()
 
         mpi.run_parallel(program, decomposition.num_subdomains, backend=execution)

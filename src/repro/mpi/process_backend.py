@@ -229,14 +229,14 @@ def _worker_main(
     mailboxes: Sequence[Any],
     result_queue: Any,
     deadlock_timeout: float | None,
-    obs_flags: tuple[bool, bool, bool],
+    obs_flags: tuple[bool, bool],
     precision: str,
     heartbeats: Any = None,
     share: int = 1,
 ) -> None:
     """Entry point of one rank process (module-level for spawn support).
 
-    ``obs_flags`` is ``(tracing, perf, metrics)`` as observed in the
+    ``obs_flags`` is ``(tracing, metrics)`` as observed in the
     parent at launch: module-level enable state does not survive a
     ``spawn``, and under ``fork`` the child additionally inherits the
     parent's event buffers, which must be cleared so the rank ships
@@ -249,7 +249,7 @@ def _worker_main(
     stall without any queue traffic.  ``share`` is the rank's conv
     kernel threads, computed in the parent.
     """
-    trace_on, perf_on, metrics_on = (*obs_flags, False, False)[:3]
+    trace_on, metrics_on = obs_flags
     from ..tensor.precision import set_precision
 
     set_precision(precision)
@@ -258,11 +258,6 @@ def _worker_main(
     if trace_on:
         trace.reset()
         trace.enable()
-    if perf_on:
-        from ..tensor import perf
-
-        perf.reset()
-        perf.enable()
     if metrics_on:
         obs_metrics.reset()
         obs_metrics.enable()
@@ -282,7 +277,7 @@ def _worker_main(
     finally:
         obs_metrics.set_heartbeat_sink(None)
     bundle = None
-    if trace_on or perf_on or metrics_on:
+    if trace_on or metrics_on:
         # Captured on the error path too: post-mortem traces must
         # survive a crashed rank.
         from ..obs import aggregate
@@ -352,10 +347,9 @@ def run_parallel_processes(
     ctx = multiprocessing.get_context(method)
     mailboxes = [ctx.Queue() for _ in range(size)]
     result_queue = ctx.Queue()
-    from ..tensor import perf
     from ..tensor.precision import get_precision
 
-    obs_flags = (trace.enabled(), perf.perf_enabled(), obs_metrics.enabled())
+    obs_flags = (trace.enabled(), obs_metrics.enabled())
     precision = get_precision()
     heartbeats = (
         ctx.Array("d", size, lock=False) if heartbeat_timeout is not None else None

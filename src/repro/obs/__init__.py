@@ -8,13 +8,15 @@ The observability layer for the parallel-training reproduction:
   timestamps and thread-local rank context.
 * :mod:`repro.obs.metrics` — rank-aware counters / gauges / log-bucket
   histograms with the same off-by-default fast path, plus the rank
-  heartbeat the process-backend supervisor watches for stalls.
+  heartbeat the process-backend supervisor watches for stalls.  The
+  kernel timings (``conv2d``, ``im2col``, ``plan.run``, ...) and the
+  workspace byte counters are instruments of this one registry.
 * :mod:`repro.obs.export` — JSONL / Chrome-trace exporters and the
   per-rank compute-vs-communication summary table.
 * :mod:`repro.obs.metrics_export` — Prometheus text exposition,
   ``repro-metrics-v1`` JSONL, and the human metrics summary.
 * :mod:`repro.obs.aggregate` — :class:`TraceBundle` capture/absorb for
-  shipping rank telemetry (spans + perf counters + metrics) from
+  shipping rank telemetry (spans + metrics) from
   process-backend workers to the parent, including post-mortem on
   abort.
 * :mod:`repro.obs.callback` — :class:`ObsCallback`, the engine metrics

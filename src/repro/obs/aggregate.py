@@ -1,9 +1,9 @@
 """Cross-process telemetry aggregation.
 
 Ranks running under the process execution backend record spans and
-perf counters into *their own* interpreter; this module defines the
-bundle a worker captures at shutdown (or abort) and the parent-side
-merge.  The wire format is a plain picklable dataclass shipped over
+metrics (kernel timings included) into *their own* interpreter; this
+module defines the bundle a worker captures at shutdown (or abort) and
+the parent-side merge.  The wire format is a plain picklable dataclass shipped over
 the backend's existing result queue — no extra channel, and because
 span timestamps are wall-clock-anchored (see :mod:`repro.obs.trace`)
 the merge is a straight concatenation with no clock re-basing.
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from . import metrics as obs_metrics
 from . import trace
 from .trace import Metric, Span
 
@@ -31,30 +32,22 @@ class TraceBundle:
     rank: int | None
     spans: list[Span] = field(default_factory=list)
     metrics: list[Metric] = field(default_factory=list)
-    #: op name -> picklable counter state from ``tensor.perf.snapshot()``
-    perf_counters: dict[str, Any] = field(default_factory=dict)
     dropped: int = 0
     #: instrument name -> picklable state from ``obs.metrics.snapshot()``
     metrics_state: dict[str, Any] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
-        return bool(
-            self.spans or self.metrics or self.perf_counters or self.metrics_state
-        )
+        return bool(self.spans or self.metrics or self.metrics_state)
 
 
 def capture(rank: int | None = None) -> TraceBundle | None:
     """Snapshot this process's telemetry for shipping; ``None`` when
     there is nothing to ship (the common untraced case — keeps the
     result-queue payload unchanged unless observability is on)."""
-    from ..tensor import perf
-    from . import metrics as obs_metrics
-
     bundle = TraceBundle(
         rank=rank if rank is not None else trace.current_rank(),
         spans=trace.spans(),
         metrics=trace.metrics(),
-        perf_counters=perf.snapshot() if perf.perf_enabled() else {},
         dropped=trace.dropped(),
         metrics_state=obs_metrics.snapshot(),
     )
@@ -78,11 +71,4 @@ def absorb(bundle: TraceBundle | None) -> None:
             if m.rank is None:
                 m.rank = bundle.rank
     trace.extend(bundle.spans, bundle.metrics)
-    if bundle.perf_counters:
-        from ..tensor import perf
-
-        perf.merge_snapshot(bundle.perf_counters)
-    if getattr(bundle, "metrics_state", None):
-        from . import metrics as obs_metrics
-
-        obs_metrics.merge_snapshot(bundle.metrics_state, default_rank=bundle.rank)
+    obs_metrics.merge_snapshot(bundle.metrics_state, default_rank=bundle.rank)

@@ -25,7 +25,8 @@ the instrument at import time and call ``.inc()`` / ``.set()`` /
 
     _STEP_SECONDS = metrics.histogram("engine.step_seconds")
     ...
-    _STEP_SECONDS.observe(dur)
+    with _STEP_SECONDS.time():  # or _STEP_SECONDS.observe(dur)
+        step()
 
 Every recorded value is tagged with the thread-local rank context from
 :mod:`repro.obs.trace` (one shared context: a rank bound for tracing is
@@ -43,7 +44,8 @@ backend), so a silent rank becomes a detected stall in the supervisor
 instead of a 120-second deadlock timeout.
 
 This module is intentionally stdlib-only: it is imported by the lowest
-layers (``repro.mpi.api``) and must never create an import cycle.
+layers (``repro.mpi.api``, the ``repro.tensor`` kernels and their
+workspace arenas) and must never create an import cycle.
 """
 
 from __future__ import annotations
@@ -270,6 +272,11 @@ class Histogram:
             if value > state.max:
                 state.max = value
 
+    def time(self) -> contextlib.AbstractContextManager[Any]:
+        """Observe the seconds the ``with`` block takes; while the
+        registry is off, the one shared do-nothing context."""
+        return _Timing(self) if _enabled else _NOT_TIMED
+
     def count(self, rank: int | None = None) -> int:
         """Number of samples recorded for ``rank``."""
         with _lock:
@@ -285,6 +292,27 @@ class Histogram:
             counts = list(state.counts)
             lo, hi = state.min, state.max
         return quantile_from_buckets(counts, self.bounds, q, lo=lo, hi=hi)
+
+
+class _Timing:
+    """One timed block of :meth:`Histogram.time` (a class, not a
+    generator: two plain method calls per block)."""
+
+    __slots__ = ("histogram", "start")
+
+    def __init__(self, histogram: Histogram):
+        self.histogram = histogram
+
+    def __enter__(self) -> None:
+        self.start = trace.clock()
+
+    def __exit__(self, *exc: Any) -> bool:
+        self.histogram.observe(trace.clock() - self.start)
+        return False
+
+
+#: What :meth:`Histogram.time` hands out while the registry is off.
+_NOT_TIMED = contextlib.nullcontext()
 
 
 def quantile_from_buckets(

@@ -4,7 +4,7 @@ A process-wide buffer of completed :class:`Span` records (name,
 category, rank, wall-clock start, duration, small ``args`` dict) and
 :class:`Metric` samples, fed by instrumentation hooks across the stack
 (the MPI runtime, the training engine, the inference rollout).  Like
-:mod:`repro.tensor.perf` the tracer is **off by default** and every
+:mod:`repro.obs.metrics` the tracer is **off by default** and every
 instrumented call pays a single module-attribute check while disabled::
 
     from repro.obs import trace
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 #: The sanctioned monotonic high-resolution clock.  Call sites outside
-#: ``repro.obs`` / ``tensor/perf.py`` / ``benchmarks/`` must use this
+#: ``repro.obs`` / ``benchmarks/`` must use this
 #: (or a span) instead of ``time.perf_counter`` — enforced by REP008.
 clock = time.perf_counter
 
@@ -112,8 +112,14 @@ class Metric:
     value: float
 
 
+class _RankContext(threading.local):
+    #: The class attribute is what a thread with no rank bound reads:
+    #: a plain attribute lookup, not ``getattr``'s AttributeError path.
+    rank: int | None = None
+
+
 _lock = threading.Lock()
-_tls = threading.local()
+_tls = _RankContext()
 _enabled: bool = False
 _spans: list[Span] = []
 _metrics: list[Metric] = []
@@ -171,7 +177,7 @@ def tracing() -> Iterator[None]:
 # ----------------------------------------------------------------------
 def current_rank() -> int | None:
     """The MPI rank owning the calling thread (``None`` outside ranks)."""
-    return getattr(_tls, "rank", None)
+    return _tls.rank
 
 
 def set_rank(rank: int | None) -> None:
@@ -243,36 +249,23 @@ class span(contextlib.ContextDecorator):
 
     ``cat`` groups spans for the compute-vs-communication summary (see
     :func:`repro.obs.export.summary`); extra keyword arguments become
-    the span's ``args``.  With ``counters=True`` the span additionally
-    captures the delta of the :mod:`repro.tensor.perf` registry between
-    open and close (only when that registry is collecting) under
-    ``args["counters"]``.
+    the span's ``args``.
     """
 
-    __slots__ = ("name", "cat", "args", "counters", "_start", "_perf0")
+    __slots__ = ("name", "cat", "args", "_start")
 
-    def __init__(self, name: str, cat: str = "app", counters: bool = False, **args: Any):
+    def __init__(self, name: str, cat: str = "app", **args: Any):
         self.name = name
         self.cat = cat
         self.args = args
-        self.counters = counters
 
     def _recreate_cm(self) -> "span":
         # Decorator usage: a fresh instance per call, so concurrent
         # threads never share ``_start``.
-        return span(self.name, self.cat, counters=self.counters, **self.args)
+        return span(self.name, self.cat, **self.args)
 
     def __enter__(self) -> "span":
-        if not _enabled:
-            self._start = None
-            return self
-        self._perf0 = None
-        if self.counters:
-            from ..tensor import perf  # lazy: trace itself stays stdlib-only
-
-            if perf.perf_enabled():
-                self._perf0 = perf.snapshot()
-        self._start = clock()
+        self._start = clock() if _enabled else None
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -280,19 +273,6 @@ class span(contextlib.ContextDecorator):
         if start is None or not _enabled:
             return False
         dur = clock() - start
-        args = dict(self.args) if self.args else {}
-        if self._perf0 is not None:
-            from ..tensor import perf
-
-            delta = {}
-            for op, counter in perf.snapshot().items():
-                before = self._perf0.get(op)
-                calls = counter.calls - (before.calls if before else 0)
-                seconds = counter.seconds - (before.seconds if before else 0.0)
-                if calls or seconds:
-                    delta[op] = {"calls": calls, "seconds": seconds}
-            if delta:
-                args["counters"] = delta
         _append_span(
             Span(
                 self.name,
@@ -301,7 +281,7 @@ class span(contextlib.ContextDecorator):
                 threading.get_ident(),
                 wall_time(start),
                 dur,
-                args or None,
+                dict(self.args) if self.args else None,
             )
         )
         return False

@@ -60,7 +60,6 @@ from .ops_shape import flip, getitem, pad, reshape, stack, transpose  # noqa: E4
 from .ops_matmul import matmul  # noqa: E402
 from .ops_conv import conv2d  # noqa: E402
 from .im2col import col2im, conv_output_size, im2col  # noqa: E402
-from . import perf  # noqa: E402
 from .workspace import (  # noqa: E402
     Workspace,
     WorkspaceStats,
@@ -128,10 +127,9 @@ __all__ = [
     "im2col",
     "col2im",
     "conv_output_size",
-    # workspace / perf layer
+    # workspace layer
     "Workspace",
     "WorkspaceStats",
     "get_workspace",
     "workspace_disabled",
-    "perf",
 ]

@@ -84,7 +84,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator
 
@@ -92,7 +91,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..exceptions import ShapeError
-from . import perf
+from ..obs import metrics as obs_metrics
+from ..obs import trace
 from .im2col import conv_output_size
 from .workspace import Workspace, scratch
 
@@ -117,6 +117,12 @@ _Strip = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _Epilogue | None]
 #: times, so they have to sit in L2 (see the module docstring).
 _FORWARD_STRIP_BYTES = 1 << 20
 _TRAIN_STRIP_BYTES = 1 << 19
+
+#: Kernel timings (seconds per call), recorded while metrics collect:
+#: the strip copies, the fused epilogue and the whole blocked forward.
+_IM2COL_SECONDS = obs_metrics.histogram("im2col")
+_LEAKY_SECONDS = obs_metrics.histogram("conv2d.leaky_relu")
+_BLOCKED_SECONDS = obs_metrics.histogram("conv2d.blocked")
 
 #: The calling thread's share of the cores (``threads``, 1 unless a
 #: rank's start set it), and the process's pool of image workers.
@@ -144,14 +150,19 @@ def for_each_image(
     (helper ``k`` from image ``k + 1`` on) for ``t = min(n, share)``,
     helper ``k`` with ``workspace``'s ``k``-th helper arena (none when
     ``workspace`` is none).  The deal is fixed, so each arena sees the
-    same images, hence the same shapes, on every call."""
+    same images, hence the same shapes, on every call.  A pool worker
+    runs bound to the caller's rank (:func:`repro.obs.trace.set_rank`),
+    so the kernel timings and workspace bytes it records are the
+    caller's rank's."""
     global _pool
     threads = min(n, image_threads())
     if threads <= 1:
         work(slice(0, n), workspace)
         return
+    rank = trace.current_rank()
 
     def deal(first: int, arena: Workspace | None) -> None:
+        trace.set_rank(rank)
         for image in range(first, n, threads):
             work(slice(image, image + 1), arena)
 
@@ -369,16 +380,17 @@ class StripForward:
     ) -> np.ndarray:
         """Run the bound views on ``x`` and the parameters (read afresh;
         ``bias`` is given exactly when bound ``biased``) and return
-        ``out``.  ``timing`` (the perf flag, read once by the caller)
-        records ``im2col`` and ``conv2d.leaky_relu`` per call.
+        ``out``.  ``timing`` (the metrics flag, read once by the caller)
+        records ``im2col``, ``conv2d.leaky_relu`` and ``conv2d.blocked``
+        per call.
 
         The activation is :func:`leaky_relu_inplace` on the contiguous
         work strip, bit-identical to the standalone op; training adds one
         comparison before it, into a contiguous bool strip, and a
         ``copyto`` each writes the two out.
         """
-        # Perf off: ``float()`` is 0.0, a no-op clock in the same calls.
-        clock: Callable[[], float] = time.perf_counter if timing else float
+        # Metrics off: ``float()`` is 0.0, a no-op clock in the same calls.
+        clock: Callable[[], float] = trace.clock if timing else float
         start = clock()
         if self.interior is not None:
             np.copyto(self.interior, x)
@@ -410,10 +422,10 @@ class StripForward:
             np.copyto(rows_out, work)
             epilogue_s += clock() - tick
         if timing:
-            perf.record_call("im2col", copy_s)
+            _IM2COL_SECONDS.observe(copy_s)
             if slope is not None:
-                perf.record_call("conv2d.leaky_relu", epilogue_s)
-            perf.record_call("conv2d.blocked", clock() - start)
+                _LEAKY_SECONDS.observe(epilogue_s)
+            _BLOCKED_SECONDS.observe(clock() - start)
         return self.out
 
 
@@ -460,7 +472,7 @@ def conv2d_forward_blocked(
             f"blocked conv needs a C-contiguous {shape} {dtype} destination "
             f"or a bordered one, got {out.dtype} {out.shape}"
         )
-    slope, timing = None if activation is None else negative_slope, perf.perf_enabled()
+    slope, timing = None if activation is None else negative_slope, obs_metrics.enabled()
 
     def run(images: slice, arena: Workspace | None) -> None:
         if out.shape != shape:
@@ -523,7 +535,7 @@ def conv2d_weight_grad_blocked(
         for image, r0, r1, shifts, strip, shifted in patch_strips(
             source[images], kernel, rows, dtype, arena, slot_prefix, tap_major=True
         ):
-            with perf.timed("im2col"):
+            with _IM2COL_SECONDS.time():
                 np.copyto(strip, shifts)
             g_strip = grad_rows[: f * (r1 - r0) * ow].reshape(f, r1 - r0, ow)
             np.copyto(g_strip, grad[images.start + image, :, r0:r1])

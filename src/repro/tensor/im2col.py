@@ -19,7 +19,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..exceptions import ShapeError
-from . import perf
+from ..obs import metrics as obs_metrics
+
+#: Kernel timings (seconds per call), recorded while metrics collect.
+_IM2COL_SECONDS = obs_metrics.histogram("im2col")
+_COL2IM_SECONDS = obs_metrics.histogram("col2im")
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -65,7 +69,7 @@ def im2col(
     ph, pw = padding
     oh = conv_output_size(h, kh, sh, ph)
     ow = conv_output_size(w, kw, sw, pw)
-    with perf.timed("im2col"):
+    with _IM2COL_SECONDS.time():
         if ph or pw:
             x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         # (N, C, H', W') -> (N, C, OH*, OW*, kh, kw) view, strided to OH, OW
@@ -108,7 +112,7 @@ def col2im(
     if cols.shape != expected:
         raise ShapeError(f"col2im expected cols of shape {expected}, got {cols.shape}")
 
-    with perf.timed("col2im"):
+    with _COL2IM_SECONDS.time():
         padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
         patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
         # Loop only over the kernel footprint; each iteration is a strided

@@ -65,7 +65,8 @@ from typing import Any, Callable
 import numpy as np
 
 from ..exceptions import ConfigurationError, ShapeError
-from . import autograd, perf
+from ..obs import metrics as obs_metrics
+from . import autograd
 from .blocked import (
     conv2d_forward_blocked,
     conv2d_weight_grad_blocked,
@@ -82,6 +83,10 @@ from .workspace import Workspace, get_workspace, scratch
 #: which lives across the backward's two kernels and which neither
 #: touches.
 _FORWARD_SLOTS, _TRAIN_SLOTS = "conv2d.blocked", "conv2d.train"
+
+#: Op timings (seconds per call), recorded while metrics collect.
+_CONV2D_SECONDS = obs_metrics.histogram("conv2d")
+_BACKWARD_SECONDS = obs_metrics.histogram("conv2d.backward")
 
 
 def _pair(value: int | tuple[int, int]) -> tuple[int, int]:
@@ -161,7 +166,7 @@ def conv2d(
     # z >= 0, written by the training epilogue on the output's rows
     # while each strip is cache-hot; the backward keeps its interior.
     mask = np.empty(out.shape, bool) if training and activation is not None else None
-    with perf.timed("conv2d"):
+    with _CONV2D_SECONDS.time():
         conv2d_forward_blocked(
             source,
             tw.data,
@@ -245,7 +250,7 @@ def _strip_backward(
 
     def backward(grad: np.ndarray) -> tuple[np.ndarray | None, ...]:
         workspace = get_workspace()
-        with perf.timed("conv2d.backward"):
+        with _BACKWARD_SECONDS.time():
             dtype = np.result_type(grad.dtype, tx.dtype, weight.dtype)
             n, f, oh, ow = grad.shape
             # d(out)/d(x) is a full correlation with the flipped kernel
@@ -344,7 +349,7 @@ def conv2d_reference(
     """
     n, c, h, w = tx.shape
     f, _, kh, kw = tw.shape
-    with perf.timed("conv2d"):
+    with _CONV2D_SECONDS.time():
         cols, (oh, ow) = im2col(tx.data, (kh, kw), stride, padding)
         wmat = tw.data.reshape(f, c * kh * kw)
         out = cols @ wmat.T  # (N*OH*OW, F)
@@ -359,7 +364,7 @@ def conv2d_reference(
         out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
     def backward(grad: np.ndarray):
-        with perf.timed("conv2d.backward"):
+        with _BACKWARD_SECONDS.time():
             # grad: (N, F, OH, OW) -> (N*OH*OW, F)
             gmat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
             if act_scale is not None:

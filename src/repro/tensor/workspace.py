@@ -26,6 +26,13 @@ A :meth:`~Workspace.reserve` slot (a strip buffer, the training
 backward's gradient source) is one buffer all shapes share: its users
 write what they read, zero borders included.
 
+Each arena tallies its own requests in :class:`WorkspaceStats`, always.
+While the :mod:`repro.obs.metrics` registry collects, every hand-out
+also adds its bytes to the ``workspace.bytes_allocated`` (fresh) or
+``workspace.bytes_reused`` (warm) counter, tagged with the calling
+thread's rank, so those merge across ranks and processes with the rest
+of the registry.
+
 Thread and fork semantics
 -------------------------
 The default arena returned by :func:`get_workspace` is **per-thread**
@@ -51,7 +58,12 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from . import perf
+from ..obs import metrics as obs_metrics
+
+#: Bytes of the buffers arenas hand out, fresh and warm: recorded
+#: (rank-tagged) while the metrics registry collects.
+_BYTES_ALLOCATED = obs_metrics.counter("workspace.bytes_allocated")
+_BYTES_REUSED = obs_metrics.counter("workspace.bytes_reused")
 
 __all__ = [
     "Workspace",
@@ -118,10 +130,10 @@ class Workspace:
             self._buffers[key] = buffer
             self.stats.buffers_created += 1
             self.stats.bytes_allocated += buffer.nbytes
-            perf.record_bytes("workspace", buffer.nbytes, reused=False)
+            _BYTES_ALLOCATED.inc(buffer.nbytes)
         else:
             self.stats.bytes_reused += buffer.nbytes
-            perf.record_bytes("workspace", buffer.nbytes, reused=True)
+            _BYTES_REUSED.inc(buffer.nbytes)
         return buffer
 
     def reserve(self, slot: str, shape: tuple[int, ...], dtype: Any) -> np.ndarray:
@@ -225,7 +237,7 @@ def workspace_disabled() -> Iterator[None]:
 def _drop_after_fork() -> None:
     # A forked rank process inherits the forking thread's arena as a
     # copy-on-write image; drop it so the child starts cold and its
-    # statistics (and the perf registry's byte counters) are its own.
+    # statistics (and the workspace byte counters) are its own.
     _tls.workspace = None
 
 

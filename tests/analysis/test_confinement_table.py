@@ -108,7 +108,6 @@ def test_other_rules_noqa_does_not_suppress(row):
         ("src/repro/notcore/engine.py", ("core/engine.py",), False),
         ("src/repro/core/my_engine.py", ("core/engine.py",), False),
         ("src/repro/optim/sgd.py", ("optim",), True),
-        ("src/repro/tensor/perf.py", ("obs", "benchmarks", "tensor/perf.py"), True),
     ],
 )
 def test_sanctioned_matches_whole_components(path, sanctioned, expected):

@@ -394,16 +394,6 @@ class TestRep008:
             == []
         )
 
-    def test_perf_registry_sanctioned(self):
-        assert (
-            lint_snippet(
-                "import time\nstart = time.perf_counter()\n",
-                path="src/repro/tensor/perf.py",
-                rules={"REP008"},
-            )
-            == []
-        )
-
     def test_benchmarks_sanctioned(self):
         assert (
             lint_snippet(
@@ -674,8 +664,8 @@ class TestRep016:
         assert lint_snippet(source, rules={"REP016"}) == []
 
     def test_perf_counter_lookalike_ok(self):
-        # The perf registry has its own Counter class; a qualified call
-        # through a non-metrics module stays clean.
+        # Another module's Counter class: a qualified call through a
+        # non-metrics module stays clean.
         source = "c = perf.Counter()\n"
         assert lint_snippet(source, rules={"REP016"}) == []
 

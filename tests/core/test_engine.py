@@ -263,33 +263,36 @@ class TestEarlyStopping:
             EarlyStopping(patience=1, min_delta=-0.1)
 
 
-class TestPerfCounters:
-    def test_fit_populates_perf_report(self):
-        from repro.core import PerfCounters
-        from repro.tensor import perf
+class TestKernelMetrics:
+    """``fit`` inside ``metrics.collecting()`` records the kernel and
+    step timings, and collecting does not change training."""
+
+    def test_fit_under_collecting_records_kernel_timings(self):
+        from repro.obs import metrics
 
         config = TrainingConfig(epochs=2, batch_size=5, lr=0.01, loss="mse", seed=0)
-        lines = []
-        engine = Engine(
-            small_model(), config, callbacks=(PerfCounters(log=lines.append),)
-        )
-        engine.fit(toy_dataset())
-        assert engine.perf_report is not None
-        assert engine.perf_report["conv2d"].calls > 0
-        assert engine.perf_report["conv2d"].seconds > 0.0
-        assert any("conv2d" in line for line in lines)
-        # The callback restores the registry's prior (disabled) state.
-        assert not perf.perf_enabled()
+        engine = Engine(small_model(), config)
+        metrics.reset()
+        with metrics.collecting():
+            engine.fit(toy_dataset())
+        snap = metrics.snapshot()
+        metrics.reset()
+        assert not metrics.enabled()
+        for name in ("conv2d", "conv2d.backward"):
+            state = snap[name]["ranks"][None]
+            assert state["count"] > 0 and state["sum"] > 0.0
+        # Two epochs of two batches of five.
+        assert snap["engine.step_seconds"]["ranks"][None]["count"] == 4
 
-    def test_training_identical_with_and_without_counters(self):
-        from repro.core import PerfCounters
+    def test_training_identical_with_and_without_metrics(self):
+        from repro.obs import metrics
 
         config = TrainingConfig(epochs=3, batch_size=5, lr=0.01, loss="mse", seed=0)
         plain = Engine(small_model(), config).fit(toy_dataset())
-        counted = Engine(
-            small_model(), config, callbacks=(PerfCounters(),)
-        ).fit(toy_dataset())
-        assert plain.epoch_losses == counted.epoch_losses
+        with metrics.collecting():
+            collected = Engine(small_model(), config).fit(toy_dataset())
+        metrics.reset()
+        assert plain.epoch_losses == collected.epoch_losses
 
 
 class TestCheckpointer:

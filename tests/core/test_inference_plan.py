@@ -3,8 +3,8 @@
 The acceptance bar for the workspace/fusion layer: a compiled plan must
 be bit-identical to the module-by-module forward for every padding
 strategy, must stop allocating after its warmup run (pinned through the
-perf-counter registry), and must leave MPI rollouts unchanged on both
-execution backends.
+metrics registry's workspace counters), and must leave MPI rollouts
+unchanged on both execution backends.
 """
 
 import tracemalloc
@@ -25,7 +25,8 @@ from repro.core.inference import _ConvStep, _LeakyStep
 from repro.domain import BlockDecomposition
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn import Conv2d, LeakyReLU, Module, Sequential
-from repro.tensor import Tensor, Workspace, blocked, no_grad, perf, precision
+from repro.obs import metrics
+from repro.tensor import Tensor, Workspace, blocked, no_grad, precision
 
 STRATEGIES = [
     PaddingStrategy.ZERO,
@@ -152,23 +153,24 @@ class TestPlanEquivalence:
 
 class TestAllocationFreedom:
     def test_zero_new_buffers_after_warmup(self, rng):
-        """The tentpole property, asserted through the perf-counter
-        registry: after the warmup run no step asks the workspace for
-        anything, so the registry records no workspace bytes at all."""
+        """The tentpole property, asserted through the metrics registry:
+        after the warmup run no step asks the workspace for anything, so
+        the registry records no workspace bytes at all."""
         model = make_model(PaddingStrategy.ZERO)  # a padded first conv, chained
         plan = InferencePlan(model)
         x = rng.standard_normal((1, 4, 12, 12))
         plan.run(x)  # warmup
         created = plan.workspace.stats.buffers_created
-        perf.reset()
-        with perf.collecting():
+        metrics.reset()
+        with metrics.collecting():
             for _ in range(3):
                 plan.run(x)
-        counters = perf.snapshot()
-        perf.reset()
+        snap = metrics.snapshot()
+        metrics.reset()
         assert plan.workspace.stats.buffers_created == created
-        assert "workspace" not in counters
-        assert counters["plan.run"].calls == 3
+        assert "workspace.bytes_allocated" not in snap
+        assert "workspace.bytes_reused" not in snap
+        assert snap["plan.run"]["ranks"][None]["count"] == 3
 
     def test_warm_arena_is_fully_hit(self, rng):
         """A warm run does not even ask: every operand was bound by the

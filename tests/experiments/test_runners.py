@@ -187,6 +187,24 @@ class TestAblations:
         assert wa.bytes_communicated > 0
         assert sub.bytes_communicated == 0
 
+    def test_scheme_comparison_times_only_the_fit(self, monkeypatch):
+        """Every row times ``Engine.fit``: a second spent building each
+        rank's data shows up in no row's train time."""
+        import time
+
+        from repro.core import parallel
+
+        build = parallel.build_rank_dataset
+
+        def slow_build(*args, **kwargs):
+            time.sleep(1.0)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "build_rank_dataset", slow_build)
+        result = run_scheme_comparison(data=TINY, epochs=1, num_ranks=2)
+        for row in result.rows:
+            assert row.train_time < 1.0, row
+
 
 class TestPrecisionGate:
     def test_float32_tracks_the_float64_oracle_on_euler_gaussian(self):

@@ -1,7 +1,7 @@
 """Shared fixtures for the observability tests.
 
-The tracer, the perf registry, and the metrics registry are
-process-global; every test here starts and ends with all three disabled
+The tracer and the metrics registry are process-global; every test
+here starts and ends with both disabled
 and empty so ordering never leaks state between tests (or into the rest
 of the suite).
 """
@@ -9,14 +9,11 @@ of the suite).
 import pytest
 
 from repro.obs import metrics, trace
-from repro.tensor import perf
 
 
 def _clean() -> None:
     trace.disable()
     trace.reset()
-    perf.disable()
-    perf.reset()
     metrics.disable()
     metrics.reset()
     metrics.set_heartbeat_sink(None)

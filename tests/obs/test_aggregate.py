@@ -1,12 +1,17 @@
 """Cross-process telemetry: bundle capture/absorb and the process
 backend's trace round-trip — including the abort (post-mortem) path."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import mpi
-from repro.obs import aggregate, export, trace
+from repro.obs import aggregate, export, metrics, trace
 from repro.obs.trace import Metric, Span
-from repro.tensor import perf
 
 
 class TestBundle:
@@ -40,17 +45,22 @@ class TestBundle:
         aggregate.absorb(None)
         assert trace.spans() == []
 
-    def test_capture_includes_perf_snapshot_when_collecting(self):
-        perf.enable()
-        perf.record_call("op", 0.5)
-        with trace.tracing():
-            with trace.span("s"):
-                pass
-        bundle = aggregate.capture(rank=0)
-        assert bundle.perf_counters["op"].calls == 1
-        perf.reset()
-        aggregate.absorb(bundle)
-        assert perf.snapshot()["op"].calls == 1
+
+def test_obs_imports_nothing_from_the_rest_of_the_package():
+    """The layer the kernels record into sits below them: importing every
+    ``repro.obs`` module loads no other ``repro`` package."""
+    code = (
+        "import sys\n"
+        "from repro.obs import aggregate, callback, export, log, metrics, metrics_export, trace\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.')))"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout  # fmt: skip
+    loaded = ast.literal_eval(out)
+    assert loaded and all(m.startswith("repro.obs") or m == "repro.version" for m in loaded)
 
 
 class TestProcessBackendRoundTrip:
@@ -110,17 +120,22 @@ class TestProcessBackendRoundTrip:
         ]
         assert crashed, "the crashed rank's telemetry must survive the abort"
 
-    def test_perf_counters_merge_across_processes(self):
+    def test_kernel_histogram_merges_across_processes(self):
+        """A kernel timing recorded in each of two process ranks reaches
+        the parent under ranks {0, 1}: count and sum as recorded."""
+
         def program(comm):
-            perf.record_call("child.op", 0.125)
+            metrics.histogram("conv2d").observe(0.125)
             comm.barrier()
             return None
 
-        perf.enable()
-        mpi.run_parallel(program, 2, backend="processes", timeout=120)
-        counters = perf.snapshot()
-        assert counters["child.op"].calls == 2
-        assert counters["child.op"].seconds == pytest.approx(0.25)
+        with metrics.collecting():
+            mpi.run_parallel(program, 2, backend="processes", timeout=120)
+        payload = metrics.snapshot()["conv2d"]
+        assert set(payload["ranks"]) == {0, 1}
+        for state in payload["ranks"].values():
+            assert state["count"] == 1
+            assert state["sum"] == pytest.approx(0.125)
 
     def test_untraced_run_ships_no_bundles(self):
         def program(comm):

@@ -1,6 +1,10 @@
 """The metrics registry: instruments, rank tagging, quantiles,
 snapshot/merge, heartbeats, and the gauge→trace forwarding contract."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.obs import metrics, trace
@@ -85,6 +89,36 @@ class TestRankTagging:
         assert g.value(1) == 7.0
 
 
+    def test_threads_sharing_a_rank_lose_no_update(self):
+        """Pool helpers record under their caller's rank, so several
+        threads update one rank's state at once; none of it is lost."""
+        h = metrics.histogram("shared.h")
+        c = metrics.counter("shared.c")
+        threads, calls = 8, 2_000
+
+        def helper():
+            trace.set_rank(1)
+            for _ in range(calls):
+                h.observe(0.001)
+                c.inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with metrics.collecting():
+                workers = [threading.Thread(target=helper) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        state = metrics.snapshot()["shared.h"]["ranks"][1]
+        assert state["count"] == sum(state["counts"]) == threads * calls
+        assert c.value(1) == threads * calls
+
+
 class TestGaugeForwarding:
     def test_forwarding_gauge_emits_trace_metric(self):
         g = metrics.gauge("fwd.g")
@@ -144,6 +178,33 @@ class TestHistogram:
             [0, 1, 0], (1.0, 2.0), 0.5, lo=1.5, hi=1.5
         )
         assert value == 1.5
+
+
+class TestHistogramTime:
+    def test_off_hands_out_one_shared_context_and_records_nothing(self):
+        h = metrics.histogram("time.off")
+        assert h.time() is metrics.histogram("time.other").time()
+        with h.time():
+            pass
+        assert "time.off" not in metrics.snapshot()
+
+    def test_on_observes_the_block_once(self):
+        h = metrics.histogram("time.on")
+        with metrics.collecting():
+            start = trace.clock()
+            with h.time():
+                time.sleep(0.01)
+            elapsed = trace.clock() - start
+        state = metrics.snapshot()["time.on"]["ranks"][None]
+        assert state["count"] == 1
+        assert 0.01 <= state["sum"] <= elapsed
+
+    def test_a_raising_block_is_timed_and_the_error_propagates(self):
+        h = metrics.histogram("time.raise")
+        with metrics.collecting(), pytest.raises(ValueError):
+            with h.time():
+                raise ValueError("inside")
+        assert h.count() == 1
 
 
 class TestSnapshotMerge:

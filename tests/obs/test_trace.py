@@ -6,7 +6,6 @@ import time
 import pytest
 
 from repro.obs import trace
-from repro.tensor import perf
 
 
 class TestEnableDisable:
@@ -179,21 +178,31 @@ class TestRankContext:
         assert seen == {0: 0, 1: 1, 2: 2}
         assert trace.current_rank() is None
 
+    def test_unbound_thread_reads_none_as_cheaply_as_a_bound_one(self):
+        """A thread that never bound a rank (the main thread, a pool helper)
+        reads ``None`` by a plain attribute lookup: no slower than a
+        bound read beyond noise, where a missing-attribute fallback
+        costs several times as much."""
 
-class TestCounters:
-    def test_span_captures_perf_delta(self):
-        perf.enable()
-        with trace.tracing():
-            with trace.span("step", counters=True):
-                perf.record_call("conv2d", 0.25)
-                perf.record_call("conv2d", 0.25)
-        (s,) = trace.spans()
-        assert s.args["counters"]["conv2d"]["calls"] == 2
-        assert s.args["counters"]["conv2d"]["seconds"] == pytest.approx(0.5)
+        def best_read_seconds(calls=20_000):
+            best = float("inf")
+            for _ in range(5):
+                start = trace.clock()
+                for _ in range(calls):
+                    trace.current_rank()
+                best = min(best, trace.clock() - start)
+            return best
 
-    def test_counters_flag_without_perf_adds_nothing(self):
-        with trace.tracing():
-            with trace.span("step", counters=True):
-                pass
-        (s,) = trace.spans()
-        assert s.args is None
+        seen = {}
+
+        def unbound():
+            seen["rank"] = trace.current_rank()
+            seen["unbound"] = best_read_seconds()
+
+        thread = threading.Thread(target=unbound)
+        thread.start()
+        thread.join()
+        with trace.rank_scope(3):
+            bound = best_read_seconds()
+        assert seen["rank"] is None
+        assert seen["unbound"] < 3 * bound

@@ -294,6 +294,30 @@ class TestRankShare:
         assert shares == [max(1, len(os.sched_getaffinity(0)) // ranks)] * ranks
         assert blocked.image_threads() == 1  # the caller's share is back
 
+    def test_pool_helpers_record_under_the_callers_rank(self):
+        """At share 2 each rank's second image runs on a pool helper; its
+        kernel timings and workspace bytes still count as the rank's, so
+        a two-rank thread world records them under ranks {0, 1} only."""
+        from repro.obs import metrics
+
+        def program(comm):
+            _set_share(2)
+            return conv_step()
+
+        metrics.reset()
+        with metrics.collecting():
+            mpi.run_parallel(program, 2, backend="threads", timeout=120)
+        snap = metrics.snapshot()
+        metrics.reset()
+        recorded = {
+            name: set(payload.get("ranks", payload.get("values")))
+            for name, payload in snap.items()
+            if name.startswith(("conv2d", "im2col", "workspace."))
+        }
+        for name in ("conv2d.blocked", "im2col", "workspace.bytes_allocated"):
+            assert name in recorded
+        assert all(ranks == {0, 1} for ranks in recorded.values()), recorded
+
     def test_rank_processes_start_after_the_parent_used_the_pool(self, share):
         """Forked ranks drop the parent's pool and build their own; the
         launcher's timeout is the watchdog should a child hang."""

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.tensor import perf
+from repro.obs import metrics
 from repro.tensor.workspace import (
     Workspace,
     get_workspace,
@@ -111,22 +111,26 @@ class TestStats:
 
 
 class TestPerfIntegration:
+    """Hand-outs feed the metrics registry's two workspace counters."""
+
     def test_bytes_feed_registry_when_collecting(self):
-        perf.reset()
+        metrics.reset()
         ws = Workspace()
-        with perf.collecting():
+        with metrics.collecting():
             ws.request("a", (10,), np.float64)
             ws.request("a", (10,), np.float64)
-        counters = perf.snapshot()
-        assert counters["workspace"].bytes_allocated == 80
-        assert counters["workspace"].bytes_reused == 80
-        perf.reset()
+        snap = metrics.snapshot()
+        metrics.reset()
+        assert snap["workspace.bytes_allocated"]["values"] == {None: 80}
+        assert snap["workspace.bytes_reused"]["values"] == {None: 80}
 
     def test_silent_while_disabled(self):
-        perf.reset()
-        assert not perf.perf_enabled()
+        metrics.reset()
+        assert not metrics.enabled()
         Workspace().request("a", (10,), np.float64)
-        assert "workspace" not in perf.snapshot()
+        snap = metrics.snapshot()
+        assert "workspace.bytes_allocated" not in snap
+        assert "workspace.bytes_reused" not in snap
 
 
 class TestThreadDefault:
